@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import acceptance, ehrhart, linial, rootdata, verify
 from .errors import LincharError
@@ -37,9 +38,13 @@ def _m_list(text: str) -> list[int]:
 
 def _criteria_list(text: str) -> set[int]:
     try:
-        return {int(x) for x in text.split(",") if x.strip()}
+        numbers = {int(x) for x in text.split(",") if x.strip()}
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated list of criterion numbers")
+    count = len(acceptance.ALL_CHECKS)
+    if not numbers or not numbers <= set(range(1, count + 1)):
+        raise argparse.ArgumentTypeError(f"expected criterion numbers in 1..{count}, got {text!r}")
+    return numbers
 
 
 def to_json_str(obj) -> str:
@@ -143,11 +148,6 @@ def _cmd_ehrhart(args):
 
 
 def _cmd_charquasi(args):
-    qp = (
-        linial.half_char_quasi(args.phi, args.m)
-        if args.half
-        else linial.char_quasi(args.phi, args.m)
-    )
     inputs = {
         "phi": str(args.phi),
         "m": args.m,
@@ -156,13 +156,18 @@ def _cmd_charquasi(args):
     }
     kind = "chi^1/2" if args.half else "chi"
     if args.constituent is not None:
-        poly = qp.constituent(args.constituent)
+        poly = linial.char_constituent(args.phi, args.m, args.constituent, half=args.half)
         _emit(
             args,
             _envelope("charquasi", inputs, poly.to_json()),
             [f"{kind}({args.phi}, m={args.m}) at d = {args.constituent}: {poly.pretty()}"],
         )
     else:
+        qp = (
+            linial.half_char_quasi(args.phi, args.m)
+            if args.half
+            else linial.char_quasi(args.phi, args.m)
+        )
         _emit(
             args,
             _envelope("charquasi", inputs, qp.to_json()),
@@ -198,7 +203,7 @@ def _cmd_toy(args):
 
 def _cmd_check_line(args):
     h = rootdata.lookup(args.phi).coxeter_number
-    poly = linial.char_quasi(args.phi, args.m).constituent(args.d)
+    poly = linial.char_constituent(args.phi, args.m, args.d)
     M = args.m * h
     if args.numeric:
         rep = verify.check_on_line_numeric(poly, M)
@@ -237,7 +242,7 @@ def _cmd_limit_roots(args):
 
 def _cmd_oracle(args):
     count = verify.bruteforce_modq(args.phi, args.m, args.q, unsafe=args.unsafe_q)
-    value = linial.char_quasi(args.phi, args.m).value(args.q)
+    value = linial.char_constituent(args.phi, args.m, args.q).evaluate(Fraction(args.q))
     result = {
         "count": count,
         "char_quasi_value": str(value),

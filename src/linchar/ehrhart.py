@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
-from .ratpoly import RatPoly, ShiftPoly
+from .ratpoly import IntegerTable, RatPoly, ShiftPoly, shift_constituent
 from .rootdata import RootSystemId, lookup
 
 
@@ -33,6 +33,12 @@ class QuasiPoly:
 
     def constituent(self, d: int) -> RatPoly:
         return self.constituents[d % self.period]
+
+    @cached_property
+    def numerators(self) -> IntegerTable:
+        """The constituents over their common denominator, computed once per
+        instance (so once per system for the cached `ehrhart_qp`)."""
+        return IntegerTable.of(self.constituents)
 
     def value(self, q: int) -> Fraction:
         """Evaluate at an integer, using mathematical mod (valid for q < 0)."""
@@ -143,16 +149,8 @@ def check_reciprocity(L: QuasiPoly, rank: int, h: int) -> bool:
 def apply_shift_qp(f: ShiftPoly, step: int, L: QuasiPoly) -> QuasiPoly:
     """Apply f(S**step) to a quasi-polynomial: the constituent at d becomes
     sum_i f_i * L_{(d - step*i) mod period}(t - step*i)."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    out = []
-    for d in range(L.period):
-        acc = RatPoly.zero()
-        for i, fi in enumerate(f.coeffs):
-            if fi != 0:
-                acc = acc + L.constituent(d - step * i).compose_affine(1, -step * i).scale(fi)
-        out.append(acc)
-    return QuasiPoly(period=L.period, constituents=tuple(out))
+    table = L.numerators
+    return QuasiPoly(L.period, tuple(shift_constituent(f, step, table, d) for d in range(L.period)))
 
 
 def gcd_property(L: QuasiPoly) -> GcdPropertyReport:

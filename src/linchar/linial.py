@@ -17,8 +17,13 @@ from functools import lru_cache
 from .ehrhart import QuasiPoly, apply_shift_qp, ehrhart_qp
 from .errors import NotAdmissible, SymmetryViolation
 from .eulerian import generalized_eulerian, truncate_half
-from .ratpoly import RatPoly, ShiftPoly, apply_shift
+from .ratpoly import RatPoly, ShiftPoly, apply_shift, shift_constituent
 from .rootdata import RootSystemId, lookup
+
+# Entries kept per m-keyed quasi-polynomial cache.  The acceptance matrix
+# builds 31 systems for m <= 5 and reads them again in later criteria, so
+# this holds all of it while keeping m-sweeps from growing without limit.
+_QUASI_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -41,29 +46,43 @@ class AdmissibleReport:
 
 
 @lru_cache(maxsize=None)
+def _operator(ident: RootSystemId, half: bool) -> ShiftPoly:
+    """R_Phi, or its truncation R'_Phi when `half`, as a shift operator."""
+    R = generalized_eulerian(ident)
+    if half:
+        R = truncate_half(R, lookup(ident).coxeter_number)
+    return ShiftPoly.from_poly(R)
+
+
+def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) -> RatPoly:
+    """The residue-d constituent of `char_quasi` (or of `half_char_quasi`
+    when `half`), computed on its own without building the other residues."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return shift_constituent(_operator(ident, half), m + 1, ehrhart_qp(ident).numerators, d)
+
+
+@lru_cache(maxsize=_QUASI_CACHE_SIZE)
 def char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
     """Characteristic quasi-polynomial of the m-th extended Linial arrangement:
     R_Phi(S^(m+1)) applied to L_Phi."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    R = ShiftPoly.from_poly(generalized_eulerian(ident))
-    return apply_shift_qp(R, m + 1, ehrhart_qp(ident))
+    return apply_shift_qp(_operator(ident, False), m + 1, ehrhart_qp(ident))
 
 
 def char_poly(ident: RootSystemId, m: int) -> RatPoly:
     """Characteristic polynomial: the prime (d = 1) constituent."""
-    return char_quasi(ident, m).constituent(1)
+    return char_constituent(ident, m, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_QUASI_CACHE_SIZE)
 def half_char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
     """Half characteristic quasi-polynomial: the truncated Eulerian polynomial
     applied with step m + 1."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    data = lookup(ident)
-    half = truncate_half(generalized_eulerian(ident), data.coxeter_number)
-    return apply_shift_qp(ShiftPoly.from_poly(half), m + 1, ehrhart_qp(ident))
+    return apply_shift_qp(_operator(ident, True), m + 1, ehrhart_qp(ident))
 
 
 def weyl_char_quasi(ident: RootSystemId) -> QuasiPoly:
@@ -110,10 +129,10 @@ def averaged_half(ident: RootSystemId, m: int, d: int) -> RatPoly:
     report = admissible_residues(ident)
     if d % n not in report.residues:
         raise NotAdmissible(f"residue {d} mod {n} is not admissible for {ident}")
-    half = half_char_quasi(ident, m)
     acc = RatPoly.zero()
     for k in range(report.m0):
-        acc = acc + half.constituent(d + k * h) + half.constituent(-d + k * h)
+        for r in (d + k * h, -d + k * h):
+            acc = acc + char_constituent(ident, m, r, half=True)
     return acc.scale(Fraction(1, 2 * report.m0))
 
 
@@ -139,5 +158,4 @@ def toy_poly(ident: RootSystemId, m: int, g: RatPoly | None = None) -> RatPoly:
         mirrored = g.compose_affine(-1, 0).scale((-1) ** data.rank)
         if shifted != mirrored:
             raise SymmetryViolation("seed fails g(t - h) = (-1)^rank g(-t)")
-    R = ShiftPoly.from_poly(generalized_eulerian(ident))
-    return apply_shift(R, m + 1, g)
+    return apply_shift(_operator(ident, False), m + 1, g)

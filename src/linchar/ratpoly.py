@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence, Union
+
+from .errors import InexactDivision
 
 Scalar = Union[int, Fraction]
 
@@ -243,7 +246,7 @@ class RatPoly:
     def exact_div(self, other: "RatPoly") -> "RatPoly":
         q, r = self.divrem(other)
         if not r.is_zero:
-            raise ArithmeticError("division was not exact")
+            raise InexactDivision("division was not exact")
         return q
 
     def monic(self) -> "RatPoly":
@@ -368,15 +371,68 @@ class ShiftPoly:
 # -- shift-operator action ----------------------------------------------------
 
 
-def apply_shift(f: ShiftPoly, step: int, g: RatPoly) -> RatPoly:
-    """Apply f(S**step) to g: sum_i f_i * g(t - step*i), exactly."""
+class IntegerTable(NamedTuple):
+    """Polynomials over one common denominator: ``polys[r] = nums[r] / den``,
+    with ``nums[r]`` the ascending integer coefficients."""
+
+    den: int
+    nums: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, polys: Sequence[RatPoly]) -> "IntegerTable":
+        den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+        nums = tuple(tuple(c.numerator * (den // c.denominator) for c in p.coeffs) for p in polys)
+        return cls(den, nums)
+
+
+@lru_cache(maxsize=None)
+def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of Pascal's triangle."""
+    return tuple(tuple(math.comb(k, p) for p in range(k + 1)) for k in range(n + 1))
+
+
+def shift_constituent(f: ShiftPoly, step: int, constituents: IntegerTable, d: int) -> RatPoly:
+    """Constituent d of f(S**step) applied to a quasi-polynomial whose
+    residue-r constituent is g_r = constituents.nums[r] / constituents.den:
+
+        sum_i f_i * g_{(d - step*i) mod period}(t - step*i).
+
+    The i are grouped by residue r = (d - step*i) mod period, and each class
+    keeps the integer moments mu_j = sum_i F*f_i * (-step*i)^j, where F clears
+    the denominators of f.  Then [t^p] = sum_k g_{r,k} C(k, p) mu_(k-p) summed
+    over the classes, divided once by F * den.  Exact throughout.
+    """
     if step < 1:
         raise ValueError("step must be >= 1")
-    acc = RatPoly()
+    den, nums = constituents
+    period = len(nums)
+    size = max(map(len, nums), default=0)
+    fden = math.lcm(*(c.denominator for c in f.coeffs))
+    moments: dict[int, list[int]] = {}
     for i, fi in enumerate(f.coeffs):
-        if fi != 0:
-            acc = acc + g.compose_affine(1, -step * i).scale(fi)
-    return acc
+        if fi == 0:
+            continue
+        shift = -step * i
+        mu = moments.setdefault((d + shift) % period, [0] * size)
+        x = fi.numerator * (fden // fi.denominator)
+        for j in range(size):
+            mu[j] += x
+            x *= shift
+    binom = _pascal(size)
+    out = [0] * size
+    for r, mu in moments.items():
+        for k, gk in enumerate(nums[r]):
+            if gk:
+                row = binom[k]
+                for p in range(k + 1):
+                    out[p] += gk * row[p] * mu[k - p]
+    scale = fden * den
+    return RatPoly(Fraction(c, scale) for c in out)
+
+
+def apply_shift(f: ShiftPoly, step: int, g: RatPoly) -> RatPoly:
+    """Apply f(S**step) to g: sum_i f_i * g(t - step*i), exactly."""
+    return shift_constituent(f, step, IntegerTable.of((g,)), 0)
 
 
 def reflect(g: RatPoly, M: Scalar) -> RatPoly:

@@ -216,5 +216,6 @@ def positive_roots(ident: RootSystemId) -> PositiveRootForms:
         )
     top_height = max(sum(v) for v in positives)
     tallest = [v for v in positives if sum(v) == top_height]
-    assert len(tallest) == 1, f"highest root of {ident} not unique"
+    if len(tallest) != 1:
+        raise AssertionError(f"highest root of {ident} not unique")
     return PositiveRootForms(roots=tuple(positives), highest=tallest[0], cartan=cartan)

@@ -130,6 +130,13 @@ class TestVerifyAll:
         assert [r["number"] for r in results] == [1, 2, 4]
         assert all(r["passed"] for r in results)
 
+    @pytest.mark.parametrize("only", ["99", "0,3", ","])
+    def test_unknown_or_empty_selection_is_a_usage_error(self, capsys, only):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify-all", "--only", only])
+        assert excinfo.value.code == 2
+        assert "all selected criteria pass" not in capsys.readouterr().out
+
 
 class TestOutFile:
     def test_out_writes_file(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linchar.errors import InexactDivision
 from linchar.ratpoly import (
     NEG_INF,
     POS_INF,
@@ -67,6 +68,12 @@ class TestRatPolyBasics:
         q, r = p.divrem(RatPoly.from_roots([2]))
         assert r.is_zero and q == RatPoly.from_roots([1, 3])
         assert p.gcd(RatPoly.from_roots([2, 5])) == RatPoly.from_roots([2])
+
+    def test_inexact_division_is_named(self):
+        p = RatPoly.from_roots([1, 2, 3])
+        assert p.exact_div(RatPoly.from_roots([2])) == RatPoly.from_roots([1, 3])
+        with pytest.raises(InexactDivision):
+            p.exact_div(RatPoly.from_roots([4]))
 
     def test_squarefree(self):
         p = RatPoly.from_roots([-1, -1, -3])

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +127,24 @@ class TestPositiveRoots:
             positive_roots(rid("A4"))
         with pytest.raises(UnsupportedRank):
             positive_roots(rid("F4"))
+
+    def test_ambiguous_highest_root_raises_under_optimisation(self):
+        # A1 x A1 posing as a rank-2 system with h = 2 has two roots of top
+        # height; the check must fire even with asserts stripped by -O.
+        script = (
+            "import dataclasses\n"
+            "from linchar import rootdata\n"
+            "a2 = rootdata.RootSystemId.parse('A2')\n"
+            "fake = dataclasses.replace(rootdata.lookup(a2), coxeter_number=2)\n"
+            "rootdata.lookup = lambda ident: fake\n"
+            "rootdata._CARTAN[('A', 2)] = ((2, 0), (0, 2))\n"
+            "try:\n"
+            "    rootdata.positive_roots(a2)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        assert "highest root of A2 not unique" in out

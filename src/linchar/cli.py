@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -297,8 +298,7 @@ def _cmd_verify_all(args):
     ok = all(r.passed for r in results)
     human.append("all selected criteria pass" if ok else "FAILURES present")
     _emit(args, _envelope("verify-all", {"only": sorted(args.only) if args.only else None}, payload), human)
-    if not ok:
-        sys.exit(1)
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,8 +383,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
-    except (LincharError, ValueError, ZeroDivisionError) as exc:
+        code = args.func(args) or 0
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`linchar ... | head`).  Point stdout at the
+        # null device so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (LincharError, ValueError, ZeroDivisionError, OSError) as exc:
         name = type(exc).__name__
         if args.json:
             print(to_json_str({
@@ -396,7 +402,7 @@ def main(argv=None) -> int:
         else:
             print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return code
 
 
 if __name__ == "__main__":

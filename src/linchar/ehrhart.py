@@ -3,9 +3,13 @@ quasi-polynomial data type, and its shift-operator action.
 
 L_Phi(q) counts nonnegative integer vectors (m_1..m_l) with
 sum(c_i m_i) <= q, equivalently the coefficients of the series
-1 / prod_{i=0..l} (1 - z^{c_i}) with the slack mark c_0 = 1.  Constituents
-are recovered by exact Lagrange interpolation of denumerant counts, with a
-hard out-of-sample consistency guard.
+1 / prod_{i=0..l} (1 - z^{c_i}) with the slack mark c_0 = 1.  Constituent d
+is interpolated from the l+1 denumerant counts at d, d+n, ..., d+l*n (n the
+period) through their integer forward differences: every constituent is an
+integer numerator over the one common denominator n**l * l!, and each
+coefficient is divided once, when the polynomial is built.  A guard checks
+every integer 0..3n(l+1) against the counts, in integers, before anything
+is returned.
 """
 
 from __future__ import annotations
@@ -78,17 +82,39 @@ def _denumerant_counts(marks, upto: int) -> list[int]:
     return dp
 
 
-def _lagrange(points) -> RatPoly:
-    total = RatPoly.zero()
-    for j, (xj, yj) in enumerate(points):
-        num = RatPoly.one()
-        den = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k != j:
-                num = num * RatPoly((-xk, 1))
-                den *= xj - xk
-        total = total + num.scale(Fraction(yj) / den)
-    return total
+def _newton_numerator(samples: list[int], d: int, n: int) -> list[int]:
+    """Integer numerator N of the degree-l polynomial p through the points
+    (d + j*n, samples[j]), j = 0..l, with p = N / (n**l * l!).
+
+    Newton's forward-difference form with step n gives
+    p(t) = sum_k Delta^k y_0 / (k! n^k) * prod_{i<k} (t - d - i*n); over the
+    common denominator the weight of the k-th basis product is the integer
+    Delta^k y_0 * n^(l-k) * l!/k!.  The sum is expanded in nested form,
+    w_0 + (t - d)(w_1 + (t - d - n)(w_2 + ...)), ascending coefficients.
+    """
+    heads, diffs = [], list(samples)  # heads[k] = Delta^k y_0
+    while diffs:
+        heads.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    num: list[int] = []
+    scale = 1  # n^(l-k) * l!/k!
+    for k in range(len(samples) - 1, -1, -1):
+        root = d + k * n
+        # num <- num * (t - root) + weight_k
+        num = [0] + num
+        for j in range(len(num) - 1):
+            num[j] -= root * num[j + 1]
+        num[0] += heads[k] * scale
+        scale *= n * k
+    return num
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    """Value at x of the polynomial with ascending coefficients `coeffs`."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -98,18 +124,16 @@ def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
     n, l = data.period, data.rank
     guard_upto = 3 * n * (l + 1)
     counts = _denumerant_counts(data.marks, guard_upto)
-    constituents = []
-    for d in range(n):
-        pts = [(d + j * n, counts[d + j * n]) for j in range(l + 1)]
-        constituents.append(_lagrange(pts))
-    qp = QuasiPoly(period=n, constituents=tuple(constituents))
+    den = n**l * math.factorial(l)
+    nums = [_newton_numerator(counts[d : d + l * n + 1 : n], d, n) for d in range(n)]
     for q in range(guard_upto + 1):
-        if qp.value(q) != counts[q]:
+        if _horner(nums[q % n], q) != counts[q] * den:
             raise AssertionError(
                 f"period guard failed for {ident} at q = {q}: "
                 f"interpolation disagrees with the denumerant count"
             )
-    return qp
+    constituents = tuple(RatPoly(Fraction(c, den) for c in num) for num in nums)
+    return QuasiPoly(period=n, constituents=constituents)
 
 
 def series_coeffs(ident: RootSystemId, count: int) -> list[int]:

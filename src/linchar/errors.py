@@ -34,5 +34,9 @@ class NonConvergence(LincharError, RuntimeError):
         self.partial = partial
 
 
+class OracleTooLarge(LincharError, ValueError):
+    """The enumeration oracle was asked for more points than it will allocate."""
+
+
 class QTooSmall(LincharError, ValueError):
     """The modulus q is not in the safe quasi-polynomial regime q > m*h."""

@@ -17,9 +17,8 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import NonConvergence, QTooSmall, UnsupportedRank
+from .errors import NonConvergence, OracleTooLarge, QTooSmall, UnsupportedRank
 from .eulerian import generalized_eulerian, truncate_half
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
 from .linial import char_constituent, char_quasi  # noqa: F401
@@ -36,6 +35,10 @@ _MAX_ITER = 200
 _CORRECTION_TOL = 1e-13  # relative to the initial inclusion radius
 _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
+
+#: Most points `bruteforce_modq` enumerates: q**rank above this is refused.
+#: The enumeration holds int64 arrays of q**rank entries, 80 MB each at the cap.
+ORACLE_MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,8 @@ def bruteforce_modq(
     """Count points of (Z/qZ)^l avoiding alpha(x) = 1..m for all positive roots.
 
     Pure enumeration over the stored root forms (rank <= 3); requires the
-    safe regime q > m*h unless `unsafe` is set.
+    safe regime q > m*h unless `unsafe` is set, and refuses more than
+    ORACLE_MAX_POINTS points with OracleTooLarge.
     """
     data = lookup(ident)
     if ident.rank > 3:
@@ -281,6 +285,10 @@ def bruteforce_modq(
     l = ident.rank
     if m == 0:
         return q**l
+    if q**l > ORACLE_MAX_POINTS:
+        raise OracleTooLarge(
+            f"q**{l} = {q**l} points exceed the enumeration cap of {ORACLE_MAX_POINTS}"
+        )
     grids = np.indices((q,) * l, dtype=np.int64, sparse=True)
     good = np.ones((q,) * l, dtype=bool)
     for form in positive_roots(ident).roots:
@@ -298,11 +306,54 @@ def limit_combination(ident: RootSystemId) -> RatPoly:
     return F + F.compose_affine(-1, data.coxeter_number).scale((-1) ** data.rank)
 
 
+def _min_cost_assignment(cost: Sequence[Sequence[float]]) -> list[int]:
+    """Column assigned to each row of a square cost matrix, minimizing the
+    total cost: the O(n^3) Hungarian method, one shortest augmenting path
+    per row with dual potentials u (rows) and v (columns)."""
+    n = len(cost)
+    if any(len(row) != n for row in cost):
+        raise ValueError("square cost matrix expected")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: row (1-based) matched to column j; column 0 is a sentinel
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(1, n + 1):
+        cols[owner[j] - 1] = j - 1
+    return cols
+
+
 def _match_distance(found: Sequence[complex], target: Sequence[complex]) -> float:
     """Max pair distance under the optimal (sum-minimizing) assignment."""
-    cost = np.array([[abs(a - b) for b in target] for a in found])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    cost = [[abs(a - b) for b in target] for a in found]
+    return max(row[j] for row, j in zip(cost, _min_cost_assignment(cost)))
 
 
 def asymptotic_track(

@@ -1,8 +1,19 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from linchar.cli import main, to_json_str
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+def run_subprocess(code, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env, text=True, **kwargs)
 
 
 def run_cli(capsys, *argv):
@@ -115,9 +126,49 @@ class TestErrors:
         code, _out = run_cli(capsys, "charquasi", "G2", "-m", "-3")
         assert code == 1
 
+    def test_oracle_point_cap(self, capsys):
+        code, data = run_json(capsys, "oracle", "modq", "G2", "-m", "1", "-q", "1000000000", "--json")
+        assert code == 1
+        assert data["error"] == "OracleTooLarge"
+
     def test_unsafe_q_flag(self, capsys):
         code, out = run_cli(capsys, "oracle", "modq", "G2", "-m", "2", "-q", "5", "--unsafe-q")
         assert code == 0
+
+    def test_closed_pipe_exits_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = run_subprocess(
+                "import sys; from linchar.cli import main; sys.exit(main(['ehrhart', 'E8']))",
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+
+class TestImports:
+    def test_cli_does_not_load_scipy(self):
+        proc = run_subprocess(
+            "import sys, linchar.cli; print('scipy' in sys.modules)",
+            capture_output=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
+
+class TestTrackGolden:
+    # Captured with the scipy assignment solver that `_match_distance` used before.
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((GOLDEN / "track_golden.json").read_text()),
+        ids=lambda case: " ".join(case["argv"][1:6]),
+    )
+    def test_byte_identical(self, capsys, case):
+        code, out = run_cli(capsys, *case["argv"])
+        assert code == 0
+        assert out == to_json_str(case["stdout"]) + "\n"
 
 
 class TestVerifyAll:
@@ -145,3 +196,11 @@ class TestOutFile:
         assert code == 0
         data = json.loads(target.read_text())
         assert data["command"] == "eulerian"
+
+    def test_unwritable_out_file_is_a_named_error(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.json")
+        code, data = run_json(capsys, "table", "--out", target, "--json")
+        assert code == 1
+        assert data["error"] == "FileNotFoundError"
+        assert main(["table", "--out", target]) == 1
+        assert "error: FileNotFoundError" in capsys.readouterr().err

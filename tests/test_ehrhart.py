@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from linchar import ehrhart
 from linchar.ehrhart import (
     QuasiPoly,
     apply_shift_qp,
@@ -18,6 +19,21 @@ from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
 
 def rid(text):
     return RootSystemId.parse(text)
+
+
+def lagrange(points) -> RatPoly:
+    """Interpolating polynomial through (x, y) points, by Lagrange's formula
+    in Fraction arithmetic: a second path for `ehrhart_qp`."""
+    total = RatPoly.zero()
+    for j, (xj, yj) in enumerate(points):
+        num = RatPoly.one()
+        den = Fraction(1)
+        for k, (xk, _) in enumerate(points):
+            if k != j:
+                num = num * RatPoly((-xk, 1))
+                den *= xj - xk
+        total = total + num.scale(Fraction(yj) / den)
+    return total
 
 
 class TestQuasiPoly:
@@ -82,6 +98,40 @@ class TestEhrhartQP:
         L = ehrhart_qp(ident)
         if L.period > 1:
             assert len(set(L.constituents)) > 1
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
+    def test_matches_fraction_lagrange(self, ident):
+        data = lookup(ident)
+        n, l = data.period, data.rank
+        counts = series_coeffs(ident, l * n + n)
+        L = ehrhart_qp(ident)
+        for d in range(n):
+            nodes = [(d + j * n, counts[d + j * n]) for j in range(l + 1)]
+            assert L.constituent(d) == lagrange(nodes)
+
+    def test_lagrange_oracle_by_hand(self):
+        # (0, 1), (1, 3), (2, 7) lie on t^2 + t + 1
+        assert lagrange([(0, 1), (1, 3), (2, 7)]) == RatPoly((1, 1, 1))
+
+    @pytest.mark.parametrize("name", ["G2", "B3", "E6", "A4"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_period_guard_catches_a_count_past_the_nodes(self, monkeypatch, name, where):
+        data = lookup(rid(name))
+        n, l = data.period, data.rank
+        guard_upto = 3 * n * (l + 1)
+        q = l * n + n if where == "first" else guard_upto
+        honest = ehrhart._denumerant_counts
+
+        def perturbed(marks, upto):
+            counts = honest(marks, upto)
+            counts[q] += 1
+            return counts
+
+        monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
+        with pytest.raises(AssertionError, match=f"period guard failed for {name} at q = {q}:"):
+            ehrhart_qp.__wrapped__(rid(name))
 
 
 class TestSeries:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import linchar.verify as verify
-from linchar.errors import NonConvergence, QTooSmall, UnsupportedRank
+from linchar.errors import NonConvergence, OracleTooLarge, QTooSmall, UnsupportedRank
 from linchar.linial import char_poly, char_quasi, toy_poly
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup
@@ -233,6 +234,56 @@ class TestBruteforceModq:
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedRank):
             bruteforce_modq(rid("E6"), 1, 13)
+
+    def test_point_cap_refuses_before_allocating(self):
+        with pytest.raises(OracleTooLarge):
+            bruteforce_modq(rid("G2"), 1, 10**12)
+        with pytest.raises(OracleTooLarge):
+            bruteforce_modq(rid("A3"), 1, 10**5)
+        just_over = math.isqrt(verify.ORACLE_MAX_POINTS) + 1
+        with pytest.raises(OracleTooLarge):
+            bruteforce_modq(rid("G2"), 1, just_over)
+
+    def test_point_cap_leaves_the_empty_arrangement(self):
+        # m = 0 is answered as q**rank without enumerating anything
+        assert bruteforce_modq(rid("G2"), 0, 10**12) == 10**24
+
+
+def random_cost(rng, n):
+    found = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+    target = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+    return [[abs(a - b) for b in target] for a in found]
+
+
+class TestMinCostAssignment:
+    def test_matches_exhaustive_search(self):
+        rng = random.Random(3)
+        for n in range(1, 7):
+            for _ in range(20):
+                cost = random_cost(rng, n)
+                best = min(
+                    itertools.permutations(range(n)),
+                    key=lambda perm: sum(cost[i][j] for i, j in enumerate(perm)),
+                )
+                assert verify._min_cost_assignment(cost) == list(best)
+
+    def test_matches_scipy(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(5)
+        for n in range(1, 13):
+            for _ in range(25):
+                cost = random_cost(rng, n)
+                rows, cols = scipy_optimize.linear_sum_assignment(cost)
+                assert list(rows) == list(range(n))
+                assert verify._min_cost_assignment(cost) == [int(c) for c in cols]
+
+    def test_ties_and_zero_costs(self):
+        assert verify._min_cost_assignment([[0.0, 0.0], [0.0, 0.0]]) in ([0, 1], [1, 0])
+        assert verify._min_cost_assignment([[1.0, 0.0], [0.0, 1.0]]) == [1, 0]
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            verify._min_cost_assignment([[1.0, 2.0]])
 
 
 class TestAsymptoticTrack:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
+from .errors import SelfCheckFailed
 from .ratpoly import IntegerTable, RatPoly, ShiftPoly, shift_constituent
 from .rootdata import RootSystemId, lookup
 
@@ -128,7 +129,7 @@ def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
     nums = [_newton_numerator(counts[d : d + l * n + 1 : n], d, n) for d in range(n)]
     for q in range(guard_upto + 1):
         if _horner(nums[q % n], q) != counts[q] * den:
-            raise AssertionError(
+            raise SelfCheckFailed(
                 f"period guard failed for {ident} at q = {q}: "
                 f"interpolation disagrees with the denumerant count"
             )

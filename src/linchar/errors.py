@@ -13,6 +13,10 @@ class InexactDivision(LincharError, ArithmeticError):
     """A division that must be exact left a remainder; signals a bug upstream."""
 
 
+class SelfCheckFailed(LincharError, AssertionError):
+    """An internal consistency check failed; signals a bug upstream."""
+
+
 class NotAdmissible(LincharError, ValueError):
     """The requested residue class is not admissible for the averaging construction."""
 

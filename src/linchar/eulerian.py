@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InexactDivision, UnsupportedRank
+from .errors import InexactDivision, SelfCheckFailed, UnsupportedRank
 from .ratpoly import RatPoly
 from .rootdata import RootSystemId, lookup, positive_roots
 
@@ -119,7 +119,7 @@ def asc_oracle(ident: RootSystemId) -> RatPoly:
         )
         counts[asc] = counts.get(asc, 0) + 1
     if len(elements) != data.weyl_order:
-        raise AssertionError(
+        raise SelfCheckFailed(
             f"Weyl enumeration for {ident} found {len(elements)} elements, "
             f"expected {data.weyl_order}"
         )

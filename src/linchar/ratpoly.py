@@ -1,10 +1,14 @@
 """Exact univariate polynomials over Q, the shift-operator calculus, and
 exact real-root counting (Sturm sequences, Routh-Hurwitz).
 
-Coefficients are `fractions.Fraction` throughout and every operation in this
-module is exact; floating point never enters here.  Polynomials are dense,
-stored ascending (``coeffs[j]`` multiplies ``t**j``), normalized so the top
+Coefficients are `fractions.Fraction` and every operation in this module is
+exact; floating point never enters here.  Polynomials are dense, stored
+ascending (``coeffs[j]`` multiplies ``t**j``), normalized so the top
 coefficient is nonzero; the zero polynomial has an empty coefficient tuple.
+
+The hot routines (substitution, gcd, exact division, Sturm chains and the
+shift kernel) work on integer numerators over one common denominator and
+build `Fraction`s only for their output coefficients.
 """
 
 from __future__ import annotations
@@ -68,6 +72,40 @@ def _format_terms(coeffs: Sequence[Fraction], var: str) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division over Z: (q, r, mult) with mult * a == q * b + r,
+    deg r < deg b and mult = |lc b|**k for the k elimination steps.  The
+    multiplier is positive whatever the sign of lc b, so r is a positive
+    multiple of the remainder over Q.  ``a`` and ``b`` carry no trailing
+    zeros, and ``b`` is nonzero; ``r`` comes back the same way."""
+    db = len(b) - 1
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    lower = b[:-1]
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    mult = 1
+    while len(r) > db:
+        c = sign * r[-1]
+        if lead != 1:
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+            mult *= lead
+        k = len(r) - 1 - db
+        q[k] += c
+        r.pop()
+        for j, x in enumerate(lower):
+            r[k + j] -= c * x
+        while r and not r[-1]:
+            r.pop()
+    return q, r, mult
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """a divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*a)
+    return [x // g for x in a]
 
 
 class RatPoly:
@@ -201,20 +239,30 @@ class RatPoly:
     __call__ = evaluate
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "RatPoly":
-        """Exact substitution t -> a*t + b."""
+        """Exact substitution t -> a*t + b.
+
+        With self = N/D, a = an/ad and b = bn/bd, integer Horner forms
+        sum_k N_k * c^(n-k) * (A*t + B)^k for A = an*bd, B = bn*ad, c = ad*bd,
+        and each coefficient is divided once by D * c^n.
+        """
+        if self.is_zero:
+            return self
         a, b = _frac(a), _frac(b)
-        acc = RatPoly()
-        for c in reversed(self.coeffs):
-            if acc.is_zero:
-                acc = RatPoly((c,))
-                continue
-            shifted = [Fraction(0)] * (len(acc.coeffs) + 1)
-            for i, ci in enumerate(acc.coeffs):
-                shifted[i + 1] += a * ci
-                shifted[i] += b * ci
-            shifted[0] += c
-            acc = RatPoly(shifted)
-        return acc
+        den, (nums,) = IntegerTable.of((self,))
+        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        c = a.denominator * b.denominator
+        acc = [nums[-1]]
+        cpow = 1
+        for coeff in reversed(nums[:-1]):
+            cpow *= c
+            nxt = [B * x for x in acc]
+            nxt.append(0)
+            for i, x in enumerate(acc):
+                nxt[i + 1] += A * x
+            nxt[0] += coeff * cpow
+            acc = nxt
+        scale = den * cpow
+        return RatPoly(Fraction(x, scale) for x in acc)
 
     def derivative(self) -> "RatPoly":
         return RatPoly(j * self.coeffs[j] for j in range(1, len(self.coeffs)))
@@ -244,10 +292,16 @@ class RatPoly:
         return self.divrem(other)
 
     def exact_div(self, other: "RatPoly") -> "RatPoly":
-        q, r = self.divrem(other)
-        if not r.is_zero:
+        """self / other, which must divide exactly (else `InexactDivision`)."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero:
+            return self
+        _, (a, b) = IntegerTable.of((self, other))
+        q, r, mult = _pseudo_divrem(a, b)
+        if r:
             raise InexactDivision("division was not exact")
-        return q
+        return RatPoly(Fraction(x, mult) for x in q)
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
@@ -255,11 +309,19 @@ class RatPoly:
         return self.scale(Fraction(1) / self.leading)
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
-        """Monic gcd over Q."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divrem(b)[1]
-        return RatPoly.one() if a.is_zero else a.monic()
+        """Monic gcd over Q, by a primitive remainder sequence over Z."""
+        if other.is_zero:
+            return RatPoly.one() if self.is_zero else self.monic()
+        if self.is_zero:
+            return other.monic()
+        a, b = map(_primitive, IntegerTable.of((self, other)).nums)
+        while True:
+            r = _pseudo_divrem(a, b)[1]
+            if not r:
+                break
+            a, b = b, _primitive(r)
+        lead = b[-1]
+        return RatPoly(Fraction(x, lead) for x in b)
 
     def squarefree_part(self) -> "RatPoly":
         """Monic product of the distinct irreducible factors."""
@@ -443,14 +505,21 @@ def reflect(g: RatPoly, M: Scalar) -> RatPoly:
 # -- Sturm sequences -----------------------------------------------------------
 
 
-def _sturm_chain(p: RatPoly) -> list[RatPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = chain[-2].divrem(chain[-1])[1]
-        if rem.is_zero:
+def _sturm_chain(p: RatPoly) -> list[list[int]]:
+    """Sturm chain of p over Z: each element is a positive multiple of the
+    matching element of the chain p, p', -rem(p, p'), ... over Q, because the
+    pseudo-division multiplier is positive and -pp(r) keeps the sign of -r."""
+    chain = [_primitive(IntegerTable.of((p,)).nums[0])]
+    deriv = [j * c for j, c in enumerate(chain[0])][1:]
+    if deriv:
+        chain.append(_primitive(deriv))
+    while len(chain[-1]) > 1:
+        r = _pseudo_divrem(chain[-2], chain[-1])[1]
+        if not r:
             break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero]
+        chain.append([-x for x in _primitive(r)])
+    return chain
+
 
 def _endpoint(x):
     """Validate a Sturm interval endpoint: exact rational or +-inf."""
@@ -461,19 +530,35 @@ def _endpoint(x):
     raise TypeError("interval endpoint must be a Fraction, int, or +-math.inf")
 
 
-def _sign_at(q: RatPoly, x) -> int:
+def _sign_at(q: Sequence[int], x) -> int:
+    """Sign of the integer polynomial q at x, by homogenized Horner
+    (den(x)^deg q * q(x)) at a rational x."""
     if x == POS_INF:
-        v = q.leading
+        v = q[-1]
     elif x == NEG_INF:
-        v = q.leading * (-1) ** q.degree
+        v = -q[-1] if len(q) % 2 == 0 else q[-1]
     else:
-        v = q.evaluate(x)
+        u, w = x.numerator, x.denominator
+        v, wpow = 0, 1
+        for c in reversed(q):
+            v = v * u + c * wpow
+            wpow *= w
     return (v > 0) - (v < 0)
 
 
 def _variations(signs: Sequence[int]) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+
+
+def _squarefree_root_count(p: RatPoly, a, b) -> int:
+    """Distinct real roots in (a, b] of a square-free p, for valid endpoints a < b."""
+    if p.degree < 1:
+        return 0
+    chain = _sturm_chain(p)
+    va = _variations([_sign_at(q, a) for q in chain])
+    vb = _variations([_sign_at(q, b) for q in chain])
+    return va - vb
 
 
 def sturm_real_root_count(p: RatPoly, a, b) -> int:
@@ -487,13 +572,7 @@ def sturm_real_root_count(p: RatPoly, a, b) -> int:
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         return 0
-    ps = p.squarefree_part()
-    if ps.degree == 0:
-        return 0
-    chain = _sturm_chain(ps)
-    va = _variations([_sign_at(q, a) for q in chain])
-    vb = _variations([_sign_at(q, b) for q in chain])
-    return va - vb
+    return _squarefree_root_count(p.squarefree_part(), a, b)
 
 
 def all_roots_real_nonpositive(p: RatPoly) -> bool:
@@ -505,7 +584,7 @@ def all_roots_real_nonpositive(p: RatPoly) -> bool:
     if p.is_zero:
         raise ValueError("zero polynomial")
     for factor, _mult in p.squarefree_factors():
-        if sturm_real_root_count(factor, NEG_INF, 0) != factor.degree:
+        if _squarefree_root_count(factor, NEG_INF, Fraction(0)) != factor.degree:
             return False
     return True
 
@@ -513,11 +592,15 @@ def all_roots_real_nonpositive(p: RatPoly) -> bool:
 # -- Routh-Hurwitz --------------------------------------------------------------
 
 
-def routh_hurwitz_all_roots_left(p: RatPoly) -> Union[bool, None]:
+def routh_hurwitz_all_roots_left(p: RatPoly) -> bool:
     """Exact Routh test: True iff all roots of p satisfy Re < 0.
 
-    Returns None (inconclusive) on a zero pivot or zero row in the Routh
-    array, rather than perturbing; callers fall back to numerics.
+    Decisive in every case.  The first column of the Routh array holds the
+    ratios of consecutive leading principal minors of the Hurwitz matrix,
+    and p is strictly Hurwitz iff all those minors are positive.  A zero
+    pivot or a zero row makes one of them zero, so it proves that p is not
+    strictly Hurwitz (a root lies on or right of the imaginary axis), and
+    the answer is False.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -538,11 +621,9 @@ def routh_hurwitz_all_roots_left(p: RatPoly) -> Union[bool, None]:
 
     first_col = [row_prev[0]]
     for _ in range(n):
-        if all(c == 0 for c in row_curr):
-            return None
         pivot = row_curr[0]
         if pivot == 0:
-            return None
+            return False
         first_col.append(pivot)
         width = max(len(row_prev) - 1, len(row_curr) - 1, 0)
         nxt = [

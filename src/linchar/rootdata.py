@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import UnsupportedRank
+from .errors import SelfCheckFailed, UnsupportedRank
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -211,11 +211,11 @@ def positive_roots(ident: RootSystemId) -> PositiveRootForms:
     data = lookup(ident)
     expected = l * data.coxeter_number // 2
     if len(positives) != expected:
-        raise AssertionError(
+        raise SelfCheckFailed(
             f"root closure for {ident} produced {len(positives)} positives, expected {expected}"
         )
     top_height = max(sum(v) for v in positives)
     tallest = [v for v in positives if sum(v) == top_height]
     if len(tallest) != 1:
-        raise AssertionError(f"highest root of {ident} not unique")
+        raise SelfCheckFailed(f"highest root of {ident} not unique")
     return PositiveRootForms(roots=tuple(positives), highest=tallest[0], cartan=cartan)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -243,12 +243,12 @@ def check_on_line_numeric(
     )
 
 
-def halfplane_exact(p: RatPoly, bound_times_2: int) -> Union[bool, None]:
+def halfplane_exact(p: RatPoly, bound_times_2: int) -> bool:
     """Exact verdict that every root satisfies Re t < H/2 (H = bound_times_2).
 
-    Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of q;
-    None means the Routh array was inconclusive (zero pivot or zero row) and
-    the caller should fall back to a numeric margin.
+    Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of q.
+    The Routh test decides it either way: a zero pivot or a zero row in the
+    Routh array proves a root with Re t >= H/2, so the verdict is False.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")

@@ -135,6 +135,23 @@ class TestErrors:
         code, out = run_cli(capsys, "oracle", "modq", "G2", "-m", "2", "-q", "5", "--unsafe-q")
         assert code == 0
 
+    def test_failed_self_check_is_a_named_error(self, capsys, monkeypatch):
+        from linchar import ehrhart
+
+        honest = ehrhart._denumerant_counts
+
+        def perturbed(marks, upto):
+            counts = honest(marks, upto)
+            counts[-1] += 1
+            return counts
+
+        monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
+        ehrhart.ehrhart_qp.cache_clear()
+        code, data = run_json(capsys, "ehrhart", "G2", "--json")
+        assert code == 1
+        assert data["error"] == "SelfCheckFailed"
+        assert "period guard failed for G2" in data["message"]
+
     def test_closed_pipe_exits_without_traceback(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails with EPIPE

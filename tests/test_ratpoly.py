@@ -10,8 +10,10 @@ from linchar.errors import InexactDivision
 from linchar.ratpoly import (
     NEG_INF,
     POS_INF,
+    IntegerTable,
     RatPoly,
     ShiftPoly,
+    _pseudo_divrem,
     all_roots_real_nonpositive,
     apply_shift,
     reflect,
@@ -208,7 +210,7 @@ class TestRouthHurwitz:
     def test_examples(self):
         assert routh_hurwitz_all_roots_left(poly(1, 1)) is True
         assert routh_hurwitz_all_roots_left(poly(-1, 0, 1)) is False
-        assert routh_hurwitz_all_roots_left(poly(1, 0, 1)) is None
+        assert routh_hurwitz_all_roots_left(poly(1, 0, 1)) is False
 
     def test_roots_on_axis_not_conclusive_true(self):
         # (t^2+1)(t+1): zero row in the array
@@ -241,3 +243,231 @@ class TestRouthHurwitz:
                 checked += 1
                 assert max(z.real for z in find_roots(p).roots) < 0
         assert checked >= 50
+
+
+# -- second paths for the integer routines ---------------------------------------
+#
+# The package computes substitution, gcd, exact division and Sturm chains on
+# integer numerators.  The oracles below are the Fraction algorithms those
+# replaced: Horner substitution, Euclid with `divrem`, and the Sturm chain of
+# negated `divrem` remainders, evaluated at the endpoints in Fraction.
+
+
+def fraction_compose_affine(p, a, b):
+    """p(a*t + b) by Horner in Fraction."""
+    acc = RatPoly.zero()
+    lin = RatPoly((b, a))
+    for c in reversed(p.coeffs):
+        acc = acc * lin + c
+    return acc
+
+
+def fraction_gcd(p, q):
+    """Monic gcd over Q by Euclid with Fraction long division."""
+    while not q.is_zero:
+        p, q = q, p.divrem(q)[1]
+    return RatPoly.one() if p.is_zero else p.monic()
+
+
+def fraction_exact_div(p, q):
+    quo, rem = p.divrem(q)
+    assert rem.is_zero
+    return quo
+
+
+def fraction_squarefree_factors(p):
+    """Yun's decomposition with `fraction_gcd` and Fraction long division."""
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    g = fraction_gcd(p, p.derivative())
+    b = fraction_exact_div(p, g)
+    c = fraction_exact_div(p.derivative(), g)
+    d = c - b.derivative()
+    factors, i = [], 1
+    while b.degree > 0:
+        a = fraction_gcd(b, d)
+        if a.degree > 0:
+            factors.append((a, i))
+        b = fraction_exact_div(b, a)
+        d = fraction_exact_div(d, a) - b.derivative()
+        i += 1
+    return factors
+
+
+def fraction_sturm_count(p, a, b):
+    """Distinct real roots of p in (a, b] from the Fraction Sturm chain."""
+    ps = fraction_exact_div(p, fraction_gcd(p, p.derivative()))
+    if ps.degree == 0:
+        return 0
+    chain = [ps, ps.derivative()]
+    while chain[-1].degree > 0:
+        rem = chain[-2].divrem(chain[-1])[1]
+        if rem.is_zero:
+            break
+        chain.append(-rem)
+
+    def sign(q, x):
+        if x == POS_INF:
+            v = q.leading
+        elif x == NEG_INF:
+            v = q.leading * (-1) ** q.degree
+        else:
+            v = q.evaluate(x)
+        return (v > 0) - (v < 0)
+
+    def variations(x):
+        nz = [s for s in (sign(q, x) for q in chain) if s]
+        return sum(1 for u, v in zip(nz, nz[1:]) if u != v)
+
+    return variations(a) - variations(b)
+
+
+@st.composite
+def polys_with_repeats(draw):
+    """Products f1 * f2**2 * f3**k of small rational polynomials, so that
+    repeated factors (and common factors of p and p') are frequent."""
+    factor = st.lists(small_fractions, min_size=1, max_size=4).map(RatPoly)
+    return draw(factor) * draw(factor) ** 2 * draw(factor) ** draw(st.integers(0, 3))
+
+
+endpoints = st.one_of(st.just(NEG_INF), st.just(POS_INF), small_fractions)
+
+
+class TestIntegerPaths:
+    @given(p=small_polys, a=small_fractions, b=small_fractions)
+    @settings(max_examples=100, deadline=None)
+    def test_compose_affine_matches_fraction_horner(self, p, a, b):
+        assert p.compose_affine(a, b) == fraction_compose_affine(p, a, b)
+
+    @given(p=polys_with_repeats(), q=polys_with_repeats())
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_matches_euclid(self, p, q):
+        assert p.gcd(q) == fraction_gcd(p, q)
+        if not p.is_zero:
+            assert p.gcd(p.derivative()) == fraction_gcd(p, p.derivative())
+
+    @given(p=polys_with_repeats(), q=small_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_div_matches_long_division(self, p, q):
+        if q.is_zero:
+            return
+        assert (p * q).exact_div(q) == p
+        quo, rem = p.divrem(q)
+        if rem.is_zero:
+            assert p.exact_div(q) == quo
+        else:
+            with pytest.raises(InexactDivision):
+                p.exact_div(q)
+
+    @given(p=polys_with_repeats())
+    @settings(max_examples=60, deadline=None)
+    def test_squarefree_factors_match_yun_over_fractions(self, p):
+        if p.is_zero:
+            return
+        assert p.squarefree_factors() == fraction_squarefree_factors(p)
+        if p.degree > 0:
+            assert p.squarefree_part() == fraction_exact_div(
+                p, fraction_gcd(p, p.derivative())
+            ).monic()
+
+    @given(p=polys_with_repeats(), a=endpoints, b=endpoints)
+    @settings(max_examples=80, deadline=None)
+    def test_sturm_count_matches_fraction_chain(self, p, a, b):
+        if p.is_zero or not a < b:
+            return
+        assert sturm_real_root_count(p, a, b) == fraction_sturm_count(p, a, b)
+
+    @given(p=polys_with_repeats(), a=endpoints, b=endpoints)
+    @settings(max_examples=50, deadline=None)
+    def test_sturm_count_matches_sympy(self, p, a, b):
+        sympy = pytest.importorskip("sympy")
+        if p.is_zero or p.degree == 0 or not a < b:
+            return
+
+        def exact(x):
+            if isinstance(x, float):
+                return sympy.oo if x > 0 else -sympy.oo
+            return sympy.Rational(x.numerator, x.denominator)
+
+        expr = sympy.Poly([exact(c) for c in reversed(p.coeffs)], sympy.Symbol("x"))
+        lo, hi = exact(a), exact(b)
+        inside = {r for r in sympy.real_roots(expr) if bool(r > lo) and bool(r <= hi)}
+        assert sturm_real_root_count(p, a, b) == len(inside)
+
+    @given(
+        a=st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+        b=st.lists(st.integers(-30, 30), min_size=1, max_size=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pseudo_division_multiplier_is_positive(self, a, b):
+        a, b = RatPoly(a), RatPoly(b)
+        if a.is_zero or b.is_zero:
+            return
+        b = -b if b.leading > 0 else b  # negative leading coefficient
+        _, (na, nb) = IntegerTable.of((a, b))
+        q, r, mult = _pseudo_divrem(na, nb)
+        assert mult > 0
+        assert RatPoly(na).scale(mult) == RatPoly(q) * RatPoly(nb) + RatPoly(r)
+        assert len(r) < len(nb)
+        # Sturm chains of these divide by elements with a negative leading
+        # coefficient, and still count like the Fraction chain
+        for p in (b, a * a * b):
+            for lo, hi in ((NEG_INF, POS_INF), (-1, 2)):
+                assert sturm_real_root_count(p, lo, hi) == fraction_sturm_count(p, lo, hi)
+
+
+def hurwitz_minors(p):
+    """Leading principal minors of the Hurwitz matrix of p (leading
+    coefficient made positive), each an exact Fraction determinant."""
+    desc = list(reversed(p.coeffs))
+    if desc[0] < 0:
+        desc = [-c for c in desc]
+    n = len(desc) - 1
+
+    def a(k):
+        return desc[k] if 0 <= k <= n else Fraction(0)
+
+    H = [[a(2 * (j + 1) - (i + 1)) for j in range(n)] for i in range(n)]
+    minors = []
+    for k in range(1, n + 1):
+        m = [row[:k] for row in H[:k]]
+        det = Fraction(1)
+        for col in range(k):
+            pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != col:
+                m[col], m[pivot] = m[pivot], m[col]
+                det = -det
+            det *= m[col][col]
+            for r in range(col + 1, k):
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+        minors.append(det)
+    return minors
+
+
+class TestRouthAgainstHurwitzMinors:
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_hurwitz_determinants(self, coeffs):
+        p = RatPoly(coeffs)
+        if p.is_zero:
+            return
+        expected = all(d > 0 for d in hurwitz_minors(p))
+        assert routh_hurwitz_all_roots_left(p) is expected
+
+    @given(
+        st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_planted_stable_polynomials(self, real, pairs):
+        # roots -r and -a +- b*i: strictly Hurwitz by construction
+        p = RatPoly.from_roots([-r for r in real])
+        for re, im in pairs:
+            p = p * poly(re * re + im * im, 2 * re, 1)
+        assert routh_hurwitz_all_roots_left(p) is True
+        assert all(d > 0 for d in hurwitz_minors(p))

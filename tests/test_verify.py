@@ -192,18 +192,14 @@ class TestHalfplane:
     @pytest.mark.parametrize("ident", EXCEPTIONAL_IDS, ids=str)
     def test_limit_polynomials_strictly_inside(self, ident):
         h = lookup(ident).coxeter_number
-        verdict = halfplane_exact(limit_poly(ident), h)
-        if verdict is None:
-            assert halfplane_numeric_margin(limit_poly(ident), h) > 0.3
-        else:
-            assert verdict is True
+        assert halfplane_exact(limit_poly(ident), h) is True
 
     def test_linear_counterexample(self):
         assert halfplane_exact(RatPoly((-4, 1)), 6) is False
 
     def test_boundary_inconclusive(self):
-        # root exactly on Re = 3
-        assert halfplane_exact(RatPoly((-3, 1)), 6) is None
+        # root exactly on Re = 3: a zero Routh row proves the strict bound fails
+        assert halfplane_exact(RatPoly((-3, 1)), 6) is False
 
     def test_numeric_margin_matches_table(self):
         assert halfplane_numeric_margin(limit_poly(rid("E8")), 30) == pytest.approx(

@@ -27,18 +27,6 @@ _QUASI_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
-class LinialInstance:
-    """A root system together with the truncation parameter m >= 0."""
-
-    ident: RootSystemId
-    m: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("the Linial parameter m must be >= 0")
-
-
-@dataclass(frozen=True)
 class AdmissibleReport:
     residues: tuple[int, ...]  # all admissible residues in 0..period-1
     divisors: tuple[int, ...]  # the admissible divisors of the period (period itself as residue 0)

@@ -13,10 +13,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Sequence
-
-import numpy as np
 
 from .errors import NonConvergence, OracleTooLarge, QTooSmall, UnsupportedRank
 from .eulerian import generalized_eulerian, truncate_half
@@ -37,7 +36,8 @@ _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 
 #: Most points `bruteforce_modq` enumerates: q**rank above this is refused.
-#: The enumeration holds int64 arrays of q**rank entries, 80 MB each at the cap.
+#: The count holds one q-bit mask per prefix, q**(rank-1) of them, and a
+#: table of q such masks per distinct last root coefficient.
 ORACLE_MAX_POINTS = 10**7
 
 
@@ -261,14 +261,51 @@ def halfplane_numeric_margin(p: RatPoly, bound_times_2: int) -> float:
     return float(Fraction(bound_times_2, 2)) - max_real_part(p)
 
 
+def _window_bits(n: int, s: int, q: int, top: int) -> int:
+    """Bitmask of the x in 0..q-1 with (n*x + s) mod q in 1..top, for
+    0 <= n, s < q and 1 <= top < q.
+
+    n*x + s runs through [s, s + n*(q-1)], so its residue is in 1..top exactly
+    when it lies in one of the windows [k*q + 1, k*q + top], k = 0..n, and
+    each window holds a run of consecutive x.
+    """
+    if n == 0:
+        return (1 << q) - 1 if 1 <= s <= top else 0
+    bits = 0
+    for k in range(n + 1):
+        lo = max(0, -((s - k * q - 1) // n))  # ceil((k*q + 1 - s) / n)
+        hi = min(q - 1, (k * q + top - s) // n)
+        if lo <= hi:
+            bits |= (1 << (hi + 1)) - (1 << lo)
+    return bits
+
+
+def _hit_rows(n: int, q: int, top: int) -> list[int]:
+    """`_window_bits(n, s, q, top)` for every s in 0..q-1, computed for only
+    gcd(n, q) of them: since n*x + (s + n*y) = n*(x + y) + s, row s + n*y is
+    row s rotated down by y bits."""
+    g = math.gcd(n, q)
+    rows = [0] * q
+    for j in range(g):
+        base = _window_bits(n, j, q, top)
+        for y in range(q // g):
+            rows[(j + n * y) % q] = (base >> y) | ((base & ((1 << y) - 1)) << (q - y))
+    return rows
+
+
 def bruteforce_modq(
     ident: RootSystemId, m: int, q: int, unsafe: bool = False
 ) -> int:
     """Count points of (Z/qZ)^l avoiding alpha(x) = 1..m for all positive roots.
 
-    Pure enumeration over the stored root forms (rank <= 3); requires the
-    safe regime q > m*h unless `unsafe` is set, and refuses more than
-    ORACLE_MAX_POINTS points with OracleTooLarge.
+    Pure enumeration over the stored root forms (rank <= 3): the prefixes
+    x_1..x_{l-1} are listed explicitly, and the last coordinate is a q-bit
+    mask.  For each prefix the masks of the x_l that put some root's residue
+    in 1..m are OR-ed, and the points counted are q**l minus their bits.  A
+    root's mask depends only on its last coefficient and its prefix residue,
+    so it is read from a table of q masks per distinct last coefficient.
+    Requires the safe regime q > m*h unless `unsafe` is set, and refuses more
+    than ORACLE_MAX_POINTS points with OracleTooLarge.
     """
     data = lookup(ident)
     if ident.rank > 3:
@@ -283,18 +320,24 @@ def bruteforce_modq(
             "pass unsafe=True to override"
         )
     l = ident.rank
-    if m == 0:
+    top = min(m, q - 1)  # residue 0 is never on a hyperplane, even when m >= q
+    if top == 0:
         return q**l
     if q**l > ORACLE_MAX_POINTS:
         raise OracleTooLarge(
             f"q**{l} = {q**l} points exceed the enumeration cap of {ORACLE_MAX_POINTS}"
         )
-    grids = np.indices((q,) * l, dtype=np.int64, sparse=True)
-    good = np.ones((q,) * l, dtype=bool)
-    for form in positive_roots(ident).roots:
-        vals = sum(int(n) * g for n, g in zip(form, grids)) % q
-        good &= (vals == 0) | (vals > m)
-    return int(good.sum())
+    roots = [tuple(c % q for c in form) for form in positive_roots(ident).roots]
+    if l == 1:  # one empty prefix, residue 0; a full table could be 10**7 masks of 10**7 bits
+        return q - reduce(or_, (_window_bits(n, 0, q, top) for (n,) in roots)).bit_count()
+    tables = {n: _hit_rows(n, q, top) for n in {r[-1] for r in roots}}
+    hits = [0] * q ** (l - 1)  # one mask per prefix x_1..x_{l-1}, in product order
+    for *head, n in roots:
+        residues = [0]
+        for a in head:
+            residues = [(r + a * x) % q for r in residues for x in range(q)]
+        hits = list(map(or_, hits, map(tables[n].__getitem__, residues)))
+    return q**l - sum(map(int.bit_count, hits))
 
 
 @lru_cache(maxsize=None)

@@ -167,12 +167,17 @@ class TestErrors:
 
 
 class TestImports:
-    def test_cli_does_not_load_scipy(self):
+    def test_cli_imports_only_stdlib(self):
+        # A diff of sys.modules ignores what .pth files load at interpreter start.
         proc = run_subprocess(
-            "import sys, linchar.cli; print('scipy' in sys.modules)",
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import linchar.cli\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'linchar'}))",
             capture_output=True, check=True,
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 class TestTrackGolden:

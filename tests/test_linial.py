@@ -5,7 +5,6 @@ import pytest
 from linchar.ehrhart import gcd_property
 from linchar.errors import NotAdmissible, SymmetryViolation
 from linchar.linial import (
-    LinialInstance,
     admissible_residues,
     averaged_half,
     char_poly,
@@ -52,8 +51,6 @@ class TestCharQuasi:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             char_quasi(rid("G2"), -1)
-        with pytest.raises(ValueError):
-            LinialInstance(rid("G2"), -1)
 
     @pytest.mark.parametrize("name,m", [("G2", 1), ("G2", 3), ("E7", 2), ("B3", 4)])
     def test_functional_equation(self, name, m):

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linchar.verify as verify
 from linchar.errors import NonConvergence, OracleTooLarge, QTooSmall, UnsupportedRank
 from linchar.linial import char_poly, char_quasi, toy_poly
 from linchar.ratpoly import RatPoly
-from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup
+from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup, positive_roots
 from linchar.verify import (
     asymptotic_track,
     bruteforce_modq,
@@ -207,7 +209,29 @@ class TestHalfplane:
         )
 
 
+@st.composite
+def oracle_cases(draw):
+    ident = rid(draw(st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"])))
+    q = draw(st.integers(1, 40 if ident.rank < 3 else 15))
+    return ident, draw(st.integers(0, q + 2)), q
+
+
+def enumerated_modq(ident, m, q):
+    """The points of (Z/q)^l on no hyperplane alpha(x) = 1..m, counted one by one."""
+    forms = positive_roots(ident).roots
+    return sum(
+        all(sum(c * x for c, x in zip(form, point)) % q not in range(1, m + 1) for form in forms)
+        for point in itertools.product(range(q), repeat=ident.rank)
+    )
+
+
 class TestBruteforceModq:
+    @given(case=oracle_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_point_by_point_enumeration(self, case):
+        ident, m, q = case
+        assert bruteforce_modq(ident, m, q, unsafe=True) == enumerated_modq(ident, m, q)
+
     def test_g2_parity_formulas(self):
         for q in (7, 11, 49):
             assert bruteforce_modq(rid("G2"), 1, q) == q * q - 6 * q + 11
@@ -225,7 +249,11 @@ class TestBruteforceModq:
     def test_guard(self):
         with pytest.raises(QTooSmall):
             bruteforce_modq(rid("G2"), 2, 12)
-        assert bruteforce_modq(rid("G2"), 2, 12, unsafe=True) >= 0
+        assert bruteforce_modq(rid("G2"), 2, 12, unsafe=True) == 48
+        # q <= m: every nonzero residue is on a hyperplane, so only x = 0 survives
+        assert bruteforce_modq(rid("G2"), 5, 3, unsafe=True) == 1
+        assert bruteforce_modq(rid("A1"), 7, 7, unsafe=True) == 1
+        assert bruteforce_modq(rid("B3"), 4, 2, unsafe=True) == 1
 
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedRank):

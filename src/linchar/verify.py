@@ -263,14 +263,12 @@ def halfplane_numeric_margin(p: RatPoly, bound_times_2: int) -> float:
 
 def _window_bits(n: int, s: int, q: int, top: int) -> int:
     """Bitmask of the x in 0..q-1 with (n*x + s) mod q in 1..top, for
-    0 <= n, s < q and 1 <= top < q.
+    0 < n < q, 0 <= s < q and 1 <= top < q.
 
     n*x + s runs through [s, s + n*(q-1)], so its residue is in 1..top exactly
     when it lies in one of the windows [k*q + 1, k*q + top], k = 0..n, and
     each window holds a run of consecutive x.
     """
-    if n == 0:
-        return (1 << q) - 1 if 1 <= s <= top else 0
     bits = 0
     for k in range(n + 1):
         lo = max(0, -((s - k * q - 1) // n))  # ceil((k*q + 1 - s) / n)
@@ -282,15 +280,17 @@ def _window_bits(n: int, s: int, q: int, top: int) -> int:
 
 def _hit_rows(n: int, q: int, top: int) -> list[int]:
     """`_window_bits(n, s, q, top)` for every s in 0..q-1, computed for only
-    gcd(n, q) of them: since n*x + (s + n*y) = n*(x + y) + s, row s + n*y is
-    row s rotated down by y bits."""
+    the g = gcd(n, q) rows s < g: since n*x + (s + n*y) = n*(x + y) + s, row
+    s + n*y is row s rotated down by y bits.  So row s is base row s % g
+    rotated by y = (s // g) * (n / g)**-1 mod q / g, one shift of a doubled
+    copy of the base row."""
+    full = (1 << q) - 1
+    if n == 0:  # n*x + s = s: row s holds every x or none
+        return [0] + [full] * top + [0] * (q - 1 - top)
     g = math.gcd(n, q)
-    rows = [0] * q
-    for j in range(g):
-        base = _window_bits(n, j, q, top)
-        for y in range(q // g):
-            rows[(j + n * y) % q] = (base >> y) | ((base & ((1 << y) - 1)) << (q - y))
-    return rows
+    doubled = [bits | (bits << q) for bits in (_window_bits(n, j, q, top) for j in range(g))]
+    inverse = pow(n // g, -1, q // g)
+    return [(doubled[s % g] >> (s // g * inverse % (q // g))) & full for s in range(q)]
 
 
 def bruteforce_modq(

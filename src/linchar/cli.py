@@ -9,11 +9,13 @@ coefficients serialized as decimal-string pairs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 from . import acceptance, ehrhart, linial, rootdata, verify
 from .errors import LincharError
@@ -22,29 +24,28 @@ from .rootdata import RootSystemId
 
 SCHEMA_VERSION = 1
 
-
-def _root_system(text: str) -> RootSystemId:
-    try:
-        return RootSystemId.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+# Argument converters (and RootSystemId.parse) raise ValueError with the
+# message a usage error shows.
 
 
 def _m_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        numbers = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list")
+        numbers = []
+    if not numbers:
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
+    return numbers
 
 
 def _criteria_list(text: str) -> set[int]:
     try:
         numbers = {int(x) for x in text.split(",") if x.strip()}
     except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of criterion numbers")
+        raise ValueError("expected a comma-separated list of criterion numbers") from None
     count = len(acceptance.ALL_CHECKS)
     if not numbers or not numbers <= set(range(1, count + 1)):
-        raise argparse.ArgumentTypeError(f"expected criterion numbers in 1..{count}, got {text!r}")
+        raise ValueError(f"expected criterion numbers in 1..{count}, got {text!r}")
     return numbers
 
 
@@ -137,7 +138,7 @@ def _cmd_ehrhart(args):
     qp = ehrhart.ehrhart_qp(args.phi)
     result = {"quasi_polynomial": qp.to_json()}
     human = [f"L_{args.phi}:"] + _qp_human(qp, collapse=True)
-    if args.series:
+    if args.series is not None:
         coeffs = ehrhart.series_coeffs(args.phi, args.series)
         result["series"] = coeffs
         human.append(f"series[0:{args.series}] = {coeffs}")
@@ -301,87 +302,355 @@ def _cmd_verify_all(args):
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linchar",
-        description="Characteristic quasi-polynomials of extended Linial arrangements, exactly.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command table -------------------------------------------------------------
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
 
-    sp = add_parser("table", help="dump the root-system catalog")
-    sp.set_defaults(func=_cmd_table)
+class Arg(NamedTuple):
+    """One argument of a command.  A positional has no flags; an option's flags
+    are `-x` or `--long-name`.  An option whose `type` is None is a flag that
+    stores True; every other argument takes one value and stores
+    `type(value)`, which raises ValueError on a bad value."""
 
-    sp = add_parser("eulerian", help="generalized Eulerian polynomial R_Phi")
-    sp.add_argument("phi", type=_root_system)
-    sp.add_argument("--half", action="store_true", help="truncated polynomial R^1/2")
-    sp.set_defaults(func=_cmd_eulerian)
+    flags: tuple[str, ...]
+    dest: str
+    type: Callable[[str], Any] | None = None
+    required: bool = False
+    default: Any = None
+    help: str = ""
+    metavar: str | None = None
 
-    sp = add_parser("ehrhart", help="alcove Ehrhart quasi-polynomial L_Phi")
-    sp.add_argument("phi", type=_root_system)
-    sp.add_argument("--series", type=int, metavar="N", help="also print N series coefficients")
-    sp.set_defaults(func=_cmd_ehrhart)
 
-    sp = add_parser("charquasi", help="characteristic quasi-polynomial of L_Phi^m")
-    sp.add_argument("phi", type=_root_system)
-    sp.add_argument("-m", type=int, required=True, help="Linial parameter (0 = empty arrangement)")
-    sp.add_argument("--half", action="store_true", help="half characteristic quasi-polynomial")
-    sp.add_argument("--constituent", type=int, metavar="D", help="print only the residue-D constituent")
-    sp.set_defaults(func=_cmd_charquasi)
+class Command(NamedTuple):
+    """One (sub)command: either a `handler` or a group of `subcommands`, whose
+    chosen name is stored under `dest`.  At most one of the flags named in
+    `exclusive` may be given."""
 
-    sp = add_parser("admissible", help="admissible residues and m0")
-    sp.add_argument("phi", type=_root_system)
-    sp.set_defaults(func=_cmd_admissible)
+    help: str
+    handler: Callable | None = None
+    positionals: tuple[Arg, ...] = ()
+    options: tuple[Arg, ...] = ()
+    exclusive: tuple[str, ...] = ()
+    subcommands: dict[str, Command] | None = None
+    dest: str | None = None
 
-    sp = add_parser("toy", help="toy-case polynomial R(S^(m+1)) g with the default seed")
-    sp.add_argument("phi", type=_root_system)
-    sp.add_argument("-m", type=int, required=True)
-    sp.set_defaults(func=_cmd_toy)
 
-    sp = add_parser("check-line", help="certify roots on the line Re t = m*h/2")
-    sp.add_argument("phi", type=_root_system)
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-d", type=int, default=1, help="constituent residue (default 1)")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", help="exact Sturm certificate (default)")
-    group.add_argument("--numeric", action="store_true", help="numeric root check instead")
-    sp.set_defaults(func=_cmd_check_line)
+_HELP = Arg(("-h", "--help"), "help", help="show this help message and exit")
+_COMMON = (
+    Arg(("--json",), "json", default=False, help="machine-readable output"),
+    Arg(("--out",), "out", str, metavar="FILE", help="write output to FILE instead of stdout"),
+)
+_PHI = (Arg((), "phi", RootSystemId.parse, required=True),)
 
-    sp = add_parser("limit-roots", help="limit polynomial F_Phi and its roots")
-    sp.add_argument("phi", type=_root_system)
-    sp.set_defaults(func=_cmd_limit_roots)
 
-    sp = add_parser("oracle", help="independent enumeration oracles")
-    oracle_sub = sp.add_subparsers(dest="oracle_command", required=True)
-    sp2 = oracle_sub.add_parser("modq", parents=[common], help="count points of (Z/q)^l off the arrangement")
-    sp2.add_argument("phi", type=_root_system)
-    sp2.add_argument("-m", type=int, required=True)
-    sp2.add_argument("-q", type=int, required=True)
-    sp2.add_argument("--unsafe-q", action="store_true", help="allow q <= m*h")
-    sp2.set_defaults(func=_cmd_oracle)
+def _m(help: str = "") -> Arg:
+    return Arg(("-m",), "m", int, required=True, help=help)
 
-    sp = add_parser("track", help="scaled constituent roots vs the limit configuration")
-    sp.add_argument("phi", type=_root_system)
-    sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("--m-list", type=_m_list, required=True, metavar="M1,M2,...")
-    sp.set_defaults(func=_cmd_track)
 
-    sp = add_parser("verify-all", help="run the acceptance matrix")
-    sp.add_argument("--only", type=_criteria_list, metavar="N,N,...",
-                    help="restrict to these criterion numbers")
-    sp.set_defaults(func=_cmd_verify_all)
+COMMANDS: dict[str, Command] = {
+    "table": Command("dump the root-system catalog", _cmd_table, options=_COMMON),
+    "eulerian": Command(
+        "generalized Eulerian polynomial R_Phi", _cmd_eulerian, _PHI, _COMMON + (
+            Arg(("--half",), "half", default=False, help="truncated polynomial R^1/2"),
+        )),
+    "ehrhart": Command(
+        "alcove Ehrhart quasi-polynomial L_Phi", _cmd_ehrhart, _PHI, _COMMON + (
+            Arg(("--series",), "series", int, metavar="N", help="also print N series coefficients"),
+        )),
+    "charquasi": Command(
+        "characteristic quasi-polynomial of L_Phi^m", _cmd_charquasi, _PHI, _COMMON + (
+            _m("Linial parameter (0 = empty arrangement)"),
+            Arg(("--half",), "half", default=False, help="half characteristic quasi-polynomial"),
+            Arg(("--constituent",), "constituent", int, metavar="D",
+                help="print only the residue-D constituent"),
+        )),
+    "admissible": Command("admissible residues and m0", _cmd_admissible, _PHI, _COMMON),
+    "toy": Command(
+        "toy-case polynomial R(S^(m+1)) g with the default seed", _cmd_toy, _PHI,
+        _COMMON + (_m(),)),
+    "check-line": Command(
+        "certify roots on the line Re t = m*h/2", _cmd_check_line, _PHI, _COMMON + (
+            _m(),
+            Arg(("-d",), "d", int, default=1, help="constituent residue (default 1)"),
+            Arg(("--exact",), "exact", default=False, help="exact Sturm certificate (default)"),
+            Arg(("--numeric",), "numeric", default=False, help="numeric root check instead"),
+        ), exclusive=("exact", "numeric")),
+    "limit-roots": Command("limit polynomial F_Phi and its roots", _cmd_limit_roots, _PHI, _COMMON),
+    "oracle": Command(
+        "independent enumeration oracles", options=_COMMON, dest="oracle_command", subcommands={
+            "modq": Command(
+                "count points of (Z/q)^l off the arrangement", _cmd_oracle, _PHI, _COMMON + (
+                    _m(),
+                    Arg(("-q",), "q", int, required=True),
+                    Arg(("--unsafe-q",), "unsafe_q", default=False, help="allow q <= m*h"),
+                )),
+        }),
+    "track": Command(
+        "scaled constituent roots vs the limit configuration", _cmd_track, _PHI, _COMMON + (
+            Arg(("-d",), "d", int, required=True),
+            Arg(("--m-list",), "m_list", _m_list, required=True, metavar="M1,M2,..."),
+        )),
+    "verify-all": Command("run the acceptance matrix", _cmd_verify_all, options=_COMMON + (
+        Arg(("--only",), "only", _criteria_list, metavar="N,N,...",
+            help="restrict to these criterion numbers"),
+    )),
+}
 
-    return parser
+ROOT = Command(
+    "Characteristic quasi-polynomials of extended Linial arrangements, exactly.",
+    subcommands=COMMANDS, dest="command",
+)
+
+
+# -- the parser ----------------------------------------------------------------------
+#
+# It keeps the rules of the stdlib's option parser for the shapes the table uses
+# (one value per option, at most one positional), so that every command line
+# accepted before keeps its meaning; the tests hold the two against each other.
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_SEPARATOR = "--"  # the token itself; every token after it is a positional
+
+
+class _UsageError(Exception):
+    def __init__(self, message: str, arg: Arg | None = None):
+        if arg is not None:
+            message = f"argument {_arg_name(arg)}: {message}"
+        super().__init__(message)
+
+
+def _arg_name(arg: Arg) -> str:
+    return "/".join(arg.flags) if arg.flags else (arg.metavar or arg.dest)
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """Parse a `linchar` command line (default `sys.argv[1:]`) against COMMANDS.
+
+    Returns a namespace holding `command`, `func` (the handler) and every dest
+    of the command; `oracle modq` adds `oracle_command`.  Options and the
+    positional come in any order; an option's value may follow as the next
+    token, after `=`, or attached to a short flag (`-m5`); a long option may be
+    shortened to any unique prefix; a negative number is a value, not an
+    option; `--` ends the options; a repeated option keeps its last value.
+    `-h` prints help and exits 0; a usage error prints the usage and the error
+    to stderr and exits 2.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    namespace: dict = {}
+    extras = _parse(ROOT, "linchar", argv, namespace)
+    if extras:
+        _fail(ROOT, "linchar", "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**namespace)
+
+
+def _fail(command: Command, prog: str, message: str):
+    sys.stderr.write(f"{_usage(command, prog)}\n{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _parse(command: Command, prog: str, argv: list[str], namespace: dict) -> list[str]:
+    """Parse `argv` for one level of the table into `namespace`; returns the
+    tokens no argument took."""
+    try:
+        return _parse_level(command, prog, argv, namespace)
+    except _UsageError as exc:
+        _fail(command, prog, str(exc))
+
+
+def _parse_level(command, prog, argv, namespace):
+    options = {flag: arg for arg in (_HELP,) + command.options for flag in arg.flags}
+    args = command.positionals + command.options
+    namespace.update((arg.dest, arg.default) for arg in args)
+    if command.subcommands is not None:
+        namespace[command.dest] = None
+    else:
+        namespace["func"] = command.handler
+
+    # Each token is a positional (None), the separator, or an option
+    # (arg, flag, attached value); arg is None for an unknown option.
+    kinds: list = []
+    for i, token in enumerate(argv):
+        if token == _SEPARATOR:
+            kinds += [_SEPARATOR] + [None] * (len(argv) - i - 1)
+            break
+        kinds.append(_classify(token, options))
+    n = len(argv)
+    option_at = [i for i, kind in enumerate(kinds) if type(kind) is tuple]
+    slots = list(command.positionals) + ([None] if command.subcommands is not None else [])
+    seen: set[str] = set()
+    extras: list[str] = []
+
+    def take(arg: Arg, value):
+        seen.add(arg.dest)
+        if arg is _HELP:
+            sys.stdout.write(_help(command, prog))
+            sys.exit(0)
+        if arg.type is None:
+            value = True
+        elif value != _SEPARATOR:  # `-m=--` is refused once the whole line is read
+            try:
+                value = arg.type(value)
+            except ValueError as exc:
+                detail = f"invalid int value: {value!r}" if arg.type is int else str(exc)
+                raise _UsageError(detail, arg) from None
+        if arg.dest in command.exclusive:
+            for other in command.options:
+                if other.dest in command.exclusive and other is not arg and other.dest in seen:
+                    raise _UsageError(f"not allowed with argument {_arg_name(other)}", arg)
+        namespace[arg.dest] = value
+
+    def positionals_from(i: int) -> int:
+        start = i + (i < n and kinds[i] == _SEPARATOR)
+        if not slots or start >= n or kinds[start] is not None:
+            return i
+        slot = slots.pop(0)
+        if slot is None:  # the subcommand takes every remaining token
+            name = argv[i]
+            sub = command.subcommands.get(name)
+            if sub is None:
+                choices = ", ".join(map(repr, command.subcommands))
+                raise _UsageError(
+                    f"argument {command.dest}: invalid choice: {name!r} (choose from {choices})")
+            seen.add(command.dest)
+            namespace[command.dest] = name
+            subspace: dict = {}
+            extras.extend(_parse(sub, f"{prog} {name}", argv[i + 1:], subspace))
+            namespace.update(subspace)
+            return n
+        stop = start + 1 + (start + 1 < n and kinds[start + 1] == _SEPARATOR)
+        take(slot, argv[start])
+        return stop
+
+    def option_at_index(i: int) -> int:
+        arg, flag, value = kinds[i]
+        if arg is None:
+            extras.append(argv[i])
+            return i + 1
+        taken = []
+        while True:
+            if value is None:
+                if arg.type is None:
+                    taken.append((arg, None))
+                    stop = i + 1
+                elif i + 1 < n and kinds[i + 1] is None:
+                    taken.append((arg, argv[i + 1]))
+                    stop = i + 2
+                else:
+                    raise _UsageError("expected one argument", arg)
+                break
+            if arg.type is not None:
+                taken.append((arg, value))
+                stop = i + 1
+                break
+            # A short flag with text attached: the text is more short flags.
+            if flag[1] == "-" or value == "" or "-" + value[0] not in options:
+                raise _UsageError(f"ignored explicit argument {value!r}", arg)
+            taken.append((arg, None))
+            flag = "-" + value[0]
+            arg, value = options[flag], value[1:] or None
+        for arg, value in taken:
+            take(arg, value)
+        return stop
+
+    # Before each option, the positionals take what they can of the tokens
+    # since the last one; tokens they leave are extras.
+    i = 0
+    while option_at and i <= option_at[-1]:
+        next_option = next(j for j in option_at if j >= i)
+        if i != next_option:
+            stop = positionals_from(i)
+            if stop > i:
+                i = stop
+                continue
+            extras.extend(argv[i:next_option])
+            i = next_option
+        i = option_at_index(i)
+    extras.extend(argv[positionals_from(i):])
+
+    for arg in args:
+        # The stdlib parser stored [] for `-m=--`, which no handler accepts; a
+        # later `-h` or a later value of the same option still wins.
+        if namespace[arg.dest] == _SEPARATOR:
+            raise _UsageError("expected one argument", arg)
+    missing = [_arg_name(arg) for arg in args if arg.required and arg.dest not in seen]
+    if command.subcommands is not None and command.dest not in seen:
+        missing.append(command.dest)
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    return extras
+
+
+def _classify(token: str, options: dict):
+    """None for a positional, else (arg, flag, attached value or None), with arg
+    None for an unknown option."""
+    if not token or token[0] != "-":
+        return None
+    if token in options:
+        return options[token], token, None
+    if len(token) == 1:
+        return None
+    flag, eq, value = token.partition("=")
+    if eq and flag in options:
+        return options[flag], flag, value
+    if token[1] == "-":
+        matches = [(options[f], f, value if eq else None) for f in options if f.startswith(flag)]
+    else:  # a short flag with its value attached
+        matches = [(options[token[:2]], token[:2], token[2:])] if token[:2] in options else []
+    if len(matches) > 1:
+        found = ", ".join(f for _, f, _ in matches)
+        raise _UsageError(f"ambiguous option: {token} could match {found}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, token, None
+
+
+# -- help ------------------------------------------------------------------------------
+
+
+def _invocation(arg: Arg, flag: str) -> str:
+    return flag if arg.type is None else f"{flag} {arg.metavar or arg.dest.upper()}"
+
+
+def _usage(command: Command, prog: str) -> str:
+    parts = [prog, "[-h]"]
+    for arg in command.options:
+        if arg.dest not in command.exclusive:
+            text = _invocation(arg, arg.flags[0])
+            parts.append(text if arg.required else f"[{text}]")
+        elif arg.dest == command.exclusive[0]:
+            group = [a.flags[0] for a in command.options if a.dest in command.exclusive]
+            parts.append("[" + " | ".join(group) + "]")
+    parts += [arg.metavar or arg.dest for arg in command.positionals]
+    if command.subcommands is not None:
+        parts.append("{" + ",".join(command.subcommands) + "} ...")
+    return "usage: " + " ".join(parts)
+
+
+def _help(command: Command, prog: str) -> str:
+    positionals = [(arg.metavar or arg.dest, arg.help) for arg in command.positionals]
+    if command.subcommands is not None:
+        positionals.append(("{" + ",".join(command.subcommands) + "}", ""))
+        positionals += [(f"  {name}", sub.help) for name, sub in command.subcommands.items()]
+    options = [
+        (", ".join(_invocation(arg, flag) for flag in arg.flags), arg.help)
+        for arg in (_HELP,) + command.options
+    ]
+    width = min(24, 2 + max(len(name) for name, _ in positionals + options))
+    lines = [_usage(command, prog), "", command.help]
+    for title, rows in (("positional arguments", positionals), ("options", options)):
+        if rows:
+            lines += ["", f"{title}:"]
+        for name, text in rows:
+            if text and len(name) + 2 > width:
+                lines += [f"  {name}", " " * (width + 2) + text]
+            else:
+                lines.append(f"  {name:<{width}}{text}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         code = args.func(args) or 0
         sys.stdout.flush()

@@ -1,14 +1,23 @@
+import argparse
+import contextlib
+import io
+import itertools
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linchar.cli import main, to_json_str
+from linchar.cli import COMMANDS, ROOT, main, parse_args, to_json_str
 
 GOLDEN = pathlib.Path(__file__).parent / "data"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run_subprocess(code, **kwargs):
@@ -118,6 +127,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["charquasi", "Z9", "-m", "1"])
         assert excinfo.value.code == 2
+        for m_list in (",", ""):  # a list with no integers in it
+            with pytest.raises(SystemExit) as excinfo:
+                main(["track", "G2", "-d", "1", "--m-list", m_list])
+            assert excinfo.value.code == 2
+            assert "expected a comma-separated integer list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_series_count_below_one_is_a_value_error(self, capsys, count):
+        code, data = run_json(capsys, "ehrhart", "G2", "--series", count, "--json")
+        assert code == 1
+        assert data["error"] == "ValueError"
+        assert data["message"] == "count must be >= 1"
 
     def test_plain_value_errors_are_structured(self, capsys):
         code, data = run_json(capsys, "track", "G2", "-d", "7", "--m-list", "1", "--json")
@@ -179,6 +200,16 @@ class TestImports:
         )
         assert proc.stdout.strip() == "[]"
 
+    def test_cold_query_loads_no_option_parser_modules(self):
+        proc = run_subprocess(
+            "import sys\n"
+            "from linchar.cli import main\n"
+            "code = main(['check-line', 'G2', '-m', '1', '--json'])\n"
+            "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
+            capture_output=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
 
 class TestTrackGolden:
     # Captured with the scipy assignment solver that `_match_distance` used before.
@@ -226,3 +257,185 @@ class TestOutFile:
         assert data["error"] == "FileNotFoundError"
         assert main(["table", "--out", target]) == 1
         assert "error: FileNotFoundError" in capsys.readouterr().err
+
+
+# -- the parser against the stdlib's argparse -----------------------------------------
+
+
+def build_oracle_parser() -> argparse.ArgumentParser:
+    """An argparse parser built from the same command table."""
+
+    def fill(parser, command):
+        for arg in command.positionals:
+            parser.add_argument(arg.dest, type=arg.type, help=arg.help)
+        group = parser.add_mutually_exclusive_group() if command.exclusive else None
+        for arg in command.options:
+            target = group if arg.dest in command.exclusive else parser
+            if arg.type is None:
+                target.add_argument(*arg.flags, dest=arg.dest, action="store_true", help=arg.help)
+            else:
+                target.add_argument(*arg.flags, dest=arg.dest, type=arg.type, required=arg.required,
+                                    default=arg.default, metavar=arg.metavar, help=arg.help)
+        if command.subcommands is None:
+            parser.set_defaults(func=command.handler)
+        else:
+            sub = parser.add_subparsers(dest=command.dest, required=True)
+            for name, child in command.subcommands.items():
+                fill(sub.add_parser(name, help=child.help), child)
+
+    parser = argparse.ArgumentParser(prog="linchar", description=ROOT.help)
+    fill(parser, ROOT)
+    return parser
+
+
+ORACLE = build_oracle_parser()
+
+
+def outcome(parse, argv):
+    """(vars of the namespace, or the exit code; captured stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue()
+
+
+def agree_with_oracle(argv):
+    ours, _ = outcome(parse_args, argv)
+    theirs, _ = outcome(ORACLE.parse_args, argv)
+    if isinstance(theirs, dict) and [] in theirs.values():
+        # argparse drops `--` from an attached value (`-m=--`) and stores [],
+        # which every handler rejects with a traceback; the CLI refuses it.
+        theirs = 2
+    assert ours == theirs, argv
+    return ours
+
+
+COMMAND_PATHS = [(name,) for name, c in COMMANDS.items() if c.subcommands is None] + [
+    ("oracle", name) for name in COMMANDS["oracle"].subcommands
+]
+VALUES = ["0", "1", "5", "12", "-1", "-3", "x", "G2", "E6", "Z9", "A0", "1,5", ",", "", "--"]
+STRAY = ["--", "extra", "G2", "-", "-z", "--bogus", "-5", "-1.5", "1 2", "-h"]
+
+
+def command_at(path):
+    command = ROOT
+    for name in path:
+        command = command.subcommands[name]
+    return command
+
+
+def spellings(flag: str) -> list[str]:
+    """The flag and, for a long flag, every prefix that could abbreviate it."""
+    if not flag.startswith("--"):
+        return [flag]
+    return [flag[:k] for k in range(3, len(flag) + 1)]
+
+
+def converts(arg, value: str) -> bool:
+    try:
+        arg.type(value)
+    except ValueError:
+        return False
+    return value != "--"
+
+
+@st.composite
+def command_lines(draw):
+    path = draw(st.sampled_from(COMMAND_PATHS + [(), ("oracle",), ("bogus",)]))
+    command = command_at(path) if path != ("bogus",) else ROOT
+
+    def option(arg, valid=False):
+        flag = draw(st.sampled_from(spellings(draw(st.sampled_from(arg.flags)))))
+        value = draw(st.sampled_from(VALUES))
+        if arg.type is None:  # a flag, rarely with a value it must refuse
+            return draw(st.sampled_from([[flag], [flag], [f"{flag}={value}"]]))
+        if valid or draw(st.booleans()):
+            value = draw(st.sampled_from([v for v in VALUES if converts(arg, v)]))
+        forms = [[flag, value], [f"{flag}={value}"]]
+        if not flag.startswith("--"):
+            forms.append([flag + value])
+        if not valid:
+            forms.append([flag])  # the value is missing unless the next piece supplies one
+        return draw(st.sampled_from(forms))
+
+    pieces = []
+    # Mostly complete the command, so that many lines parse.
+    if draw(st.booleans()):
+        pieces += [[draw(st.sampled_from(["G2", "E6", "B2"]))] for _ in command.positionals]
+        pieces += [option(arg, valid=True) for arg in command.options if arg.required]
+    options = st.sampled_from(command.options).map(option) if command.options else st.nothing()
+    extra = st.one_of(
+        options,
+        options,
+        st.sampled_from(VALUES).map(lambda v: [v]),
+        st.sampled_from(STRAY).map(lambda v: [v]),
+    )
+    pieces += draw(st.lists(extra, max_size=draw(st.sampled_from([1, 3, 6]))))
+    if command.exclusive and draw(st.booleans()):
+        pieces += [[f"--{dest}"] for dest in command.exclusive]
+    pieces = draw(st.permutations(pieces))
+    return [*path, *itertools.chain.from_iterable(pieces)]
+
+
+class TestParser:
+    @given(argv=command_lines())
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_argparse(self, argv):
+        agree_with_oracle(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["charquasi", "-m", "-1", "G2"],
+        ["charquasi", "--m", "1", "G2"],
+        ["check-line", "G2", "-m5", "--exa", "-d=-2"],
+        ["check-line", "-m=5", "--js", "--", "G2"],
+        ["check-line", "G2", "-m", "1", "--exact", "--numeric"],
+        ["check-line", "G2", "-m", "1", "-m", "7", "--out", "a", "--out=b"],
+        ["oracle", "--json", "modq", "B2", "-q", "11", "-m", "1"],
+        ["oracle", "modq", "-hm"],
+        ["eulerian", "G2", "--"],
+        ["eulerian", "--", "--half"],
+        ["table", "--"],
+        ["--", "table"],
+        ["verify-all", "--o", "1"],
+        ["verify-all", "--on=1,2", "--ou", "f"],
+        ["track", "G2", "-d", "1", "--m-list", "1,,5"],
+        ["charquasi", "G2", "-m=--"],
+        ["table", "--out=--"],
+        [],
+    ])
+    def test_edge_cases_agree(self, argv):
+        agree_with_oracle(argv)
+
+    def test_negative_value_reaches_the_library(self, capsys):
+        assert parse_args(["charquasi", "G2", "-m", "-1"]).m == -1
+        code, data = run_json(capsys, "charquasi", "G2", "-m", "-1", "--json")
+        assert code == 1 and data["error"] == "ValueError"
+
+    @pytest.mark.parametrize("path", [(), ("oracle",)] + COMMAND_PATHS, ids=" ".join)
+    def test_help_names_every_option(self, path):
+        code, text = outcome(parse_args, [*path, "-h"])
+        assert code == 0
+        command = command_at(path)
+        assert text.startswith(f"usage: {' '.join(('linchar',) + path)} [-h]")
+        names = ["-h", "--help"] + [flag for arg in command.options for flag in arg.flags]
+        names += list(command.subcommands or ())
+        for name in names:
+            assert re.search(rf"(^|[\s\[{{,]){re.escape(name)}\b", text), (path, name)
+
+    def test_readme_examples_parse(self):
+        lines = []
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+            lines += [line.split("#")[0] for line in block.splitlines()
+                      if line.startswith("linchar ")]
+        commands = set()
+        for line in lines:
+            choices = [alt.split("|") for alt in re.findall(r"\[([^\]]+)\]", line)]
+            template = re.sub(r"\[[^\]]+\]", "{}", line)
+            for picked in itertools.product(*[[""] + alts for alts in choices]):
+                argv = shlex.split(template.format(*picked))[1:]
+                assert isinstance(agree_with_oracle(argv), dict), argv
+                commands.add(tuple(argv[:2]) if argv[0] == "oracle" else (argv[0],))
+        assert commands == set(COMMAND_PATHS)

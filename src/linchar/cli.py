@@ -376,7 +376,7 @@ COMMANDS: dict[str, Command] = {
         ), exclusive=("exact", "numeric")),
     "limit-roots": Command("limit polynomial F_Phi and its roots", _cmd_limit_roots, _PHI, _COMMON),
     "oracle": Command(
-        "independent enumeration oracles", options=_COMMON, dest="oracle_command", subcommands={
+        "independent enumeration oracles", dest="oracle_command", subcommands={
             "modq": Command(
                 "count points of (Z/q)^l off the arrangement", _cmd_oracle, _PHI, _COMMON + (
                     _m(),

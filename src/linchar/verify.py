@@ -31,6 +31,7 @@ from .ratpoly import (
 from .rootdata import RootSystemId, lookup, positive_roots
 
 _MAX_ITER = 200
+_STALL_ITER = 10  # iterations with no new smallest correction that stop stage 1
 _CORRECTION_TOL = 1e-13  # relative to the initial inclusion radius
 _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
@@ -87,28 +88,36 @@ def _horner2(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
     return p, dp
 
 
-def _aberth(monic_like: Sequence[float]) -> tuple[list[complex], list[float], bool]:
-    """Ehrlich-Aberth iteration on a square-free polynomial (ascending floats).
+def _monic_floats(poly: RatPoly) -> list[float]:
+    """Ascending coefficients as doubles, scaled by the largest one and then
+    divided by the leading one."""
+    scale = max(abs(x) for x in poly.coeffs)
+    floats = [float(x / scale) for x in poly.coeffs]
+    lead = floats[-1]
+    return [x / lead for x in floats]
 
-    Deterministic: the starting points are a rotated circle of radius
-    min(Cauchy bound, Fujiwara bound).  Returns roots, per-root inclusion
-    radii n*|p/p'|, and a convergence flag.
-    """
-    n = len(monic_like) - 1
-    lead = monic_like[-1]
-    c = [x / lead for x in monic_like]
-    if n == 1:
-        z = complex(-c[0])
-        return [z], [abs(_horner2(c, z)[0])], True
+
+def _start_radius(c: Sequence[float]) -> float:
+    """min(Cauchy bound, Fujiwara bound) on the root moduli of monic c."""
+    n = len(c) - 1
     cauchy = 1.0 + max(abs(x) for x in c[:-1])
     fujiwara = 2.0 * max(abs(c[n - k]) ** (1.0 / k) for k in range(1, n + 1))
-    radius = max(min(cauchy, fujiwara), 1e-30)
-    z = [
-        radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
-        for j in range(n)
-    ]
-    converged = False
+    return max(min(cauchy, fujiwara), 1e-30)
+
+
+def _aberth(c: Sequence[float], z: list[complex], radius: float, stall: float = math.inf) -> str:
+    """Ehrlich-Aberth iteration on a monic square-free polynomial (ascending
+    floats), updating the iterates z in place.
+
+    Returns "converged" once the corrections fall below _CORRECTION_TOL or
+    stop shrinking below _FLOOR_TOL (both relative to `radius`), "stalled"
+    once the largest correction has set no new minimum for `stall`
+    iterations in a row, and "spent" after _MAX_ITER iterations.
+    """
+    n = len(c) - 1
     prev_corr = math.inf
+    best_corr = math.inf
+    streak = 0
     for _ in range(_MAX_ITER):
         max_corr = 0.0
         for j in range(n):
@@ -126,20 +135,64 @@ def _aberth(monic_like: Sequence[float]) -> tuple[list[complex], list[float], bo
             z[j] -= w
             max_corr = max(max_corr, abs(w))
         if max_corr < _CORRECTION_TOL * radius:
-            converged = True
-            break
+            return "converged"
         # Rounding of the polynomial evaluation puts a floor under the
         # corrections; once they stop shrinking there, the roots are as good
         # as double precision allows.
         if max_corr < _FLOOR_TOL * radius and max_corr >= prev_corr:
-            converged = True
-            break
+            return "converged"
         prev_corr = max_corr
+        if max_corr < best_corr:
+            best_corr, streak = max_corr, 0
+        else:
+            streak += 1
+            if streak >= stall:
+                return "stalled"
+    return "spent"
+
+
+def _inclusion_radii(c: Sequence[float], z: Sequence[complex]) -> list[float]:
+    """Per-root inclusion disc radius n*|p/p'|."""
+    n = len(c) - 1
     radii = []
     for zj in z:
         p, dp = _horner2(c, zj)
         radii.append(n * abs(p) / abs(dp) if dp != 0 else math.inf)
-    return z, radii, converged
+    return radii
+
+
+def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], bool]:
+    """Roots of a square-free factor, their inclusion radii and a convergence
+    flag, in two deterministic stages.
+
+    Stage 1 iterates on the factor as given, from a rotated circle of radius
+    `_start_radius`.  When the roots sit far from 0, the monomial
+    coefficients cancel in doubles and the corrections stall on a noise
+    floor above _FLOOR_TOL; after _STALL_ITER iterations with no new
+    smallest correction, stage 2 shifts the factor exactly over Q by its
+    root centroid c = -a_(n-1) / (n*a_n) and continues, with no stall stop,
+    from the stalled iterates minus c.  Runs that do not stall return
+    stage 1's roots unchanged.
+    """
+    c = _monic_floats(factor)
+    n = len(c) - 1
+    if n == 1:
+        z = complex(-c[0])
+        return [z], [abs(_horner2(c, z)[0])], True
+    radius = _start_radius(c)
+    z = [
+        radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
+        for j in range(n)
+    ]
+    status = _aberth(c, z, radius, _STALL_ITER)
+    if status != "stalled":
+        return z, _inclusion_radii(c, z), status == "converged"
+    centroid = -factor.coeffs[-2] / (n * factor.coeffs[-1])
+    shift = float(centroid)
+    c = _monic_floats(factor.compose_affine(1, centroid))
+    s = [zj - shift for zj in z]
+    converged = _aberth(c, s, _start_radius(c)) == "converged"
+    return [sj + shift for sj in s], _inclusion_radii(c, s), converged
 
 
 def find_roots(p: RatPoly) -> ComplexRootSet:
@@ -147,8 +200,9 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
 
     The exact square-free decomposition is taken first so the Aberth
     iteration only ever sees simple roots; multiple roots are then replicated.
-    Raises NonConvergence (with partial results attached) if any factor fails
-    to settle within the iteration budget.
+    Each factor is solved by `_factor_roots`, which centres it over Q if the
+    iteration stalls.  Raises NonConvergence (with partial results attached)
+    if any factor fails to settle within the iteration budget.
     """
     if p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
@@ -156,9 +210,7 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     radii: list[float] = []
     all_converged = True
     for factor, mult in p.squarefree_factors():
-        scale = max(abs(x) for x in factor.coeffs)
-        floats = [float(x / scale) for x in factor.coeffs]
-        zs, rads, ok = _aberth(floats)
+        zs, rads, ok = _factor_roots(factor)
         all_converged = all_converged and ok
         order = sorted(range(len(zs)), key=lambda i: (zs[i].real, zs[i].imag))
         for i in order:
@@ -227,17 +279,23 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
 def check_on_line_numeric(
     p: RatPoly, center_times_2: int, tol: float = 1e-8
 ) -> LineCheckReport:
-    """Numeric counterpart: max |Re root - M/2| against a tolerance."""
+    """Numeric counterpart: max |Re root - M/2| against a tolerance.
+
+    The roots are found in the centred variable s = t - M/2, exactly as the
+    Sturm check substitutes, so the deviation is max |Re s| and is not lost
+    to cancellation among the monomial coefficients about 0.
+    """
     center = Fraction(center_times_2, 2)
-    rs = find_roots(p)
-    deviation = max((abs(z.real - float(center)) for z in rs.roots), default=0.0)
+    rs = find_roots(p.compose_affine(1, center))
+    deviation = max((abs(s.real) for s in rs.roots), default=0.0)
+    shift = float(center)
     return LineCheckReport(
         on_line=deviation <= tol,
         center=center,
         method="numeric",
         details={
             "max_deviation": deviation,
-            "roots": [[z.real, z.imag] for z in rs.roots],
+            "roots": [[s.real + shift, s.imag] for s in rs.roots],
             "residual_bound": rs.residual_bound,
         },
     )

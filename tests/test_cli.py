@@ -132,6 +132,11 @@ class TestErrors:
                 main(["track", "G2", "-d", "1", "--m-list", m_list])
             assert excinfo.value.code == 2
             assert "expected a comma-separated integer list" in capsys.readouterr().err
+        # the oracle group takes no options of its own; modq's --json is given after modq
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", "--json", "modq", "B2", "-m", "1", "-q", "11"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_series_count_below_one_is_a_value_error(self, capsys, count):

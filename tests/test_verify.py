@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,16 @@ from linchar.verify import (
 )
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
 def rid(text):
     return RootSystemId.parse(text)
+
+
+def line_center(name, m):
+    """m*h/2, the line the conjecture puts every root of chi on."""
+    return m * lookup(rid(name)).coxeter_number / 2
 
 
 class TestFindRoots:
@@ -90,6 +100,50 @@ class TestFindRoots:
     def test_deterministic(self):
         p = limit_poly(rid("F4"))
         assert find_roots(p).roots == find_roots(p).roots
+
+
+# Classical inputs whose monomial coefficients cancel so heavily in doubles
+# that the iteration stalls on a noise floor and has to finish on the factor
+# centred at its root centroid.
+STALLING = [("A20", 9999), ("A24", 1084), ("A28", 1), ("B16", 33), ("C18", 1630)]
+
+
+class TestFindRootsCentredStage:
+    @pytest.mark.parametrize("name,m", STALLING, ids=lambda v: str(v))
+    def test_converges_on_the_line(self, name, m):
+        rs = find_roots(char_poly(rid(name), m))
+        assert rs.converged
+        assert len(rs.roots) == rid(name).rank
+        assert all(z.real == line_center(name, m) for z in rs.roots)
+        assert rs.residual_bound < 1e-15
+
+    @pytest.mark.parametrize("name,m", STALLING, ids=lambda v: str(v))
+    def test_matches_mpmath(self, name, m):
+        mpmath = pytest.importorskip("mpmath")
+        p = char_poly(rid(name), m)
+        with mpmath.workdps(50):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
+            want = [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=400, extraprec=100)]
+        scale = max(abs(w) for w in want)
+        assert verify._match_distance(find_roots(p).roots, want) <= 1e-10 * scale
+
+    def test_stage_one_roots_unchanged(self):
+        """Inputs that converge without centring keep their exact floats."""
+        golden = json.loads((GOLDEN / "find_roots_golden.json").read_text())
+        for key, want in golden["char_poly"].items():
+            name, m = key.split()
+            got = find_roots(char_poly(rid(name), int(m))).roots
+            assert [[z.real, z.imag] for z in got] == want, key
+        for name, want in golden["limit_poly"].items():
+            got = find_roots(limit_poly(rid(name))).roots
+            assert [[z.real, z.imag] for z in got] == want, name
+
+    def test_centred_stage_keeps_the_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(verify, "_STALL_ITER", 1)
+        monkeypatch.setattr(verify, "_MAX_ITER", 2)
+        with pytest.raises(NonConvergence) as excinfo:
+            find_roots(char_poly(rid("A20"), 9999))
+        assert len(excinfo.value.partial.roots) == 20
 
 
 class TestLimitPoly:
@@ -188,6 +242,17 @@ class TestCheckOnLineNumeric:
 
     def test_detects_off_line(self):
         assert not check_on_line_numeric(RatPoly.from_roots([2, 4]), 6).on_line
+
+    @pytest.mark.parametrize("name", ["A12", "A20", "A28", "D14", "B16", "C18"])
+    @pytest.mark.parametrize("m", [1, 17, 1086, 9999])
+    def test_agrees_with_exact_on_classical_systems(self, name, m):
+        p = char_poly(rid(name), m)
+        M = m * lookup(rid(name)).coxeter_number
+        rep = check_on_line_numeric(p, M)
+        assert rep.on_line == check_on_line_exact(p, M).on_line
+        assert len(rep.details["roots"]) == rid(name).rank
+        # the roots are reported in t = s + M/2; rounding that sum at most doubles |Re s|
+        assert all(abs(re - M / 2) <= 2 * rep.details["max_deviation"] for re, _im in rep.details["roots"])
 
 
 class TestHalfplane:

@@ -32,7 +32,7 @@ from .rootdata import RootSystemId, lookup, positive_roots
 
 _MAX_ITER = 200
 _STALL_ITER = 10  # iterations with no new smallest correction that stop stage 1
-_CORRECTION_TOL = 1e-13  # relative to the initial inclusion radius
+_CORRECTION_TOL = 1e-13  # relative to the start radius of the polynomial iterated
 _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 

@@ -109,7 +109,7 @@ STALLING = [("A20", 9999), ("A24", 1084), ("A28", 1), ("B16", 33), ("C18", 1630)
 
 
 class TestFindRootsCentredStage:
-    @pytest.mark.parametrize("name,m", STALLING, ids=lambda v: str(v))
+    @pytest.mark.parametrize("name,m", STALLING, ids=str)
     def test_converges_on_the_line(self, name, m):
         rs = find_roots(char_poly(rid(name), m))
         assert rs.converged
@@ -117,7 +117,7 @@ class TestFindRootsCentredStage:
         assert all(z.real == line_center(name, m) for z in rs.roots)
         assert rs.residual_bound < 1e-15
 
-    @pytest.mark.parametrize("name,m", STALLING, ids=lambda v: str(v))
+    @pytest.mark.parametrize("name,m", STALLING, ids=str)
     def test_matches_mpmath(self, name, m):
         mpmath = pytest.importorskip("mpmath")
         p = char_poly(rid(name), m)
@@ -128,7 +128,8 @@ class TestFindRootsCentredStage:
         assert verify._match_distance(find_roots(p).roots, want) <= 1e-10 * scale
 
     def test_stage_one_roots_unchanged(self):
-        """Inputs that converge without centring keep their exact floats."""
+        """Inputs that converge without centring keep the exact floats they had
+        before the centred stage existed."""
         golden = json.loads((GOLDEN / "find_roots_golden.json").read_text())
         for key, want in golden["char_poly"].items():
             name, m = key.split()
@@ -138,12 +139,21 @@ class TestFindRootsCentredStage:
             got = find_roots(limit_poly(rid(name))).roots
             assert [[z.real, z.imag] for z in got] == want, name
 
-    def test_centred_stage_keeps_the_iteration_budget(self, monkeypatch):
-        monkeypatch.setattr(verify, "_STALL_ITER", 1)
-        monkeypatch.setattr(verify, "_MAX_ITER", 2)
+    def test_failed_centred_stage_raises_with_partial_results(self, monkeypatch):
+        real_aberth = verify._aberth
+        statuses = []
+
+        def centred_stage_fails(c, z, radius, stall=math.inf):
+            statuses.append(real_aberth(c, z, radius, stall))
+            return "spent" if stall == math.inf else statuses[-1]
+
+        monkeypatch.setattr(verify, "_aberth", centred_stage_fails)
         with pytest.raises(NonConvergence) as excinfo:
             find_roots(char_poly(rid("A20"), 9999))
-        assert len(excinfo.value.partial.roots) == 20
+        assert statuses == ["stalled", "converged"]
+        partial = excinfo.value.partial
+        assert not partial.converged
+        assert len(partial.roots) == 20
 
 
 class TestLimitPoly:

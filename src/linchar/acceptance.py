@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ehrhart, eulerian, linial, ratpoly, rootdata, verify
-from .ratpoly import RatPoly, ShiftPoly
+from .ratpoly import RatPoly
 from .rootdata import ALL_TABLE_IDS, EXCEPTIONAL_IDS, RootSystemId
 
 
@@ -103,8 +103,7 @@ def check_eulerian() -> CheckResult:
 def check_worpitzky() -> CheckResult:
     for ident in ALL_TABLE_IDS:
         data = rootdata.lookup(ident)
-        R = ShiftPoly.from_poly(eulerian.generalized_eulerian(ident))
-        qp = ehrhart.apply_shift_qp(R, 1, ehrhart.ehrhart_qp(ident))
+        qp = linial.char_quasi(ident, 0)
         want = RatPoly.monomial(data.rank)
         if any(c != want for c in qp.constituents):
             return CheckResult(3, "Worpitzky identity", False, f"fails for {ident}")
@@ -145,11 +144,7 @@ def check_g2_example() -> CheckResult:
         want = odd if d % 2 == 1 else even
         if cq.constituent(d) != want:
             return CheckResult(4, "G2 worked example", False, f"chi constituent {d}")
-    half0 = ehrhart.apply_shift_qp(
-        ShiftPoly.from_poly(eulerian.truncate_half(eulerian.generalized_eulerian(g2), 6)),
-        1,
-        L,
-    )
+    half0 = linial.half_char_quasi(g2, 0)
     half0_expect = {0: RatPoly((0, 10, 6)), 1: RatPoly((-4, 10, 6)), 2: RatPoly((4, 10, 6))}
     for d in range(6):
         if half0.constituent(d) != half0_expect[d % 3].scale(twelfth):

@@ -18,11 +18,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional
 
 from .errors import SelfCheckFailed
-from .ratpoly import IntegerTable, RatPoly, ShiftPoly, shift_constituent
+from .ratpoly import IntegerTable, RatPoly, shift_constituent
 from .rootdata import RootSystemId, lookup
+
+#: Most coefficients `series_coeffs` computes: the list is refused up front
+#: rather than left to exhaust memory.
+SERIES_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,6 @@ class QuasiPoly:
             period=int(obj["period"]),
             constituents=tuple(RatPoly.from_json(c) for c in obj["constituents"]),
         )
-
-
-@dataclass(frozen=True)
-class GcdPropertyReport:
-    holds: bool
-    witness: Optional[tuple[int, int]]  # residues with equal gcd, unequal constituents
 
 
 def _denumerant_counts(marks, upto: int) -> list[int]:
@@ -145,6 +142,8 @@ def series_coeffs(ident: RootSystemId, count: int) -> list[int]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > SERIES_MAX:
+        raise ValueError(f"count must be <= {SERIES_MAX}")
     data = lookup(ident)
     denom = RatPoly.one()
     for c in data.marks:
@@ -171,20 +170,9 @@ def check_reciprocity(L: QuasiPoly, rank: int, h: int) -> bool:
     return True
 
 
-def apply_shift_qp(f: ShiftPoly, step: int, L: QuasiPoly) -> QuasiPoly:
+def apply_shift_qp(f: RatPoly, step: int, L: QuasiPoly) -> QuasiPoly:
     """Apply f(S**step) to a quasi-polynomial: the constituent at d becomes
     sum_i f_i * L_{(d - step*i) mod period}(t - step*i)."""
     table = L.numerators
     return QuasiPoly(L.period, tuple(shift_constituent(f, step, table, d) for d in range(L.period)))
 
-
-def gcd_property(L: QuasiPoly) -> GcdPropertyReport:
-    """Do the constituents depend only on gcd(residue, period)?"""
-    first_by_gcd: dict[int, int] = {}
-    for d in range(L.period):
-        g = math.gcd(d, L.period)
-        if g not in first_by_gcd:
-            first_by_gcd[g] = d
-        elif L.constituents[d] != L.constituents[first_by_gcd[g]]:
-            return GcdPropertyReport(holds=False, witness=(first_by_gcd[g], d))
-    return GcdPropertyReport(holds=True, witness=None)

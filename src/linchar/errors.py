@@ -38,6 +38,11 @@ class NonConvergence(LincharError, RuntimeError):
         self.partial = partial
 
 
+class OutOfDoubleRange(LincharError, ArithmeticError):
+    """A polynomial's coefficients or roots leave the range of doubles, so
+    its roots cannot be found in floating point."""
+
+
 class OracleTooLarge(LincharError, ValueError):
     """The enumeration oracle was asked for more points than it will allocate."""
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .ehrhart import QuasiPoly, apply_shift_qp, ehrhart_qp
 from .errors import NotAdmissible, SymmetryViolation
 from .eulerian import generalized_eulerian, truncate_half
-from .ratpoly import RatPoly, ShiftPoly, apply_shift, shift_constituent
+from .ratpoly import RatPoly, apply_shift, shift_constituent
 from .rootdata import RootSystemId, lookup
 
 # Entries kept per m-keyed quasi-polynomial cache.  The acceptance matrix
@@ -34,12 +34,12 @@ class AdmissibleReport:
 
 
 @lru_cache(maxsize=None)
-def _operator(ident: RootSystemId, half: bool) -> ShiftPoly:
-    """R_Phi, or its truncation R'_Phi when `half`, as a shift operator."""
+def _operator(ident: RootSystemId, half: bool) -> RatPoly:
+    """R_Phi, or its truncation R'_Phi when `half`, read as a polynomial in S."""
     R = generalized_eulerian(ident)
     if half:
         R = truncate_half(R, lookup(ident).coxeter_number)
-    return ShiftPoly.from_poly(R)
+    return R
 
 
 def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) -> RatPoly:

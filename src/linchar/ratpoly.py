@@ -5,6 +5,8 @@ Coefficients are `fractions.Fraction` and every operation in this module is
 exact; floating point never enters here.  Polynomials are dense, stored
 ascending (``coeffs[j]`` multiplies ``t**j``), normalized so the top
 coefficient is nonzero; the zero polynomial has an empty coefficient tuple.
+A shift operator f(S) is a `RatPoly` read in S: ``coeffs[i]`` multiplies
+S**i, where (S g)(t) = g(t - 1).
 
 The hot routines (substitution, gcd, exact division, Sturm chains and the
 shift kernel) work on integer numerators over one common denominator and
@@ -40,38 +42,6 @@ def _normalize(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def coeffs_to_json(coeffs: Sequence[Fraction]) -> dict:
-    """Canonical JSON form: {"coeffs": [["num","den"], ...]}, ascending."""
-    return {"coeffs": [[str(c.numerator), str(c.denominator)] for c in coeffs]}
-
-
-def coeffs_from_json(obj: dict) -> tuple[Fraction, ...]:
-    return _normalize(Fraction(int(n), int(d)) for n, d in obj["coeffs"])
-
-
-def _format_terms(coeffs: Sequence[Fraction], var: str) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for j in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if j == 0:
-            body = str(mag)
-        else:
-            pw = var if j == 1 else f"{var}^{j}"
-            body = pw if mag == 1 else f"{mag}*{pw}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
 
 
 def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -142,7 +112,7 @@ class RatPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RatPoly":
-        return cls(coeffs_from_json(obj))
+        return cls(Fraction(int(n), int(d)) for n, d in obj["coeffs"])
 
     # -- basic structure ---------------------------------------------------
 
@@ -269,28 +239,6 @@ class RatPoly:
 
     # -- division, gcd, square-free structure --------------------------------
 
-    def divrem(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lead = other.degree, other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[k] = factor
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= factor * c
-            rem.pop()
-        return RatPoly(q), RatPoly(rem)
-
-    def __divmod__(self, other):
-        return self.divrem(other)
-
     def exact_div(self, other: "RatPoly") -> "RatPoly":
         """self / other, which must divide exactly (else `InexactDivision`)."""
         if other.is_zero:
@@ -358,76 +306,26 @@ class RatPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return coeffs_to_json(self.coeffs)
+        """Canonical JSON form: {"coeffs": [["num","den"], ...]}, ascending."""
+        return {"coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs]}
 
     def pretty(self, var: str = "t") -> str:
-        return _format_terms(self.coeffs, var)
-
-
-class ShiftPoly:
-    """Polynomial in the shift operator S; ``coeffs[i]`` multiplies S**i.
-
-    S acts on polynomials by (S g)(t) = g(t - 1); `apply_shift` applies a
-    whole operator polynomial with an integer step multiplier.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftPoly is immutable")
-
-    @classmethod
-    def from_poly(cls, p: RatPoly) -> "ShiftPoly":
-        return cls(p.coeffs)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ShiftPoly":
-        return cls(coeffs_from_json(obj))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShiftPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("ShiftPoly", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"ShiftPoly({list(self.coeffs)!r})"
-
-    def __add__(self, other: "ShiftPoly") -> "ShiftPoly":
-        if not isinstance(other, ShiftPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-
-        def coeff(p, j):
-            return p.coeffs[j] if j < len(p.coeffs) else Fraction(0)
-
-        return ShiftPoly(coeff(self, j) + coeff(other, j) for j in range(n))
-
-    def inflate(self, k: int) -> "ShiftPoly":
-        """Return f(S**k) as an operator polynomial."""
-        if k < 1:
-            raise ValueError("step must be >= 1")
-        out = [Fraction(0)] * (k * self.degree + 1 if self.coeffs else 0)
-        for i, c in enumerate(self.coeffs):
-            out[k * i] = c
-        return ShiftPoly(out)
-
-    def to_json(self) -> dict:
-        return coeffs_to_json(self.coeffs)
-
-    def pretty(self, var: str = "S") -> str:
-        return _format_terms(self.coeffs, var)
+        terms = []
+        for j in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[j]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if j == 0:
+                body = str(mag)
+            else:
+                pw = var if j == 1 else f"{var}^{j}"
+                body = pw if mag == 1 else f"{mag}*{pw}"
+            if not terms:
+                terms.append(f"-{body}" if c < 0 else body)
+            else:
+                terms.append(f"{'-' if c < 0 else '+'} {body}")
+        return " ".join(terms) or "0"
 
 
 # -- shift-operator action ----------------------------------------------------
@@ -453,7 +351,7 @@ def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.comb(k, p) for p in range(k + 1)) for k in range(n + 1))
 
 
-def shift_constituent(f: ShiftPoly, step: int, constituents: IntegerTable, d: int) -> RatPoly:
+def shift_constituent(f: RatPoly, step: int, constituents: IntegerTable, d: int) -> RatPoly:
     """Constituent d of f(S**step) applied to a quasi-polynomial whose
     residue-r constituent is g_r = constituents.nums[r] / constituents.den:
 
@@ -492,14 +390,9 @@ def shift_constituent(f: ShiftPoly, step: int, constituents: IntegerTable, d: in
     return RatPoly(Fraction(c, scale) for c in out)
 
 
-def apply_shift(f: ShiftPoly, step: int, g: RatPoly) -> RatPoly:
+def apply_shift(f: RatPoly, step: int, g: RatPoly) -> RatPoly:
     """Apply f(S**step) to g: sum_i f_i * g(t - step*i), exactly."""
     return shift_constituent(f, step, IntegerTable.of((g,)), 0)
-
-
-def reflect(g: RatPoly, M: Scalar) -> RatPoly:
-    """Return g(M - t), exactly."""
-    return g.compose_affine(-1, M)
 
 
 # -- Sturm sequences -----------------------------------------------------------

@@ -17,13 +17,12 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Sequence
 
-from .errors import NonConvergence, OracleTooLarge, QTooSmall, UnsupportedRank
+from .errors import NonConvergence, OracleTooLarge, OutOfDoubleRange, QTooSmall, UnsupportedRank
 from .eulerian import generalized_eulerian, truncate_half
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
 from .linial import char_constituent, char_quasi  # noqa: F401
 from .ratpoly import (
     RatPoly,
-    ShiftPoly,
     all_roots_real_nonpositive,
     apply_shift,
     routh_hurwitz_all_roots_left,
@@ -35,6 +34,7 @@ _STALL_ITER = 10  # iterations with no new smallest correction that stop stage 1
 _CORRECTION_TOL = 1e-13  # relative to the start radius of the polynomial iterated
 _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
+_OUT_OF_RANGE = "polynomial does not fit in doubles"
 
 #: Most points `bruteforce_modq` enumerates: q**rank above this is refused.
 #: The count holds one q-bit mask per prefix, q**(rank-1) of them, and a
@@ -94,6 +94,8 @@ def _monic_floats(poly: RatPoly) -> list[float]:
     scale = max(abs(x) for x in poly.coeffs)
     floats = [float(x / scale) for x in poly.coeffs]
     lead = floats[-1]
+    if lead == 0:
+        raise OutOfDoubleRange(_OUT_OF_RANGE)
     return [x / lead for x in floats]
 
 
@@ -202,26 +204,30 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     iteration only ever sees simple roots; multiple roots are then replicated.
     Each factor is solved by `_factor_roots`, which centres it over Q if the
     iteration stalls.  Raises NonConvergence (with partial results attached)
-    if any factor fails to settle within the iteration budget.
+    if any factor fails to settle within the iteration budget, and
+    OutOfDoubleRange if p or one of its factors does not fit in doubles.
     """
     if p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
     roots: list[complex] = []
     radii: list[float] = []
     all_converged = True
-    for factor, mult in p.squarefree_factors():
-        zs, rads, ok = _factor_roots(factor)
-        all_converged = all_converged and ok
-        order = sorted(range(len(zs)), key=lambda i: (zs[i].real, zs[i].imag))
-        for i in order:
-            roots.extend([zs[i]] * mult)
-            radii.extend([rads[i]] * mult)
-    scale = max(abs(float(x)) for x in p.coeffs)
-    residual = 0.0
-    for z in roots:
-        val = abs(p.evaluate(complex(z)))
-        denom = sum(abs(float(c)) * max(1.0, abs(z)) ** i for i, c in enumerate(p.coeffs))
-        residual = max(residual, val / denom if denom else val / scale)
+    try:
+        for factor, mult in p.squarefree_factors():
+            zs, rads, ok = _factor_roots(factor)
+            all_converged = all_converged and ok
+            order = sorted(range(len(zs)), key=lambda i: (zs[i].real, zs[i].imag))
+            for i in order:
+                roots.extend([zs[i]] * mult)
+                radii.extend([rads[i]] * mult)
+        scale = max(abs(float(x)) for x in p.coeffs)
+        residual = 0.0
+        for z in roots:
+            val = abs(p.evaluate(complex(z)))
+            denom = sum(abs(float(c)) * max(1.0, abs(z)) ** i for i, c in enumerate(p.coeffs))
+            residual = max(residual, val / denom if denom else val / scale)
+    except OverflowError as exc:
+        raise OutOfDoubleRange(_OUT_OF_RANGE) from exc
     result = ComplexRootSet(
         roots=tuple(roots),
         residual_bound=residual,
@@ -241,7 +247,7 @@ def limit_poly(ident: RootSystemId) -> RatPoly:
     """The rescaled m -> infinity limit R'_Phi(S) t^l = sum a'_i (t - i)^l."""
     data = lookup(ident)
     half = truncate_half(generalized_eulerian(ident), data.coxeter_number)
-    return apply_shift(ShiftPoly.from_poly(half), 1, RatPoly.monomial(data.rank))
+    return apply_shift(half, 1, RatPoly.monomial(data.rank))
 
 
 def max_real_part(p: RatPoly) -> float:
@@ -312,11 +318,6 @@ def halfplane_exact(p: RatPoly, bound_times_2: int) -> bool:
         raise ValueError("zero polynomial")
     shifted = p.compose_affine(1, Fraction(bound_times_2, 2))
     return routh_hurwitz_all_roots_left(shifted)
-
-
-def halfplane_numeric_margin(p: RatPoly, bound_times_2: int) -> float:
-    """H/2 minus the numeric max real part (positive = inside the half-plane)."""
-    return float(Fraction(bound_times_2, 2)) - max_real_part(p)
 
 
 def _window_bits(n: int, s: int, q: int, top: int) -> int:

@@ -138,12 +138,27 @@ class TestErrors:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_series_count_below_one_is_a_value_error(self, capsys, count):
+    @pytest.mark.parametrize("count, message", [
+        pytest.param("0", "count must be >= 1", id="0"),
+        pytest.param("-2", "count must be >= 1", id="-2"),
+        # refused before the list of coefficients is allocated
+        pytest.param("100000000000", "count must be <= 1000000", id="100000000000"),
+    ])
+    def test_series_count_below_one_is_a_value_error(self, capsys, count, message):
         code, data = run_json(capsys, "ehrhart", "G2", "--series", count, "--json")
         assert code == 1
         assert data["error"] == "ValueError"
-        assert data["message"] == "count must be >= 1"
+        assert data["message"] == message
+
+    @pytest.mark.parametrize("name, m", [("A20", "1000000000000000"), ("A28", "100000000000")])
+    def test_numeric_check_outside_double_range_is_a_named_error(self, capsys, name, m):
+        # coefficients past the double range (A20) and a leading coefficient
+        # that underflows once scaled (A28); the exact check certifies both
+        code = main(["check-line", name, "-m", m, "--numeric", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"] == "OutOfDoubleRange"
+        assert captured.err == ""
 
     def test_plain_value_errors_are_structured(self, capsys):
         code, data = run_json(capsys, "track", "G2", "-d", "7", "--m-list", "1", "--json")
@@ -214,6 +229,13 @@ class TestImports:
             capture_output=True, check=True,
         )
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_package_all_resolves_without_duplicates(self):
+        import linchar
+
+        for name in linchar.__all__:
+            assert hasattr(linchar, name), name
+        assert len(set(linchar.__all__)) == len(linchar.__all__)
 
 
 class TestTrackGolden:

@@ -9,16 +9,26 @@ from linchar.ehrhart import (
     apply_shift_qp,
     check_reciprocity,
     ehrhart_qp,
-    gcd_property,
     series_coeffs,
 )
 from linchar.eulerian import generalized_eulerian, truncate_half
-from linchar.ratpoly import RatPoly, ShiftPoly
+from linchar.ratpoly import RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
 
 
 def rid(text):
     return RootSystemId.parse(text)
+
+
+def gcd_witness(L: QuasiPoly):
+    """None if the constituents depend only on gcd(residue, period), else the
+    first pair of residues with equal gcd and unequal constituents."""
+    first_by_gcd: dict[int, int] = {}
+    for d in range(L.period):
+        g = first_by_gcd.setdefault(math.gcd(d, L.period), d)
+        if L.constituents[d] != L.constituents[g]:
+            return g, d
+    return None
 
 
 def lagrange(points) -> RatPoly:
@@ -90,8 +100,7 @@ class TestEhrhartQP:
 
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
     def test_gcd_property_holds(self, ident):
-        report = gcd_property(ehrhart_qp(ident))
-        assert report.holds and report.witness is None
+        assert gcd_witness(ehrhart_qp(ident)) is None
 
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
     def test_period_is_minimal(self, ident):
@@ -180,17 +189,17 @@ class TestReciprocity:
 class TestApplyShiftQP:
     def test_identity_operator(self):
         L = ehrhart_qp(rid("G2"))
-        assert apply_shift_qp(ShiftPoly((1,)), 1, L) == L
+        assert apply_shift_qp(RatPoly.one(), 1, L) == L
 
     def test_worpitzky_g2(self):
         g2 = rid("G2")
-        R = ShiftPoly.from_poly(generalized_eulerian(g2))
+        R = generalized_eulerian(g2)
         out = apply_shift_qp(R, 1, ehrhart_qp(g2))
         assert all(c == RatPoly((0, 0, 1)) for c in out.constituents)
 
     def test_half_operator_mod_three_table(self):
         g2 = rid("G2")
-        half = ShiftPoly.from_poly(truncate_half(generalized_eulerian(g2), 6))
+        half = truncate_half(generalized_eulerian(g2), 6)
         out = apply_shift_qp(half, 1, ehrhart_qp(g2))
         expect = {
             0: RatPoly((0, 10, 6)).scale(Fraction(1, 12)),
@@ -202,7 +211,7 @@ class TestApplyShiftQP:
 
     def test_period_preserved(self):
         L = ehrhart_qp(rid("E7"))
-        out = apply_shift_qp(ShiftPoly((0, 1)), 5, L)
+        out = apply_shift_qp(RatPoly.monomial(1), 5, L)
         assert out.period == L.period
         assert out.constituent(3) == L.constituent(3 - 5).compose_affine(1, -5)
 
@@ -210,18 +219,14 @@ class TestApplyShiftQP:
 class TestGcdProperty:
     def test_constant_quasi_polynomial(self):
         qp = QuasiPoly(4, (RatPoly((7,)),) * 4)
-        assert gcd_property(qp).holds
+        assert gcd_witness(qp) is None
 
     def test_half_char_quasi_fails_gcd(self):
         from linchar.linial import half_char_quasi
 
-        report = gcd_property(half_char_quasi(rid("G2"), 1))
-        assert not report.holds
-        i, j = report.witness
+        i, j = gcd_witness(half_char_quasi(rid("G2"), 1))
         assert math.gcd(i, 6) == math.gcd(j, 6)
 
     def test_witness_identifies_differing_pair(self):
         qp = QuasiPoly(4, (RatPoly((1,)), RatPoly((2,)), RatPoly((3,)), RatPoly((5,))))
-        report = gcd_property(qp)
-        assert not report.holds
-        assert report.witness == (1, 3)
+        assert gcd_witness(qp) == (1, 3)

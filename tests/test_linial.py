@@ -1,8 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from linchar.ehrhart import gcd_property
 from linchar.errors import NotAdmissible, SymmetryViolation
 from linchar.linial import (
     admissible_residues,
@@ -46,7 +46,10 @@ class TestCharQuasi:
 
     @pytest.mark.parametrize("name,m", [("G2", 1), ("E6", 2), ("E8", 1), ("F4", 3)])
     def test_gcd_property(self, name, m):
-        assert gcd_property(char_quasi(rid(name), m)).holds
+        # constituents depend only on gcd(d, period): each equals the one at its gcd
+        cq = char_quasi(rid(name), m)
+        for d in range(cq.period):
+            assert cq.constituent(d) == cq.constituent(math.gcd(d, cq.period))
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):

@@ -12,11 +12,9 @@ from linchar.ratpoly import (
     POS_INF,
     IntegerTable,
     RatPoly,
-    ShiftPoly,
     _pseudo_divrem,
     all_roots_real_nonpositive,
     apply_shift,
-    reflect,
     routh_hurwitz_all_roots_left,
     sturm_real_root_count,
 )
@@ -67,7 +65,7 @@ class TestRatPolyBasics:
 
     def test_divrem_and_gcd(self):
         p = RatPoly.from_roots([1, 2, 3])
-        q, r = p.divrem(RatPoly.from_roots([2]))
+        q, r = fraction_divrem(p, RatPoly.from_roots([2]))
         assert r.is_zero and q == RatPoly.from_roots([1, 3])
         assert p.gcd(RatPoly.from_roots([2, 5])) == RatPoly.from_roots([2])
 
@@ -98,28 +96,28 @@ class TestRatPolyBasics:
 class TestApplyShift:
     def test_one_plus_s_on_square(self):
         # t^2 + (t-1)^2
-        assert apply_shift(ShiftPoly((1, 1)), 1, poly(0, 0, 1)) == poly(1, -2, 2)
+        assert apply_shift(poly(1, 1), 1, poly(0, 0, 1)) == poly(1, -2, 2)
 
     def test_single_shift_step_three(self):
-        assert apply_shift(ShiftPoly((0, 1)), 3, T) == poly(-3, 1)
+        assert apply_shift(poly(0, 1), 3, T) == poly(-3, 1)
 
     def test_g2_half_on_square_is_limit_poly(self):
         # (t-1)^2 + 3(t-2)^2 + 2(t-3)^2, expanded by hand
-        f = ShiftPoly((0, 1, 3, 2))
+        f = poly(0, 1, 3, 2)
         assert apply_shift(f, 1, poly(0, 0, 1)) == poly(31, -26, 6)
 
     def test_identity_and_zero_operator(self):
         g = poly(2, -1, 4)
-        assert apply_shift(ShiftPoly((1,)), 1, g) == g
-        assert apply_shift(ShiftPoly(()), 1, g) == RatPoly.zero()
+        assert apply_shift(poly(1), 1, g) == g
+        assert apply_shift(RatPoly.zero(), 1, g) == RatPoly.zero()
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
-            apply_shift(ShiftPoly((1,)), 0, T)
+            apply_shift(poly(1), 0, T)
 
     @given(
-        f1=st.lists(small_fractions, max_size=4).map(ShiftPoly),
-        f2=st.lists(small_fractions, max_size=4).map(ShiftPoly),
+        f1=st.lists(small_fractions, max_size=4).map(RatPoly),
+        f2=st.lists(small_fractions, max_size=4).map(RatPoly),
         g=small_polys,
         k=st.integers(min_value=1, max_value=4),
     )
@@ -128,7 +126,7 @@ class TestApplyShift:
         assert apply_shift(f1 + f2, k, g) == apply_shift(f1, k, g) + apply_shift(f2, k, g)
 
     @given(
-        f=st.lists(small_fractions, max_size=4).map(ShiftPoly),
+        f=st.lists(small_fractions, max_size=4).map(RatPoly),
         g1=small_polys,
         g2=small_polys,
         k=st.integers(min_value=1, max_value=4),
@@ -138,27 +136,31 @@ class TestApplyShift:
         assert apply_shift(f, k, g1 + g2) == apply_shift(f, k, g1) + apply_shift(f, k, g2)
 
     @given(
-        f=st.lists(small_fractions, max_size=4).map(ShiftPoly),
+        f=st.lists(small_fractions, max_size=4).map(RatPoly),
         g=small_polys,
         k=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=60, deadline=None)
     def test_inflate_agrees_with_step(self, f, g, k):
-        assert apply_shift(f, k, g) == apply_shift(f.inflate(k), 1, g)
+        # f(S**k) as an operator in S: coefficient i moves to k*i
+        inflated = RatPoly.zero()
+        for i, c in enumerate(f.coeffs):
+            inflated = inflated + RatPoly.monomial(k * i, c)
+        assert apply_shift(f, k, g) == apply_shift(inflated, 1, g)
 
 
 class TestReflect:
     def test_examples(self):
-        assert reflect(T, 6) == poly(6, -1)
+        assert T.compose_affine(-1, 6) == poly(6, -1)
         fixed = poly(11, -6, 1)  # symmetric about 3
-        assert reflect(fixed, 6) == fixed
+        assert fixed.compose_affine(-1, 6) == fixed
         cube = RatPoly.from_roots([1, 1, 1])
-        assert reflect(cube, 0) == -RatPoly.from_roots([-1, -1, -1])
+        assert cube.compose_affine(-1, 0) == -RatPoly.from_roots([-1, -1, -1])
 
     @given(g=small_polys, M=small_fractions)
     @settings(max_examples=80, deadline=None)
     def test_involution(self, g, M):
-        assert reflect(reflect(g, M), M) == g
+        assert g.compose_affine(-1, M).compose_affine(-1, M) == g
 
 
 class TestSturm:
@@ -249,8 +251,25 @@ class TestRouthHurwitz:
 #
 # The package computes substitution, gcd, exact division and Sturm chains on
 # integer numerators.  The oracles below are the Fraction algorithms those
-# replaced: Horner substitution, Euclid with `divrem`, and the Sturm chain of
-# negated `divrem` remainders, evaluated at the endpoints in Fraction.
+# replaced: Horner substitution, Euclid with Fraction long division, and the
+# Sturm chain of negated long-division remainders, evaluated at the endpoints
+# in Fraction.
+
+
+def fraction_divrem(p, q):
+    """(quotient, remainder) of p by a nonzero q, by long division in Fraction."""
+    quo = [Fraction(0)] * max(0, p.degree - q.degree + 1)
+    rem = list(p.coeffs)
+    while len(rem) > q.degree and rem:
+        k = len(rem) - 1 - q.degree
+        factor = rem[-1] / q.leading
+        quo[k] = factor
+        for j, c in enumerate(q.coeffs):
+            rem[k + j] -= factor * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return RatPoly(quo), RatPoly(rem)
 
 
 def fraction_compose_affine(p, a, b):
@@ -265,12 +284,12 @@ def fraction_compose_affine(p, a, b):
 def fraction_gcd(p, q):
     """Monic gcd over Q by Euclid with Fraction long division."""
     while not q.is_zero:
-        p, q = q, p.divrem(q)[1]
+        p, q = q, fraction_divrem(p, q)[1]
     return RatPoly.one() if p.is_zero else p.monic()
 
 
 def fraction_exact_div(p, q):
-    quo, rem = p.divrem(q)
+    quo, rem = fraction_divrem(p, q)
     assert rem.is_zero
     return quo
 
@@ -302,7 +321,7 @@ def fraction_sturm_count(p, a, b):
         return 0
     chain = [ps, ps.derivative()]
     while chain[-1].degree > 0:
-        rem = chain[-2].divrem(chain[-1])[1]
+        rem = fraction_divrem(chain[-2], chain[-1])[1]
         if rem.is_zero:
             break
         chain.append(-rem)
@@ -353,7 +372,7 @@ class TestIntegerPaths:
         if q.is_zero:
             return
         assert (p * q).exact_div(q) == p
-        quo, rem = p.divrem(q)
+        quo, rem = fraction_divrem(p, q)
         if rem.is_zero:
             assert p.exact_div(q) == quo
         else:

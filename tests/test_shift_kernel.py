@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from linchar.ehrhart import ehrhart_qp
 from linchar.eulerian import generalized_eulerian, truncate_half
 from linchar.linial import char_constituent, char_quasi, half_char_quasi
-from linchar.ratpoly import IntegerTable, RatPoly, ShiftPoly, shift_constituent
+from linchar.ratpoly import IntegerTable, RatPoly, shift_constituent
 from linchar.rootdata import ALL_TABLE_IDS, lookup
 
 
-def naive_constituent(f: ShiftPoly, step: int, constituents, d: int) -> RatPoly:
+def naive_constituent(f: RatPoly, step: int, constituents, d: int) -> RatPoly:
     """sum_i f_i * g_(d - step*i)(t - step*i), one substitution per term."""
     acc = RatPoly.zero()
     for i, fi in enumerate(f.coeffs):
@@ -39,7 +39,7 @@ def operators(draw):
     if coeffs and draw(st.booleans()):
         coeffs[-1] = Fraction(draw(st.integers(-40, 40)) * 2 + 1, 2)
     extra = draw(st.lists(fractions, max_size=3))
-    return ShiftPoly(list(coeffs) + extra)
+    return RatPoly(list(coeffs) + extra)
 
 
 @st.composite
@@ -63,7 +63,7 @@ class TestKernelMatchesNaiveSum:
     def test_residue_is_taken_mod_period(self):
         constituents = (RatPoly((1, 2)), RatPoly((0, 0, 3)), RatPoly((5,)))
         table = IntegerTable.of(constituents)
-        f = ShiftPoly((1, Fraction(1, 2), 3))
+        f = RatPoly((1, Fraction(1, 2), 3))
         for d in (-4, 7, 11):
             assert shift_constituent(f, 4, table, d) == naive_constituent(f, 4, constituents, d)
 
@@ -82,8 +82,8 @@ class TestCharConstituent:
         L = ehrhart_qp(ident).constituents
         R = generalized_eulerian(ident)
         operators = {
-            False: ShiftPoly.from_poly(R),
-            True: ShiftPoly.from_poly(truncate_half(R, data.coxeter_number)),
+            False: R,
+            True: truncate_half(R, data.coxeter_number),
         }
         for m in range(4):
             for d in {0, 1, data.period - 1}:

@@ -21,7 +21,6 @@ from linchar.verify import (
     check_on_line_numeric,
     find_roots,
     halfplane_exact,
-    halfplane_numeric_margin,
     limit_combination,
     limit_poly,
     max_real_part,
@@ -277,11 +276,6 @@ class TestHalfplane:
     def test_boundary_inconclusive(self):
         # root exactly on Re = 3: a zero Routh row proves the strict bound fails
         assert halfplane_exact(RatPoly((-3, 1)), 6) is False
-
-    def test_numeric_margin_matches_table(self):
-        assert halfplane_numeric_margin(limit_poly(rid("E8")), 30) == pytest.approx(
-            15 - 14.6604, abs=1e-3
-        )
 
 
 @st.composite

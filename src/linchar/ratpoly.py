@@ -271,14 +271,6 @@ class RatPoly:
         lead = b[-1]
         return RatPoly(Fraction(x, lead) for x in b)
 
-    def squarefree_part(self) -> "RatPoly":
-        """Monic product of the distinct irreducible factors."""
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        if self.degree == 0:
-            return RatPoly.one()
-        return self.exact_div(self.gcd(self.derivative())).monic()
-
     def squarefree_factors(self) -> list[tuple["RatPoly", int]]:
         """Yun decomposition: [(f_1, 1), (f_2, 2), ...] with
         self = leading * prod f_i**i, each f_i monic square-free, deg f_i > 0."""
@@ -398,10 +390,16 @@ def apply_shift(f: RatPoly, step: int, g: RatPoly) -> RatPoly:
 # -- Sturm sequences -----------------------------------------------------------
 
 
-def _sturm_chain(p: RatPoly) -> list[list[int]]:
-    """Sturm chain of p over Z: each element is a positive multiple of the
-    matching element of the chain p, p', -rem(p, p'), ... over Q, because the
-    pseudo-division multiplier is positive and -pp(r) keeps the sign of -r."""
+def _sturm_chain(p: RatPoly) -> tuple[list[list[int]], int]:
+    """Sturm chain over Z of the square-free part of p, and deg gcd(p, p').
+
+    The chain p, p', -prem, ... ends in g = gcd(p, p'), and each element is a
+    positive multiple of the matching element of the chain p, p', -rem, ...
+    over Q, because the pseudo-division multiplier is positive and -pp(r)
+    keeps the sign of -r.  When g is not constant, every element is divided
+    exactly by g, again up to a positive factor: the result is a Sturm chain
+    of p/g that is valid at every point, the roots of p included.
+    """
     chain = [_primitive(IntegerTable.of((p,)).nums[0])]
     deriv = [j * c for j, c in enumerate(chain[0])][1:]
     if deriv:
@@ -411,7 +409,10 @@ def _sturm_chain(p: RatPoly) -> list[list[int]]:
         if not r:
             break
         chain.append([-x for x in _primitive(r)])
-    return chain
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [_primitive(_pseudo_divrem(q, g)[0]) for q in chain]
+    return chain, len(g) - 1
 
 
 def _endpoint(x):
@@ -439,47 +440,34 @@ def _sign_at(q: Sequence[int], x) -> int:
     return (v > 0) - (v < 0)
 
 
-def _variations(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-
-
-def _squarefree_root_count(p: RatPoly, a, b) -> int:
-    """Distinct real roots in (a, b] of a square-free p, for valid endpoints a < b."""
-    if p.degree < 1:
-        return 0
-    chain = _sturm_chain(p)
-    va = _variations([_sign_at(q, a) for q in chain])
-    vb = _variations([_sign_at(q, b) for q in chain])
-    return va - vb
+def _variations(chain: Sequence[Sequence[int]], x) -> int:
+    """Sign variations of the chain at x, zeros skipped."""
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_real_root_count(p: RatPoly, a, b) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
-    Endpoints may be Fractions/ints or +-math.inf.  Works on the square-free
-    part, so multiplicities never inflate the count.
+    Endpoints may be Fractions/ints or +-math.inf.  The chain is that of the
+    square-free part, so multiplicities never inflate the count.
     """
     if p.is_zero:
         raise ValueError("root counting on the zero polynomial")
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         return 0
-    return _squarefree_root_count(p.squarefree_part(), a, b)
+    chain = _sturm_chain(p)[0]
+    return _variations(chain, a) - _variations(chain, b)
 
 
 def all_roots_real_nonpositive(p: RatPoly) -> bool:
-    """True iff every complex root of p is real and <= 0 (with multiplicity).
-
-    Square-free factorization first; each factor must have as many distinct
-    real roots in (-inf, 0] as its degree.
-    """
+    """True iff every complex root of p is real and <= 0 (with multiplicity):
+    the distinct real roots in (-inf, 0] number deg p - deg gcd(p, p')."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    for factor, _mult in p.squarefree_factors():
-        if _squarefree_root_count(factor, NEG_INF, Fraction(0)) != factor.degree:
-            return False
-    return True
+    chain, deg_g = _sturm_chain(p)
+    return _variations(chain, NEG_INF) - _variations(chain, Fraction(0)) == p.degree - deg_g
 
 
 # -- Routh-Hurwitz --------------------------------------------------------------
@@ -488,42 +476,27 @@ def all_roots_real_nonpositive(p: RatPoly) -> bool:
 def routh_hurwitz_all_roots_left(p: RatPoly) -> bool:
     """Exact Routh test: True iff all roots of p satisfy Re < 0.
 
-    Decisive in every case.  The first column of the Routh array holds the
-    ratios of consecutive leading principal minors of the Hurwitz matrix,
-    and p is strictly Hurwitz iff all those minors are positive.  A zero
-    pivot or a zero row makes one of them zero, so it proves that p is not
-    strictly Hurwitz (a root lies on or right of the imaginary axis), and
-    the answer is False.
+    Decisive in every case.  The rows of the Routh array are the remainder
+    sequence over Z of p's two parity parts: row 0 holds the terms of p with
+    the parity of deg p, row 1 the other terms, and each later row is the
+    primitive pseudo-remainder of the two before it, a positive multiple of
+    the Routh row.  With the leading coefficient of p made positive, p is
+    strictly Hurwitz iff no coefficient is negative and the row degrees fall
+    by exactly one from deg p to 0, every row with a positive leading
+    coefficient (the first column of the array).  A fall of more than one is
+    a zero pivot or a zero row of the array: it proves a root with Re >= 0.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    n = p.degree
-    if n == 0:
-        return True
-    desc = list(reversed(p.coeffs))
-    if desc[0] < 0:
-        desc = [-c for c in desc]
-    # A strictly negative coefficient certifies a root with Re >= 0.
-    if any(c < 0 for c in desc):
+    if p.leading < 0:
+        p = -p
+    if any(c < 0 for c in p.coeffs):
         return False
-    row_prev = desc[0::2]
-    row_curr = desc[1::2]
-
-    def at(row, j):
-        return row[j] if j < len(row) else Fraction(0)
-
-    first_col = [row_prev[0]]
-    for _ in range(n):
-        pivot = row_curr[0]
-        if pivot == 0:
+    n = p.degree
+    parts = [RatPoly(c if (n - j) % 2 == k else 0 for j, c in enumerate(p.coeffs)) for k in (0, 1)]
+    prev, row = IntegerTable.of(parts).nums
+    while len(prev) > 1:
+        if len(row) != len(prev) - 1 or row[-1] < 0:
             return False
-        first_col.append(pivot)
-        width = max(len(row_prev) - 1, len(row_curr) - 1, 0)
-        nxt = [
-            (pivot * at(row_prev, j + 1) - row_prev[0] * at(row_curr, j + 1)) / pivot
-            for j in range(width)
-        ]
-        row_prev, row_curr = row_curr, nxt
-        if not row_curr:
-            break
-    return all(c > 0 for c in first_col)
+        prev, row = row, _primitive(_pseudo_divrem(prev, row)[1])
+    return True

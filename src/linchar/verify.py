@@ -220,11 +220,12 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
             for i in order:
                 roots.extend([zs[i]] * mult)
                 radii.extend([rads[i]] * mult)
-        scale = max(abs(float(x)) for x in p.coeffs)
+        floats = [float(c) for c in p.coeffs]
+        scale = max(abs(x) for x in floats)
         residual = 0.0
         for z in roots:
-            val = abs(p.evaluate(complex(z)))
-            denom = sum(abs(float(c)) * max(1.0, abs(z)) ** i for i, c in enumerate(p.coeffs))
+            val = abs(_horner2(floats, z)[0])
+            denom = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(floats))
             residual = max(residual, val / denom if denom else val / scale)
     except OverflowError as exc:
         raise OutOfDoubleRange(_OUT_OF_RANGE) from exc
@@ -268,12 +269,11 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     if p.degree == 0:
         return LineCheckReport(True, center, "exact-sturm", {"degree": 0})
     g = p.compose_affine(1, center)
-    parity_ok = g.compose_affine(-1, 0) == g.scale((-1) ** g.degree)
-    if not parity_ok:
-        return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
     eps = g.degree % 2
+    if any(g.coeffs[1 - eps::2]):
+        return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
     ghat = RatPoly(g.coeffs[eps::2])
-    on_line = ghat.degree == 0 or all_roots_real_nonpositive(ghat)
+    on_line = all_roots_real_nonpositive(ghat)
     details = {
         "parity_ok": True,
         "even_part": ghat.to_json(),
@@ -311,8 +311,9 @@ def halfplane_exact(p: RatPoly, bound_times_2: int) -> bool:
     """Exact verdict that every root satisfies Re t < H/2 (H = bound_times_2).
 
     Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of q.
-    The Routh test decides it either way: a zero pivot or a zero row in the
-    Routh array proves a root with Re t >= H/2, so the verdict is False.
+    The Routh test decides it either way: a Routh row whose degree falls by
+    more than one (a zero pivot or a zero row of the array) proves a root
+    with Re t >= H/2, so the verdict is False.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linchar.errors import InexactDivision
@@ -77,7 +77,6 @@ class TestRatPolyBasics:
 
     def test_squarefree(self):
         p = RatPoly.from_roots([-1, -1, -3])
-        assert p.squarefree_part() == RatPoly.from_roots([-1, -3])
         assert p.squarefree_factors() == [
             (RatPoly.from_roots([-3]), 1),
             (RatPoly.from_roots([-1]), 2),
@@ -194,7 +193,53 @@ class TestSturm:
             assert sturm_real_root_count(p, NEG_INF, POS_INF) == len(set(roots))
 
 
+@st.composite
+def planted_root_polys(draw):
+    """(p, expected): p = lead * prod (t - r)^k * prod ((t - a)^2 + b^2)^j with
+    rational r of either sign (0 included), k in 1..3, b != 0 and j in 1..2,
+    so every root is real and <= 0 exactly when no r is positive and there
+    is no complex pair."""
+    linear = draw(
+        st.lists(
+            st.tuples(st.one_of(st.just(Fraction(0)), small_fractions), st.integers(1, 3)),
+            max_size=3,
+        )
+    )
+    pairs = draw(
+        st.lists(
+            st.tuples(small_fractions, small_fractions.filter(bool), st.integers(1, 2)),
+            max_size=2,
+        )
+    )
+    p = RatPoly((draw(small_fractions.filter(bool)),))
+    for r, k in linear:
+        p = p * RatPoly((-r, 1)) ** k
+    for a, b, j in pairs:
+        p = p * RatPoly((a * a + b * b, -2 * a, 1)) ** j
+    return p, not pairs and all(r <= 0 for r, _k in linear)
+
+
 class TestAllRootsRealNonpositive:
+    @given(case=planted_root_polys())
+    @settings(max_examples=120, deadline=None)
+    def test_planted_factors(self, case):
+        p, expected = case
+        assert all_roots_real_nonpositive(p) is expected
+
+    @given(case=planted_root_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_roots(self, case):
+        sympy = pytest.importorskip("sympy")
+        p, _expected = case
+        if p.degree == 0:
+            return
+        x = sympy.Symbol("x")
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        expr = sympy.Poly(coeffs, x)
+        real = sympy.real_roots(expr)  # with multiplicity
+        expected = len(real) == p.degree and all(r <= 0 for r in real)
+        assert all_roots_real_nonpositive(p) is expected
+
     def test_examples(self):
         assert all_roots_real_nonpositive(RatPoly.from_roots([-1, -1, -3]))
         assert not all_roots_real_nonpositive(poly(1, 0, 1))
@@ -385,10 +430,6 @@ class TestIntegerPaths:
         if p.is_zero:
             return
         assert p.squarefree_factors() == fraction_squarefree_factors(p)
-        if p.degree > 0:
-            assert p.squarefree_part() == fraction_exact_div(
-                p, fraction_gcd(p, p.derivative())
-            ).monic()
 
     @given(p=polys_with_repeats(), a=endpoints, b=endpoints)
     @settings(max_examples=80, deadline=None)
@@ -468,11 +509,26 @@ def hurwitz_minors(p):
     return minors
 
 
+@st.composite
+def routh_inputs(draw):
+    """Integer or rational coefficients, and in half of the draws only the
+    even or only the odd powers of t, so that one parity part vanishes."""
+    entries = st.one_of(
+        st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    )
+    coeffs = draw(st.lists(entries, min_size=1, max_size=7))
+    parity = draw(st.sampled_from([None, None, 0, 1]))
+    if parity is not None:
+        coeffs = [c if j % 2 == parity else 0 for j, c in enumerate(coeffs)]
+    return RatPoly(coeffs)
+
+
 class TestRouthAgainstHurwitzMinors:
-    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=7))
+    @given(routh_inputs())
+    @example(poly(2, 0, 3, 0, 1))  # t^4 + 3t^2 + 2: the odd part vanishes
+    @example(poly(0, 1, 0, 1))  # t^3 + t: the even part vanishes
     @settings(max_examples=300, deadline=None)
-    def test_matches_hurwitz_determinants(self, coeffs):
-        p = RatPoly(coeffs)
+    def test_matches_hurwitz_determinants(self, p):
         if p.is_zero:
             return
         expected = all(d > 0 for d in hurwitz_minors(p))

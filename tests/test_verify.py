@@ -242,6 +242,22 @@ class TestCheckOnLineExact:
         for m in range(1, 31):
             assert check_on_line_exact(char_poly(rid("G2"), m), 6 * m).on_line
 
+    @pytest.mark.parametrize("c", [0, 3, Fraction(5, 2), -2])
+    def test_multiple_root_at_the_sturm_endpoint(self, c):
+        # each even part has a multiple root at u = 0, where an undivided
+        # Sturm chain vanishes in every element
+        s, M = RatPoly((-c, 1)), int(2 * c)  # t - c and the line Re t = M/2
+        assert check_on_line_exact(s**5, M).on_line
+        assert check_on_line_exact(s**4 * (s * s + 1), M).on_line
+        assert not check_on_line_exact(s**4 * (s * s - 1), M).on_line
+
+    def test_e6_at_m_zero(self):
+        # char_poly(E6, 0) = t^6, whose even part about M = 0 is u^3
+        p = char_poly(rid("E6"), 0)
+        assert p == RatPoly.monomial(6)
+        rep = check_on_line_exact(p, 0)
+        assert rep.on_line and rep.details["even_part"] == RatPoly.monomial(3).to_json()
+
 
 class TestCheckOnLineNumeric:
     def test_agrees_with_exact_on_line(self):

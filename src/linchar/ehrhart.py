@@ -3,21 +3,27 @@ quasi-polynomial data type, and its shift-operator action.
 
 L_Phi(q) counts nonnegative integer vectors (m_1..m_l) with
 sum(c_i m_i) <= q, equivalently the coefficients of the series
-1 / prod_{i=0..l} (1 - z^{c_i}) with the slack mark c_0 = 1.  Constituent d
-is interpolated from the l+1 denumerant counts at d, d+n, ..., d+l*n (n the
-period) through their integer forward differences: every constituent is an
-integer numerator over the one common denominator n**l * l!, and each
-coefficient is divided once, when the polynomial is built.  A guard checks
-every integer 0..3n(l+1) against the counts, in integers, before anything
-is returned.
+1 / prod_{i=0..l} (1 - z^{c_i}) with the slack mark c_0 = 1.  The whole
+build runs on Python ints.  The denumerant counts are running sums, one
+per mark c and residue class mod c.  Constituent d is interpolated from the
+l+1 counts at d, d+n, ..., d+l*n (n the period) through their integer
+forward differences, all n residues at once: every constituent is an
+integer numerator over the one common denominator n**l * l!, and the table
+is then divided by the gcd of that denominator and all numerators, which
+leaves the least common denominator of the constituents.  A guard checks
+every integer 0..3n(l+1) against the counts on this table, in integers,
+before anything is returned.  The result holds only the table, which is
+what the shift kernel reads; `Fraction` coefficients are made only when a
+constituent is first read as a `RatPoly`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Sequence
 
 from .errors import SelfCheckFailed
 from .ratpoly import IntegerTable, RatPoly, shift_constituent
@@ -28,25 +34,58 @@ from .rootdata import RootSystemId, lookup
 SERIES_MAX = 10**6
 
 
-@dataclass(frozen=True)
 class QuasiPoly:
-    """A period and one constituent polynomial per residue class."""
+    """A period and one constituent polynomial per residue class.
 
-    period: int
-    constituents: tuple[RatPoly, ...]
+    An instance holds its constituents either as `RatPoly`s or, when made by
+    `from_table`, as integer numerators over one common denominator; the
+    other form is derived on first use and kept.
+    """
 
-    def __post_init__(self):
-        if self.period < 1 or len(self.constituents) != self.period:
+    def __init__(self, period: int, constituents: Sequence[RatPoly]):
+        constituents = tuple(constituents)
+        if period < 1 or len(constituents) != period:
             raise ValueError("need exactly one constituent per residue class")
+        vars(self).update(period=period, constituents=constituents)
 
-    def constituent(self, d: int) -> RatPoly:
-        return self.constituents[d % self.period]
+    @classmethod
+    def from_table(cls, table: IntegerTable) -> "QuasiPoly":
+        """The quasi-polynomial with constituent r = table.nums[r] / table.den.
+
+        `table` is kept as `numerators`, so it should be over the least
+        common denominator, as `IntegerTable.of` would give it."""
+        if not table.nums:
+            raise ValueError("need exactly one constituent per residue class")
+        qp = cls.__new__(cls)
+        vars(qp).update(period=len(table.nums), numerators=table)
+        return qp
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuasiPoly is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuasiPoly):
+            return NotImplemented
+        return self.period == other.period and self.constituents == other.constituents
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.constituents))
+
+    def __repr__(self) -> str:
+        return f"QuasiPoly(period={self.period!r}, constituents={self.constituents!r})"
+
+    @cached_property
+    def constituents(self) -> tuple[RatPoly, ...]:
+        den, nums = self.numerators
+        return tuple(RatPoly(Fraction(c, den) for c in num) for num in nums)
 
     @cached_property
     def numerators(self) -> IntegerTable:
-        """The constituents over their common denominator, computed once per
-        instance (so once per system for the cached `ehrhart_qp`)."""
+        """The constituents over their least common denominator."""
         return IntegerTable.of(self.constituents)
+
+    def constituent(self, d: int) -> RatPoly:
+        return self.constituents[d % self.period]
 
     def value(self, q: int) -> Fraction:
         """Evaluate at an integer, using mathematical mod (valid for q < 0)."""
@@ -71,67 +110,74 @@ class QuasiPoly:
 
 
 def _denumerant_counts(marks, upto: int) -> list[int]:
-    """counts[q] = #{m >= 0 : sum marks_i * m_i = q} for q = 0..upto."""
+    """counts[q] = #{m >= 0 : sum marks_i * m_i = q} for q = 0..upto.
+
+    Each mark c turns dp[q] += dp[q - c] into a running sum along every
+    residue class mod c."""
     dp = [0] * (upto + 1)
     dp[0] = 1
     for c in marks:
-        for q in range(c, upto + 1):
-            dp[q] += dp[q - c]
+        for r in range(c):
+            dp[r::c] = accumulate(dp[r::c])
     return dp
 
 
-def _newton_numerator(samples: list[int], d: int, n: int) -> list[int]:
-    """Integer numerator N of the degree-l polynomial p through the points
-    (d + j*n, samples[j]), j = 0..l, with p = N / (n**l * l!).
+def _newton_numerators(counts: list[int], n: int, l: int) -> list[tuple[int, ...]]:
+    """Integer numerators N_d, d = 0..n-1, of the degree-l polynomials p_d
+    through the points (d + j*n, counts[d + j*n]), j = 0..l, with
+    p_d = N_d / (n**l * l!); ascending coefficients.
 
     Newton's forward-difference form with step n gives
-    p(t) = sum_k Delta^k y_0 / (k! n^k) * prod_{i<k} (t - d - i*n); over the
+    p_d(t) = sum_k Delta^k y_0 / (k! n^k) * prod_{i<k} (t - d - i*n); over the
     common denominator the weight of the k-th basis product is the integer
     Delta^k y_0 * n^(l-k) * l!/k!.  The sum is expanded in nested form,
-    w_0 + (t - d)(w_1 + (t - d - n)(w_2 + ...)), ascending coefficients.
+    w_0 + (t - d)(w_1 + (t - d - n)(w_2 + ...)).  Every step runs on all n
+    residues at once: each list below is indexed by d.
     """
-    heads, diffs = [], list(samples)  # heads[k] = Delta^k y_0
-    while diffs:
-        heads.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    num: list[int] = []
+    rows = [counts[j * n : j * n + n] for j in range(l + 1)]  # rows[j][d] = y_j of residue d
+    heads = []  # heads[k][d] = Delta^k y_0 of residue d
+    while rows:
+        heads.append(rows[0])
+        rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
+    num: list[list[int]] = []  # num[j][d] = coefficient of t^j in N_d
     scale = 1  # n^(l-k) * l!/k!
-    for k in range(len(samples) - 1, -1, -1):
-        root = d + k * n
+    for k in range(l, -1, -1):
+        roots = range(k * n, k * n + n)  # d + k*n
         # num <- num * (t - root) + weight_k
-        num = [0] + num
+        num = [[0] * n] + num
         for j in range(len(num) - 1):
-            num[j] -= root * num[j + 1]
-        num[0] += heads[k] * scale
+            num[j] = [a - root * b for a, b, root in zip(num[j], num[j + 1], roots)]
+        num[0] = [a + h * scale for a, h in zip(num[0], heads[k])]
         scale *= n * k
-    return num
-
-
-def _horner(coeffs: list[int], x: int) -> int:
-    """Value at x of the polynomial with ascending coefficients `coeffs`."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    return list(zip(*num))
 
 
 @lru_cache(maxsize=None)
 def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
-    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi."""
+    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi.
+
+    It comes back holding only its integer numerator table, reduced to the
+    least common denominator; its `RatPoly` constituents are built when
+    something first reads them."""
     data = lookup(ident)
     n, l = data.period, data.rank
-    guard_upto = 3 * n * (l + 1)
-    counts = _denumerant_counts(data.marks, guard_upto)
+    counts = _denumerant_counts(data.marks, 3 * n * (l + 1))
+    nums = _newton_numerators(counts, n, l)
     den = n**l * math.factorial(l)
-    nums = [_newton_numerator(counts[d : d + l * n + 1 : n], d, n) for d in range(n)]
-    for q in range(guard_upto + 1):
-        if _horner(nums[q % n], q) != counts[q] * den:
+    g = math.gcd(den, *(c for num in nums for c in num))
+    den //= g
+    nums = tuple(tuple(c // g for c in num) for num in nums)
+    descending = [num[::-1] for num in nums]
+    for q, count in enumerate(counts):
+        acc = 0
+        for c in descending[q % n]:
+            acc = acc * q + c
+        if acc != count * den:
             raise SelfCheckFailed(
                 f"period guard failed for {ident} at q = {q}: "
                 f"interpolation disagrees with the denumerant count"
             )
-    constituents = tuple(RatPoly(Fraction(c, den) for c in num) for num in nums)
-    return QuasiPoly(period=n, constituents=constituents)
+    return QuasiPoly.from_table(IntegerTable(den, nums))
 
 
 def series_coeffs(ident: RootSystemId, count: int) -> list[int]:

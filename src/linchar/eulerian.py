@@ -3,31 +3,29 @@ small-rank Weyl-group oracle.
 
 The production path for R_Phi is the product formula
 R_Phi(x) = [c_0]_x [c_1]_x ... [c_l]_x * R_{A_l}(x), where [c]_x is the
-x-analogue 1 + x + ... + x^(c-1).  The ascent-statistic definition over the
-Weyl group is kept only as an independently derived oracle for rank <= 3.
+x-analogue 1 + x + ... + x^(c-1), computed over Python ints.  The
+ascent-statistic definition over the Weyl group is kept only as an
+independently derived oracle for rank <= 3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import InexactDivision, SelfCheckFailed, UnsupportedRank
 from .ratpoly import RatPoly
 from .rootdata import RootSystemId, lookup, positive_roots
 
 
-@lru_cache(maxsize=None)
-def _eulerian_row(n: int) -> tuple[int, ...]:
-    """Eulerian numbers A(n, 0..n-1) via the additive recurrence."""
-    if n == 1:
-        return (1,)
-    prev = _eulerian_row(n - 1)
-
-    def a(k: int) -> int:
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    return tuple((k + 1) * a(k) + (n - k) * a(k - 1) for k in range(n))
+def _eulerian_row(n: int) -> list[int]:
+    """Eulerian numbers A(n, 0..n-1), built row by row with the additive
+    recurrence A(k, j) = (j+1) A(k-1, j) + (k-j) A(k-1, j-1)."""
+    row = [1]
+    for k in range(2, n + 1):
+        row = [(j + 1) * a + (k - j) * b for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -35,24 +33,23 @@ def classical_eulerian(rank: int) -> RatPoly:
     """R_{A_l}(x) = x * A_l(x): lowest term x, degree l."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    return RatPoly((0,) + _eulerian_row(rank))
-
-
-def q_analogue(c: int) -> RatPoly:
-    """[c]_x = (x^c - 1)/(x - 1) = 1 + x + ... + x^(c-1)."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return RatPoly((1,) * c)
+    return RatPoly([0] + _eulerian_row(rank))
 
 
 @lru_cache(maxsize=None)
 def generalized_eulerian(ident: RootSystemId) -> RatPoly:
-    """R_Phi(x) by the cyclotomic product formula; degree h-1, integer coefficients."""
+    """R_Phi(x) = [c_0]_x ... [c_l]_x * R_{A_l}(x); degree h-1, integer coefficients.
+
+    The product is taken over Python ints: multiplying by the x-analogue
+    [c]_x = 1 + x + ... + x^(c-1) is a window sum of width c: one prefix sum,
+    then one difference per coefficient.  Only the result becomes `Fraction`s.
+    """
     data = lookup(ident)
-    poly = classical_eulerian(data.rank)
+    coeffs = [0] + _eulerian_row(data.rank)
     for c in data.marks:
-        poly = poly * q_analogue(c)
-    return poly
+        prefix = list(accumulate([0] * c + coeffs + [0] * (c - 1)))
+        coeffs = [hi - lo for hi, lo in zip(prefix[c:], prefix)]
+    return RatPoly(coeffs)
 
 
 def truncate_half(R: RatPoly, h: int) -> RatPoly:

@@ -49,6 +49,18 @@ class TestEnvelope:
         assert code == 0
         assert abs(data["result"]["max_real_part"] - 14.6604) < 1e-3
 
+    def test_eulerian_of_rank_500_in_a_fresh_interpreter(self):
+        # A fresh interpreter has no Eulerian rows cached from earlier tests.
+        proc = run_subprocess(
+            "from linchar.cli import main\n"
+            "raise SystemExit(main(['eulerian', 'A500', '--json']))",
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        coeffs = json.loads(proc.stdout)["result"]["coeffs"]
+        assert len(coeffs) == 501
+        assert coeffs[0] == ["0", "1"] and coeffs[1] == coeffs[500] == ["1", "1"]
+
     def test_round_trip_identity(self, capsys):
         code, out = run_cli(capsys, "ehrhart", "G2", "--series", "6", "--json")
         assert code == 0

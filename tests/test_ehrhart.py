@@ -12,12 +12,30 @@ from linchar.ehrhart import (
     series_coeffs,
 )
 from linchar.eulerian import generalized_eulerian, truncate_half
-from linchar.ratpoly import RatPoly
+from linchar.ratpoly import IntegerTable, RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
 
 
 def rid(text):
     return RootSystemId.parse(text)
+
+
+#: Every exceptional system and the classical families up to rank 30.
+TWO_PATH_IDS = tuple(
+    [RootSystemId(family, l) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for l in range(lo, 31)]
+    + [rid(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+)
+
+
+def nested_denumerant_counts(marks, upto):
+    """The denumerant DP as one nested loop, dp[q] += dp[q - c]: a second
+    path for the running sums of `_denumerant_counts`."""
+    dp = [0] * (upto + 1)
+    dp[0] = 1
+    for c in marks:
+        for q in range(c, upto + 1):
+            dp[q] += dp[q - c]
+    return dp
 
 
 def gcd_witness(L: QuasiPoly):
@@ -60,6 +78,21 @@ class TestQuasiPoly:
     def test_json_round_trip(self):
         qp = ehrhart_qp(rid("G2"))
         assert QuasiPoly.from_json(qp.to_json()) == qp
+
+    def test_from_table_builds_constituents_on_first_read(self):
+        qp = QuasiPoly.from_table(IntegerTable(6, ((3, 2), (1,))))
+        assert "constituents" not in vars(qp)
+        assert qp == QuasiPoly(2, (RatPoly((Fraction(1, 2), Fraction(1, 3))), RatPoly((Fraction(1, 6),))))
+        assert qp.numerators == (6, ((3, 2), (1,)))
+
+    def test_from_table_validates(self):
+        with pytest.raises(ValueError):
+            QuasiPoly.from_table(IntegerTable(1, ()))
+
+    def test_immutable(self):
+        qp = QuasiPoly(1, (RatPoly((1,)),))
+        with pytest.raises(AttributeError):
+            qp.period = 2
 
 
 class TestEhrhartQP:
@@ -109,6 +142,20 @@ class TestEhrhartQP:
             assert len(set(L.constituents)) > 1
 
 
+class TestIntegerBuild:
+    @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
+    def test_counts_match_nested_loop(self, ident):
+        data = lookup(ident)
+        upto = 3 * data.period * (data.rank + 1)
+        assert ehrhart._denumerant_counts(data.marks, upto) == nested_denumerant_counts(data.marks, upto)
+
+    @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
+    def test_table_is_the_reduced_table_of_the_constituents(self, ident):
+        L = ehrhart_qp.__wrapped__(ident)
+        assert "constituents" not in vars(L)
+        assert IntegerTable.of(L.constituents) == L.numerators
+
+
 class TestInterpolation:
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
     def test_matches_fraction_lagrange(self, ident):
@@ -124,13 +171,19 @@ class TestInterpolation:
         # (0, 1), (1, 3), (2, 7) lie on t^2 + t + 1
         assert lagrange([(0, 1), (1, 3), (2, 7)]) == RatPoly((1, 1, 1))
 
-    @pytest.mark.parametrize("name", ["G2", "B3", "E6", "A4"])
-    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("name", ["G2", "B3", "E6", "A4", "F4", "E8"])
+    @pytest.mark.parametrize("where", ["first", "last", "first-residue-1", "last-residue-n-1"])
     def test_period_guard_catches_a_count_past_the_nodes(self, monkeypatch, name, where):
         data = lookup(rid(name))
         n, l = data.period, data.rank
         guard_upto = 3 * n * (l + 1)
-        q = l * n + n if where == "first" else guard_upto
+        # The nodes of residue r are r + j*n, j <= l; each q is past them.
+        q = {
+            "first": (l + 1) * n,
+            "last": guard_upto,
+            "first-residue-1": (l + 1) * n + 1,
+            "last-residue-n-1": guard_upto - 1,
+        }[where]
         honest = ehrhart._denumerant_counts
 
         def perturbed(marks, upto):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,28 @@ def rid(text):
     return RootSystemId.parse(text)
 
 
+#: Every exceptional system and the classical families up to rank 30.
+TWO_PATH_IDS = tuple(
+    [RootSystemId(family, l) for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for l in range(lo, 31)]
+    + [rid(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+)
+
+
+def q_analogue(c: int) -> RatPoly:
+    """[c]_x = (x^c - 1)/(x - 1) = 1 + x + ... + x^(c-1)."""
+    return RatPoly((1,) * c)
+
+
+def product_formula(ident) -> RatPoly:
+    """R_Phi = R_{A_l} * prod_i [c_i]_x as `RatPoly` products over Fraction:
+    a second path for the integer window sums of `generalized_eulerian`."""
+    data = lookup(ident)
+    poly = classical_eulerian(data.rank)
+    for c in data.marks:
+        poly = poly * q_analogue(c)
+    return poly
+
+
 class TestClassicalEulerian:
     def test_small_ranks(self):
         assert classical_eulerian(1) == RatPoly((0, 1))
@@ -33,6 +56,17 @@ class TestClassicalEulerian:
                 lookup(RootSystemId("A", l)).weyl_order, l + 1
             )
 
+    def test_rank_past_the_recursion_limit(self):
+        # With the caches empty, no row computed by an earlier test can stand
+        # in for the rows below 600.
+        classical_eulerian.cache_clear()
+        generalized_eulerian.cache_clear()
+        R = generalized_eulerian(RootSystemId("A", 600))
+        assert R.degree == 600
+        assert R.coeff(1) == R.coeff(600) == 1
+        assert R.coeff(2) == 2**600 - 601
+        assert R.evaluate(1) == math.factorial(600)
+
 
 class TestGeneralizedEulerian:
     def test_g2(self):
@@ -42,6 +76,10 @@ class TestGeneralizedEulerian:
         assert generalized_eulerian(rid("E6")) == RatPoly(
             (0, 1, 61, 537, 1916, 3782, 4686, 3782, 1916, 537, 61, 1)
         )
+
+    @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
+    def test_matches_fraction_product(self, ident):
+        assert generalized_eulerian(ident) == product_formula(ident)
 
     def test_type_a_reduces_to_classical(self):
         for l in (1, 3, 5):

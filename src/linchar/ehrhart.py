@@ -12,9 +12,9 @@ integer numerator over the one common denominator n**l * l!, and the table
 is then divided by the gcd of that denominator and all numerators, which
 leaves the least common denominator of the constituents.  A guard checks
 every integer 0..3n(l+1) against the counts on this table, in integers,
-before anything is returned.  The result holds only the table, which is
-what the shift kernel reads; `Fraction` coefficients are made only when a
-constituent is first read as a `RatPoly`.
+before anything is returned.  Each constituent is then its row of the table
+over the common denominator, as a `RatPoly` in canonical form; no `Fraction`
+is made.
 """
 
 from __future__ import annotations
@@ -35,30 +35,13 @@ SERIES_MAX = 10**6
 
 
 class QuasiPoly:
-    """A period and one constituent polynomial per residue class.
-
-    An instance holds its constituents either as `RatPoly`s or, when made by
-    `from_table`, as integer numerators over one common denominator; the
-    other form is derived on first use and kept.
-    """
+    """A period and one constituent polynomial per residue class."""
 
     def __init__(self, period: int, constituents: Sequence[RatPoly]):
         constituents = tuple(constituents)
         if period < 1 or len(constituents) != period:
             raise ValueError("need exactly one constituent per residue class")
         vars(self).update(period=period, constituents=constituents)
-
-    @classmethod
-    def from_table(cls, table: IntegerTable) -> "QuasiPoly":
-        """The quasi-polynomial with constituent r = table.nums[r] / table.den.
-
-        `table` is kept as `numerators`, so it should be over the least
-        common denominator, as `IntegerTable.of` would give it."""
-        if not table.nums:
-            raise ValueError("need exactly one constituent per residue class")
-        qp = cls.__new__(cls)
-        vars(qp).update(period=len(table.nums), numerators=table)
-        return qp
 
     def __setattr__(self, name, value):
         raise AttributeError("QuasiPoly is immutable")
@@ -75,13 +58,9 @@ class QuasiPoly:
         return f"QuasiPoly(period={self.period!r}, constituents={self.constituents!r})"
 
     @cached_property
-    def constituents(self) -> tuple[RatPoly, ...]:
-        den, nums = self.numerators
-        return tuple(RatPoly(Fraction(c, den) for c in num) for num in nums)
-
-    @cached_property
     def numerators(self) -> IntegerTable:
-        """The constituents over their least common denominator."""
+        """The constituents over their least common denominator, as the shift
+        kernel reads them."""
         return IntegerTable.of(self.constituents)
 
     def constituent(self, d: int) -> RatPoly:
@@ -89,7 +68,7 @@ class QuasiPoly:
 
     def value(self, q: int) -> Fraction:
         """Evaluate at an integer, using mathematical mod (valid for q < 0)."""
-        return self.constituent(q).evaluate(Fraction(q))
+        return self.constituent(q).evaluate(q)
 
     @property
     def degree(self) -> int:
@@ -154,11 +133,7 @@ def _newton_numerators(counts: list[int], n: int, l: int) -> list[tuple[int, ...
 
 @lru_cache(maxsize=None)
 def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
-    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi.
-
-    It comes back holding only its integer numerator table, reduced to the
-    least common denominator; its `RatPoly` constituents are built when
-    something first reads them."""
+    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi."""
     data = lookup(ident)
     n, l = data.period, data.rank
     counts = _denumerant_counts(data.marks, 3 * n * (l + 1))
@@ -177,7 +152,7 @@ def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
                 f"period guard failed for {ident} at q = {q}: "
                 f"interpolation disagrees with the denumerant count"
             )
-    return QuasiPoly.from_table(IntegerTable(den, nums))
+    return QuasiPoly(n, (RatPoly.over(num, den) for num in nums))
 
 
 def series_coeffs(ident: RootSystemId, count: int) -> list[int]:
@@ -195,8 +170,8 @@ def series_coeffs(ident: RootSystemId, count: int) -> list[int]:
     for c in data.marks:
         factor = [0] * (c + 1)
         factor[0], factor[c] = 1, -1
-        denom = denom * RatPoly(factor)
-    a = [int(x) for x in denom.coeffs]
+        denom = denom * RatPoly.over(factor)
+    a = denom.nums
     out = [0] * count
     out[0] = 1
     for k in range(1, count):

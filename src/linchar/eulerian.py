@@ -10,7 +10,6 @@ independently derived oracle for rank <= 3.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -33,7 +32,7 @@ def classical_eulerian(rank: int) -> RatPoly:
     """R_{A_l}(x) = x * A_l(x): lowest term x, degree l."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    return RatPoly([0] + _eulerian_row(rank))
+    return RatPoly.over([0] + _eulerian_row(rank))
 
 
 @lru_cache(maxsize=None)
@@ -42,14 +41,14 @@ def generalized_eulerian(ident: RootSystemId) -> RatPoly:
 
     The product is taken over Python ints: multiplying by the x-analogue
     [c]_x = 1 + x + ... + x^(c-1) is a window sum of width c: one prefix sum,
-    then one difference per coefficient.  Only the result becomes `Fraction`s.
+    then one difference per coefficient.
     """
     data = lookup(ident)
     coeffs = [0] + _eulerian_row(data.rank)
     for c in data.marks:
         prefix = list(accumulate([0] * c + coeffs + [0] * (c - 1)))
         coeffs = [hi - lo for hi, lo in zip(prefix[c:], prefix)]
-    return RatPoly(coeffs)
+    return RatPoly.over(coeffs)
 
 
 def truncate_half(R: RatPoly, h: int) -> RatPoly:
@@ -60,10 +59,10 @@ def truncate_half(R: RatPoly, h: int) -> RatPoly:
     """
     if R.degree != h - 1:
         raise ValueError(f"degree mismatch: deg R = {R.degree}, expected h - 1 = {h - 1}")
-    coeffs = list(R.coeffs[: (h + 1) // 2])  # indices < ceil(h/2), i.e. < h/2 for even h
-    if h % 2 == 0:
-        coeffs.append(R.coeff(h // 2) / 2)
-    return RatPoly(coeffs)
+    nums = R.nums[: (h + 1) // 2]  # indices < ceil(h/2), i.e. < h/2 for even h
+    if h % 2:
+        return RatPoly.over(nums, R.den)
+    return RatPoly.over([2 * x for x in nums] + [R.nums[h // 2]], 2 * R.den)
 
 
 def _weyl_elements(cartan, rank: int):
@@ -121,11 +120,11 @@ def asc_oracle(ident: RootSystemId) -> RatPoly:
             f"expected {data.weyl_order}"
         )
     f = data.index_of_connection
-    coeffs = [Fraction(0)] * (max(counts) + 1)
+    coeffs = [0] * (max(counts) + 1)
     for asc, cnt in counts.items():
         if cnt % f != 0:
             raise InexactDivision(
                 f"ascent count {cnt} at exponent {asc} is not divisible by f = {f}"
             )
-        coeffs[asc] = Fraction(cnt // f)
-    return RatPoly(coeffs)
+        coeffs[asc] = cnt // f
+    return RatPoly.over(coeffs)

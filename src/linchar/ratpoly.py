@@ -1,16 +1,15 @@
 """Exact univariate polynomials over Q, the shift-operator calculus, and
 exact real-root counting (Sturm sequences, Routh-Hurwitz).
 
-Coefficients are `fractions.Fraction` and every operation in this module is
-exact; floating point never enters here.  Polynomials are dense, stored
-ascending (``coeffs[j]`` multiplies ``t**j``), normalized so the top
-coefficient is nonzero; the zero polynomial has an empty coefficient tuple.
-A shift operator f(S) is a `RatPoly` read in S: ``coeffs[i]`` multiplies
-S**i, where (S g)(t) = g(t - 1).
-
-The hot routines (substitution, gcd, exact division, Sturm chains and the
-shift kernel) work on integer numerators over one common denominator and
-build `Fraction`s only for their output coefficients.
+A `RatPoly` is integer numerators over one positive common denominator:
+``nums[j] / den`` multiplies ``t**j``, stored ascending, in canonical form
+(gcd(den, *nums) = 1, top numerator nonzero; the zero polynomial is
+``nums == ()`` over ``den == 1``).  Every routine computes on these integers
+and returns through `RatPoly.over`, the one normalising constructor;
+``coeffs``, ``coeff(j)`` and ``leading`` are `fractions.Fraction` views for
+callers.  Floating point never enters here.  A shift operator f(S) is a
+`RatPoly` read in S: ``coeffs[i]`` multiplies S**i, where
+(S g)(t) = g(t - 1).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InexactDivision
@@ -35,13 +35,6 @@ def _frac(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
-
-
-def _normalize(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    cs = [_frac(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
 
 
 def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -79,12 +72,15 @@ def _primitive(a: Sequence[int]) -> list[int]:
 
 
 class RatPoly:
-    """Dense polynomial over Q in one variable (conventionally t)."""
+    """Dense polynomial over Q in one variable (conventionally t), stored as
+    ``nums`` over ``den`` in canonical form (see the module docstring)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        cs = [_frac(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls.over([c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -92,12 +88,28 @@ class RatPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def over(cls, nums: Iterable[int], den: int = 1) -> "RatPoly":
+        """The polynomial with coefficients nums[j] / den, in canonical form."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        if not den:
+            raise ZeroDivisionError("polynomial with denominator 0")
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        p = object.__new__(cls)
+        object.__setattr__(p, "nums", tuple(nums))
+        object.__setattr__(p, "den", den)
+        return p
+
+    @classmethod
     def zero(cls) -> "RatPoly":
         return cls()
 
     @classmethod
     def one(cls) -> "RatPoly":
-        return cls((1,))
+        return cls.over((1,))
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "RatPoly":
@@ -117,28 +129,34 @@ class RatPoly:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Ascending coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, j: int) -> Fraction:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[j], self.den) if 0 <= j < len(self.nums) else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return isinstance(other, RatPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(("RatPoly", self.coeffs))
+        return hash(("RatPoly", self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"RatPoly({list(self.coeffs)!r})"
@@ -150,13 +168,13 @@ class RatPoly:
             other = RatPoly((other,))
         if not isinstance(other, RatPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(self.coeff(j) + other.coeff(j) for j in range(n))
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return RatPoly.over([x * other.den + y * self.den for x, y in pairs], self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
+        return RatPoly.over([-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> "RatPoly":
         return self + (-other if isinstance(other, RatPoly) else RatPoly((-_frac(other),)))
@@ -171,20 +189,19 @@ class RatPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    out[i + j] += a * b
+        return RatPoly.over(out, self.den * other.den)
 
     def __rmul__(self, other) -> "RatPoly":
         return self.scale(other)
 
     def scale(self, s: Scalar) -> "RatPoly":
         s = _frac(s)
-        return RatPoly(c * s for c in self.coeffs)
+        return RatPoly.over([x * s.numerator for x in self.nums], self.den * s.denominator)
 
     def __pow__(self, k: int) -> "RatPoly":
         if k < 0:
@@ -200,10 +217,19 @@ class RatPoly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, x):
-        """Horner evaluation; exact for Fraction/int x, numeric otherwise."""
+        """Horner evaluation; exact (a Fraction) for Fraction/int x, numeric
+        otherwise."""
+        if isinstance(x, (int, Fraction)):
+            # homogenized Horner over Z: v = sum nums_k u^k w^(deg - k)
+            u, w = x.numerator, x.denominator
+            v, wpow = 0, 1
+            for c in reversed(self.nums):
+                v = v * u + c * wpow
+                wpow *= w
+            return Fraction(v * w, self.den * wpow)
         acc = 0 if not isinstance(x, complex) else 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, (int, Fraction)) else float(c))
+        for c in reversed(self.nums):
+            acc = acc * x + c / self.den
         return acc
 
     __call__ = evaluate
@@ -211,14 +237,14 @@ class RatPoly:
     def compose_affine(self, a: Scalar, b: Scalar) -> "RatPoly":
         """Exact substitution t -> a*t + b.
 
-        With self = N/D, a = an/ad and b = bn/bd, integer Horner forms
-        sum_k N_k * c^(n-k) * (A*t + B)^k for A = an*bd, B = bn*ad, c = ad*bd,
-        and each coefficient is divided once by D * c^n.
+        With a = an/ad and b = bn/bd, integer Horner forms
+        sum_k nums_k * c^(n-k) * (A*t + B)^k for A = an*bd, B = bn*ad,
+        c = ad*bd, and the result is that over den * c^n.
         """
         if self.is_zero:
             return self
         a, b = _frac(a), _frac(b)
-        den, (nums,) = IntegerTable.of((self,))
+        nums = self.nums
         A, B = a.numerator * b.denominator, b.numerator * a.denominator
         c = a.denominator * b.denominator
         acc = [nums[-1]]
@@ -231,11 +257,10 @@ class RatPoly:
                 nxt[i + 1] += A * x
             nxt[0] += coeff * cpow
             acc = nxt
-        scale = den * cpow
-        return RatPoly(Fraction(x, scale) for x in acc)
+        return RatPoly.over(acc, self.den * cpow)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(j * self.coeffs[j] for j in range(1, len(self.coeffs)))
+        return RatPoly.over([j * x for j, x in enumerate(self.nums)][1:], self.den)
 
     # -- division, gcd, square-free structure --------------------------------
 
@@ -245,16 +270,16 @@ class RatPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return self
-        _, (a, b) = IntegerTable.of((self, other))
-        q, r, mult = _pseudo_divrem(a, b)
+        q, r, mult = _pseudo_divrem(self.nums, other.nums)
         if r:
             raise InexactDivision("division was not exact")
-        return RatPoly(Fraction(x, mult) for x in q)
+        # (nums / den) / (other.nums / other.den) = (q / mult) * other.den / den
+        return RatPoly.over([x * other.den for x in q], mult * self.den)
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(Fraction(1) / self.leading)
+        return RatPoly.over(self.nums, self.nums[-1])
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd over Q, by a primitive remainder sequence over Z."""
@@ -262,14 +287,13 @@ class RatPoly:
             return RatPoly.one() if self.is_zero else self.monic()
         if self.is_zero:
             return other.monic()
-        a, b = map(_primitive, IntegerTable.of((self, other)).nums)
+        a, b = _primitive(self.nums), _primitive(other.nums)
         while True:
             r = _pseudo_divrem(a, b)[1]
             if not r:
                 break
             a, b = b, _primitive(r)
-        lead = b[-1]
-        return RatPoly(Fraction(x, lead) for x in b)
+        return RatPoly.over(b, b[-1])
 
     def squarefree_factors(self) -> list[tuple["RatPoly", int]]:
         """Yun decomposition: [(f_1, 1), (f_2, 2), ...] with
@@ -303,8 +327,7 @@ class RatPoly:
 
     def pretty(self, var: str = "t") -> str:
         terms = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
+        for j, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mag = abs(c)
@@ -332,9 +355,8 @@ class IntegerTable(NamedTuple):
 
     @classmethod
     def of(cls, polys: Sequence[RatPoly]) -> "IntegerTable":
-        den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-        nums = tuple(tuple(c.numerator * (den // c.denominator) for c in p.coeffs) for p in polys)
-        return cls(den, nums)
+        den = math.lcm(*(p.den for p in polys))
+        return cls(den, tuple(tuple(x * (den // p.den) for x in p.nums) for p in polys))
 
 
 @lru_cache(maxsize=None)
@@ -350,23 +372,21 @@ def shift_constituent(f: RatPoly, step: int, constituents: IntegerTable, d: int)
         sum_i f_i * g_{(d - step*i) mod period}(t - step*i).
 
     The i are grouped by residue r = (d - step*i) mod period, and each class
-    keeps the integer moments mu_j = sum_i F*f_i * (-step*i)^j, where F clears
-    the denominators of f.  Then [t^p] = sum_k g_{r,k} C(k, p) mu_(k-p) summed
-    over the classes, divided once by F * den.  Exact throughout.
+    keeps the integer moments mu_j = sum_i f.nums[i] * (-step*i)^j.  Then
+    [t^p] = sum_k g_{r,k} C(k, p) mu_(k-p) summed over the classes, over
+    f.den * den.  Exact throughout.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     den, nums = constituents
     period = len(nums)
     size = max(map(len, nums), default=0)
-    fden = math.lcm(*(c.denominator for c in f.coeffs))
     moments: dict[int, list[int]] = {}
-    for i, fi in enumerate(f.coeffs):
-        if fi == 0:
+    for i, x in enumerate(f.nums):
+        if not x:
             continue
         shift = -step * i
         mu = moments.setdefault((d + shift) % period, [0] * size)
-        x = fi.numerator * (fden // fi.denominator)
         for j in range(size):
             mu[j] += x
             x *= shift
@@ -378,13 +398,12 @@ def shift_constituent(f: RatPoly, step: int, constituents: IntegerTable, d: int)
                 row = binom[k]
                 for p in range(k + 1):
                     out[p] += gk * row[p] * mu[k - p]
-    scale = fden * den
-    return RatPoly(Fraction(c, scale) for c in out)
+    return RatPoly.over(out, f.den * den)
 
 
 def apply_shift(f: RatPoly, step: int, g: RatPoly) -> RatPoly:
     """Apply f(S**step) to g: sum_i f_i * g(t - step*i), exactly."""
-    return shift_constituent(f, step, IntegerTable.of((g,)), 0)
+    return shift_constituent(f, step, IntegerTable(g.den, (g.nums,)), 0)
 
 
 # -- Sturm sequences -----------------------------------------------------------
@@ -400,7 +419,7 @@ def _sturm_chain(p: RatPoly) -> tuple[list[list[int]], int]:
     exactly by g, again up to a positive factor: the result is a Sturm chain
     of p/g that is valid at every point, the roots of p included.
     """
-    chain = [_primitive(IntegerTable.of((p,)).nums[0])]
+    chain = [_primitive(p.nums)]
     deriv = [j * c for j, c in enumerate(chain[0])][1:]
     if deriv:
         chain.append(_primitive(deriv))
@@ -488,13 +507,12 @@ def routh_hurwitz_all_roots_left(p: RatPoly) -> bool:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.leading < 0:
-        p = -p
-    if any(c < 0 for c in p.coeffs):
+    nums = p.nums if p.nums[-1] > 0 else [-x for x in p.nums]
+    if any(x < 0 for x in nums):
         return False
     n = p.degree
-    parts = [RatPoly(c if (n - j) % 2 == k else 0 for j, c in enumerate(p.coeffs)) for k in (0, 1)]
-    prev, row = IntegerTable.of(parts).nums
+    parts = ([x if (n - j) % 2 == k else 0 for j, x in enumerate(nums)] for k in (0, 1))
+    prev, row = (RatPoly.over(part).nums for part in parts)  # trailing zeros dropped
     while len(prev) > 1:
         if len(row) != len(prev) - 1 or row[-1] < 0:
             return False

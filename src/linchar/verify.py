@@ -91,8 +91,8 @@ def _horner2(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
 def _monic_floats(poly: RatPoly) -> list[float]:
     """Ascending coefficients as doubles, scaled by the largest one and then
     divided by the leading one."""
-    scale = max(abs(x) for x in poly.coeffs)
-    floats = [float(x / scale) for x in poly.coeffs]
+    scale = max(map(abs, poly.nums))
+    floats = [x / scale for x in poly.nums]
     lead = floats[-1]
     if lead == 0:
         raise OutOfDoubleRange(_OUT_OF_RANGE)
@@ -189,7 +189,7 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], bool]:
     status = _aberth(c, z, radius, _STALL_ITER)
     if status != "stalled":
         return z, _inclusion_radii(c, z), status == "converged"
-    centroid = -factor.coeffs[-2] / (n * factor.coeffs[-1])
+    centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
     shift = float(centroid)
     c = _monic_floats(factor.compose_affine(1, centroid))
     s = [zj - shift for zj in z]
@@ -220,7 +220,7 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
             for i in order:
                 roots.extend([zs[i]] * mult)
                 radii.extend([rads[i]] * mult)
-        floats = [float(c) for c in p.coeffs]
+        floats = [c / p.den for c in p.nums]
         scale = max(abs(x) for x in floats)
         residual = 0.0
         for z in roots:
@@ -270,9 +270,9 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
         return LineCheckReport(True, center, "exact-sturm", {"degree": 0})
     g = p.compose_affine(1, center)
     eps = g.degree % 2
-    if any(g.coeffs[1 - eps::2]):
+    if any(g.nums[1 - eps::2]):
         return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
-    ghat = RatPoly(g.coeffs[eps::2])
+    ghat = RatPoly.over(g.nums[eps::2], g.den)
     on_line = all_roots_real_nonpositive(ghat)
     details = {
         "parity_ok": True,

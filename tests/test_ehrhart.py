@@ -12,7 +12,7 @@ from linchar.ehrhart import (
     series_coeffs,
 )
 from linchar.eulerian import generalized_eulerian, truncate_half
-from linchar.ratpoly import IntegerTable, RatPoly
+from linchar.ratpoly import RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
 
 
@@ -79,16 +79,6 @@ class TestQuasiPoly:
         qp = ehrhart_qp(rid("G2"))
         assert QuasiPoly.from_json(qp.to_json()) == qp
 
-    def test_from_table_builds_constituents_on_first_read(self):
-        qp = QuasiPoly.from_table(IntegerTable(6, ((3, 2), (1,))))
-        assert "constituents" not in vars(qp)
-        assert qp == QuasiPoly(2, (RatPoly((Fraction(1, 2), Fraction(1, 3))), RatPoly((Fraction(1, 6),))))
-        assert qp.numerators == (6, ((3, 2), (1,)))
-
-    def test_from_table_validates(self):
-        with pytest.raises(ValueError):
-            QuasiPoly.from_table(IntegerTable(1, ()))
-
     def test_immutable(self):
         qp = QuasiPoly(1, (RatPoly((1,)),))
         with pytest.raises(AttributeError):
@@ -152,8 +142,10 @@ class TestIntegerBuild:
     @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
     def test_table_is_the_reduced_table_of_the_constituents(self, ident):
         L = ehrhart_qp.__wrapped__(ident)
-        assert "constituents" not in vars(L)
-        assert IntegerTable.of(L.constituents) == L.numerators
+        coeffs = [c.coeffs for c in L.constituents]
+        den = math.lcm(*(x.denominator for row in coeffs for x in row))
+        assert L.numerators.den == den
+        assert L.numerators.nums == tuple(tuple(x * den for x in row) for row in coeffs)
 
 
 class TestInterpolation:

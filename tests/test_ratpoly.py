@@ -398,7 +398,74 @@ def polys_with_repeats(draw):
 endpoints = st.one_of(st.just(NEG_INF), st.just(POS_INF), small_fractions)
 
 
+def fraction_form(coeffs):
+    """Fraction coefficients with the trailing zeros dropped, as `coeffs` reads."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def assert_canonical(p):
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
 class TestIntegerPaths:
+    @given(p=small_polys, q=small_polys)
+    @settings(max_examples=100, deadline=None)
+    def test_add_sub_mul_match_fraction_formulas(self, p, q):
+        n = max(p.degree, q.degree) + 1
+        sums = [p.coeff(j) + q.coeff(j) for j in range(n)]
+        diffs = [p.coeff(j) - q.coeff(j) for j in range(n)]
+        prods = [
+            sum((p.coeff(i) * q.coeff(k - i) for i in range(k + 1)), Fraction(0))
+            for k in range(2 * n)
+        ]
+        for got, want in ((p + q, sums), (p - q, diffs), (p * q, prods)):
+            assert got.coeffs == fraction_form(want)
+            assert_canonical(got)
+
+    @given(p=small_polys, s=small_fractions)
+    @settings(max_examples=100, deadline=None)
+    def test_scale_derivative_monic_match_fraction_formulas(self, p, s):
+        assert p.scale(s).coeffs == fraction_form(c * s for c in p.coeffs)
+        assert p.derivative().coeffs == fraction_form(j * c for j, c in enumerate(p.coeffs) if j)
+        for got in (p.scale(s), p.derivative()):
+            assert_canonical(got)
+        if not p.is_zero:
+            monic = p.monic()
+            assert monic.coeffs == fraction_form(c / p.coeffs[-1] for c in p.coeffs)
+            assert_canonical(monic)
+
+    @given(p=small_polys, x=st.one_of(st.integers(-20, 20), small_fractions))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_evaluate_matches_fraction_sum(self, p, x):
+        value = p.evaluate(x)
+        assert isinstance(value, Fraction)
+        assert value == sum((c * Fraction(x) ** j for j, c in enumerate(p.coeffs)), Fraction(0))
+
+    @given(
+        nums=st.lists(st.integers(-50, 50), max_size=6),
+        den=st.integers(-30, 30).filter(bool),
+        k=st.integers(-12, 12).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_over_is_canonical(self, nums, den, k):
+        p = RatPoly.over(nums, den)
+        q = RatPoly.over([k * x for x in nums], k * den)
+        assert_canonical(p)
+        assert (q.den, q.nums, hash(q)) == (p.den, p.nums, hash(p))
+        assert p == q == RatPoly([Fraction(x, den) for x in nums])
+
+    def test_over_examples(self):
+        assert (RatPoly.over((), 5).nums, RatPoly.over((), 5).den) == ((), 1)
+        p = RatPoly.over([2, 4, 0], -6)
+        assert (p.nums, p.den) == ((-1, -2), 3)
+        assert p.coeffs == (Fraction(-1, 3), Fraction(-2, 3))
+        with pytest.raises(ZeroDivisionError):
+            RatPoly.over([1], 0)
+
     @given(p=small_polys, a=small_fractions, b=small_fractions)
     @settings(max_examples=100, deadline=None)
     def test_compose_affine_matches_fraction_horner(self, p, a, b):

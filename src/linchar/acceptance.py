@@ -1,8 +1,11 @@
 """The full verification suite: one callable per acceptance criterion.
 
-Each check recomputes its claim from scratch and returns a CheckResult; the
-CLI `verify-all` subcommand and the test suite both drive this module, so a
-passing matrix here and a green pytest run certify the same facts.
+Each check recomputes its claim from scratch and returns `(passed, detail)`
+or `(passed, detail, reported)`; its docstring is the criterion's name.
+`run_all` numbers the criteria by their position in `ALL_CHECKS` and builds
+each `CheckResult`.  The CLI `verify-all` subcommand and the test suite both
+drive `run_all`, so a passing matrix here and a green pytest run certify the
+same facts.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import ehrhart, eulerian, linial, ratpoly, rootdata, verify
+from . import ehrhart, eulerian, linial, rootdata, verify
 from .ratpoly import RatPoly
 from .rootdata import ALL_TABLE_IDS, EXCEPTIONAL_IDS, RootSystemId
 
@@ -29,8 +32,6 @@ def _ids(*names: str) -> list[RootSystemId]:
     return [RootSystemId.parse(n) for n in names]
 
 
-# -- 1: Table of root systems ---------------------------------------------------
-
 _PRINTED_ROWS = {
     "A3": ((1, 2, 3), (1, 1, 1, 1), 4, 4, 24, 1, 1),
     "B4": ((1, 3, 5, 7), (1, 1, 2, 2, 2), 8, 2, 384, 2, 2),
@@ -44,7 +45,8 @@ _PRINTED_ROWS = {
 }
 
 
-def check_table1() -> CheckResult:
+def check_table1():
+    """Table of root systems"""
     for name, row in _PRINTED_ROWS.items():
         data = rootdata.lookup(RootSystemId.parse(name))
         got = (
@@ -57,7 +59,7 @@ def check_table1() -> CheckResult:
             data.rad_period,
         )
         if got != row:
-            return CheckResult(1, "Table of root systems", False, f"{name}: {got} != {row}")
+            return False, f"{name}: {got} != {row}"
     for ident in ALL_TABLE_IDS:
         d = rootdata.lookup(ident)
         l, h = d.rank, d.coxeter_number
@@ -71,14 +73,12 @@ def check_table1() -> CheckResult:
             and h % d.rad_period == 0
         )
         if not ok:
-            return CheckResult(1, "Table of root systems", False, f"invariants fail for {ident}")
-    return CheckResult(1, "Table of root systems", True, f"{len(ALL_TABLE_IDS)} systems")
+            return False, f"invariants fail for {ident}"
+    return True, f"{len(ALL_TABLE_IDS)} systems"
 
 
-# -- 2: Eulerian polynomials -----------------------------------------------------
-
-
-def check_eulerian() -> CheckResult:
+def check_eulerian():
+    """Eulerian polynomials"""
     checks = [
         (eulerian.classical_eulerian(2), RatPoly((0, 1, 1))),
         (eulerian.classical_eulerian(6), RatPoly((0, 1, 57, 302, 302, 57, 1))),
@@ -89,31 +89,27 @@ def check_eulerian() -> CheckResult:
     ]
     for got, want in checks:
         if got != want:
-            return CheckResult(2, "Eulerian polynomials", False, f"{got} != {want}")
+            return False, f"{got} != {want}"
     for name in ("A1", "A2", "B2", "G2"):
         ident = RootSystemId.parse(name)
         if eulerian.asc_oracle(ident) != eulerian.generalized_eulerian(ident):
-            return CheckResult(2, "Eulerian polynomials", False, f"asc oracle mismatch for {name}")
-    return CheckResult(2, "Eulerian polynomials", True)
+            return False, f"asc oracle mismatch for {name}"
+    return True, ""
 
 
-# -- 3: Worpitzky identity --------------------------------------------------------
-
-
-def check_worpitzky() -> CheckResult:
+def check_worpitzky():
+    """Worpitzky identity"""
     for ident in ALL_TABLE_IDS:
         data = rootdata.lookup(ident)
         qp = linial.char_quasi(ident, 0)
         want = RatPoly.monomial(data.rank)
         if any(c != want for c in qp.constituents):
-            return CheckResult(3, "Worpitzky identity", False, f"fails for {ident}")
-    return CheckResult(3, "Worpitzky identity", True, f"{len(ALL_TABLE_IDS)} systems")
+            return False, f"fails for {ident}"
+    return True, f"{len(ALL_TABLE_IDS)} systems"
 
 
-# -- 4: the G2 worked example ------------------------------------------------------
-
-
-def check_g2_example() -> CheckResult:
+def check_g2_example():
+    """G2 worked example"""
     g2 = RootSystemId.parse("G2")
     twelfth = Fraction(1, 12)
     L_expect = {
@@ -126,7 +122,7 @@ def check_g2_example() -> CheckResult:
     for ds, want in L_expect.items():
         for d in ds:
             if L.constituent(d) != want:
-                return CheckResult(4, "G2 worked example", False, f"L constituent {d}")
+                return False, f"L constituent {d}"
     weyl_expect = {
         (1, 5): RatPoly((5, -6, 1)),
         (2, 4): RatPoly((8, -6, 1)),
@@ -137,28 +133,26 @@ def check_g2_example() -> CheckResult:
     for ds, want in weyl_expect.items():
         for d in ds:
             if Wq.constituent(d) != want:
-                return CheckResult(4, "G2 worked example", False, f"Weyl constituent {d}")
+                return False, f"Weyl constituent {d}"
     cq = linial.char_quasi(g2, 1)
     odd, even = RatPoly((11, -6, 1)), RatPoly((14, -6, 1))
     for d in range(6):
         want = odd if d % 2 == 1 else even
         if cq.constituent(d) != want:
-            return CheckResult(4, "G2 worked example", False, f"chi constituent {d}")
+            return False, f"chi constituent {d}"
     half0 = linial.half_char_quasi(g2, 0)
     half0_expect = {0: RatPoly((0, 10, 6)), 1: RatPoly((-4, 10, 6)), 2: RatPoly((4, 10, 6))}
     for d in range(6):
         if half0.constituent(d) != half0_expect[d % 3].scale(twelfth):
-            return CheckResult(4, "G2 worked example", False, f"half (m=0) constituent {d}")
+            return False, f"half (m=0) constituent {d}"
     half1 = linial.half_char_quasi(g2, 1)
     half1_c = {0: 12, 1: 5, 2: 10, 3: 3, 4: 14, 5: 1}
     for d in range(6):
         want = RatPoly((half1_c[d], -8, 3)).scale(Fraction(1, 6))
         if half1.constituent(d) != want:
-            return CheckResult(4, "G2 worked example", False, f"half (m=1) constituent {d}")
-    return CheckResult(4, "G2 worked example", True)
+            return False, f"half (m=1) constituent {d}"
+    return True, ""
 
-
-# -- 5: table of maximal real parts -------------------------------------------------
 
 _TABLE2 = {"E6": 5.3703, "E7": 8.4367, "E8": 14.6604, "F4": 4.8967, "G2": 2.166}
 
@@ -172,41 +166,38 @@ _E6_PRINTED_ROOTS = [
 ]
 
 
-def check_table2() -> CheckResult:
+def check_table2():
+    """Maximal real parts"""
     for name, want in _TABLE2.items():
         got = verify.max_real_part(verify.limit_poly(RootSystemId.parse(name)))
         if abs(got - want) > 1e-3:
-            return CheckResult(5, "Maximal real parts", False, f"{name}: {got} vs {want}")
+            return False, f"{name}: {got} vs {want}"
     roots = verify.find_roots(verify.limit_poly(RootSystemId.parse("E6"))).roots
     dist = verify._match_distance(roots, _E6_PRINTED_ROOTS)
     if dist > 1e-4:
-        return CheckResult(5, "Maximal real parts", False, f"E6 roots off by {dist}")
-    return CheckResult(5, "Maximal real parts", True)
+        return False, f"E6 roots off by {dist}"
+    return True, ""
 
 
-# -- 6: half-plane bound for limit polynomials ----------------------------------------
-
-
-def check_halfplane() -> CheckResult:
+def check_halfplane():
+    """Half-plane bound"""
     lines = []
     for ident in EXCEPTIONAL_IDS:
         h = rootdata.lookup(ident).coxeter_number
         F = verify.limit_poly(ident)
         if not verify.halfplane_exact(F, h):
-            return CheckResult(6, "Half-plane bound", False, f"{ident}: exact verdict False")
+            return False, f"{ident}: exact verdict False"
         lines.append(f"{ident}: exact")
-    return CheckResult(6, "Half-plane bound", True, "; ".join(lines))
+    return True, "; ".join(lines)
 
 
-# -- 7: reciprocity and the functional equation ----------------------------------------
-
-
-def check_reciprocity_functional() -> CheckResult:
+def check_reciprocity_functional():
+    """Reciprocity + functional equation"""
     for ident in ALL_TABLE_IDS:
         data = rootdata.lookup(ident)
         L = ehrhart.ehrhart_qp(ident)
         if not ehrhart.check_reciprocity(L, data.rank, data.coxeter_number):
-            return CheckResult(7, "Reciprocity + functional equation", False, f"reciprocity {ident}")
+            return False, f"reciprocity {ident}"
         sign = (-1) ** data.rank
         for m in range(0, 6):
             cq = linial.char_quasi(ident, m)
@@ -215,16 +206,9 @@ def check_reciprocity_functional() -> CheckResult:
                 lhs = cq.constituent(d)
                 rhs = cq.constituent(mh - d).compose_affine(-1, mh).scale(sign)
                 if lhs != rhs:
-                    return CheckResult(
-                        7,
-                        "Reciprocity + functional equation",
-                        False,
-                        f"functional equation fails for {ident}, m={m}, d={d}",
-                    )
-    return CheckResult(7, "Reciprocity + functional equation", True, "m <= 5, all systems")
+                    return False, f"functional equation fails for {ident}, m={m}, d={d}"
+    return True, "m <= 5, all systems"
 
-
-# -- 8: admissible residues -------------------------------------------------------------
 
 _TABLE3 = {
     "E6": ((1, 2, 3, 6), 1),
@@ -235,13 +219,12 @@ _TABLE3 = {
 }
 
 
-def check_admissible() -> CheckResult:
+def check_admissible():
+    """Admissible residues"""
     for name, (divisors, m0) in _TABLE3.items():
         rep = linial.admissible_residues(RootSystemId.parse(name))
         if rep.divisors != divisors or rep.m0 != m0:
-            return CheckResult(
-                8, "Admissible residues", False, f"{name}: {rep.divisors}, m0={rep.m0}"
-            )
+            return False, f"{name}: {rep.divisors}, m0={rep.m0}"
     # re-verify the defining constituent equalities directly
     for ident in EXCEPTIONAL_IDS:
         data = rootdata.lookup(ident)
@@ -253,19 +236,12 @@ def check_admissible() -> CheckResult:
                 base = cq.constituent(d)
                 for k in range(rep.m0):
                     if cq.constituent(d + k * h) != base or cq.constituent(-d + k * h) != base:
-                        return CheckResult(
-                            8,
-                            "Admissible residues",
-                            False,
-                            f"defining equality fails: {ident} d={d} m={m} k={k}",
-                        )
-    return CheckResult(8, "Admissible residues", True, "definition re-verified for m = 1..6")
+                        return False, f"defining equality fails: {ident} d={d} m={m} k={k}"
+    return True, "definition re-verified for m = 1..6"
 
 
-# -- 9: averaging identity -----------------------------------------------------------------
-
-
-def check_averaging() -> CheckResult:
+def check_averaging():
+    """Averaging identity"""
     for ident in EXCEPTIONAL_IDS:
         data = rootdata.lookup(ident)
         sign = (-1) ** data.rank
@@ -277,13 +253,9 @@ def check_averaging() -> CheckResult:
                 F = linial.averaged_half(ident, m, d)
                 recombined = F + F.compose_affine(-1, mh).scale(sign)
                 if recombined != cq.constituent(d):
-                    return CheckResult(
-                        9, "Averaging identity", False, f"{ident} m={m} d={d}"
-                    )
-    return CheckResult(9, "Averaging identity", True, "all admissible residues, m <= 4")
+                    return False, f"{ident} m={m} d={d}"
+    return True, "all admissible residues, m <= 4"
 
-
-# -- 10: line certification ------------------------------------------------------------------
 
 _ASSERTED_M = {
     "G2": tuple(range(1, 31)),
@@ -294,7 +266,8 @@ _ASSERTED_M = {
 }
 
 
-def check_line_certification() -> CheckResult:
+def check_line_certification():
+    """Line certification"""
     reported = []
     for name, asserted in _ASSERTED_M.items():
         ident = RootSystemId.parse(name)
@@ -306,9 +279,7 @@ def check_line_certification() -> CheckResult:
             verdicts[m] = rep.on_line
         for m in asserted:
             if not verdicts[m]:
-                return CheckResult(
-                    10, "Line certification", False, f"{name} m={m} expected on-line"
-                )
+                return False, f"{name} m={m} expected on-line"
         on = [m for m, v in verdicts.items() if v]
         off = [m for m, v in verdicts.items() if not v]
         smallest = min(on) if on else None
@@ -316,37 +287,30 @@ def check_line_certification() -> CheckResult:
             f"{name}: smallest certified m = {smallest}; on-line for m={on}"
             + (f"; off for m={off}" if off else "")
         )
-    return CheckResult(10, "Line certification", True, "asserted set passes", reported)
+    return True, "asserted set passes", reported
 
 
-# -- 11: enumeration oracle ---------------------------------------------------------------------
-
-
-def check_oracle() -> CheckResult:
+def check_oracle():
+    """Enumeration oracle"""
     for ident in _ids("A2", "B2", "G2"):
         h = rootdata.lookup(ident).coxeter_number
         for m in range(0, 4):
             cq = linial.char_quasi(ident, m)
             for q in range(m * h + 1, 151):
                 if verify.bruteforce_modq(ident, m, q) != cq.value(q):
-                    return CheckResult(
-                        11, "Enumeration oracle", False, f"{ident} m={m} q={q}"
-                    )
-    return CheckResult(11, "Enumeration oracle", True, "A2/B2/G2, m <= 3, q <= 150")
+                    return False, f"{ident} m={m} q={q}"
+    return True, "A2/B2/G2, m <= 3, q <= 150"
 
 
-# -- 12: asymptotics ----------------------------------------------------------------------------
-
-
-def check_asymptotics() -> CheckResult:
+def check_asymptotics():
+    """Asymptotic root tracking"""
     track = verify.asymptotic_track(RootSystemId.parse("E6"), 1, [10, 100, 1000])
     dists = [dist for _m, dist in track]
     if not (dists[0] > dists[1] > dists[2]):
-        return CheckResult(12, "Asymptotic root tracking", False, f"not decreasing: {track}")
+        return False, f"not decreasing: {track}"
     if dists[2] >= 0.05:
-        return CheckResult(12, "Asymptotic root tracking", False, f"m=1000 distance {dists[2]}")
-    detail = ", ".join(f"m={m}: {dist:.4f}" for m, dist in track)
-    return CheckResult(12, "Asymptotic root tracking", True, detail)
+        return False, f"m=1000 distance {dists[2]}"
+    return True, ", ".join(f"m={m}: {dist:.4f}" for m, dist in track)
 
 
 ALL_CHECKS = (
@@ -366,10 +330,10 @@ ALL_CHECKS = (
 
 
 def run_all(numbers=None) -> list[CheckResult]:
-    """Run the selected criteria (all by default), in order."""
-    results = []
-    for i, check in enumerate(ALL_CHECKS, start=1):
-        if numbers is not None and i not in numbers:
-            continue
-        results.append(check())
-    return results
+    """Run the selected criteria (all by default), in order.  A criterion's
+    number is its position in ALL_CHECKS and its name its check's docstring."""
+    return [
+        CheckResult(number, check.__doc__, *check())
+        for number, check in enumerate(ALL_CHECKS, start=1)
+        if numbers is None or number in numbers
+    ]

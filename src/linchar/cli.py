@@ -1,10 +1,16 @@
 """Command-line front end.
 
 Subcommands delegate 1:1 to the library; `verify-all` runs the full
-acceptance matrix.  Human output prints polynomials in descending powers
-(variable t, or x for Eulerian polynomials); JSON output is an envelope
-{"command", "inputs", "result", "schema_version"} with ascending
-coefficients serialized as decimal-string pairs.
+acceptance matrix.  Each handler returns its result and its human lines
+(`verify-all` also its exit code), and `main` alone writes the report.
+Human output prints polynomials in descending powers (variable t, or x for
+Eulerian polynomials).  JSON output is an envelope
+{"command", "inputs", "result", "schema_version"}: "command" is the command
+path joined by "-" (`oracle-modq`), "inputs" holds every argument of the
+command except `--json`, `--out` and `--exact`, and polynomials are
+ascending coefficients serialized as decimal-string pairs.  An error
+envelope {"command", "error", "message", "schema_version"} carries the same
+"command".
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -23,6 +30,10 @@ from .eulerian import generalized_eulerian, truncate_half
 from .rootdata import RootSystemId
 
 SCHEMA_VERSION = 1
+
+# Arguments that say how a report is written or computed, not what it is
+# about; the envelope's "inputs" leaves them out.
+_NOT_INPUTS = ("json", "out", "exact")
 
 # Argument converters (and RootSystemId.parse) raise ValueError with the
 # message a usage error shows.
@@ -38,7 +49,7 @@ def _m_list(text: str) -> list[int]:
     return numbers
 
 
-def _criteria_list(text: str) -> set[int]:
+def _criteria_list(text: str) -> list[int]:
     try:
         numbers = {int(x) for x in text.split(",") if x.strip()}
     except ValueError:
@@ -46,69 +57,33 @@ def _criteria_list(text: str) -> set[int]:
     count = len(acceptance.ALL_CHECKS)
     if not numbers or not numbers <= set(range(1, count + 1)):
         raise ValueError(f"expected criterion numbers in 1..{count}, got {text!r}")
-    return numbers
+    return sorted(numbers)
 
 
 def to_json_str(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+    """Indented JSON; a dataclass is written as the dict of its fields."""
+    return json.dumps(obj, indent=2, sort_keys=False, default=asdict)
 
 
-def _emit(args, envelope: dict, human_lines) -> None:
-    if args.json:
-        text = to_json_str(envelope)
-    else:
-        text = "\n".join(human_lines)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
-def _envelope(command: str, inputs: dict, result) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "schema_version": SCHEMA_VERSION,
-    }
-
-
-def _qp_human(qp, var: str = "q", collapse: bool = False) -> list[str]:
+def _qp_human(qp) -> list[str]:
+    """The constituents of `qp`, equal ones on one line."""
+    groups: dict = {}
+    for d in range(qp.period):
+        groups.setdefault(qp.constituents[d], []).append(d)
     lines = [f"period {qp.period}"]
-    if collapse:
-        groups: dict = {}
-        for d in range(qp.period):
-            groups.setdefault(qp.constituents[d], []).append(d)
-        for poly, ds in sorted(groups.items(), key=lambda kv: kv[1][0]):
-            residues = ", ".join(str(d) for d in ds)
-            lines.append(f"{var} = {residues} (mod {qp.period}):  {poly.pretty(var)}")
-    else:
-        for d in range(qp.period):
-            lines.append(f"{var} = {d} (mod {qp.period}):  {qp.constituents[d].pretty(var)}")
+    for poly, ds in groups.items():
+        residues = ", ".join(str(d) for d in ds)
+        lines.append(f"q = {residues} (mod {qp.period}):  {poly.pretty('q')}")
     return lines
 
 
 # -- subcommand handlers ---------------------------------------------------------
+#
+# Each returns (result, human lines); `verify-all` adds its exit code.
 
 
 def _cmd_table(args):
-    rows = []
-    for ident in rootdata.ALL_TABLE_IDS:
-        d = rootdata.lookup(ident)
-        rows.append(
-            {
-                "id": str(ident),
-                "rank": d.rank,
-                "exponents": list(d.exponents),
-                "marks": list(d.marks),
-                "coxeter_number": d.coxeter_number,
-                "index_of_connection": d.index_of_connection,
-                "weyl_order": d.weyl_order,
-                "period": d.period,
-                "rad_period": d.rad_period,
-            }
-        )
+    rows = [{"id": str(ident), **asdict(rootdata.lookup(ident))} for ident in rootdata.ALL_TABLE_IDS]
     human = [
         f"{'Phi':<4} {'exponents':<24} {'marks':<22} {'h':>3} {'f':>2} {'|W|':>12} {'n~':>3} {'rad':>4}"
     ]
@@ -119,7 +94,7 @@ def _cmd_table(args):
             f"{r['index_of_connection']:>2} {r['weyl_order']:>12} {r['period']:>3} "
             f"{r['rad_period']:>4}"
         )
-    _emit(args, _envelope("table", {}, rows), human)
+    return rows, human
 
 
 def _cmd_eulerian(args):
@@ -127,170 +102,95 @@ def _cmd_eulerian(args):
     if args.half:
         R = truncate_half(R, rootdata.lookup(args.phi).coxeter_number)
     name = "R^1/2" if args.half else "R"
-    _emit(
-        args,
-        _envelope("eulerian", {"phi": str(args.phi), "half": args.half}, R.to_json()),
-        [f"{name}_{args.phi}(x) = {R.pretty('x')}"],
-    )
+    return R.to_json(), [f"{name}_{args.phi}(x) = {R.pretty('x')}"]
 
 
 def _cmd_ehrhart(args):
     qp = ehrhart.ehrhart_qp(args.phi)
     result = {"quasi_polynomial": qp.to_json()}
-    human = [f"L_{args.phi}:"] + _qp_human(qp, collapse=True)
+    human = [f"L_{args.phi}:"] + _qp_human(qp)
     if args.series is not None:
         coeffs = ehrhart.series_coeffs(args.phi, args.series)
         result["series"] = coeffs
         human.append(f"series[0:{args.series}] = {coeffs}")
-    _emit(
-        args,
-        _envelope("ehrhart", {"phi": str(args.phi), "series": args.series}, result),
-        human,
-    )
+    return result, human
 
 
 def _cmd_charquasi(args):
-    inputs = {
-        "phi": str(args.phi),
-        "m": args.m,
-        "half": args.half,
-        "constituent": args.constituent,
-    }
     kind = "chi^1/2" if args.half else "chi"
     if args.constituent is not None:
         poly = linial.char_constituent(args.phi, args.m, args.constituent, half=args.half)
-        _emit(
-            args,
-            _envelope("charquasi", inputs, poly.to_json()),
-            [f"{kind}({args.phi}, m={args.m}) at d = {args.constituent}: {poly.pretty()}"],
-        )
-    else:
-        qp = (
-            linial.half_char_quasi(args.phi, args.m)
-            if args.half
-            else linial.char_quasi(args.phi, args.m)
-        )
-        _emit(
-            args,
-            _envelope("charquasi", inputs, qp.to_json()),
-            [f"{kind}({args.phi}, m={args.m}):"] + _qp_human(qp, collapse=True),
-        )
+        return poly.to_json(), [
+            f"{kind}({args.phi}, m={args.m}) at d = {args.constituent}: {poly.pretty()}"
+        ]
+    build = linial.half_char_quasi if args.half else linial.char_quasi
+    qp = build(args.phi, args.m)
+    return qp.to_json(), [f"{kind}({args.phi}, m={args.m}):"] + _qp_human(qp)
 
 
 def _cmd_admissible(args):
     rep = linial.admissible_residues(args.phi)
-    result = {
-        "residues": list(rep.residues),
-        "divisors": list(rep.divisors),
-        "m0": rep.m0,
-    }
-    human = [
+    return rep, [
         f"admissible residues of {args.phi}: {', '.join(map(str, rep.residues))}",
         f"admissible divisors: {', '.join(map(str, rep.divisors))}",
         f"m0 = {rep.m0}",
     ]
-    _emit(args, _envelope("admissible", {"phi": str(args.phi)}, result), human)
 
 
 def _cmd_toy(args):
     poly = linial.toy_poly(args.phi, args.m)
     rep = verify.check_on_line_exact(poly, args.m * rootdata.lookup(args.phi).coxeter_number)
-    result = {"polynomial": poly.to_json(), "line_check": rep.to_json()}
-    human = [
+    return {"polynomial": poly.to_json(), "line_check": rep.to_json()}, [
         f"R(S^{args.m + 1}) g = {poly.pretty()}",
         f"all roots on Re t = {rep.center}: {rep.on_line}",
     ]
-    _emit(args, _envelope("toy", {"phi": str(args.phi), "m": args.m}, result), human)
 
 
 def _cmd_check_line(args):
-    h = rootdata.lookup(args.phi).coxeter_number
     poly = linial.char_constituent(args.phi, args.m, args.d)
-    M = args.m * h
-    if args.numeric:
-        rep = verify.check_on_line_numeric(poly, M)
-    else:
-        rep = verify.check_on_line_exact(poly, M)
-    human = [
+    check = verify.check_on_line_numeric if args.numeric else verify.check_on_line_exact
+    rep = check(poly, args.m * rootdata.lookup(args.phi).coxeter_number)
+    return rep.to_json(), [
         f"constituent d = {args.d} of chi({args.phi}, m={args.m}): {poly.pretty()}",
         f"method {rep.method}: all roots on Re t = {rep.center}: {rep.on_line}",
     ]
-    _emit(
-        args,
-        _envelope(
-            "check-line",
-            {"phi": str(args.phi), "m": args.m, "d": args.d, "numeric": args.numeric},
-            rep.to_json(),
-        ),
-        human,
-    )
 
 
 def _cmd_limit_roots(args):
     F = verify.limit_poly(args.phi)
     roots = verify.find_roots(F)
     h = rootdata.lookup(args.phi).coxeter_number
+    top = max(z.real for z in roots.roots)
     result = {
         "polynomial": F.to_json(),
         "roots": roots.to_json(),
-        "max_real_part": max(z.real for z in roots.roots),
+        "max_real_part": top,
         "half_coxeter": h / 2,
     }
     human = [f"F_{args.phi}(t) = {F.pretty()}"]
     human += [f"  root {z.real:+.6f} {z.imag:+.6f}i" for z in roots.roots]
-    human.append(f"max real part = {result['max_real_part']:.6f} (h/2 = {h / 2})")
-    _emit(args, _envelope("limit-roots", {"phi": str(args.phi)}, result), human)
+    human.append(f"max real part = {top:.6f} (h/2 = {h / 2})")
+    return result, human
 
 
 def _cmd_oracle(args):
     count = verify.bruteforce_modq(args.phi, args.m, args.q, unsafe=args.unsafe_q)
     value = linial.char_constituent(args.phi, args.m, args.q).evaluate(Fraction(args.q))
-    result = {
-        "count": count,
-        "char_quasi_value": str(value),
-        "agree": count == value,
-    }
-    human = [
+    return {"count": count, "char_quasi_value": str(value), "agree": count == value}, [
         f"#M_q({args.phi}, m={args.m}, q={args.q}) = {count}",
         f"chi_quasi value = {value} ({'agree' if count == value else 'DISAGREE'})",
     ]
-    _emit(
-        args,
-        _envelope(
-            "oracle-modq",
-            {"phi": str(args.phi), "m": args.m, "q": args.q, "unsafe_q": args.unsafe_q},
-            result,
-        ),
-        human,
-    )
 
 
 def _cmd_track(args):
     pairs = verify.asymptotic_track(args.phi, args.d, args.m_list)
-    result = [{"m": m, "distance": dist} for m, dist in pairs]
     human = [f"scaled-root distance to the limit configuration for {args.phi}, d = {args.d}:"]
     human += [f"  m = {m:>6}: {dist:.6f}" for m, dist in pairs]
-    _emit(
-        args,
-        _envelope(
-            "track", {"phi": str(args.phi), "d": args.d, "m_list": args.m_list}, result
-        ),
-        human,
-    )
+    return [{"m": m, "distance": dist} for m, dist in pairs], human
 
 
 def _cmd_verify_all(args):
     results = acceptance.run_all(args.only)
-    payload = [
-        {
-            "number": r.number,
-            "name": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-            "reported": r.reported,
-        }
-        for r in results
-    ]
     human = []
     for r in results:
         human.append(f"[{r.number:2d}] {'PASS' if r.passed else 'FAIL'} {r.name}"
@@ -298,8 +198,7 @@ def _cmd_verify_all(args):
         human.extend(f"     {line}" for line in r.reported)
     ok = all(r.passed for r in results)
     human.append("all selected criteria pass" if ok else "FAILURES present")
-    _emit(args, _envelope("verify-all", {"only": sorted(args.only) if args.only else None}, payload), human)
-    return 0 if ok else 1
+    return results, human, 0 if ok else 1
 
 
 # -- the command table -------------------------------------------------------------
@@ -321,9 +220,10 @@ class Arg(NamedTuple):
 
 
 class Command(NamedTuple):
-    """One (sub)command: either a `handler` or a group of `subcommands`, whose
-    chosen name is stored under `dest`.  At most one of the flags named in
-    `exclusive` may be given."""
+    """One (sub)command: either a `handler`, which takes the parsed namespace
+    and returns (result, human lines[, exit code]), or a group of
+    `subcommands`, whose chosen name is stored under `dest`.  At most one of
+    the flags named in `exclusive` may be given."""
 
     help: str
     handler: Callable | None = None
@@ -425,12 +325,12 @@ def _arg_name(arg: Arg) -> str:
 def parse_args(argv=None) -> SimpleNamespace:
     """Parse a `linchar` command line (default `sys.argv[1:]`) against COMMANDS.
 
-    Returns a namespace holding `command`, `func` (the handler) and every dest
-    of the command; `oracle modq` adds `oracle_command`.  Options and the
-    positional come in any order; an option's value may follow as the next
-    token, after `=`, or attached to a short flag (`-m5`); a long option may be
-    shortened to any unique prefix; a negative number is a value, not an
-    option; `--` ends the options; a repeated option keeps its last value.
+    Returns a namespace holding `command` and every dest of the command;
+    `oracle modq` adds `oracle_command`.  Options and the positional come in
+    any order; an option's value may follow as the next token, after `=`, or
+    attached to a short flag (`-m5`); a long option may be shortened to any
+    unique prefix; a negative number is a value, not an option; `--` ends
+    the options; a repeated option keeps its last value.
     `-h` prints help and exits 0; a usage error prints the usage and the error
     to stderr and exits 2.
     """
@@ -462,8 +362,6 @@ def _parse_level(command, prog, argv, namespace):
     namespace.update((arg.dest, arg.default) for arg in args)
     if command.subcommands is not None:
         namespace[command.dest] = None
-    else:
-        namespace["func"] = command.handler
 
     # Each token is a positional (None), the separator, or an option
     # (arg, flag, attached value); arg is None for an unknown option.
@@ -649,10 +547,39 @@ def _help(command: Command, prog: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _inputs(command: Command, args) -> dict:
+    """The envelope's "inputs": every argument of `command` but _NOT_INPUTS."""
+    inputs = {}
+    for arg in command.positionals + command.options:
+        if arg.dest not in _NOT_INPUTS:
+            value = getattr(args, arg.dest)
+            inputs[arg.dest] = str(value) if isinstance(value, RootSystemId) else value
+    return inputs
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
+    path, command = [], ROOT
+    while command.subcommands is not None:
+        path.append(getattr(args, command.dest))
+        command = command.subcommands[path[-1]]
+    name = "-".join(path)
     try:
-        code = args.func(args) or 0
+        result, human, *code = command.handler(args)
+        if args.json:
+            text = to_json_str({
+                "command": name,
+                "inputs": _inputs(command, args),
+                "result": result,
+                "schema_version": SCHEMA_VERSION,
+            })
+        else:
+            text = "\n".join(human)
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (`linchar ... | head`).  Point stdout at the
@@ -660,18 +587,18 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (LincharError, ValueError, ZeroDivisionError, OSError) as exc:
-        name = type(exc).__name__
+        error = type(exc).__name__
         if args.json:
             print(to_json_str({
-                "command": args.command,
-                "error": name,
+                "command": name,
+                "error": error,
                 "message": str(exc),
                 "schema_version": SCHEMA_VERSION,
             }))
         else:
-            print(f"error: {name}: {exc}", file=sys.stderr)
+            print(f"error: {error}: {exc}", file=sys.stderr)
         return 1
-    return code
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

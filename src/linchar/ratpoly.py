@@ -85,6 +85,10 @@ class RatPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through `over`, not through __setattr__
+        return RatPoly.over, (self.nums, self.den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -275,6 +275,19 @@ class TestExactGolden:
         assert out == self.CASES[command]
 
 
+class TestHumanGolden:
+    # Human stdout, stderr and exit code of every command path, plus
+    # `verify-all --json`, keyed by the command line.  Every float in them is
+    # printed rounded, so they are the same on every supported Python.
+    CASES = json.loads((GOLDEN / "cli_human_golden.json").read_text())
+
+    @pytest.mark.parametrize("command", CASES)
+    def test_byte_identical(self, capsys, command):
+        code = main(shlex.split(command))
+        out, err = capsys.readouterr()
+        assert {"code": code, "stdout": out, "stderr": err} == self.CASES[command]
+
+
 class TestVerifyAll:
     def test_subset_passes_and_is_deterministic(self, capsys):
         code1, out1 = run_cli(capsys, "verify-all", "--only", "1,2,4", "--json")
@@ -327,9 +340,7 @@ def build_oracle_parser() -> argparse.ArgumentParser:
             else:
                 target.add_argument(*arg.flags, dest=arg.dest, type=arg.type, required=arg.required,
                                     default=arg.default, metavar=arg.metavar, help=arg.help)
-        if command.subcommands is None:
-            parser.set_defaults(func=command.handler)
-        else:
+        if command.subcommands is not None:
             sub = parser.add_subparsers(dest=command.dest, required=True)
             for name, child in command.subcommands.items():
                 fill(sub.add_parser(name, help=child.help), child)
@@ -494,3 +505,53 @@ class TestParser:
                 assert isinstance(agree_with_oracle(argv), dict), argv
                 commands.add(tuple(argv[:2]) if argv[0] == "oracle" else (argv[0],))
         assert commands == set(COMMAND_PATHS)
+
+
+class TestReportEnvelope:
+    # A short query of each command path.
+    QUERIES = {
+        ("table",): "table",
+        ("eulerian",): "eulerian G2",
+        ("ehrhart",): "ehrhart G2",
+        ("charquasi",): "charquasi G2 -m 1",
+        ("admissible",): "admissible G2",
+        ("toy",): "toy G2 -m 1",
+        ("check-line",): "check-line G2 -m 1",
+        ("limit-roots",): "limit-roots G2",
+        ("oracle", "modq"): "oracle modq G2 -m 1 -q 7",
+        ("track",): "track G2 -d 1 --m-list 10",
+        ("verify-all",): "verify-all --only 1",
+    }
+
+    def test_every_command_path_has_a_query(self):
+        assert set(self.QUERIES) == set(COMMAND_PATHS)
+
+    @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+    def test_error_envelope_names_the_command_as_the_result_does(self, capsys, tmp_path, path):
+        argv = shlex.split(self.QUERIES[path]) + ["--json"]
+        code, result = run_json(capsys, *argv)
+        assert code == 0
+        code, error = run_json(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+        assert code == 1
+        assert error["error"] == "FileNotFoundError"
+        assert error["command"] == result["command"] == "-".join(path)
+
+    @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+    def test_inputs_are_the_arguments_but_json_out_and_exact(self, capsys, tmp_path, path):
+        target = tmp_path / "report.json"
+        argv = shlex.split(self.QUERIES[path]) + ["--json", "--out", str(target)]
+        assert main(argv) == 0
+        inputs = json.loads(target.read_text())["inputs"]
+        command = command_at(path)
+        dests = [arg.dest for arg in command.positionals + command.options]
+        assert list(inputs) == [dest for dest in dests if dest not in ("json", "out", "exact")]
+        assert all(isinstance(value, (str, int, list, type(None))) for value in inputs.values())
+
+    def test_check_line_and_verify_all_inputs(self, capsys):
+        code, data = run_json(capsys, "check-line", "G2", "-m", "1", "--exact", "--json")
+        assert code == 0
+        assert data["inputs"] == {"phi": "G2", "m": 1, "d": 1, "numeric": False}
+        code, data = run_json(capsys, "verify-all", "--only", "3,1,3", "--json")
+        assert code == 0
+        assert data["inputs"] == {"only": [1, 3]}
+        assert [r["number"] for r in data["result"]] == [1, 3]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,17 @@ class TestQuasiPoly:
         qp = QuasiPoly(1, (RatPoly((1,)),))
         with pytest.raises(AttributeError):
             qp.period = 2
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda qp: pickle.loads(pickle.dumps(qp))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_equality_and_hash(self, clone):
+        E8 = ehrhart_qp(rid("E8"))
+        for qp in (E8, QuasiPoly(1, (RatPoly.zero(),))):
+            other = clone(qp)
+            assert other == qp and hash(other) == hash(qp)
+            assert other.numerators == qp.numerators
+            with pytest.raises(AttributeError):
+                other.period = 2
 
 
 class TestEhrhartQP:

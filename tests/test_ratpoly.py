@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -90,6 +92,16 @@ class TestRatPolyBasics:
     def test_pretty(self):
         assert poly(11, -6, 1).pretty() == "t^2 - 6*t + 11"
         assert RatPoly.zero().pretty() == "0"
+
+    @pytest.mark.parametrize("p", [RatPoly.zero(), poly(Fraction(-5, 3), 0, 7), poly(4, -6, 2)])
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_equality_hash_and_canonical_form(self, p, clone):
+        q = clone(p)
+        assert q == p and hash(q) == hash(p)
+        assert (q.nums, q.den) == (p.nums, p.den)
+        with pytest.raises(AttributeError):
+            q.den = 2
 
 
 class TestApplyShift:

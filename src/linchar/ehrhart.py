@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import SelfCheckFailed
-from .ratpoly import IntegerTable, RatPoly, shift_constituent
+from .ratpoly import IntegerTable, RatPoly, shift_constituents
 from .rootdata import RootSystemId, lookup
 
 #: Most coefficients `series_coeffs` computes: the list is refused up front
@@ -194,6 +194,5 @@ def check_reciprocity(L: QuasiPoly, rank: int, h: int) -> bool:
 def apply_shift_qp(f: RatPoly, step: int, L: QuasiPoly) -> QuasiPoly:
     """Apply f(S**step) to a quasi-polynomial: the constituent at d becomes
     sum_i f_i * L_{(d - step*i) mod period}(t - step*i)."""
-    table = L.numerators
-    return QuasiPoly(L.period, tuple(shift_constituent(f, step, table, d) for d in range(L.period)))
+    return QuasiPoly(L.period, shift_constituents(f, step, L.numerators, range(L.period)))
 

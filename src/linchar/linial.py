@@ -17,12 +17,14 @@ from functools import lru_cache
 from .ehrhart import QuasiPoly, apply_shift_qp, ehrhart_qp
 from .errors import NotAdmissible, SymmetryViolation
 from .eulerian import generalized_eulerian, truncate_half
-from .ratpoly import RatPoly, apply_shift, shift_constituent
+from .ratpoly import RatPoly, apply_shift, shift_constituents
 from .rootdata import RootSystemId, lookup
 
-# Entries kept per m-keyed quasi-polynomial cache.  The acceptance matrix
-# builds 31 systems for m <= 5 and reads them again in later criteria, so
-# this holds all of it while keeping m-sweeps from growing without limit.
+# Entries kept per m-keyed quasi-polynomial cache, full and half alike.  The
+# acceptance matrix builds 31 systems for m <= 5 and reads them again in later
+# criteria, and `averaged_half` reads every orbit member from one cached half
+# build, so this holds all of it while keeping m-sweeps from growing without
+# limit.
 _QUASI_CACHE_SIZE = 256
 
 
@@ -47,7 +49,8 @@ def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) ->
     when `half`), computed on its own without building the other residues."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return shift_constituent(_operator(ident, half), m + 1, ehrhart_qp(ident).numerators, d)
+    table = ehrhart_qp(ident).numerators
+    return shift_constituents(_operator(ident, half), m + 1, table, (d,))[0]
 
 
 @lru_cache(maxsize=_QUASI_CACHE_SIZE)
@@ -117,10 +120,11 @@ def averaged_half(ident: RootSystemId, m: int, d: int) -> RatPoly:
     report = admissible_residues(ident)
     if d % n not in report.residues:
         raise NotAdmissible(f"residue {d} mod {n} is not admissible for {ident}")
+    half = half_char_quasi(ident, m)
     acc = RatPoly.zero()
     for k in range(report.m0):
         for r in (d + k * h, -d + k * h):
-            acc = acc + char_constituent(ident, m, r, half=True)
+            acc = acc + half.constituent(r)
     return acc.scale(Fraction(1, 2 * report.m0))
 
 

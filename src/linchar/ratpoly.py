@@ -71,6 +71,38 @@ def _primitive(a: Sequence[int]) -> list[int]:
     return [x // g for x in a]
 
 
+#: The prime of the square-free witness, 2**61 - 1.
+WITNESS_PRIME = (1 << 61) - 1
+
+
+def _squarefree_mod_prime(a: Sequence[int]) -> bool:
+    """True if q = `WITNESS_PRIME` does not divide lc(a) and a, a' are
+    coprime over GF(q).
+
+    Then a is square-free over Q (Brown, JACM 18, 1971): a common factor of
+    a and a' of positive degree can be taken primitive in Z[t], its leading
+    coefficient divides lc(a), so it keeps its degree mod q and divides both
+    images there.  False proves nothing.  ``a`` carries no trailing zeros
+    and has degree below q.
+    """
+    q = WITNESS_PRIME
+    if a[-1] % q == 0:
+        return False
+    u = [x % q for x in a]
+    v = [j * x % q for j, x in enumerate(a)][1:]  # lc is deg(a) * lc(a), nonzero mod q
+    while len(v) > 1:
+        inv = pow(v[-1], -1, q)
+        while len(u) >= len(v):
+            c = u[-1] * inv % q
+            k = len(u) - len(v)
+            for j, x in enumerate(v):
+                u[k + j] = (u[k + j] - c * x) % q
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(v) == 1
+
+
 class RatPoly:
     """Dense polynomial over Q in one variable (conventionally t), stored as
     ``nums`` over ``den`` in canonical form (see the module docstring)."""
@@ -301,12 +333,24 @@ class RatPoly:
 
     def squarefree_factors(self) -> list[tuple["RatPoly", int]]:
         """Yun decomposition: [(f_1, 1), (f_2, 2), ...] with
-        self = leading * prod f_i**i, each f_i monic square-free, deg f_i > 0."""
+        self = leading * prod f_i**i, each f_i monic square-free, deg f_i > 0.
+
+        A prime witness answers first: when `_squarefree_mod_prime` proves
+        self square-free, the result is [(self.monic(), 1)] with no gcd over
+        Z taken.  Otherwise `_yun_factors` decides."""
         if self.is_zero:
             raise ValueError("zero polynomial")
         p = self.monic()
         if p.degree == 0:
             return []
+        if _squarefree_mod_prime(self.nums):
+            return [(p, 1)]
+        return p._yun_factors()
+
+    def _yun_factors(self) -> list[tuple["RatPoly", int]]:
+        """Yun's algorithm on a monic polynomial of positive degree, with
+        gcds over Z."""
+        p = self
         g = p.gcd(p.derivative())
         b = p.exact_div(g)
         c = p.derivative().exact_div(g)
@@ -369,16 +413,22 @@ def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.comb(k, p) for p in range(k + 1)) for k in range(n + 1))
 
 
-def shift_constituent(f: RatPoly, step: int, constituents: IntegerTable, d: int) -> RatPoly:
-    """Constituent d of f(S**step) applied to a quasi-polynomial whose
-    residue-r constituent is g_r = constituents.nums[r] / constituents.den:
+def shift_constituents(
+    f: RatPoly, step: int, constituents: IntegerTable, residues: Iterable[int]
+) -> tuple[RatPoly, ...]:
+    """Constituents d in `residues` of f(S**step) applied to a
+    quasi-polynomial whose residue-r constituent is
+    g_r = constituents.nums[r] / constituents.den:
 
         sum_i f_i * g_{(d - step*i) mod period}(t - step*i).
 
-    The i are grouped by residue r = (d - step*i) mod period, and each class
-    keeps the integer moments mu_j = sum_i f.nums[i] * (-step*i)^j.  Then
-    [t^p] = sum_k g_{r,k} C(k, p) mu_(k-p) summed over the classes, over
-    f.den * den.  Exact throughout.
+    The i are grouped once per call by class c = (-step*i) mod period, and
+    each class keeps the integer moments mu_j = sum_i f.nums[i] * (-step*i)^j.
+    For each d, the classes that read the same row nums[(d + c) % period]
+    (equal integer tuples) have their moments summed, and each distinct row
+    is convolved once: [t^p] = sum_k g_k C(k, p) mu_(k-p), over
+    f.den * den.  Exact throughout; one result per entry of `residues`, in
+    order, residues taken mod period.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
@@ -390,24 +440,33 @@ def shift_constituent(f: RatPoly, step: int, constituents: IntegerTable, d: int)
         if not x:
             continue
         shift = -step * i
-        mu = moments.setdefault((d + shift) % period, [0] * size)
+        mu = moments.setdefault(shift % period, [0] * size)
         for j in range(size):
             mu[j] += x
             x *= shift
     binom = _pascal(size)
-    out = [0] * size
-    for r, mu in moments.items():
-        for k, gk in enumerate(nums[r]):
-            if gk:
-                row = binom[k]
-                for p in range(k + 1):
-                    out[p] += gk * row[p] * mu[k - p]
-    return RatPoly.over(out, f.den * den)
+    out_den = f.den * den
+    results = []
+    for d in residues:
+        by_row: dict[tuple[int, ...], list[int]] = {}
+        for c, mu in moments.items():
+            row = nums[(d + c) % period]
+            acc = by_row.get(row)  # may be a class's own list: never written in place
+            by_row[row] = mu if acc is None else [a + b for a, b in zip(acc, mu)]
+        out = [0] * size
+        for row, mu in by_row.items():
+            for k, gk in enumerate(row):
+                if gk:
+                    coeffs = binom[k]
+                    for p in range(k + 1):
+                        out[p] += gk * coeffs[p] * mu[k - p]
+        results.append(RatPoly.over(out, out_den))
+    return tuple(results)
 
 
 def apply_shift(f: RatPoly, step: int, g: RatPoly) -> RatPoly:
     """Apply f(S**step) to g: sum_i f_i * g(t - step*i), exactly."""
-    return shift_constituent(f, step, IntegerTable(g.den, (g.nums,)), 0)
+    return shift_constituents(f, step, IntegerTable(g.den, (g.nums,)), (0,))[0]
 
 
 # -- Sturm sequences -----------------------------------------------------------

@@ -7,6 +7,7 @@ from linchar.errors import NotAdmissible, SymmetryViolation
 from linchar.linial import (
     admissible_residues,
     averaged_half,
+    char_constituent,
     char_poly,
     char_quasi,
     half_char_quasi,
@@ -200,7 +201,24 @@ class TestAdmissible:
         assert violated
 
 
+def orbit_sum_of_single_constituents(ident, m, d):
+    """The averaged half-polynomial built the slow way: every orbit member
+    {+-d + k*h} as its own single-constituent shift, then averaged."""
+    data, report = lookup(ident), admissible_residues(ident)
+    acc = RatPoly.zero()
+    for k in range(report.m0):
+        for r in (d + k * data.coxeter_number, -d + k * data.coxeter_number):
+            acc = acc + char_constituent(ident, m, r, half=True)
+    return acc.scale(Fraction(1, 2 * report.m0))
+
+
 class TestAveragedHalf:
+    @pytest.mark.parametrize("ident", EXCEPTIONAL_IDS, ids=str)
+    def test_matches_orbit_sum_of_single_constituents(self, ident):
+        for m in (1, 2, 3, 4, 100):
+            for d in admissible_residues(ident).residues:
+                assert averaged_half(ident, m, d) == orbit_sum_of_single_constituents(ident, m, d)
+
     def test_g2_identity_and_odd_part(self):
         g2 = rid("G2")
         F = averaged_half(g2, 1, 1)

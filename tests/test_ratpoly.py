@@ -12,9 +12,11 @@ from linchar.errors import InexactDivision
 from linchar.ratpoly import (
     NEG_INF,
     POS_INF,
+    WITNESS_PRIME,
     IntegerTable,
     RatPoly,
     _pseudo_divrem,
+    _squarefree_mod_prime,
     all_roots_real_nonpositive,
     apply_shift,
     routh_hurwitz_all_roots_left,
@@ -421,6 +423,65 @@ def fraction_form(coeffs):
 def assert_canonical(p):
     assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
     assert not p.nums or p.nums[-1] != 0
+
+
+class TestSquarefreeWitness:
+    """The prime witness against Yun's algorithm over Z, which it skips."""
+
+    @pytest.fixture
+    def yun_calls(self, monkeypatch):
+        calls = []
+        yun = RatPoly._yun_factors
+
+        def counted(p):
+            calls.append(p)
+            return yun(p)
+
+        monkeypatch.setattr(RatPoly, "_yun_factors", counted)
+        return calls
+
+    def test_squarefree_input_skips_yun(self, yun_calls):
+        p = RatPoly.from_roots([Fraction(-1, 2), 3, 7], leading=6)
+        assert _squarefree_mod_prime(p.nums)
+        assert p.squarefree_factors() == [(p.monic(), 1)]
+        assert yun_calls == []
+        assert p.monic()._yun_factors() == [(p.monic(), 1)]
+
+    def test_repeated_root_falls_back(self, yun_calls):
+        p = RatPoly.from_roots([-1, -1, -3])
+        assert not _squarefree_mod_prime(p.nums)
+        assert p.squarefree_factors() == [
+            (RatPoly.from_roots([-3]), 1),
+            (RatPoly.from_roots([-1]), 2),
+        ]
+        assert len(yun_calls) == 1
+
+    def test_squarefree_over_q_but_not_mod_the_prime(self, yun_calls):
+        # (t - 1)**2 + q has discriminant -4q, but is (t - 1)**2 mod q
+        p = poly(1 + WITNESS_PRIME, -2, 1)
+        assert not _squarefree_mod_prime(p.nums)
+        assert p.squarefree_factors() == [(p, 1)]
+        assert len(yun_calls) == 1
+
+    def test_prime_dividing_the_leading_coefficient_is_no_witness(self, yun_calls):
+        p = poly(1, 1, WITNESS_PRIME)
+        assert not _squarefree_mod_prime(p.nums)
+        assert p.squarefree_factors() == [(p.monic(), 1)]
+        assert len(yun_calls) == 1
+
+    def test_linear_and_constant(self):
+        assert _squarefree_mod_prime((5, 3))
+        assert poly(7).squarefree_factors() == []
+
+    @given(p=polys_with_repeats())
+    @settings(max_examples=80, deadline=None)
+    def test_witness_agrees_with_yun(self, p):
+        if p.degree < 1:
+            return
+        yun = p.monic()._yun_factors()
+        if _squarefree_mod_prime(p.nums):
+            assert yun == [(p.monic(), 1)]
+        assert p.squarefree_factors() == yun
 
 
 class TestIntegerPaths:

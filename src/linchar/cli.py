@@ -26,7 +26,6 @@ from typing import Any, Callable, NamedTuple
 
 from . import acceptance, ehrhart, linial, rootdata, verify
 from .errors import LincharError
-from .eulerian import generalized_eulerian, truncate_half
 from .rootdata import RootSystemId
 
 SCHEMA_VERSION = 1
@@ -61,8 +60,9 @@ def _criteria_list(text: str) -> list[int]:
 
 
 def to_json_str(obj) -> str:
-    """Indented JSON; a dataclass is written as the dict of its fields."""
-    return json.dumps(obj, indent=2, sort_keys=False, default=asdict)
+    """Indented strict JSON (no NaN or Infinity); a dataclass is written as
+    the dict of its fields."""
+    return json.dumps(obj, indent=2, sort_keys=False, default=asdict, allow_nan=False)
 
 
 def _qp_human(qp) -> list[str]:
@@ -98,9 +98,7 @@ def _cmd_table(args):
 
 
 def _cmd_eulerian(args):
-    R = generalized_eulerian(args.phi)
-    if args.half:
-        R = truncate_half(R, rootdata.lookup(args.phi).coxeter_number)
+    R = linial.shift_operator(args.phi, args.half)
     name = "R^1/2" if args.half else "R"
     return R.to_json(), [f"{name}_{args.phi}(x) = {R.pretty('x')}"]
 

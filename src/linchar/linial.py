@@ -36,7 +36,7 @@ class AdmissibleReport:
 
 
 @lru_cache(maxsize=None)
-def _operator(ident: RootSystemId, half: bool) -> RatPoly:
+def shift_operator(ident: RootSystemId, half: bool) -> RatPoly:
     """R_Phi, or its truncation R'_Phi when `half`, read as a polynomial in S."""
     R = generalized_eulerian(ident)
     if half:
@@ -50,7 +50,7 @@ def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) ->
     if m < 0:
         raise ValueError("m must be >= 0")
     table = ehrhart_qp(ident).numerators
-    return shift_constituents(_operator(ident, half), m + 1, table, (d,))[0]
+    return shift_constituents(shift_operator(ident, half), m + 1, table, (d,))[0]
 
 
 @lru_cache(maxsize=_QUASI_CACHE_SIZE)
@@ -59,7 +59,7 @@ def char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
     R_Phi(S^(m+1)) applied to L_Phi."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return apply_shift_qp(_operator(ident, False), m + 1, ehrhart_qp(ident))
+    return apply_shift_qp(shift_operator(ident, False), m + 1, ehrhart_qp(ident))
 
 
 def char_poly(ident: RootSystemId, m: int) -> RatPoly:
@@ -73,7 +73,7 @@ def half_char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
     applied with step m + 1."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return apply_shift_qp(_operator(ident, True), m + 1, ehrhart_qp(ident))
+    return apply_shift_qp(shift_operator(ident, True), m + 1, ehrhart_qp(ident))
 
 
 def weyl_char_quasi(ident: RootSystemId) -> QuasiPoly:
@@ -150,4 +150,4 @@ def toy_poly(ident: RootSystemId, m: int, g: RatPoly | None = None) -> RatPoly:
         mirrored = g.compose_affine(-1, 0).scale((-1) ** data.rank)
         if shifted != mirrored:
             raise SymmetryViolation("seed fails g(t - h) = (-1)^rank g(-t)")
-    return apply_shift(_operator(ident, False), m + 1, g)
+    return apply_shift(shift_operator(ident, False), m + 1, g)

@@ -71,6 +71,30 @@ def _primitive(a: Sequence[int]) -> list[int]:
     return [x // g for x in a]
 
 
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """The primitive remainder sequence a, b, -pp(prem(a, b)), ... over Z,
+    up to its last nonzero element, which is gcd(a, b) up to a factor in Q
+    (Brown, JACM 18, 1971).  ``a`` is nonzero; a zero ``b`` gives [a].  The
+    pseudo-division multiplier is positive, so each element is a positive
+    multiple of the matching element of a, b, -rem, ... over Q."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        if len(b) == 1:
+            break
+        b = [-x for x in _primitive(_pseudo_divrem(seq[-2], b)[1])]
+    return seq
+
+
+def _quotient(a: Sequence[int], g: Sequence[int]) -> list[int]:
+    """pp(a / g) for a nonzero g that divides a over Q, else `InexactDivision`.
+    A positive multiple of a / g, because the pseudo-division multiplier is."""
+    q, r, _ = _pseudo_divrem(a, g)
+    if r:
+        raise InexactDivision("division was not exact")
+    return _primitive(q)
+
+
 #: The prime of the square-free witness, 2**61 - 1.
 WITNESS_PRIME = (1 << 61) - 1
 
@@ -298,73 +322,39 @@ class RatPoly:
     def derivative(self) -> "RatPoly":
         return RatPoly.over([j * x for j, x in enumerate(self.nums)][1:], self.den)
 
-    # -- division, gcd, square-free structure --------------------------------
-
-    def exact_div(self, other: "RatPoly") -> "RatPoly":
-        """self / other, which must divide exactly (else `InexactDivision`)."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return self
-        q, r, mult = _pseudo_divrem(self.nums, other.nums)
-        if r:
-            raise InexactDivision("division was not exact")
-        # (nums / den) / (other.nums / other.den) = (q / mult) * other.den / den
-        return RatPoly.over([x * other.den for x in q], mult * self.den)
+    # -- square-free structure --------------------------------------------------
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
         return RatPoly.over(self.nums, self.nums[-1])
 
-    def gcd(self, other: "RatPoly") -> "RatPoly":
-        """Monic gcd over Q, by a primitive remainder sequence over Z."""
-        if other.is_zero:
-            return RatPoly.one() if self.is_zero else self.monic()
-        if self.is_zero:
-            return other.monic()
-        a, b = _primitive(self.nums), _primitive(other.nums)
-        while True:
-            r = _pseudo_divrem(a, b)[1]
-            if not r:
-                break
-            a, b = b, _primitive(r)
-        return RatPoly.over(b, b[-1])
-
     def squarefree_factors(self) -> list[tuple["RatPoly", int]]:
-        """Yun decomposition: [(f_1, 1), (f_2, 2), ...] with
+        """Square-free decomposition: [(f_1, 1), (f_2, 2), ...] with
         self = leading * prod f_i**i, each f_i monic square-free, deg f_i > 0.
 
         A prime witness answers first: when `_squarefree_mod_prime` proves
         self square-free, the result is [(self.monic(), 1)] with no gcd over
-        Z taken.  Otherwise `_yun_factors` decides."""
+        Z taken.  Otherwise Musser's split decides, in integers: g_0 = pp(self)
+        and g_k = gcd(g_(k-1), g_(k-1)'), the last element of their remainder
+        sequence, until g_k is constant; h_k = g_(k-1) / g_k is the product of
+        the f_i with i >= k, so f_k = h_k / h_(k+1)."""
         if self.is_zero:
             raise ValueError("zero polynomial")
-        p = self.monic()
-        if p.degree == 0:
+        if self.degree == 0:
             return []
         if _squarefree_mod_prime(self.nums):
-            return [(p, 1)]
-        return p._yun_factors()
-
-    def _yun_factors(self) -> list[tuple["RatPoly", int]]:
-        """Yun's algorithm on a monic polynomial of positive degree, with
-        gcds over Z."""
-        p = self
-        g = p.gcd(p.derivative())
-        b = p.exact_div(g)
-        c = p.derivative().exact_div(g)
-        d = c - b.derivative()
-        factors: list[tuple[RatPoly, int]] = []
-        i = 1
-        while b.degree > 0:
-            a = b.gcd(d)
-            if a.degree > 0:
-                factors.append((a, i))
-            b = b.exact_div(a)
-            c = d.exact_div(a)
-            d = c - b.derivative()
-            i += 1
+            return [(self.monic(), 1)]
+        gs = [_primitive(self.nums)]
+        while len(gs[-1]) > 1:
+            g = gs[-1]
+            gs.append(_remainders(g, _primitive([j * x for j, x in enumerate(g)][1:]))[-1])
+        hs = [_quotient(a, g) for a, g in zip(gs, gs[1:])]
+        factors = []
+        for k, (h, h_next) in enumerate(zip(hs, hs[1:] + [[1]]), 1):
+            f = _quotient(h, h_next)
+            if len(f) > 1:
+                factors.append((RatPoly.over(f, f[-1]), k))
         return factors
 
     # -- serialization -------------------------------------------------------
@@ -475,25 +465,17 @@ def apply_shift(f: RatPoly, step: int, g: RatPoly) -> RatPoly:
 def _sturm_chain(p: RatPoly) -> tuple[list[list[int]], int]:
     """Sturm chain over Z of the square-free part of p, and deg gcd(p, p').
 
-    The chain p, p', -prem, ... ends in g = gcd(p, p'), and each element is a
-    positive multiple of the matching element of the chain p, p', -rem, ...
-    over Q, because the pseudo-division multiplier is positive and -pp(r)
-    keeps the sign of -r.  When g is not constant, every element is divided
-    exactly by g, again up to a positive factor: the result is a Sturm chain
-    of p/g that is valid at every point, the roots of p included.
+    The chain is `_remainders` of p and p', a positive multiple, element by
+    element, of the chain p, p', -rem, ... over Q; it ends in g = gcd(p, p').
+    When g is not constant, every element is divided exactly by g, again up
+    to a positive factor: the result is a Sturm chain of p/g that is valid
+    at every point, the roots of p included.
     """
-    chain = [_primitive(p.nums)]
-    deriv = [j * c for j, c in enumerate(chain[0])][1:]
-    if deriv:
-        chain.append(_primitive(deriv))
-    while len(chain[-1]) > 1:
-        r = _pseudo_divrem(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append([-x for x in _primitive(r)])
+    a = _primitive(p.nums)
+    chain = _remainders(a, _primitive([j * x for j, x in enumerate(a)][1:]))
     g = chain[-1]
     if len(g) > 1:
-        chain = [_primitive(_pseudo_divrem(q, g)[0]) for q in chain]
+        chain = [_quotient(q, g) for q in chain]
     return chain, len(g) - 1
 
 

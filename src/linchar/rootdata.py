@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import SelfCheckFailed, UnsupportedRank
 
@@ -80,10 +80,6 @@ def _radical(n: int) -> int:
     return out * (rest if rest > 1 else 1)
 
 
-def _lcm_all(values) -> int:
-    return reduce(math.lcm, values, 1)
-
-
 _EXCEPTIONAL = {
     ("E", 6): ((1, 4, 5, 7, 8, 11), (1, 1, 2, 2, 2, 3), 3),
     ("E", 7): ((1, 5, 7, 9, 11, 13, 17), (1, 2, 2, 2, 3, 3, 4), 2),
@@ -115,7 +111,7 @@ def lookup(ident: RootSystemId) -> RootSystemData:
         exponents, marks_tail, f = _EXCEPTIONAL[(fam, l)]
     marks = (1,) + marks_tail
     weyl = math.prod(e + 1 for e in exponents)
-    period = _lcm_all(marks_tail)
+    period = math.lcm(*marks_tail)
     return RootSystemData(
         rank=l,
         exponents=exponents,

@@ -18,9 +18,8 @@ from operator import or_
 from typing import Sequence
 
 from .errors import NonConvergence, OracleTooLarge, OutOfDoubleRange, QTooSmall, UnsupportedRank
-from .eulerian import generalized_eulerian, truncate_half
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
-from .linial import char_constituent, char_quasi  # noqa: F401
+from .linial import char_constituent, char_quasi, shift_operator  # noqa: F401
 from .ratpoly import (
     RatPoly,
     all_roots_real_nonpositive,
@@ -33,6 +32,7 @@ _MAX_ITER = 200
 _STALL_ITER = 10  # iterations with no new smallest correction that stop stage 1
 _CORRECTION_TOL = 1e-13  # relative to the start radius of the polynomial iterated
 _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
+_LINE_TOL = 1e-8  # max |Re root - M/2| that `check_on_line_numeric` accepts
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 _OUT_OF_RANGE = "polynomial does not fit in doubles"
 
@@ -114,7 +114,8 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float, stall: float = 
     Returns "converged" once the corrections fall below _CORRECTION_TOL or
     stop shrinking below _FLOOR_TOL (both relative to `radius`), "stalled"
     once the largest correction has set no new minimum for `stall`
-    iterations in a row, and "spent" after _MAX_ITER iterations.
+    iterations in a row, and "spent" after _MAX_ITER iterations.  Raises
+    OutOfDoubleRange once an iterate is not finite.
     """
     n = len(c) - 1
     prev_corr = math.inf
@@ -135,6 +136,8 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float, stall: float = 
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             z[j] -= w
+            if not cmath.isfinite(z[j]):  # max() below would drop a NaN correction
+                raise OutOfDoubleRange("Aberth iterate left the range of doubles")
             max_corr = max(max_corr, abs(w))
         if max_corr < _CORRECTION_TOL * radius:
             return "converged"
@@ -205,7 +208,8 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     Each factor is solved by `_factor_roots`, which centres it over Q if the
     iteration stalls.  Raises NonConvergence (with partial results attached)
     if any factor fails to settle within the iteration budget, and
-    OutOfDoubleRange if p or one of its factors does not fit in doubles.
+    OutOfDoubleRange if p or one of its factors does not fit in doubles, or
+    an iterate or a residual leaves them.
     """
     if p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
@@ -222,13 +226,16 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
                 radii.extend([rads[i]] * mult)
         floats = [c / p.den for c in p.nums]
         scale = max(abs(x) for x in floats)
-        residual = 0.0
+        residuals = []
         for z in roots:
             val = abs(_horner2(floats, z)[0])
             denom = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(floats))
-            residual = max(residual, val / denom if denom else val / scale)
+            residuals.append(val / denom if denom else val / scale)
+        if not all(map(math.isfinite, residuals)):
+            raise OutOfDoubleRange(_OUT_OF_RANGE)
     except OverflowError as exc:
         raise OutOfDoubleRange(_OUT_OF_RANGE) from exc
+    residual = max(residuals, default=0.0)
     result = ComplexRootSet(
         roots=tuple(roots),
         residual_bound=residual,
@@ -246,9 +253,7 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
 @lru_cache(maxsize=None)
 def limit_poly(ident: RootSystemId) -> RatPoly:
     """The rescaled m -> infinity limit R'_Phi(S) t^l = sum a'_i (t - i)^l."""
-    data = lookup(ident)
-    half = truncate_half(generalized_eulerian(ident), data.coxeter_number)
-    return apply_shift(half, 1, RatPoly.monomial(data.rank))
+    return apply_shift(shift_operator(ident, True), 1, RatPoly.monomial(ident.rank))
 
 
 def max_real_part(p: RatPoly) -> float:
@@ -282,10 +287,8 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     return LineCheckReport(on_line, center, "exact-sturm", details)
 
 
-def check_on_line_numeric(
-    p: RatPoly, center_times_2: int, tol: float = 1e-8
-) -> LineCheckReport:
-    """Numeric counterpart: max |Re root - M/2| against a tolerance.
+def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
+    """Numeric counterpart: max |Re root - M/2| against `_LINE_TOL`.
 
     The roots are found in the centred variable s = t - M/2, exactly as the
     Sturm check substitutes, so the deviation is max |Re s| and is not lost
@@ -296,7 +299,7 @@ def check_on_line_numeric(
     deviation = max((abs(s.real) for s in rs.roots), default=0.0)
     shift = float(center)
     return LineCheckReport(
-        on_line=deviation <= tol,
+        on_line=deviation <= _LINE_TOL,
         center=center,
         method="numeric",
         details={

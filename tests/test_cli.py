@@ -172,6 +172,20 @@ class TestErrors:
         assert json.loads(captured.out)["error"] == "OutOfDoubleRange"
         assert captured.err == ""
 
+    def test_numeric_check_whose_iterates_overflow_is_a_named_error(self, capsys):
+        # the coefficients fit in doubles, but p(z) overflows on the Aberth
+        # path; a NaN iterate once counted as converged and wrote NaN tokens
+        code = main(["check-line", "A100", "-m", "3", "--numeric", "--json"])
+        out = capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        assert code == 1
+        assert json.loads(out, parse_constant=reject)["error"] == "OutOfDoubleRange"
+        with pytest.raises(ValueError):
+            to_json_str({"residual_bound": float("nan")})
+
     def test_plain_value_errors_are_structured(self, capsys):
         code, data = run_json(capsys, "track", "G2", "-d", "7", "--m-list", "1", "--json")
         assert code == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linchar import ratpoly
 from linchar.errors import InexactDivision
 from linchar.ratpoly import (
     NEG_INF,
@@ -15,7 +16,10 @@ from linchar.ratpoly import (
     WITNESS_PRIME,
     IntegerTable,
     RatPoly,
+    _primitive,
     _pseudo_divrem,
+    _quotient,
+    _remainders,
     _squarefree_mod_prime,
     all_roots_real_nonpositive,
     apply_shift,
@@ -71,13 +75,13 @@ class TestRatPolyBasics:
         p = RatPoly.from_roots([1, 2, 3])
         q, r = fraction_divrem(p, RatPoly.from_roots([2]))
         assert r.is_zero and q == RatPoly.from_roots([1, 3])
-        assert p.gcd(RatPoly.from_roots([2, 5])) == RatPoly.from_roots([2])
+        assert remainder_gcd(p, RatPoly.from_roots([2, 5])) == RatPoly.from_roots([2])
 
     def test_inexact_division_is_named(self):
         p = RatPoly.from_roots([1, 2, 3])
-        assert p.exact_div(RatPoly.from_roots([2])) == RatPoly.from_roots([1, 3])
+        assert _quotient(p.nums, RatPoly.from_roots([2]).nums) == [3, -4, 1]
         with pytest.raises(InexactDivision):
-            p.exact_div(RatPoly.from_roots([4]))
+            _quotient(p.nums, RatPoly.from_roots([4]).nums)
 
     def test_squarefree(self):
         p = RatPoly.from_roots([-1, -1, -3])
@@ -308,11 +312,20 @@ class TestRouthHurwitz:
 
 # -- second paths for the integer routines ---------------------------------------
 #
-# The package computes substitution, gcd, exact division and Sturm chains on
-# integer numerators.  The oracles below are the Fraction algorithms those
-# replaced: Horner substitution, Euclid with Fraction long division, and the
-# Sturm chain of negated long-division remainders, evaluated at the endpoints
-# in Fraction.
+# The package computes substitution, gcd, exact division, the square-free split
+# and Sturm chains on integer numerators.  The oracles below are the Fraction
+# algorithms those replaced: Horner substitution, Euclid with Fraction long
+# division, Yun's algorithm on those, and the Sturm chain of negated
+# long-division remainders, evaluated at the endpoints in Fraction.
+
+
+def remainder_gcd(p, q):
+    """Monic gcd of p and q (not both zero): the last element of the
+    integer remainder sequence."""
+    if p.is_zero:
+        p, q = q, p
+    g = _remainders(_primitive(p.nums), _primitive(q.nums))[-1]
+    return RatPoly.over(g, g[-1])
 
 
 def fraction_divrem(p, q):
@@ -426,48 +439,49 @@ def assert_canonical(p):
 
 
 class TestSquarefreeWitness:
-    """The prime witness against Yun's algorithm over Z, which it skips."""
+    """The prime witness against the integer split it skips (Musser's, on
+    `_remainders`) and against Yun's algorithm over Fraction."""
 
     @pytest.fixture
-    def yun_calls(self, monkeypatch):
+    def remainder_calls(self, monkeypatch):
         calls = []
-        yun = RatPoly._yun_factors
+        remainders = ratpoly._remainders
 
-        def counted(p):
-            calls.append(p)
-            return yun(p)
+        def counted(a, b):
+            calls.append((a, b))
+            return remainders(a, b)
 
-        monkeypatch.setattr(RatPoly, "_yun_factors", counted)
+        monkeypatch.setattr(ratpoly, "_remainders", counted)
         return calls
 
-    def test_squarefree_input_skips_yun(self, yun_calls):
+    def test_squarefree_input_skips_yun(self, remainder_calls):
         p = RatPoly.from_roots([Fraction(-1, 2), 3, 7], leading=6)
         assert _squarefree_mod_prime(p.nums)
         assert p.squarefree_factors() == [(p.monic(), 1)]
-        assert yun_calls == []
-        assert p.monic()._yun_factors() == [(p.monic(), 1)]
+        assert remainder_calls == []
+        assert fraction_squarefree_factors(p) == [(p.monic(), 1)]
 
-    def test_repeated_root_falls_back(self, yun_calls):
+    def test_repeated_root_falls_back(self, remainder_calls):
         p = RatPoly.from_roots([-1, -1, -3])
         assert not _squarefree_mod_prime(p.nums)
         assert p.squarefree_factors() == [
             (RatPoly.from_roots([-3]), 1),
             (RatPoly.from_roots([-1]), 2),
         ]
-        assert len(yun_calls) == 1
+        assert remainder_calls
 
-    def test_squarefree_over_q_but_not_mod_the_prime(self, yun_calls):
+    def test_squarefree_over_q_but_not_mod_the_prime(self, remainder_calls):
         # (t - 1)**2 + q has discriminant -4q, but is (t - 1)**2 mod q
         p = poly(1 + WITNESS_PRIME, -2, 1)
         assert not _squarefree_mod_prime(p.nums)
         assert p.squarefree_factors() == [(p, 1)]
-        assert len(yun_calls) == 1
+        assert remainder_calls
 
-    def test_prime_dividing_the_leading_coefficient_is_no_witness(self, yun_calls):
+    def test_prime_dividing_the_leading_coefficient_is_no_witness(self, remainder_calls):
         p = poly(1, 1, WITNESS_PRIME)
         assert not _squarefree_mod_prime(p.nums)
         assert p.squarefree_factors() == [(p.monic(), 1)]
-        assert len(yun_calls) == 1
+        assert remainder_calls
 
     def test_linear_and_constant(self):
         assert _squarefree_mod_prime((5, 3))
@@ -478,7 +492,10 @@ class TestSquarefreeWitness:
     def test_witness_agrees_with_yun(self, p):
         if p.degree < 1:
             return
-        yun = p.monic()._yun_factors()
+        yun = fraction_squarefree_factors(p)
+        with pytest.MonkeyPatch.context() as mp:  # force the integer split
+            mp.setattr(ratpoly, "_squarefree_mod_prime", lambda a: False)
+            assert p.squarefree_factors() == yun
         if _squarefree_mod_prime(p.nums):
             assert yun == [(p.monic(), 1)]
         assert p.squarefree_factors() == yun
@@ -547,22 +564,24 @@ class TestIntegerPaths:
     @given(p=polys_with_repeats(), q=polys_with_repeats())
     @settings(max_examples=60, deadline=None)
     def test_gcd_matches_euclid(self, p, q):
-        assert p.gcd(q) == fraction_gcd(p, q)
+        if p.is_zero and q.is_zero:
+            return
+        assert remainder_gcd(p, q) == fraction_gcd(p, q)
         if not p.is_zero:
-            assert p.gcd(p.derivative()) == fraction_gcd(p, p.derivative())
+            assert remainder_gcd(p, p.derivative()) == fraction_gcd(p, p.derivative())
 
     @given(p=polys_with_repeats(), q=small_polys)
     @settings(max_examples=60, deadline=None)
     def test_exact_div_matches_long_division(self, p, q):
         if q.is_zero:
             return
-        assert (p * q).exact_div(q) == p
+        assert _quotient((p * q).nums, q.nums) == _primitive(p.nums)
         quo, rem = fraction_divrem(p, q)
         if rem.is_zero:
-            assert p.exact_div(q) == quo
+            assert _quotient(p.nums, q.nums) == _primitive(quo.nums)
         else:
             with pytest.raises(InexactDivision):
-                p.exact_div(q)
+                _quotient(p.nums, q.nums)
 
     @given(p=polys_with_repeats())
     @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import or_
 from typing import Sequence
 
@@ -29,7 +30,6 @@ from .ratpoly import (
 from .rootdata import RootSystemId, lookup, positive_roots
 
 _MAX_ITER = 200
-_STALL_ITER = 10  # iterations with no new smallest correction that stop stage 1
 _CORRECTION_TOL = 1e-13  # relative to the start radius of the polynomial iterated
 _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
 _LINE_TOL = 1e-8  # max |Re root - M/2| that `check_on_line_numeric` accepts
@@ -107,24 +107,29 @@ def _start_radius(c: Sequence[float]) -> float:
     return max(min(cauchy, fujiwara), 1e-30)
 
 
-def _aberth(c: Sequence[float], z: list[complex], radius: float, stall: float = math.inf) -> str:
+def _aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
     """Ehrlich-Aberth iteration on a monic square-free polynomial (ascending
     floats), updating the iterates z in place.
 
     Returns "converged" once the corrections fall below _CORRECTION_TOL or
     stop shrinking below _FLOOR_TOL (both relative to `radius`), "stalled"
-    once the largest correction has set no new minimum for `stall`
-    iterations in a row, and "spent" after _MAX_ITER iterations.  Raises
+    once they stop shrinking above _FLOOR_TOL while every |p(z_j)| is inside
+    `_horner_error_bound`, and "spent" after _MAX_ITER iterations.  Raises
     OutOfDoubleRange once an iterate is not finite.
+
+    A residual inside the rounding bound carries no information about the
+    root, so no further correction can improve it (Bini, "Numerical
+    computation of polynomial zeros by means of Aberth's method", Numer.
+    Algorithms 13, 1996).
     """
-    n = len(c) - 1
     prev_corr = math.inf
-    best_corr = math.inf
-    streak = 0
     for _ in range(_MAX_ITER):
         max_corr = 0.0
-        for j in range(n):
-            p, dp = _horner2(c, z[j])
+        start = z[:]
+        values = []
+        for j, zj in enumerate(start):
+            p, dp = _horner2(c, zj)
+            values.append(p)
             if p == 0:
                 continue
             if dp == 0:
@@ -132,7 +137,7 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float, stall: float = 
                 max_corr = radius
                 continue
             newton = p / dp
-            s = sum(1.0 / (z[j] - z[k]) for k in range(n) if k != j)
+            s = sum([1.0 / (zj - zk) for zk in chain(z[:j], z[j + 1:])])
             denom = 1.0 - newton * s
             w = newton if denom == 0 else newton / denom
             z[j] -= w
@@ -141,19 +146,32 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float, stall: float = 
             max_corr = max(max_corr, abs(w))
         if max_corr < _CORRECTION_TOL * radius:
             return "converged"
-        # Rounding of the polynomial evaluation puts a floor under the
-        # corrections; once they stop shrinking there, the roots are as good
-        # as double precision allows.
-        if max_corr < _FLOOR_TOL * radius and max_corr >= prev_corr:
-            return "converged"
-        prev_corr = max_corr
-        if max_corr < best_corr:
-            best_corr, streak = max_corr, 0
-        else:
-            streak += 1
-            if streak >= stall:
+        if max_corr >= prev_corr:
+            # Rounding of the polynomial evaluation puts a floor under the
+            # corrections; once they stop shrinking there, the roots are as
+            # good as double precision allows.
+            if max_corr < _FLOOR_TOL * radius:
+                return "converged"
+            if all(abs(p) <= _horner_error_bound(c, zj) for p, zj in zip(values, start)):
                 return "stalled"
+        prev_corr = max_corr
     return "spent"
+
+
+def _horner_error_bound(c: Sequence[float], z: complex) -> float:
+    """gamma_4n * sum |c_k| |z|^k, which bounds |fl(p(z)) - p(z)| for the
+    value `_horner2` computes (coefficients ascending, degree n).
+
+    gamma_k = k*u / (1 - k*u) with u = 2**-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 5.1); 4n rather than 2n because a
+    complex product errs by up to sqrt(2)*gamma_2 (Lemma 3.5).
+    """
+    nu = 4 * (len(c) - 1) * 2.0**-53
+    r = abs(z)
+    acc = 0.0
+    for ck in reversed(c):
+        acc = acc * r + abs(ck)
+    return nu / (1 - nu) * acc
 
 
 def _inclusion_radii(c: Sequence[float], z: Sequence[complex]) -> list[float]:
@@ -166,38 +184,38 @@ def _inclusion_radii(c: Sequence[float], z: Sequence[complex]) -> list[float]:
     return radii
 
 
-def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], bool]:
-    """Roots of a square-free factor, their inclusion radii and a convergence
-    flag, in two deterministic stages.
+def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
+    """Roots of a square-free factor, their inclusion radii and the status
+    `_aberth` ended on, in two deterministic stages.
 
     Stage 1 iterates on the factor as given, from a rotated circle of radius
     `_start_radius`.  When the roots sit far from 0, the monomial
     coefficients cancel in doubles and the corrections stall on a noise
-    floor above _FLOOR_TOL; after _STALL_ITER iterations with no new
-    smallest correction, stage 2 shifts the factor exactly over Q by its
-    root centroid c = -a_(n-1) / (n*a_n) and continues, with no stall stop,
-    from the stalled iterates minus c.  Runs that do not stall return
-    stage 1's roots unchanged.
+    floor above _FLOOR_TOL; once every residual is inside the rounding bound
+    of Horner's rule there, stage 2 shifts the factor exactly over Q by its
+    root centroid c = -a_(n-1) / (n*a_n) and continues, under the same
+    stops, from the stalled iterates minus c.  A stall in stage 2 is final.
+    Runs that do not stall return stage 1's roots unchanged.
     """
     c = _monic_floats(factor)
     n = len(c) - 1
     if n == 1:
         z = complex(-c[0])
-        return [z], [abs(_horner2(c, z)[0])], True
+        return [z], [abs(_horner2(c, z)[0])], "converged"
     radius = _start_radius(c)
     z = [
         radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
         for j in range(n)
     ]
-    status = _aberth(c, z, radius, _STALL_ITER)
+    status = _aberth(c, z, radius)
     if status != "stalled":
-        return z, _inclusion_radii(c, z), status == "converged"
+        return z, _inclusion_radii(c, z), status
     centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
     shift = float(centroid)
     c = _monic_floats(factor.compose_affine(1, centroid))
     s = [zj - shift for zj in z]
-    converged = _aberth(c, s, _start_radius(c)) == "converged"
-    return [sj + shift for sj in s], _inclusion_radii(c, s), converged
+    status = _aberth(c, s, _start_radius(c))
+    return [sj + shift for sj in s], _inclusion_radii(c, s), status
 
 
 def find_roots(p: RatPoly) -> ComplexRootSet:
@@ -207,7 +225,8 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     iteration only ever sees simple roots; multiple roots are then replicated.
     Each factor is solved by `_factor_roots`, which centres it over Q if the
     iteration stalls.  Raises NonConvergence (with partial results attached)
-    if any factor fails to settle within the iteration budget, and
+    if any factor stalls again after centring or fails to settle within the
+    iteration budget, naming the stop it hit, and
     OutOfDoubleRange if p or one of its factors does not fit in doubles, or
     an iterate or a residual leaves them.
     """
@@ -215,11 +234,12 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
         raise ValueError("need a polynomial of degree >= 1")
     roots: list[complex] = []
     radii: list[float] = []
-    all_converged = True
+    failed: set[str] = set()
     try:
         for factor, mult in p.squarefree_factors():
-            zs, rads, ok = _factor_roots(factor)
-            all_converged = all_converged and ok
+            zs, rads, status = _factor_roots(factor)
+            if status != "converged":
+                failed.add(status)
             order = sorted(range(len(zs)), key=lambda i: (zs[i].real, zs[i].imag))
             for i in order:
                 roots.extend([zs[i]] * mult)
@@ -240,13 +260,15 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
         roots=tuple(roots),
         residual_bound=residual,
         certified_radius=tuple(radii),
-        converged=all_converged,
+        converged=not failed,
     )
-    if not all_converged:
-        raise NonConvergence(
-            f"Aberth iteration did not converge within {_MAX_ITER} iterations",
-            partial=result,
-        )
+    if failed:
+        stops = {
+            "stalled": "stalled at the rounding floor of Horner's rule after centring",
+            "spent": f"did not converge within {_MAX_ITER} iterations",
+        }
+        message = " and ".join(stops[status] for status in sorted(failed))
+        raise NonConvergence(f"Aberth iteration {message}", partial=result)
     return result
 
 

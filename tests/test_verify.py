@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -96,6 +97,20 @@ class TestFindRoots:
         assert not partial.converged
         assert len(partial.roots) == 6
 
+    def test_nonconvergence_names_the_stop(self, monkeypatch):
+        # A60's limit polynomial stalls again after centring, long before the
+        # budget; a budget of one iteration stops E6's first.
+        with pytest.raises(NonConvergence) as floor:
+            find_roots(limit_poly(rid("A60")))
+        assert str(floor.value) == (
+            "Aberth iteration stalled at the rounding floor of Horner's rule after centring"
+        )
+        assert len(floor.value.partial.roots) == 60
+        monkeypatch.setattr(verify, "_MAX_ITER", 1)
+        with pytest.raises(NonConvergence) as budget:
+            find_roots(limit_poly(rid("E6")))
+        assert str(budget.value) == "Aberth iteration did not converge within 1 iterations"
+
     def test_deterministic(self):
         p = limit_poly(rid("F4"))
         assert find_roots(p).roots == find_roots(p).roots
@@ -105,6 +120,19 @@ class TestFindRoots:
 # that the iteration stalls on a noise floor and has to finish on the factor
 # centred at its root centroid.
 STALLING = [("A20", 9999), ("A24", 1084), ("A28", 1), ("B16", 33), ("C18", 1630)]
+
+
+def record_statuses(monkeypatch):
+    """The list every later `_aberth` call appends its status to."""
+    real_aberth = verify._aberth
+    statuses = []
+
+    def recording(c, z, radius):
+        statuses.append(real_aberth(c, z, radius))
+        return statuses[-1]
+
+    monkeypatch.setattr(verify, "_aberth", recording)
+    return statuses
 
 
 class TestFindRootsCentredStage:
@@ -126,9 +154,16 @@ class TestFindRootsCentredStage:
         scale = max(abs(w) for w in want)
         assert verify._match_distance(find_roots(p).roots, want) <= 1e-10 * scale
 
-    def test_stage_one_roots_unchanged(self):
+    @pytest.mark.parametrize("name,m", STALLING, ids=str)
+    def test_stage_one_stops_at_the_rounding_floor(self, name, m, monkeypatch):
+        statuses = record_statuses(monkeypatch)
+        find_roots(char_poly(rid(name), m))
+        assert statuses == ["stalled", "converged"]
+
+    def test_stage_one_roots_unchanged(self, monkeypatch):
         """Inputs that converge without centring keep the exact floats they had
         before the centred stage existed."""
+        statuses = record_statuses(monkeypatch)
         golden = json.loads((GOLDEN / "find_roots_golden.json").read_text())
         for key, want in golden["char_poly"].items():
             name, m = key.split()
@@ -137,14 +172,15 @@ class TestFindRootsCentredStage:
         for name, want in golden["limit_poly"].items():
             got = find_roots(limit_poly(rid(name))).roots
             assert [[z.real, z.imag] for z in got] == want, name
+        assert set(statuses) == {"converged"}
 
     def test_failed_centred_stage_raises_with_partial_results(self, monkeypatch):
         real_aberth = verify._aberth
         statuses = []
 
-        def centred_stage_fails(c, z, radius, stall=math.inf):
-            statuses.append(real_aberth(c, z, radius, stall))
-            return "spent" if stall == math.inf else statuses[-1]
+        def centred_stage_fails(c, z, radius):
+            statuses.append(real_aberth(c, z, radius))
+            return statuses[-1] if len(statuses) == 1 else "spent"
 
         monkeypatch.setattr(verify, "_aberth", centred_stage_fails)
         with pytest.raises(NonConvergence) as excinfo:
@@ -153,6 +189,65 @@ class TestFindRootsCentredStage:
         partial = excinfo.value.partial
         assert not partial.converged
         assert len(partial.roots) == 20
+
+
+def exact_value(c, z):
+    """p(z) over Q as (real, imaginary) for float coefficients c (ascending)
+    and a complex float z."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re, im = Fraction(0), Fraction(0)
+    for ck in reversed(c):
+        re, im = re * x - im * y + Fraction(ck), re * y + im * x
+    return re, im
+
+
+@functools.lru_cache(maxsize=None)
+def stalling_case(index):
+    """Monic floats of a STALLING polynomial and its roots."""
+    name, m = STALLING[index]
+    p = char_poly(rid(name), m)
+    return verify._monic_floats(p), find_roots(p).roots
+
+
+# Components of evaluation points: zero or of modulus in [1e-3, 1e3], so no
+# product underflows, which the rounding model of the bound excludes.
+component = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+class TestHornerErrorBound:
+    def check(self, c, z):
+        got = verify._horner2(c, z)[0]
+        re, im = exact_value(c, z)
+        error_squared = (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
+        assert error_squared <= Fraction(verify._horner_error_bound(c, z)) ** 2
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-8, 1e8), st.floats(-1e8, -1e-8)),
+            min_size=1,
+            max_size=30,
+        ),
+        component,
+        component,
+    )
+    def test_monic_polynomials(self, lower, x, y):
+        self.check(lower + [1.0], complex(x, y))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(0, len(STALLING) - 1),
+        st.data(),
+        st.integers(-14, 0),
+        st.floats(-1, 1),
+        st.floats(-1, 1),
+    )
+    def test_stalling_inputs_near_their_roots(self, index, data, exponent, a, b):
+        """Points within 10**exponent * |root| of a root on the line
+        Re t = m*h/2, where the coefficients cancel most."""
+        c, roots = stalling_case(index)
+        root = data.draw(st.sampled_from(roots))
+        self.check(c, root + complex(a, b) * abs(root) * 10.0**exponent)
 
 
 class TestLimitPoly:

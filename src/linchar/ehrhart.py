@@ -20,10 +20,10 @@ is made.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Sequence
 
 from .errors import SelfCheckFailed
 from .ratpoly import IntegerTable, RatPoly, shift_constituents
@@ -34,28 +34,17 @@ from .rootdata import RootSystemId, lookup
 SERIES_MAX = 10**6
 
 
+@dataclass(frozen=True)
 class QuasiPoly:
     """A period and one constituent polynomial per residue class."""
 
-    def __init__(self, period: int, constituents: Sequence[RatPoly]):
-        constituents = tuple(constituents)
-        if period < 1 or len(constituents) != period:
+    period: int
+    constituents: tuple[RatPoly, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "constituents", tuple(self.constituents))
+        if self.period < 1 or len(self.constituents) != self.period:
             raise ValueError("need exactly one constituent per residue class")
-        vars(self).update(period=period, constituents=constituents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiPoly is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuasiPoly):
-            return NotImplemented
-        return self.period == other.period and self.constituents == other.constituents
-
-    def __hash__(self) -> int:
-        return hash((self.period, self.constituents))
-
-    def __repr__(self) -> str:
-        return f"QuasiPoly(period={self.period!r}, constituents={self.constituents!r})"
 
     @cached_property
     def numerators(self) -> IntegerTable:

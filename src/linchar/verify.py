@@ -33,6 +33,10 @@ _MAX_ITER = 200
 _CORRECTION_TOL = 1e-13  # relative to the start radius of the polynomial iterated
 _FLOOR_TOL = 1e-8  # stagnation below this (relative) counts as converged
 _LINE_TOL = 1e-8  # max |Re root - M/2| that `check_on_line_numeric` accepts
+# A double holds a root s only to about 2**-53 * |s|, and its Horner value
+# and last Aberth correction each add a few such units; a root may sit that
+# far off the line where _LINE_TOL is smaller (from |s| ~ 1.4e6 on).
+_LINE_ULPS = 64
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 _OUT_OF_RANGE = "polynomial does not fit in doubles"
 
@@ -245,15 +249,16 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
                 roots.extend([zs[i]] * mult)
                 radii.extend([rads[i]] * mult)
         floats = [c / p.den for c in p.nums]
-        scale = max(abs(x) for x in floats)
         residuals = []
         for z in roots:
             val = abs(_horner2(floats, z)[0])
-            denom = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(floats))
-            residuals.append(val / denom if denom else val / scale)
+            # fsum, not sum: Python 3.12 made float sum compensated, and the
+            # last digit must not depend on the interpreter
+            denom = math.fsum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(floats))
+            residuals.append(val / denom)
         if not all(map(math.isfinite, residuals)):
             raise OutOfDoubleRange(_OUT_OF_RANGE)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # p/den overflows or underflows to 0.0
         raise OutOfDoubleRange(_OUT_OF_RANGE) from exc
     residual = max(residuals, default=0.0)
     result = ComplexRootSet(
@@ -310,7 +315,8 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
 
 
 def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
-    """Numeric counterpart: max |Re root - M/2| against `_LINE_TOL`.
+    """Numeric counterpart: each |Re root - M/2| against `_LINE_TOL`, or
+    against `_LINE_ULPS` units of the root's modulus where that is larger.
 
     The roots are found in the centred variable s = t - M/2, exactly as the
     Sturm check substitutes, so the deviation is max |Re s| and is not lost
@@ -321,7 +327,8 @@ def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
     deviation = max((abs(s.real) for s in rs.roots), default=0.0)
     shift = float(center)
     return LineCheckReport(
-        on_line=deviation <= _LINE_TOL,
+        on_line=all(abs(s.real) <= max(_LINE_TOL, _LINE_ULPS * 2.0**-53 * abs(s))
+                    for s in rs.roots),
         center=center,
         method="numeric",
         details={

@@ -289,6 +289,19 @@ class TestExactGolden:
         assert out == self.CASES[command]
 
 
+class TestNumericGolden:
+    # `--json` stdout of commands that print double roots and residuals, keyed
+    # by the command line.  Every float is printed in full, so these hold only
+    # if each last digit is the same on every supported Python.
+    CASES = json.loads((GOLDEN / "cli_numeric_golden.json").read_text())
+
+    @pytest.mark.parametrize("command", CASES)
+    def test_byte_identical(self, capsys, command):
+        code, out = run_cli(capsys, *shlex.split(command), "--json")
+        assert code == 0
+        assert out == self.CASES[command]
+
+
 class TestHumanGolden:
     # Human stdout, stderr and exit code of every command path, plus
     # `verify-all --json`, keyed by the command line.  Every float in them is

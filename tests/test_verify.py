@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linchar.verify as verify
-from linchar.errors import NonConvergence, OracleTooLarge, QTooSmall, UnsupportedRank
+from linchar.errors import (
+    NonConvergence,
+    OracleTooLarge,
+    OutOfDoubleRange,
+    QTooSmall,
+    UnsupportedRank,
+)
 from linchar.linial import char_poly, char_quasi, toy_poly
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup, positive_roots
@@ -80,6 +86,11 @@ class TestFindRoots:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             find_roots(RatPoly((5,)))
+
+    def test_coefficients_below_double_range_are_a_named_error(self):
+        # every coefficient divides to 0.0, so no residual can be scaled
+        with pytest.raises(OutOfDoubleRange):
+            find_roots(RatPoly.over([1, 1], 10**400))
 
     def test_residual_bound_small_on_project_polynomials(self):
         polys = [limit_poly(i) for i in EXCEPTIONAL_IDS]
@@ -373,6 +384,30 @@ class TestCheckOnLineNumeric:
         assert len(rep.details["roots"]) == rid(name).rank
         # the roots are reported in t = s + M/2; rounding that sum at most doubles |Re s|
         assert all(abs(re - M / 2) <= 2 * rep.details["max_deviation"] for re, _im in rep.details["roots"])
+
+    @pytest.mark.parametrize("name", ["G2", "F4"])
+    def test_agrees_with_exact_at_modulus_past_double_resolution(self, name):
+        # roots of modulus ~1e30, whose real parts doubles hold only to ~1e-8
+        # absolute, far above what they can resolve there
+        m = 10**30
+        p = char_poly(rid(name), m)
+        M = m * lookup(rid(name)).coxeter_number
+        assert check_on_line_exact(p, M).on_line
+        assert check_on_line_numeric(p, M).on_line
+
+    @pytest.mark.parametrize("re, im, on_line", [
+        (0, 10**6, True),
+        (Fraction(1, 1000), 10**6, False),  # |s| ~ 1e6: 64 ulps of |s| is still below 1e-8
+        (10**20, 10**30, False),  # 1e-10 relative is far above 64 ulps
+    ])
+    def test_planted_pair_at_large_modulus(self, re, im, on_line):
+        M = 2 * 10**6
+        center = Fraction(M, 2)
+        p = RatPoly.from_roots([center + re]) * RatPoly.from_roots([center + re])
+        p = p + RatPoly((im**2,))  # (t - M/2 - re)^2 + im^2: roots M/2 + re +- i*im
+        rep = check_on_line_numeric(p, M)
+        assert rep.on_line is on_line
+        assert rep.details["max_deviation"] == pytest.approx(float(re), abs=1e-9)
 
 
 class TestHalfplane:

@@ -41,8 +41,9 @@ _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 _OUT_OF_RANGE = "polynomial does not fit in doubles"
 
 #: Most points `bruteforce_modq` enumerates: q**rank above this is refused.
-#: The count holds one q-bit mask per prefix, q**(rank-1) of them, and a
-#: table of q such masks per distinct last root coefficient.
+#: One enumeration per (system, q) holds one q-bit mask per prefix,
+#: q**(rank-1) of them, which each m updates with its new window only, and
+#: tables of q such masks from which each root's rows are sliced.
 ORACLE_MAX_POINTS = 10**7
 
 
@@ -385,51 +386,86 @@ def _hit_rows(n: int, q: int, top: int) -> list[int]:
     return [(doubled[s % g] >> (s // g * inverse % (q // g))) & full for s in range(q)]
 
 
-def bruteforce_modq(
-    ident: RootSystemId, m: int, q: int, unsafe: bool = False
-) -> int:
-    """Count points of (Z/qZ)^l avoiding alpha(x) = 1..m for all positive roots.
+def _prefix_rows(table: list[int], head: Sequence[int], q: int, shift: int) -> list[int]:
+    """table[(head . x - shift) % q] for every prefix x, in product order,
+    taken by slicing: the rows along x_k = 0..q-1 are every a-th entry of
+    the rotated table repeated a times (a = head[-1]), and a rank-3 prefix
+    rotates once per first coordinate."""
+    *outer, a = head
+    starts = [(outer[0] * x - shift) % q for x in range(q)] if outer else [-shift % q]
+    rows: list[int] = []
+    for k in starts:
+        rotated = table[k:] + table[:k]
+        rows += (rotated * a)[::a] if a else [rotated[0]] * q
+    return rows
 
-    Pure enumeration over the stored root forms (rank <= 3): the prefixes
-    x_1..x_{l-1} are listed explicitly, and the last coordinate is a q-bit
-    mask.  For each prefix the masks of the x_l that put some root's residue
-    in 1..m are OR-ed, and the points counted are q**l minus their bits.  A
-    root's mask depends only on its last coefficient and its prefix residue,
-    so it is read from a table of q masks per distinct last coefficient.
-    Requires the safe regime q > m*h unless `unsafe` is set, and refuses more
-    than ORACLE_MAX_POINTS points with OracleTooLarge.
+
+def bruteforce_modq_counts(
+    ident: RootSystemId, ms: Sequence[int], q: int, unsafe: bool = False
+) -> tuple[int, ...]:
+    """`bruteforce_modq` for every m in `ms` (any order, repeats allowed),
+    from one enumeration of (Z/qZ)^l.
+
+    Each prefix x_1..x_{l-1} keeps a q-bit mask of the x_l that put some
+    root's residue in 1..t.  The distinct tops t = min(m, q-1) are walked in
+    ascending order with the masks carried over, so each ORs in only its new
+    window (t_prev, t]: row (s - t_prev) mod q of a table of q masks per
+    (last coefficient, window width), where s is the prefix residue.
     """
     data = lookup(ident)
     if ident.rank > 3:
         raise UnsupportedRank(f"enumeration oracle capped at rank 3, got {ident}")
-    if m < 0:
+    if any(m < 0 for m in ms):
         raise ValueError("m must be >= 0")
     if q < 1:
         raise ValueError("q must be >= 1")
-    if not unsafe and q <= m * data.coxeter_number:
+    m_max = max(ms, default=0)
+    if not unsafe and q <= m_max * data.coxeter_number:
         raise QTooSmall(
-            f"q = {q} is not above m*h = {m * data.coxeter_number}; "
+            f"q = {q} is not above m*h = {m_max * data.coxeter_number}; "
             "pass unsafe=True to override"
         )
     l = ident.rank
-    top = min(m, q - 1)  # residue 0 is never on a hyperplane, even when m >= q
-    if top == 0:
-        return q**l
+    counts = {0: q**l}  # residue 0 is never on a hyperplane, even when m >= q
+    tops = sorted({min(m, q - 1) for m in ms} - {0})
+    if not tops:
+        return (counts[0],) * len(ms)
     if q**l > ORACLE_MAX_POINTS:
         raise OracleTooLarge(
             f"q**{l} = {q**l} points exceed the enumeration cap of {ORACLE_MAX_POINTS}"
         )
     roots = [tuple(c % q for c in form) for form in positive_roots(ident).roots]
-    if l == 1:  # one empty prefix, residue 0; a full table could be 10**7 masks of 10**7 bits
-        return q - reduce(or_, (_window_bits(n, 0, q, top) for (n,) in roots)).bit_count()
-    tables = {n: _hit_rows(n, q, top) for n in {r[-1] for r in roots}}
     hits = [0] * q ** (l - 1)  # one mask per prefix x_1..x_{l-1}, in product order
-    for *head, n in roots:
-        residues = [0]
-        for a in head:
-            residues = [(r + a * x) % q for r in residues for x in range(q)]
-        hits = list(map(or_, hits, map(tables[n].__getitem__, residues)))
-    return q**l - sum(map(int.bit_count, hits))
+    tables: dict[tuple[int, int], list[int]] = {}  # (last coefficient, window width) -> rows
+    done = 0
+    for top in tops:
+        width = top - done
+        if l == 1:  # one empty prefix, residue 0; a full table could be 10**7 masks of 10**7 bits
+            hits[0] |= reduce(or_, (_window_bits(n, -done % q, q, width) for (n,) in roots))
+        else:
+            for *head, n in roots:
+                if (n, width) not in tables:
+                    tables[n, width] = _hit_rows(n, q, width)
+                hits = list(map(or_, hits, _prefix_rows(tables[n, width], head, q, done)))
+        counts[top] = q**l - sum(map(int.bit_count, hits))
+        done = top
+    return tuple(counts[min(m, q - 1)] for m in ms)
+
+
+def bruteforce_modq(
+    ident: RootSystemId, m: int, q: int, unsafe: bool = False
+) -> int:
+    """Count points of (Z/qZ)^l avoiding alpha(x) = 1..m for all positive roots.
+
+    Pure enumeration over the stored root forms (rank <= 3), done by
+    `bruteforce_modq_counts`: one enumeration per (system, q), in which each
+    m adds only its new window of residues to the hit masks and each root's
+    rows over all prefixes are sliced from a table, so the cost grows with
+    the number of m asked, never with their size.  Requires the safe regime
+    q > m*h unless `unsafe` is set, and refuses more than ORACLE_MAX_POINTS
+    points with OracleTooLarge.
+    """
+    return bruteforce_modq_counts(ident, (m,), q, unsafe)[0]
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup, positive_roo
 from linchar.verify import (
     asymptotic_track,
     bruteforce_modq,
+    bruteforce_modq_counts,
     check_on_line_exact,
     check_on_line_numeric,
     find_roots,
@@ -424,11 +425,24 @@ class TestHalfplane:
         assert halfplane_exact(RatPoly((-3, 1)), 6) is False
 
 
+ORACLE_SYSTEMS = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"]  # every stored rank 1-3
+
+
 @st.composite
 def oracle_cases(draw):
-    ident = rid(draw(st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"])))
+    ident = rid(draw(st.sampled_from(ORACLE_SYSTEMS)))
     q = draw(st.integers(1, 40 if ident.rank < 3 else 15))
     return ident, draw(st.integers(0, q + 2)), q
+
+
+@st.composite
+def oracle_batches(draw):
+    """A system, q, and an unordered list of m with a repeat, 0 and some m >= q."""
+    ident = rid(draw(st.sampled_from(ORACLE_SYSTEMS)))
+    q = draw(st.integers(1, 30 if ident.rank < 3 else 12))
+    drawn = draw(st.lists(st.integers(0, q + 3), min_size=1, max_size=6))
+    ms = draw(st.permutations(drawn + [drawn[0], 0, q + draw(st.integers(0, 2))]))
+    return ident, ms, q
 
 
 def enumerated_modq(ident, m, q):
@@ -446,6 +460,15 @@ class TestBruteforceModq:
     def test_matches_point_by_point_enumeration(self, case):
         ident, m, q = case
         assert bruteforce_modq(ident, m, q, unsafe=True) == enumerated_modq(ident, m, q)
+
+    @given(case=oracle_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_counts_match_point_by_point_enumeration(self, case):
+        ident, ms, q = case
+        counts = bruteforce_modq_counts(ident, ms, q, unsafe=True)
+        expected = {m: enumerated_modq(ident, m, q) for m in set(ms)}
+        assert counts == tuple(expected[m] for m in ms)
+        assert counts == tuple(bruteforce_modq(ident, m, q, unsafe=True) for m in ms)
 
     def test_g2_parity_formulas(self):
         for q in (7, 11, 49):
@@ -482,6 +505,15 @@ class TestBruteforceModq:
         just_over = math.isqrt(verify.ORACLE_MAX_POINTS) + 1
         with pytest.raises(OracleTooLarge):
             bruteforce_modq(rid("G2"), 1, just_over)
+
+    def test_largest_accepted_input_of_each_rank(self):
+        # q**rank at the cap: one window per m, so a huge m costs no more than m = 1
+        assert bruteforce_modq(rid("A1"), 10**6, 10**7) == 9_000_000
+        for name, m, q in [("G2", 3, 3162), ("A3", 2, 215)]:
+            assert bruteforce_modq(rid(name), m, q) == char_quasi(rid(name), m).value(q)
+        for name, m, q in [("A1", 10**6, 10**7 + 1), ("G2", 3, 3163), ("A3", 2, 216)]:
+            with pytest.raises(OracleTooLarge):
+                bruteforce_modq(rid(name), m, q)
 
     def test_point_cap_leaves_the_empty_arrangement(self):
         # m = 0 is answered as q**rank without enumerating anything

@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
-from . import acceptance, ehrhart, linial, rootdata, verify
+from . import acceptance, ehrhart, linial, oracles, rootdata, verify
 from .errors import LincharError
 from .rootdata import RootSystemId
 
@@ -172,7 +172,7 @@ def _cmd_limit_roots(args):
 
 
 def _cmd_oracle(args):
-    count = verify.bruteforce_modq(args.phi, args.m, args.q, unsafe=args.unsafe_q)
+    [count] = oracles.bruteforce_modq_counts(args.phi, (args.m,), args.q, args.unsafe_q)
     value = linial.char_constituent(args.phi, args.m, args.q).evaluate(Fraction(args.q))
     return {"count": count, "char_quasi_value": str(value), "agree": count == value}, [
         f"#M_q({args.phi}, m={args.m}, q={args.q}) = {count}",

@@ -2,9 +2,7 @@
 
 Exponents, marks, Coxeter number, index of connection, Weyl group order,
 period and its radical for the classical families A/B/C/D (any rank) and the
-exceptional types E6, E7, E8, F4, G2.  For rank <= 3 the module also provides
-explicit positive-root coefficient vectors and Cartan matrices, which back
-the small-rank enumeration oracles elsewhere in the package.
+exceptional types E6, E7, E8, F4, G2.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .errors import SelfCheckFailed, UnsupportedRank
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -136,82 +132,3 @@ ALL_TABLE_IDS = tuple(
 EXCEPTIONAL_IDS = tuple(
     RootSystemId.parse(s) for s in ("E6", "E7", "E8", "F4", "G2")
 )
-
-
-# -- explicit root coordinates for rank <= 3 -----------------------------------
-#
-# Roots are coefficient vectors on the simple roots; the Cartan matrix entry
-# cartan[i][j] = <alpha_i, alpha_j^vee>, so the simple reflection s_j sends a
-# vector n to n with n_j replaced by n_j - sum_i n_i * cartan[i][j].  The
-# numbering below is chosen so the produced positive systems match the
-# standard small-rank tables; the highest-root coefficients agree with the
-# catalog marks as a multiset (the catalog keeps the printed order, which
-# need not be the coordinate order).
-
-_CARTAN = {
-    ("A", 1): ((2,),),
-    ("A", 2): ((2, -1), (-1, 2)),
-    ("A", 3): ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
-    ("B", 2): ((2, -1), (-2, 2)),
-    ("C", 2): ((2, -1), (-2, 2)),
-    ("B", 3): ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
-    ("C", 3): ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
-    ("G", 2): ((2, -1), (-3, 2)),
-}
-
-
-@dataclass(frozen=True)
-class PositiveRootForms:
-    """Positive roots of a rank <= 3 system as integer linear forms.
-
-    In the coordinates dual to the simple roots (the coweight basis), the
-    root sum(n_i alpha_i) is the linear form x -> sum(n_i x_i).
-    """
-
-    roots: tuple[tuple[int, ...], ...]
-    highest: tuple[int, ...]
-    cartan: tuple[tuple[int, ...], ...]
-
-
-def reflect_vector(cartan, vec: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Apply the simple reflection s_j to a root coefficient vector."""
-    pairing = sum(vec[i] * cartan[i][j] for i in range(len(vec)))
-    out = list(vec)
-    out[j] -= pairing
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def positive_roots(ident: RootSystemId) -> PositiveRootForms:
-    """All l*h/2 positive-root coefficient vectors (rank <= 3 only)."""
-    if ident.rank > 3:
-        raise UnsupportedRank(f"explicit roots only stored for rank <= 3, got {ident}")
-    key = (ident.family, ident.rank)
-    if key == ("D", 3):
-        key = ("A", 3)  # D3 = A3
-    cartan = _CARTAN[key]
-    l = ident.rank
-    simple = [tuple(1 if i == j else 0 for i in range(l)) for j in range(l)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for j in range(l):
-                img = reflect_vector(cartan, vec, j)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    positives = sorted(v for v in seen if all(c >= 0 for c in v))
-    data = lookup(ident)
-    expected = l * data.coxeter_number // 2
-    if len(positives) != expected:
-        raise SelfCheckFailed(
-            f"root closure for {ident} produced {len(positives)} positives, expected {expected}"
-        )
-    top_height = max(sum(v) for v in positives)
-    tallest = [v for v in positives if sum(v) == top_height]
-    if len(tallest) != 1:
-        raise SelfCheckFailed(f"highest root of {ident} not unique")
-    return PositiveRootForms(roots=tuple(positives), highest=tallest[0], cartan=cartan)

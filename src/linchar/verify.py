@@ -1,6 +1,5 @@
 """Root localization: numeric root finding, exact line and half-plane
-certificates, limit polynomials, brute-force counting oracles, and
-asymptotic root tracking.
+certificates, limit polynomials, and asymptotic root tracking.
 
 Exactness boundary: membership on the vertical line Re t = M/2 and strict
 half-plane bounds are decided over Q (Sturm / Routh); floating point is used
@@ -13,12 +12,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
-from operator import or_
 from typing import Sequence
 
-from .errors import NonConvergence, OracleTooLarge, OutOfDoubleRange, QTooSmall, UnsupportedRank
+from .errors import NonConvergence, OutOfDoubleRange
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
 from .linial import char_constituent, char_quasi, shift_operator  # noqa: F401
 from .ratpoly import (
@@ -27,7 +25,7 @@ from .ratpoly import (
     apply_shift,
     routh_hurwitz_all_roots_left,
 )
-from .rootdata import RootSystemId, lookup, positive_roots
+from .rootdata import RootSystemId, lookup
 
 _MAX_ITER = 200
 _CORRECTION_TOL = 1e-13  # relative to the start radius of the polynomial iterated
@@ -39,12 +37,6 @@ _LINE_TOL = 1e-8  # max |Re root - M/2| that `check_on_line_numeric` accepts
 _LINE_ULPS = 64
 _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 _OUT_OF_RANGE = "polynomial does not fit in doubles"
-
-#: Most points `bruteforce_modq` enumerates: q**rank above this is refused.
-#: One enumeration per (system, q) holds one q-bit mask per prefix,
-#: q**(rank-1) of them, which each m updates with its new window only, and
-#: tables of q such masks from which each root's rows are sliced.
-ORACLE_MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -352,120 +344,6 @@ def halfplane_exact(p: RatPoly, bound_times_2: int) -> bool:
         raise ValueError("zero polynomial")
     shifted = p.compose_affine(1, Fraction(bound_times_2, 2))
     return routh_hurwitz_all_roots_left(shifted)
-
-
-def _window_bits(n: int, s: int, q: int, top: int) -> int:
-    """Bitmask of the x in 0..q-1 with (n*x + s) mod q in 1..top, for
-    0 < n < q, 0 <= s < q and 1 <= top < q.
-
-    n*x + s runs through [s, s + n*(q-1)], so its residue is in 1..top exactly
-    when it lies in one of the windows [k*q + 1, k*q + top], k = 0..n, and
-    each window holds a run of consecutive x.
-    """
-    bits = 0
-    for k in range(n + 1):
-        lo = max(0, -((s - k * q - 1) // n))  # ceil((k*q + 1 - s) / n)
-        hi = min(q - 1, (k * q + top - s) // n)
-        if lo <= hi:
-            bits |= (1 << (hi + 1)) - (1 << lo)
-    return bits
-
-
-def _hit_rows(n: int, q: int, top: int) -> list[int]:
-    """`_window_bits(n, s, q, top)` for every s in 0..q-1, computed for only
-    the g = gcd(n, q) rows s < g: since n*x + (s + n*y) = n*(x + y) + s, row
-    s + n*y is row s rotated down by y bits.  So row s is base row s % g
-    rotated by y = (s // g) * (n / g)**-1 mod q / g, one shift of a doubled
-    copy of the base row."""
-    full = (1 << q) - 1
-    if n == 0:  # n*x + s = s: row s holds every x or none
-        return [0] + [full] * top + [0] * (q - 1 - top)
-    g = math.gcd(n, q)
-    doubled = [bits | (bits << q) for bits in (_window_bits(n, j, q, top) for j in range(g))]
-    inverse = pow(n // g, -1, q // g)
-    return [(doubled[s % g] >> (s // g * inverse % (q // g))) & full for s in range(q)]
-
-
-def _prefix_rows(table: list[int], head: Sequence[int], q: int, shift: int) -> list[int]:
-    """table[(head . x - shift) % q] for every prefix x, in product order,
-    taken by slicing: the rows along x_k = 0..q-1 are every a-th entry of
-    the rotated table repeated a times (a = head[-1]), and a rank-3 prefix
-    rotates once per first coordinate."""
-    *outer, a = head
-    starts = [(outer[0] * x - shift) % q for x in range(q)] if outer else [-shift % q]
-    rows: list[int] = []
-    for k in starts:
-        rotated = table[k:] + table[:k]
-        rows += (rotated * a)[::a] if a else [rotated[0]] * q
-    return rows
-
-
-def bruteforce_modq_counts(
-    ident: RootSystemId, ms: Sequence[int], q: int, unsafe: bool = False
-) -> tuple[int, ...]:
-    """`bruteforce_modq` for every m in `ms` (any order, repeats allowed),
-    from one enumeration of (Z/qZ)^l.
-
-    Each prefix x_1..x_{l-1} keeps a q-bit mask of the x_l that put some
-    root's residue in 1..t.  The distinct tops t = min(m, q-1) are walked in
-    ascending order with the masks carried over, so each ORs in only its new
-    window (t_prev, t]: row (s - t_prev) mod q of a table of q masks per
-    (last coefficient, window width), where s is the prefix residue.
-    """
-    data = lookup(ident)
-    if ident.rank > 3:
-        raise UnsupportedRank(f"enumeration oracle capped at rank 3, got {ident}")
-    if any(m < 0 for m in ms):
-        raise ValueError("m must be >= 0")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    m_max = max(ms, default=0)
-    if not unsafe and q <= m_max * data.coxeter_number:
-        raise QTooSmall(
-            f"q = {q} is not above m*h = {m_max * data.coxeter_number}; "
-            "pass unsafe=True to override"
-        )
-    l = ident.rank
-    counts = {0: q**l}  # residue 0 is never on a hyperplane, even when m >= q
-    tops = sorted({min(m, q - 1) for m in ms} - {0})
-    if not tops:
-        return (counts[0],) * len(ms)
-    if q**l > ORACLE_MAX_POINTS:
-        raise OracleTooLarge(
-            f"q**{l} = {q**l} points exceed the enumeration cap of {ORACLE_MAX_POINTS}"
-        )
-    roots = [tuple(c % q for c in form) for form in positive_roots(ident).roots]
-    hits = [0] * q ** (l - 1)  # one mask per prefix x_1..x_{l-1}, in product order
-    tables: dict[tuple[int, int], list[int]] = {}  # (last coefficient, window width) -> rows
-    done = 0
-    for top in tops:
-        width = top - done
-        if l == 1:  # one empty prefix, residue 0; a full table could be 10**7 masks of 10**7 bits
-            hits[0] |= reduce(or_, (_window_bits(n, -done % q, q, width) for (n,) in roots))
-        else:
-            for *head, n in roots:
-                if (n, width) not in tables:
-                    tables[n, width] = _hit_rows(n, q, width)
-                hits = list(map(or_, hits, _prefix_rows(tables[n, width], head, q, done)))
-        counts[top] = q**l - sum(map(int.bit_count, hits))
-        done = top
-    return tuple(counts[min(m, q - 1)] for m in ms)
-
-
-def bruteforce_modq(
-    ident: RootSystemId, m: int, q: int, unsafe: bool = False
-) -> int:
-    """Count points of (Z/qZ)^l avoiding alpha(x) = 1..m for all positive roots.
-
-    Pure enumeration over the stored root forms (rank <= 3), done by
-    `bruteforce_modq_counts`: one enumeration per (system, q), in which each
-    m adds only its new window of residues to the hit masks and each root's
-    rows over all prefixes are sliced from a table, so the cost grows with
-    the number of m asked, never with their size.  Requires the safe regime
-    q > m*h unless `unsafe` is set, and refuses more than ORACLE_MAX_POINTS
-    points with OracleTooLarge.
-    """
-    return bruteforce_modq_counts(ident, (m,), q, unsafe)[0]
 
 
 @lru_cache(maxsize=None)

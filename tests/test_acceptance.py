@@ -4,7 +4,7 @@ matrix, or `linchar verify-all` for the same checks via the CLI."""
 
 import pytest
 
-from linchar import verify
+from linchar import oracles
 from linchar.acceptance import ALL_CHECKS, check_oracle, run_all
 from linchar.rootdata import RootSystemId, lookup
 
@@ -45,7 +45,7 @@ def oracle_triples():
 def recording_oracle(monkeypatch, off_by_one=None):
     """Wrap the mod-q kernel: record each (system, m, q) it answers, and add 1
     to the count of `off_by_one`."""
-    kernel = verify.bruteforce_modq_counts
+    kernel = oracles.bruteforce_modq_counts
     seen = []
 
     def recorded(ident, ms, q, unsafe=False):
@@ -54,7 +54,7 @@ def recording_oracle(monkeypatch, off_by_one=None):
         seen.extend(triples)
         return tuple(c + (t == off_by_one) for c, t in zip(counts, triples))
 
-    monkeypatch.setattr(verify, "bruteforce_modq_counts", recorded)
+    monkeypatch.setattr(oracles, "bruteforce_modq_counts", recorded)
     return seen
 
 

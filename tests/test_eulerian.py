@@ -5,12 +5,8 @@ import pytest
 
 from linchar.ehrhart import series_coeffs
 from linchar.errors import UnsupportedRank
-from linchar.eulerian import (
-    asc_oracle,
-    classical_eulerian,
-    generalized_eulerian,
-    truncate_half,
-)
+from linchar.eulerian import classical_eulerian, generalized_eulerian, truncate_half
+from linchar.oracles import asc_oracle
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
 

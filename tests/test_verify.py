@@ -19,12 +19,11 @@ from linchar.errors import (
     UnsupportedRank,
 )
 from linchar.linial import char_poly, char_quasi, toy_poly
+from linchar.oracles import ORACLE_MAX_POINTS, bruteforce_modq_counts, positive_roots
 from linchar.ratpoly import RatPoly
-from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup, positive_roots
+from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup
 from linchar.verify import (
     asymptotic_track,
-    bruteforce_modq,
-    bruteforce_modq_counts,
     check_on_line_exact,
     check_on_line_numeric,
     find_roots,
@@ -445,6 +444,10 @@ def oracle_batches(draw):
     return ident, ms, q
 
 
+def bruteforce_modq(ident, m, q, unsafe=False):
+    return bruteforce_modq_counts(ident, (m,), q, unsafe)[0]
+
+
 def enumerated_modq(ident, m, q):
     """The points of (Z/q)^l on no hyperplane alpha(x) = 1..m, counted one by one."""
     forms = positive_roots(ident).roots
@@ -502,7 +505,7 @@ class TestBruteforceModq:
             bruteforce_modq(rid("G2"), 1, 10**12)
         with pytest.raises(OracleTooLarge):
             bruteforce_modq(rid("A3"), 1, 10**5)
-        just_over = math.isqrt(verify.ORACLE_MAX_POINTS) + 1
+        just_over = math.isqrt(ORACLE_MAX_POINTS) + 1
         with pytest.raises(OracleTooLarge):
             bruteforce_modq(rid("G2"), 1, just_over)
 

@@ -170,14 +170,13 @@ def series_coeffs(ident: RootSystemId, count: int) -> list[int]:
 
 def check_reciprocity(L: QuasiPoly, rank: int, h: int) -> bool:
     """Exact Ehrhart-Macdonald reciprocity L(-q) = (-1)^rank L(q - h),
-    checked constituent by constituent."""
+    checked constituent by constituent; each side is substituted once per
+    distinct constituent."""
     sign = (-1) ** rank
-    for d in range(L.period):
-        lhs = L.constituent(-d).compose_affine(-1, 0)
-        rhs = L.constituent(d - h).compose_affine(1, -h).scale(sign)
-        if lhs != rhs:
-            return False
-    return True
+    distinct = set(L.constituents)
+    lhs = {c: c.compose_affine(-1, 0) for c in distinct}
+    rhs = {c: c.compose_affine(1, -h).scale(sign) for c in distinct}
+    return all(lhs[L.constituent(-d)] == rhs[L.constituent(d - h)] for d in range(L.period))
 
 
 def apply_shift_qp(f: RatPoly, step: int, L: QuasiPoly) -> QuasiPoly:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import zip_longest
+from itertools import islice, zip_longest
+from operator import add
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InexactDivision
@@ -384,23 +384,62 @@ class RatPoly:
 # -- shift-operator action ----------------------------------------------------
 
 
+def _layers(nums: tuple[tuple[int, ...], ...]) -> tuple:
+    """The columns (coefficients of t^k) of a table split by least period
+    into layers (period, columns, rows), in the order of their first column,
+    found from the data alone.
+
+    Column k, with a short row read as 0, has period p when its entries
+    repeat every p rows; the least such p divides the table period.  In an
+    Ehrhart quasi-polynomial the period of t^k shrinks as k grows (McMullen,
+    Arch. Math. 31, 1978), so the high powers of t land in small layers.
+    ``rows[r]`` lists the terms (q, k - q, C(k, q) * nums[r][k]) of row
+    r = 0..period-1, for each column k of the layer with nums[r][k] != 0 and
+    each q = 0..k; equal rows share one tuple.
+    """
+    period = len(nums)
+    cols = list(zip_longest(*nums, fillvalue=0))
+    divisors = [p for p in range(1, period) if period % p == 0]
+    by_period: dict[int, list[int]] = {}
+    for k, col in enumerate(cols):
+        for p in divisors:
+            if col[p] == col[0] and col[p:] == col[: period - p]:
+                break
+        else:
+            p = period
+        by_period.setdefault(p, []).append(k)
+    layers = []
+    for p, ks in by_period.items():
+        values = list(islice(zip(*map(cols.__getitem__, ks)), p))
+        terms = dict.fromkeys(values)  # equal rows share one tuple of terms
+        for row in terms:
+            row_terms = []
+            for k, x in zip(ks, row):
+                if x:
+                    for q in range(k + 1):
+                        row_terms.append((q, k - q, math.comb(k, q) * x))
+            terms[row] = tuple(row_terms)
+        layers.append((p, tuple(ks), tuple(map(terms.__getitem__, values))))
+    return tuple(layers)
+
+
 class IntegerTable(NamedTuple):
     """Polynomials over one common denominator: ``polys[r] = nums[r] / den``,
-    with ``nums[r]`` the ascending integer coefficients."""
+    with ``nums[r]`` the ascending integer coefficients, and ``layers``, the
+    columns split by least period (`_layers`), as the shift kernel reads
+    them.  Built by `of`, which makes the split once per table."""
 
     den: int
     nums: tuple[tuple[int, ...], ...]
+    layers: tuple
 
     @classmethod
     def of(cls, polys: Sequence[RatPoly]) -> "IntegerTable":
         den = math.lcm(*(p.den for p in polys))
-        return cls(den, tuple(tuple(x * (den // p.den) for x in p.nums) for p in polys))
-
-
-@lru_cache(maxsize=None)
-def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..n of Pascal's triangle."""
-    return tuple(tuple(math.comb(k, p) for p in range(k + 1)) for k in range(n + 1))
+        nums = tuple(
+            p.nums if p.den == den else tuple(x * (den // p.den) for x in p.nums) for p in polys
+        )
+        return cls(den, nums, _layers(nums))
 
 
 def shift_constituents(
@@ -413,50 +452,67 @@ def shift_constituents(
         sum_i f_i * g_{(d - step*i) mod period}(t - step*i).
 
     The i are grouped once per call by class c = (-step*i) mod period, and
-    each class keeps the integer moments mu_j = sum_i f.nums[i] * (-step*i)^j.
-    For each d, the classes that read the same row nums[(d + c) % period]
-    (equal integer tuples) have their moments summed, and each distinct row
-    is convolved once: [t^p] = sum_k g_k C(k, p) mu_(k-p), over
-    f.den * den.  Exact throughout; one result per entry of `residues`, in
-    order, residues taken mod period.
+    each class keeps the integer moments mu_j = sum_i f.nums[i] * (-step*i)^j,
+    so that [t^q] of the result is sum_c sum_k C(k, q) nums[(d + c) % period][k]
+    mu_c[k - q], over f.den * den.  The sum over k runs layer by layer
+    (`IntegerTable.layers`).  A layer of period p reads row (d + c) mod p,
+    so its classes are folded mod p and its share of the result depends on
+    d mod p alone: it is convolved once per d mod p, and every residue with
+    that d mod p reuses it.  Each result is the sum of its layers' shares.
+    Exact throughout; one result per entry of `residues`, in order, residues
+    taken mod period.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    den, nums = constituents
+    nums = constituents.nums
     period = len(nums)
     size = max(map(len, nums), default=0)
     moments: dict[int, list[int]] = {}
-    for i, x in enumerate(f.nums):
-        if not x:
-            continue
-        shift = -step * i
-        mu = moments.setdefault(shift % period, [0] * size)
-        for j in range(size):
-            mu[j] += x
-            x *= shift
-    binom = _pascal(size)
-    out_den = f.den * den
+    if size:
+        for i, x in enumerate(f.nums):
+            if x:
+                shift = -step * i
+                mu = moments.get(shift % period)
+                if mu is None:
+                    mu = moments[shift % period] = [0] * size
+                mu[0] += x
+                for j in range(1, size):
+                    x *= shift
+                    mu[j] += x
+    folds = {period: moments}  # the classes folded mod p, for each p met so far
+    plan = []  # per layer: its period and rows, its folded classes, its shares by d mod p
+    for p, _, rows in constituents.layers:
+        if p not in folds:
+            # from the coarsest fold so far that p divides; lists may be
+            # shared between folds, and are never written in place
+            finer = moments
+            for q, fold in folds.items():
+                if q % p == 0 and len(fold) < len(finer):
+                    finer = fold
+            folded = folds[p] = {}
+            for c, mu in finer.items():
+                acc = folded.get(c % p)
+                folded[c % p] = mu if acc is None else list(map(add, acc, mu))
+        plan.append((p, rows, folds[p], {}))
+    out_den = f.den * constituents.den
     results = []
     for d in residues:
-        by_row: dict[tuple[int, ...], list[int]] = {}
-        for c, mu in moments.items():
-            row = nums[(d + c) % period]
-            acc = by_row.get(row)  # may be a class's own list: never written in place
-            by_row[row] = mu if acc is None else [a + b for a, b in zip(acc, mu)]
-        out = [0] * size
-        for row, mu in by_row.items():
-            for k, gk in enumerate(row):
-                if gk:
-                    coeffs = binom[k]
-                    for p in range(k + 1):
-                        out[p] += gk * coeffs[p] * mu[k - p]
-        results.append(RatPoly.over(out, out_den))
+        shares = []
+        for p, rows, folded, memo in plan:
+            share = memo.get(d % p)
+            if share is None:
+                share = memo[d % p] = [0] * size
+                for e, mu in folded.items():
+                    for q, j, w in rows[(d + e) % p]:
+                        share[q] += w * mu[j]
+            shares.append(share)
+        results.append(RatPoly.over(map(sum, zip(*shares)), out_den))
     return tuple(results)
 
 
 def apply_shift(f: RatPoly, step: int, g: RatPoly) -> RatPoly:
     """Apply f(S**step) to g: sum_i f_i * g(t - step*i), exactly."""
-    return shift_constituents(f, step, IntegerTable(g.den, (g.nums,)), (0,))[0]
+    return shift_constituents(f, step, IntegerTable.of((g,)), (0,))[0]
 
 
 # -- Sturm sequences -----------------------------------------------------------

@@ -624,7 +624,7 @@ class TestIntegerPaths:
         if a.is_zero or b.is_zero:
             return
         b = -b if b.leading > 0 else b  # negative leading coefficient
-        _, (na, nb) = IntegerTable.of((a, b))
+        na, nb = IntegerTable.of((a, b)).nums
         q, r, mult = _pseudo_divrem(na, nb)
         assert mult > 0
         assert RatPoly(na).scale(mult) == RatPoly(q) * RatPoly(nb) + RatPoly(r)

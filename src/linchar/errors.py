@@ -21,10 +21,6 @@ class NotAdmissible(LincharError, ValueError):
     """The requested residue class is not admissible for the averaging construction."""
 
 
-class SymmetryViolation(LincharError, ValueError):
-    """A supplied polynomial fails the required symmetry g(t-h) = (-1)^l g(-t)."""
-
-
 class NonConvergence(LincharError, RuntimeError):
     """Root iteration did not converge; partial results are attached.
 

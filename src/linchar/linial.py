@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ehrhart import QuasiPoly, apply_shift_qp, ehrhart_qp
-from .errors import NotAdmissible, SymmetryViolation
+from .errors import NotAdmissible
 from .eulerian import generalized_eulerian, truncate_half
 from .ratpoly import RatPoly, apply_shift, shift_constituents
 from .rootdata import RootSystemId, lookup
@@ -128,26 +128,10 @@ def averaged_half(ident: RootSystemId, m: int, d: int) -> RatPoly:
     return acc.scale(Fraction(1, 2 * report.m0))
 
 
-def default_toy_symmetric(ident: RootSystemId) -> RatPoly:
-    """The canonical symmetric seed g(t) = prod_i (t + e_i)."""
-    return RatPoly.from_roots([-e for e in lookup(ident).exponents])
-
-
-def toy_poly(ident: RootSystemId, m: int, g: RatPoly | None = None) -> RatPoly:
-    """Toy-case polynomial R_Phi(S^(m+1)) g for a symmetric seed g.
-
-    g must be degree-rank and satisfy g(t - h) = (-1)^rank g(-t); the default
-    seed is prod(t + e_i)."""
+def toy_poly(ident: RootSystemId, m: int) -> RatPoly:
+    """Toy-case polynomial R_Phi(S^(m+1)) g for the symmetric seed
+    g(t) = prod_i (t + e_i), with g(t - h) = (-1)^rank g(-t)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    data = lookup(ident)
-    if g is None:
-        g = default_toy_symmetric(ident)
-    else:
-        if g.degree != data.rank:
-            raise ValueError(f"seed degree {g.degree} != rank {data.rank}")
-        shifted = g.compose_affine(1, -data.coxeter_number)
-        mirrored = g.compose_affine(-1, 0).scale((-1) ** data.rank)
-        if shifted != mirrored:
-            raise SymmetryViolation("seed fails g(t - h) = (-1)^rank g(-t)")
+    g = RatPoly.from_roots([-e for e in lookup(ident).exponents])
     return apply_shift(shift_operator(ident, False), m + 1, g)

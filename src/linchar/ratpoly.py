@@ -1,5 +1,8 @@
 """Exact univariate polynomials over Q, the shift-operator calculus, and
-exact real-root counting (Sturm sequences, Routh-Hurwitz).
+the two exact root-location verdicts, both read from the one primitive
+remainder sequence over Z (`_remainders`) at its two ends: a Sturm chain
+through its signs at -inf and at 0 (every root real and <= 0), the Routh
+rows through their leading coefficients (every root with Re < 0).
 
 A `RatPoly` is integer numerators over one positive common denominator:
 ``nums[j] / den`` multiplies ``t**j``, stored ascending, in canonical form
@@ -23,11 +26,6 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .errors import InexactDivision
 
 Scalar = Union[int, Fraction]
-
-#: Endpoint sentinels accepted by `sturm_real_root_count`.
-NEG_INF = -math.inf
-POS_INF = math.inf
-
 
 def _frac(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
@@ -71,7 +69,7 @@ def _primitive(a: Sequence[int]) -> list[int]:
     return [x // g for x in a]
 
 
-def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+def _remainders(a: Sequence[int], b: Sequence[int]) -> list[Sequence[int]]:
     """The primitive remainder sequence a, b, -pp(prem(a, b)), ... over Z,
     up to its last nonzero element, which is gcd(a, b) up to a factor in Q
     (Brown, JACM 18, 1971).  ``a`` is nonzero; a zero ``b`` gives [a].  The
@@ -276,23 +274,16 @@ class RatPoly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, x):
-        """Horner evaluation; exact (a Fraction) for Fraction/int x, numeric
-        otherwise."""
-        if isinstance(x, (int, Fraction)):
-            # homogenized Horner over Z: v = sum nums_k u^k w^(deg - k)
-            u, w = x.numerator, x.denominator
-            v, wpow = 0, 1
-            for c in reversed(self.nums):
-                v = v * u + c * wpow
-                wpow *= w
-            return Fraction(v * w, self.den * wpow)
-        acc = 0 if not isinstance(x, complex) else 0j
+    def evaluate(self, x: Scalar) -> Fraction:
+        """Exact Horner evaluation at an int or Fraction x."""
+        x = _frac(x)
+        # homogenized Horner over Z: v = sum nums_k u^k w^(deg - k)
+        u, w = x.numerator, x.denominator
+        v, wpow = 0, 1
         for c in reversed(self.nums):
-            acc = acc * x + c / self.den
-        return acc
-
-    __call__ = evaluate
+            v = v * u + c * wpow
+            wpow *= w
+        return Fraction(v * w, self.den * wpow)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "RatPoly":
         """Exact substitution t -> a*t + b.
@@ -535,59 +526,24 @@ def _sturm_chain(p: RatPoly) -> tuple[list[list[int]], int]:
     return chain, len(g) - 1
 
 
-def _endpoint(x):
-    """Validate a Sturm interval endpoint: exact rational or +-inf."""
-    if isinstance(x, (int, Fraction)):
-        return _frac(x)
-    if isinstance(x, float) and math.isinf(x):
-        return x
-    raise TypeError("interval endpoint must be a Fraction, int, or +-math.inf")
-
-
-def _sign_at(q: Sequence[int], x) -> int:
-    """Sign of the integer polynomial q at x, by homogenized Horner
-    (den(x)^deg q * q(x)) at a rational x."""
-    if x == POS_INF:
-        v = q[-1]
-    elif x == NEG_INF:
-        v = -q[-1] if len(q) % 2 == 0 else q[-1]
-    else:
-        u, w = x.numerator, x.denominator
-        v, wpow = 0, 1
-        for c in reversed(q):
-            v = v * u + c * wpow
-            wpow *= w
-    return (v > 0) - (v < 0)
-
-
-def _variations(chain: Sequence[Sequence[int]], x) -> int:
-    """Sign variations of the chain at x, zeros skipped."""
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+def _variations(values: Sequence[int]) -> int:
+    """Sign variations of a list of integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_real_root_count(p: RatPoly, a, b) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b].
-
-    Endpoints may be Fractions/ints or +-math.inf.  The chain is that of the
-    square-free part, so multiplicities never inflate the count.
-    """
-    if p.is_zero:
-        raise ValueError("root counting on the zero polynomial")
-    a, b = _endpoint(a), _endpoint(b)
-    if not a < b:
-        return 0
-    chain = _sturm_chain(p)[0]
-    return _variations(chain, a) - _variations(chain, b)
 
 
 def all_roots_real_nonpositive(p: RatPoly) -> bool:
     """True iff every complex root of p is real and <= 0 (with multiplicity):
-    the distinct real roots in (-inf, 0] number deg p - deg gcd(p, p')."""
+    the distinct real roots in (-inf, 0] number deg p - deg gcd(p, p').
+
+    The count is the Sturm chain read at its two ends: each element q has
+    the sign of q[-1] * (-1)^deg q at -inf and the sign of q[0] at 0."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     chain, deg_g = _sturm_chain(p)
-    return _variations(chain, NEG_INF) - _variations(chain, Fraction(0)) == p.degree - deg_g
+    at_neg_inf = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
+    at_zero = [q[0] for q in chain]
+    return _variations(at_neg_inf) - _variations(at_zero) == p.degree - deg_g
 
 
 # -- Routh-Hurwitz --------------------------------------------------------------
@@ -596,15 +552,17 @@ def all_roots_real_nonpositive(p: RatPoly) -> bool:
 def routh_hurwitz_all_roots_left(p: RatPoly) -> bool:
     """Exact Routh test: True iff all roots of p satisfy Re < 0.
 
-    Decisive in every case.  The rows of the Routh array are the remainder
-    sequence over Z of p's two parity parts: row 0 holds the terms of p with
-    the parity of deg p, row 1 the other terms, and each later row is the
-    primitive pseudo-remainder of the two before it, a positive multiple of
-    the Routh row.  With the leading coefficient of p made positive, p is
-    strictly Hurwitz iff no coefficient is negative and the row degrees fall
-    by exactly one from deg p to 0, every row with a positive leading
-    coefficient (the first column of the array).  A fall of more than one is
-    a zero pivot or a zero row of the array: it proves a root with Re >= 0.
+    Decisive in every case.  With the leading coefficient of p made
+    positive, the rows are `_remainders` of p's two parity parts: row 0
+    holds the terms of p with the parity of deg p, row 1 the other terms.
+    `_remainders` negates each remainder, so row k is a positive multiple of
+    row k of the Routh array times (-1)^(k // 2).  p is strictly Hurwitz iff
+    no coefficient is negative, there are deg p + 1 rows (the degrees fall
+    by exactly one from deg p to 0) and every Routh row has a positive
+    leading coefficient (the first column of the array), that is, the signs
+    of the rows' leading coefficients run + + - - + + ....  Fewer rows mean
+    a zero pivot or a zero row of the array: that proves a root with
+    Re >= 0.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -613,9 +571,5 @@ def routh_hurwitz_all_roots_left(p: RatPoly) -> bool:
         return False
     n = p.degree
     parts = ([x if (n - j) % 2 == k else 0 for j, x in enumerate(nums)] for k in (0, 1))
-    prev, row = (RatPoly.over(part).nums for part in parts)  # trailing zeros dropped
-    while len(prev) > 1:
-        if len(row) != len(prev) - 1 or row[-1] < 0:
-            return False
-        prev, row = row, _primitive(_pseudo_divrem(prev, row)[1])
-    return True
+    rows = _remainders(*(RatPoly.over(part).nums for part in parts))  # trailing zeros dropped
+    return len(rows) == n + 1 and all((row[-1] > 0) == (k % 4 < 2) for k, row in enumerate(rows))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linchar.errors import NotAdmissible, SymmetryViolation
+from linchar.errors import NotAdmissible
 from linchar.linial import (
     admissible_residues,
     averaged_half,
@@ -14,6 +14,7 @@ from linchar.linial import (
     toy_poly,
     weyl_char_quasi,
 )
+from linchar.eulerian import generalized_eulerian
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup
 from linchar.verify import check_on_line_exact
@@ -260,13 +261,11 @@ class TestToyPoly:
             assert p.leading == Fraction(data.weyl_order, data.index_of_connection)
 
     def test_default_seed_for_e6(self):
+        # g = prod (t + e_i) over the exponents of E6, h = 12:
+        # g(t - h) = (-1)^rank g(-t), and toy_poly is R_Phi(S^(m+1)) g
         seed = RatPoly.from_roots([-1, -4, -5, -7, -8, -11])
-        assert toy_poly(rid("E6"), 0, seed) == toy_poly(rid("E6"), 0)
-
-    def test_symmetry_violation(self):
-        with pytest.raises(SymmetryViolation):
-            toy_poly(rid("G2"), 1, RatPoly((1, 0, 1)))
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(ValueError):
-            toy_poly(rid("G2"), 1, RatPoly((0, 1)))
+        assert seed.compose_affine(1, -12) == seed.compose_affine(-1, 0)
+        R = generalized_eulerian(rid("E6"))
+        for m in (0, 1, 4):
+            shifted = [c * seed.compose_affine(1, -(m + 1) * i) for i, c in enumerate(R.coeffs)]
+            assert toy_poly(rid("E6"), m) == sum(shifted, RatPoly.zero())

@@ -27,6 +27,10 @@ class CheckResult:
     detail: str = ""
     reported: list[str] = field(default_factory=list)  # informational, not asserted
 
+    def to_json(self) -> dict:
+        return {"number": self.number, "name": self.name, "passed": self.passed,
+                "detail": self.detail, "reported": self.reported}
+
 
 def _ids(*names: str) -> list[RootSystemId]:
     return [RootSystemId.parse(n) for n in names]

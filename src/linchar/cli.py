@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands delegate 1:1 to the library; `verify-all` runs the full
-acceptance matrix.  Each handler returns its result and its human lines
-(`verify-all` also its exit code), and `main` alone writes the report.
+acceptance matrix.  Each handler returns its result and a function that
+renders its human lines (`verify-all` also its exit code); `main` alone
+writes the report, and calls that function only without `--json`.
 Human output prints polynomials in descending powers (variable t, or x for
 Eulerian polynomials).  JSON output is an envelope
 {"command", "inputs", "result", "schema_version"}: "command" is the command
@@ -19,7 +20,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -60,9 +60,9 @@ def _criteria_list(text: str) -> list[int]:
 
 
 def to_json_str(obj) -> str:
-    """Indented strict JSON (no NaN or Infinity); a dataclass is written as
-    the dict of its fields."""
-    return json.dumps(obj, indent=2, sort_keys=False, default=asdict, allow_nan=False)
+    """Indented strict JSON (no NaN or Infinity); any other object is written
+    as its `to_json()`."""
+    return json.dumps(obj, indent=2, default=lambda o: o.to_json(), allow_nan=False)
 
 
 def _qp_human(qp) -> list[str]:
@@ -79,56 +79,59 @@ def _qp_human(qp) -> list[str]:
 
 # -- subcommand handlers ---------------------------------------------------------
 #
-# Each returns (result, human lines); `verify-all` adds its exit code.
+# Each returns (result, render); `verify-all` adds its exit code.  render()
+# gives the human lines, and `main` calls it only when they are printed.
 
 
 def _cmd_table(args):
-    rows = [{"id": str(ident), **asdict(rootdata.lookup(ident))} for ident in rootdata.ALL_TABLE_IDS]
-    human = [
+    rows = [{"id": str(i), **rootdata.lookup(i).to_json()} for i in rootdata.ALL_TABLE_IDS]
+    return rows, lambda: [
         f"{'Phi':<4} {'exponents':<24} {'marks':<22} {'h':>3} {'f':>2} {'|W|':>12} {'n~':>3} {'rad':>4}"
+    ] + [
+        f"{r['id']:<4} {','.join(map(str, r['exponents'])):<24} "
+        f"{','.join(map(str, r['marks'])):<22} {r['coxeter_number']:>3} "
+        f"{r['index_of_connection']:>2} {r['weyl_order']:>12} {r['period']:>3} "
+        f"{r['rad_period']:>4}"
+        for r in rows
     ]
-    for r in rows:
-        human.append(
-            f"{r['id']:<4} {','.join(map(str, r['exponents'])):<24} "
-            f"{','.join(map(str, r['marks'])):<22} {r['coxeter_number']:>3} "
-            f"{r['index_of_connection']:>2} {r['weyl_order']:>12} {r['period']:>3} "
-            f"{r['rad_period']:>4}"
-        )
-    return rows, human
 
 
 def _cmd_eulerian(args):
     R = linial.shift_operator(args.phi, args.half)
     name = "R^1/2" if args.half else "R"
-    return R.to_json(), [f"{name}_{args.phi}(x) = {R.pretty('x')}"]
+    return R.to_json(), lambda: [f"{name}_{args.phi}(x) = {R.pretty('x')}"]
 
 
 def _cmd_ehrhart(args):
     qp = ehrhart.ehrhart_qp(args.phi)
     result = {"quasi_polynomial": qp.to_json()}
-    human = [f"L_{args.phi}:"] + _qp_human(qp)
     if args.series is not None:
-        coeffs = ehrhart.series_coeffs(args.phi, args.series)
-        result["series"] = coeffs
-        human.append(f"series[0:{args.series}] = {coeffs}")
-    return result, human
+        result["series"] = ehrhart.series_coeffs(args.phi, args.series)
+
+    def render():
+        human = [f"L_{args.phi}:"] + _qp_human(qp)
+        if args.series is not None:
+            human.append(f"series[0:{args.series}] = {result['series']}")
+        return human
+
+    return result, render
 
 
 def _cmd_charquasi(args):
     kind = "chi^1/2" if args.half else "chi"
     if args.constituent is not None:
         poly = linial.char_constituent(args.phi, args.m, args.constituent, half=args.half)
-        return poly.to_json(), [
+        return poly.to_json(), lambda: [
             f"{kind}({args.phi}, m={args.m}) at d = {args.constituent}: {poly.pretty()}"
         ]
     build = linial.half_char_quasi if args.half else linial.char_quasi
     qp = build(args.phi, args.m)
-    return qp.to_json(), [f"{kind}({args.phi}, m={args.m}):"] + _qp_human(qp)
+    return qp.to_json(), lambda: [f"{kind}({args.phi}, m={args.m}):"] + _qp_human(qp)
 
 
 def _cmd_admissible(args):
     rep = linial.admissible_residues(args.phi)
-    return rep, [
+    return rep, lambda: [
         f"admissible residues of {args.phi}: {', '.join(map(str, rep.residues))}",
         f"admissible divisors: {', '.join(map(str, rep.divisors))}",
         f"m0 = {rep.m0}",
@@ -138,7 +141,7 @@ def _cmd_admissible(args):
 def _cmd_toy(args):
     poly = linial.toy_poly(args.phi, args.m)
     rep = verify.check_on_line_exact(poly, args.m * rootdata.lookup(args.phi).coxeter_number)
-    return {"polynomial": poly.to_json(), "line_check": rep.to_json()}, [
+    return {"polynomial": poly.to_json(), "line_check": rep.to_json()}, lambda: [
         f"R(S^{args.m + 1}) g = {poly.pretty()}",
         f"all roots on Re t = {rep.center}: {rep.on_line}",
     ]
@@ -148,7 +151,7 @@ def _cmd_check_line(args):
     poly = linial.char_constituent(args.phi, args.m, args.d)
     check = verify.check_on_line_numeric if args.numeric else verify.check_on_line_exact
     rep = check(poly, args.m * rootdata.lookup(args.phi).coxeter_number)
-    return rep.to_json(), [
+    return rep.to_json(), lambda: [
         f"constituent d = {args.d} of chi({args.phi}, m={args.m}): {poly.pretty()}",
         f"method {rep.method}: all roots on Re t = {rep.center}: {rep.on_line}",
     ]
@@ -165,16 +168,17 @@ def _cmd_limit_roots(args):
         "max_real_part": top,
         "half_coxeter": h / 2,
     }
-    human = [f"F_{args.phi}(t) = {F.pretty()}"]
-    human += [f"  root {z.real:+.6f} {z.imag:+.6f}i" for z in roots.roots]
-    human.append(f"max real part = {top:.6f} (h/2 = {h / 2})")
-    return result, human
+    return result, lambda: (
+        [f"F_{args.phi}(t) = {F.pretty()}"]
+        + [f"  root {z.real:+.6f} {z.imag:+.6f}i" for z in roots.roots]
+        + [f"max real part = {top:.6f} (h/2 = {h / 2})"]
+    )
 
 
 def _cmd_oracle(args):
     [count] = oracles.bruteforce_modq_counts(args.phi, (args.m,), args.q, args.unsafe_q)
     value = linial.char_constituent(args.phi, args.m, args.q).evaluate(Fraction(args.q))
-    return {"count": count, "char_quasi_value": str(value), "agree": count == value}, [
+    return {"count": count, "char_quasi_value": str(value), "agree": count == value}, lambda: [
         f"#M_q({args.phi}, m={args.m}, q={args.q}) = {count}",
         f"chi_quasi value = {value} ({'agree' if count == value else 'DISAGREE'})",
     ]
@@ -182,21 +186,26 @@ def _cmd_oracle(args):
 
 def _cmd_track(args):
     pairs = verify.asymptotic_track(args.phi, args.d, args.m_list)
-    human = [f"scaled-root distance to the limit configuration for {args.phi}, d = {args.d}:"]
-    human += [f"  m = {m:>6}: {dist:.6f}" for m, dist in pairs]
-    return [{"m": m, "distance": dist} for m, dist in pairs], human
+    return [{"m": m, "distance": dist} for m, dist in pairs], lambda: (
+        [f"scaled-root distance to the limit configuration for {args.phi}, d = {args.d}:"]
+        + [f"  m = {m:>6}: {dist:.6f}" for m, dist in pairs]
+    )
 
 
 def _cmd_verify_all(args):
     results = acceptance.run_all(args.only)
-    human = []
-    for r in results:
-        human.append(f"[{r.number:2d}] {'PASS' if r.passed else 'FAIL'} {r.name}"
-                     + (f": {r.detail}" if r.detail else ""))
-        human.extend(f"     {line}" for line in r.reported)
     ok = all(r.passed for r in results)
-    human.append("all selected criteria pass" if ok else "FAILURES present")
-    return results, human, 0 if ok else 1
+
+    def render():
+        human = []
+        for r in results:
+            human.append(f"[{r.number:2d}] {'PASS' if r.passed else 'FAIL'} {r.name}"
+                         + (f": {r.detail}" if r.detail else ""))
+            human.extend(f"     {line}" for line in r.reported)
+        human.append("all selected criteria pass" if ok else "FAILURES present")
+        return human
+
+    return results, render, 0 if ok else 1
 
 
 # -- the command table -------------------------------------------------------------
@@ -219,9 +228,9 @@ class Arg(NamedTuple):
 
 class Command(NamedTuple):
     """One (sub)command: either a `handler`, which takes the parsed namespace
-    and returns (result, human lines[, exit code]), or a group of
-    `subcommands`, whose chosen name is stored under `dest`.  At most one of
-    the flags named in `exclusive` may be given."""
+    and returns (result, render[, exit code]) with render() the human lines,
+    or a group of `subcommands`, whose chosen name is stored under `dest`.
+    At most one of the flags named in `exclusive` may be given."""
 
     help: str
     handler: Callable | None = None
@@ -563,7 +572,7 @@ def main(argv=None) -> int:
         command = command.subcommands[path[-1]]
     name = "-".join(path)
     try:
-        result, human, *code = command.handler(args)
+        result, render, *code = command.handler(args)
         if args.json:
             text = to_json_str({
                 "command": name,
@@ -572,7 +581,7 @@ def main(argv=None) -> int:
                 "schema_version": SCHEMA_VERSION,
             })
         else:
-            text = "\n".join(human)
+            text = "\n".join(render())
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(text + "\n")

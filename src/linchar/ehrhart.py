@@ -12,9 +12,10 @@ integer numerator over the one common denominator n**l * l!, and the table
 is then divided by the gcd of that denominator and all numerators, which
 leaves the least common denominator of the constituents.  A guard checks
 every integer 0..3n(l+1) against the counts on this table, in integers,
-before anything is returned.  Each constituent is then its row of the table
-over the common denominator, as a `RatPoly` in canonical form; no `Fraction`
-is made.
+before anything is returned.  `ehrhart_table` caches that table, which the
+shift kernel reads as it is.  `ehrhart_qp` makes each row over the common
+denominator a `RatPoly` in canonical form and keeps the table as its
+`numerators`.  No `Fraction` is made.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def _newton_numerators(counts: list[int], n: int, l: int) -> list[tuple[int, ...
 
 
 @lru_cache(maxsize=None)
-def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
-    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi."""
+def ehrhart_table(ident: RootSystemId) -> IntegerTable:
+    """L_Phi's constituents over their least common denominator, period-guarded."""
     data = lookup(ident)
     n, l = data.period, data.rank
     counts = _denumerant_counts(data.marks, 3 * n * (l + 1))
@@ -141,7 +142,16 @@ def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
                 f"period guard failed for {ident} at q = {q}: "
                 f"interpolation disagrees with the denumerant count"
             )
-    return QuasiPoly(n, (RatPoly.over(num, den) for num in nums))
+    return IntegerTable.from_rows(den, nums)
+
+
+@lru_cache(maxsize=None)
+def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
+    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi."""
+    table = ehrhart_table(ident)
+    qp = QuasiPoly(len(table.nums), (RatPoly.over(num, table.den) for num in table.nums))
+    qp.__dict__["numerators"] = table  # the cached property: the table is split once
+    return qp
 
 
 def series_coeffs(ident: RootSystemId, count: int) -> list[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .ehrhart import QuasiPoly, apply_shift_qp, ehrhart_qp
+from .ehrhart import QuasiPoly, apply_shift_qp, ehrhart_qp, ehrhart_table
 from .errors import NotAdmissible
 from .eulerian import generalized_eulerian, truncate_half
 from .ratpoly import RatPoly, apply_shift, shift_constituents
@@ -34,6 +34,9 @@ class AdmissibleReport:
     divisors: tuple[int, ...]  # the admissible divisors of the period (period itself as residue 0)
     m0: int
 
+    def to_json(self) -> dict:
+        return {"residues": self.residues, "divisors": self.divisors, "m0": self.m0}
+
 
 @lru_cache(maxsize=None)
 def shift_operator(ident: RootSystemId, half: bool) -> RatPoly:
@@ -49,7 +52,7 @@ def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) ->
     when `half`), computed on its own without building the other residues."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    table = ehrhart_qp(ident).numerators
+    table = ehrhart_table(ident)
     return shift_constituents(shift_operator(ident, half), m + 1, table, (d,))[0]
 
 

@@ -351,8 +351,10 @@ class RatPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Canonical JSON form: {"coeffs": [["num","den"], ...]}, ascending."""
-        return {"coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs]}
+        """Canonical JSON form: {"coeffs": [["num","den"], ...]} in lowest terms, ascending."""
+        den = self.den
+        pairs = ((x, math.gcd(x, den)) for x in self.nums)
+        return {"coeffs": [[str(x // g), str(den // g)] for x, g in pairs]}
 
     def pretty(self, var: str = "t") -> str:
         terms = []
@@ -418,7 +420,7 @@ class IntegerTable(NamedTuple):
     """Polynomials over one common denominator: ``polys[r] = nums[r] / den``,
     with ``nums[r]`` the ascending integer coefficients, and ``layers``, the
     columns split by least period (`_layers`), as the shift kernel reads
-    them.  Built by `of`, which makes the split once per table."""
+    them.  `of` and `from_rows` make the split once per table."""
 
     den: int
     nums: tuple[tuple[int, ...], ...]
@@ -430,6 +432,11 @@ class IntegerTable(NamedTuple):
         nums = tuple(
             p.nums if p.den == den else tuple(x * (den // p.den) for x in p.nums) for p in polys
         )
+        return cls.from_rows(den, nums)
+
+    @classmethod
+    def from_rows(cls, den: int, nums: tuple[tuple[int, ...], ...]) -> "IntegerTable":
+        """The rows ``nums`` over ``den`` as given, with no reduction."""
         return cls(den, nums, _layers(nums))
 
 

@@ -64,6 +64,12 @@ class RootSystemData:
     period: int
     rad_period: int
 
+    def to_json(self) -> dict:
+        return {"rank": self.rank, "exponents": self.exponents, "marks": self.marks,
+                "coxeter_number": self.coxeter_number,
+                "index_of_connection": self.index_of_connection, "weyl_order": self.weyl_order,
+                "period": self.period, "rad_period": self.rad_period}
+
 
 def _radical(n: int) -> int:
     out, rest, p = 1, n, 2

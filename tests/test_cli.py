@@ -213,6 +213,7 @@ class TestErrors:
             return counts
 
         monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
+        ehrhart.ehrhart_table.cache_clear()  # the guard runs where the table is built
         ehrhart.ehrhart_qp.cache_clear()
         code, data = run_json(capsys, "ehrhart", "G2", "--json")
         assert code == 1
@@ -287,6 +288,54 @@ class TestExactGolden:
         code, out = run_cli(capsys, *shlex.split(command), "--json")
         assert code == 0
         assert out == self.CASES[command]
+
+
+class TestRenderOnDemand:
+    """A --json query renders no human text and builds no L_Phi constituent
+    it does not print."""
+
+    def test_json_goldens_hold_when_rendering_fails(self, capsys, monkeypatch):
+        from linchar import cli
+        from linchar.ratpoly import RatPoly
+
+        def refuse(*args):
+            raise RuntimeError("rendered")
+
+        monkeypatch.setattr(RatPoly, "pretty", refuse)
+        monkeypatch.setattr(cli, "_qp_human", refuse)
+        for command, golden in TestExactGolden.CASES.items():
+            code, out = run_cli(capsys, *shlex.split(command), "--json")
+            assert (code, out) == (0, golden), command
+        with pytest.raises(RuntimeError, match="rendered"):
+            main(["charquasi", "G2", "-m", "1"])
+
+    def test_single_constituent_queries_build_no_quasi_polynomial(self):
+        # A fresh interpreter: earlier tests have filled the caches here.
+        proc = run_subprocess(
+            "from linchar import cli, ehrhart\n"
+            "from linchar.rootdata import RootSystemId\n"
+            "codes = [cli.main(['check-line', 'E8', '-m', '59', '--exact', '--json'])]\n"
+            "table = ehrhart.ehrhart_table.cache_info()\n"
+            "ehrhart.ehrhart_table(RootSystemId.parse('E8'))\n"
+            "held = ehrhart.ehrhart_table.cache_info().hits - table.hits\n"
+            "codes.append(cli.main(['charquasi', 'F4', '-m', '3', '--constituent', '5', '--json']))\n"
+            "codes.append(cli.main(['oracle', 'modq', 'G2', '-m', '2', '-q', '40', '--json']))\n"
+            "print(codes, table.currsize, held, ehrhart.ehrhart_qp.cache_info().currsize)",
+            capture_output=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 1 1 0"
+
+    def test_reports_are_the_dicts_of_their_fields(self):
+        # dataclasses.asdict, which the CLI no longer calls, is the oracle.
+        from dataclasses import asdict
+
+        from linchar import acceptance, linial, rootdata
+
+        for ident in rootdata.ALL_TABLE_IDS:
+            assert rootdata.lookup(ident).to_json() == asdict(rootdata.lookup(ident))
+            assert linial.admissible_residues(ident).to_json() == asdict(linial.admissible_residues(ident))
+        result = acceptance.CheckResult(3, "name", False, "detail", ["one", "two"])
+        assert result.to_json() == asdict(result)
 
 
 class TestNumericGolden:

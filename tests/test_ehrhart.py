@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from linchar import ehrhart
+from linchar import ehrhart, ratpoly
 from linchar.ehrhart import (
     QuasiPoly,
     apply_shift_qp,
     check_reciprocity,
     ehrhart_qp,
+    ehrhart_table,
     series_coeffs,
 )
 from linchar.eulerian import generalized_eulerian, truncate_half
-from linchar.ratpoly import RatPoly
+from linchar.ratpoly import IntegerTable, RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
 
 
@@ -160,6 +161,19 @@ class TestIntegerBuild:
         assert L.numerators.den == den
         assert L.numerators.nums == tuple(tuple(x * den for x in row) for row in coeffs)
 
+    @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
+    def test_table_round_trips_through_the_constituents(self, ident):
+        assert IntegerTable.of(ehrhart_qp(ident).constituents) == ehrhart_table(ident)
+
+    @pytest.mark.parametrize("name", ["G2", "F4", "E8"])
+    def test_numerators_is_the_cached_table(self, monkeypatch, name):
+        # ehrhart_qp keeps the table it was built from, so `_layers` splits
+        # L_Phi's table once, not again when the shift kernel reads it.
+        table = ehrhart_table(rid(name))
+        assert ehrhart_qp(rid(name)).numerators is table
+        monkeypatch.setattr(ratpoly, "_layers", None)  # a second split would fail
+        assert ehrhart_qp.__wrapped__(rid(name)).numerators is table
+
 
 class TestInterpolation:
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
@@ -197,8 +211,9 @@ class TestInterpolation:
             return counts
 
         monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
+        # past the table cache, which holds the honest table
         with pytest.raises(AssertionError, match=f"period guard failed for {name} at q = {q}:"):
-            ehrhart_qp.__wrapped__(rid(name))
+            ehrhart_table.__wrapped__(rid(name))
 
 
 class TestSeries:

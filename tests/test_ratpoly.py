@@ -94,6 +94,21 @@ class TestRatPolyBasics:
         assert RatPoly.from_json(p.to_json()) == p
         assert p.to_json() == {"coeffs": [["-5", "3"], ["0", "1"], ["7", "1"]]}
 
+    @given(
+        nums=st.lists(
+            st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**260), 2**260)), max_size=8
+        ),
+        den=st.one_of(st.just(1), st.integers(1, 12), st.integers(2**200, 2**260)),
+    )
+    @example(nums=[0, 0, 5], den=1)
+    @example(nums=[-(2**230) - 1, 0, 2**201], den=3 * 2**200)
+    @settings(max_examples=200, deadline=None)
+    def test_json_matches_the_fraction_form(self, nums, den):
+        # The Fraction form is the oracle: to_json builds no Fraction.
+        p = RatPoly.over(nums, den)
+        assert p.to_json() == {"coeffs": [[str(c.numerator), str(c.denominator)] for c in p.coeffs]}
+        assert RatPoly.from_json(p.to_json()) == p
+
     def test_pretty(self):
         assert poly(11, -6, 1).pretty() == "t^2 - 6*t + 11"
         assert RatPoly.zero().pretty() == "0"

@@ -302,7 +302,8 @@ def check_oracle():
         for q in range(1, 151):
             ms = [m for m in range(0, 4) if q > m * h]
             for m, count in zip(ms, oracles.bruteforce_modq_counts(ident, ms, q)):
-                if count != cqs[m].value(q):
+                value = cqs[m].constituent(q)  # count == value(q), compared in Z
+                if count * value.den != value.scaled_value(q):
                     return False, f"{ident} m={m} q={q}"
     return True, "A2/B2/G2, m <= 3, q <= 150"
 

@@ -5,7 +5,8 @@ Each function recomputes by enumeration what the engine derives by formula:
 stored Cartan matrix and checks the result against the catalog,
 `asc_oracle` builds R_Phi from the ascent statistic over an enumerated Weyl
 group, and `bruteforce_modq_counts` counts the points of (Z/qZ)^l off every
-hyperplane alpha(x) = 1..m.  No engine module imports this one (only
+hyperplane alpha(x) = 1..m, marking each root's hyperplanes in a grid of one
+byte per point with strided slices.  No engine module imports this one (only
 `acceptance` and `cli` do), and of linchar it imports only `errors`,
 `ratpoly` and `rootdata`, so an oracle shares no code with what it checks.
 """
@@ -15,8 +16,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
+from itertools import product
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InexactDivision, OracleTooLarge, QTooSmall, SelfCheckFailed, UnsupportedRank
@@ -24,9 +26,8 @@ from .ratpoly import RatPoly
 from .rootdata import RootSystemId, lookup
 
 #: Most points `bruteforce_modq_counts` enumerates: q**rank above this is
-#: refused.  One enumeration per (system, q) holds one q-bit mask per prefix,
-#: q**(rank-1) of them, which each m updates with its new window only, and
-#: tables of q such masks from which each root's rows are sliced.
+#: refused.  One enumeration per (system, q) holds a grid of one byte per
+#: point, so at most 10**7 bytes, and one slab of it filled with ones.
 ORACLE_MAX_POINTS = 10**7
 
 # Roots are coefficient vectors on the simple roots; the Cartan matrix entry
@@ -158,50 +159,64 @@ def asc_oracle(ident: RootSystemId) -> RatPoly:
     return RatPoly.over(coeffs)
 
 
-def _window_bits(n: int, s: int, q: int, top: int) -> int:
-    """Bitmask of the x in 0..q-1 with (n*x + s) mod q in 1..top, for
-    0 < n < q, 0 <= s < q and 1 <= top < q.
+def _mark(
+    grid: bytearray, ones: memoryview, q: int, rows: int, slabs: list[tuple[int, int]],
+    a: int, n: int, lo: int, hi: int,
+) -> None:
+    """Set to 1 each cell base + q*x + y (x < rows, y < q) of each slab
+    (base, c) where (c + a*x + n*y) mod q is in lo+1..hi, for 0 <= a, n < q
+    and 0 <= lo < hi < q, with the residues 1..lo already marked.
 
-    n*x + s runs through [s, s + n*(q-1)], so its residue is in 1..top exactly
-    when it lies in one of the windows [k*q + 1, k*q + top], k = 0..n, and
-    each window holds a run of consecutive x.
+    Residue r is taken on the lines a*x + n*y = v, v = (r - c) mod q + k*q,
+    one per wrap k.  Along a line x steps by span = n/g and y by -drop = -a/g
+    (g = gcd(a, n)), so its cells are one strided slice (for n = 0, the row
+    x = v/a).  At rank 1 the one row takes one contiguous run per wrap
+    instead, and a window wider than twice the residues hi+1..q fills the
+    slab and writes the saved lines of those residues back.
     """
-    bits = 0
-    for k in range(n + 1):
-        lo = max(0, -((s - k * q - 1) // n))  # ceil((k*q + 1 - s) / n)
-        hi = min(q - 1, (k * q + top - s) // n)
-        if lo <= hi:
-            bits |= (1 << (hi + 1)) - (1 << lo)
-    return bits
-
-
-def _hit_rows(n: int, q: int, top: int) -> list[int]:
-    """`_window_bits(n, s, q, top)` for every s in 0..q-1, computed for only
-    the g = gcd(n, q) rows s < g: since n*x + (s + n*y) = n*(x + y) + s, row
-    s + n*y is row s rotated down by y bits.  So row s is base row s % g
-    rotated by y = (s // g) * (n / g)**-1 mod q / g, one shift of a doubled
-    copy of the base row."""
-    full = (1 << q) - 1
-    if n == 0:  # n*x + s = s: row s holds every x or none
-        return [0] + [full] * top + [0] * (q - 1 - top)
-    g = math.gcd(n, q)
-    doubled = [bits | (bits << q) for bits in (_window_bits(n, j, q, top) for j in range(g))]
-    inverse = pow(n // g, -1, q // g)
-    return [(doubled[s % g] >> (s // g * inverse % (q // g))) & full for s in range(q)]
-
-
-def _prefix_rows(table: list[int], head: Sequence[int], q: int, shift: int) -> list[int]:
-    """table[(head . x - shift) % q] for every prefix x, in product order,
-    taken by slicing: the rows along x_k = 0..q-1 are every a-th entry of
-    the rotated table repeated a times (a = head[-1]), and a rank-3 prefix
-    rotates once per first coordinate."""
-    *outer, a = head
-    starts = [(outer[0] * x - shift) % q for x in range(q)] if outer else [-shift % q]
-    rows: list[int] = []
-    for k in starts:
-        rotated = table[k:] + table[:k]
-        rows += (rotated * a)[::a] if a else [rotated[0]] * q
-    return rows
+    size, reach = rows * q, a * (rows - 1) + n * (q - 1)
+    if not reach:  # the form is c on every cell of a slab
+        for base, c in slabs:
+            if lo < c <= hi:
+                grid[base:base + size] = ones[:size]
+        return
+    if rows == 1:  # rank 1: the one slab (0, 0), one row; n*y < n*q
+        for k in range(0, n * q, q):  # n*y in (lo + k, hi + k]
+            y0, y1 = (lo + k) // n + 1, min(q - 1, (hi + k) // n)
+            if y0 <= y1:
+                grid[y0:y1 + 1] = ones[:y1 - y0 + 1]
+        return
+    g = math.gcd(a, n)
+    span, drop = n // g, a // g
+    step, inverse = q * span - drop, pow(drop, -1, span) if n else 0
+    wide = hi - lo > 2 * (q - hi)
+    for base, c in slabs:
+        kept = []
+        for r in range(hi + 1, q + 1) if wide else range(lo + 1, hi + 1):
+            for v in range((r - c) % q, reach + 1, q):
+                if v % g:
+                    continue
+                if n:
+                    x = v // g * inverse % span  # the least x >= 0 with n | v - a*x
+                    y = (v - a * x) // n
+                    if y >= q:  # walk down the line into the slab (drop > 0 here)
+                        t = (y - q) // drop + 1
+                        x, y = x + t * span, y - t * drop
+                    count = min((rows - 1 - x) // span, y // drop if drop else rows) + 1
+                    start = base + q * x + y
+                    cells = slice(start, start + step * (count - 1) + 1, step)
+                else:
+                    count, cells = q, slice(base + q * (v // a), base + q * (v // a) + q)
+                if count <= 0:
+                    continue
+                if wide:
+                    kept.append((cells, grid[cells]))
+                else:
+                    grid[cells] = ones[:count]
+        if wide:
+            grid[base:base + size] = ones[:size]
+            for cells, old in kept:
+                grid[cells] = old
 
 
 def bruteforce_modq_counts(
@@ -211,14 +226,15 @@ def bruteforce_modq_counts(
     of (Z/qZ)^l with alpha(x) not in 1..m for every positive root alpha,
     from one enumeration over the stored root forms (rank <= 3).
 
-    Each prefix x_1..x_{l-1} keeps a q-bit mask of the x_l that put some
-    root's residue in 1..t.  The distinct tops t = min(m, q-1) are walked in
-    ascending order with the masks carried over, so each ORs in only its new
-    window (t_prev, t]: row (s - t_prev) mod q of a table of q masks per
-    (last coefficient, window width), where s is the prefix residue.  The
-    cost grows with the number of m asked, never with their size.  Requires
-    the safe regime q > m*h unless `unsafe` is set, and refuses more than
-    ORACLE_MAX_POINTS points with OracleTooLarge.
+    One byte per point, x_1..x_l in product order, marks the points at which
+    some root's residue is in 1..t.  The distinct tops t = min(m, q-1) are
+    walked in ascending order with the marks kept, each adding only its new
+    window (t_prev, t] with `_mark` on every slab of the last two coordinates
+    (rank 1: one row), and counted with `bytearray.count`.  A window costs
+    the lines of its residues or of the fewer residues above it, never more
+    than 2q/3 residues' worth, so any m >= q - 1 costs what m = 1 does.
+    Requires the safe regime q > m*h unless `unsafe` is set, and refuses
+    more than ORACLE_MAX_POINTS points with OracleTooLarge.
     """
     forms = positive_roots(ident).roots
     if any(m < 0 for m in ms):
@@ -240,19 +256,17 @@ def bruteforce_modq_counts(
         raise OracleTooLarge(
             f"q**{l} = {q**l} points exceed the enumeration cap of {ORACLE_MAX_POINTS}"
         )
-    roots = [tuple(c % q for c in form) for form in forms]
-    hits = [0] * q ** (l - 1)  # one mask per prefix x_1..x_{l-1}, in product order
-    tables: dict[tuple[int, int], list[int]] = {}  # (last coefficient, window width) -> rows
+    rows = q if l > 1 else 1
+    firsts = list(product(range(q), repeat=max(l - 2, 0)))  # the slabs' first l-2 coordinates
+    roots = []
+    for form in forms:
+        *head, a, n = [0] * (2 - l) + [c % q for c in form]
+        roots.append(([(i * rows * q, sum(map(mul, head, x)) % q) for i, x in enumerate(firsts)], a, n))
+    grid, ones = bytearray(q**l), memoryview(b"\x01" * (rows * q))
     done = 0
     for top in tops:
-        width = top - done
-        if l == 1:  # one empty prefix, residue 0; a full table could be 10**7 masks of 10**7 bits
-            hits[0] |= reduce(or_, (_window_bits(n, -done % q, q, width) for (n,) in roots))
-        else:
-            for *head, n in roots:
-                if (n, width) not in tables:
-                    tables[n, width] = _hit_rows(n, q, width)
-                hits = list(map(or_, hits, _prefix_rows(tables[n, width], head, q, done)))
-        counts[top] = q**l - sum(map(int.bit_count, hits))
+        for slabs, a, n in roots:
+            _mark(grid, ones, q, rows, slabs, a, n, done, top)
+        counts[top] = q**l - grid.count(1)
         done = top
     return tuple(counts[min(m, q - 1)] for m in ms)

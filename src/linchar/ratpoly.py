@@ -276,6 +276,8 @@ class RatPoly:
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at an int or Fraction x."""
+        if isinstance(x, int):
+            return Fraction(self.scaled_value(x), self.den)
         x = _frac(x)
         # homogenized Horner over Z: v = sum nums_k u^k w^(deg - k)
         u, w = x.numerator, x.denominator
@@ -284,6 +286,13 @@ class RatPoly:
             v = v * u + c * wpow
             wpow *= w
         return Fraction(v * w, self.den * wpow)
+
+    def scaled_value(self, x: int) -> int:
+        """den * p(x) at an integer x: Horner over the numerators, in Z."""
+        v = 0
+        for c in reversed(self.nums):
+            v = v * x + c
+        return v
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "RatPoly":
         """Exact substitution t -> a*t + b.

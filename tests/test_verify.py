@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linchar.oracles as oracles
 import linchar.verify as verify
 from linchar.errors import (
     NonConvergence,
@@ -457,6 +459,25 @@ def enumerated_modq(ident, m, q):
     )
 
 
+def oracle_lines(call, budget):
+    """`call()` and the lines of `linchar.oracles` it executed, a cost that is
+    the same on every machine; past `budget` lines the call stops and fails."""
+    executed = 0
+
+    def count(frame, event, arg):
+        nonlocal executed
+        executed += event == "line"
+        assert executed <= budget, f"the oracle ran more than {budget} lines"
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == oracles.__file__ else None)
+    try:
+        return call(), executed
+    finally:
+        sys.settrace(previous)
+
+
 class TestBruteforceModq:
     @given(case=oracle_cases())
     @settings(max_examples=150, deadline=None)
@@ -517,6 +538,29 @@ class TestBruteforceModq:
         for name, m, q in [("A1", 10**6, 10**7 + 1), ("G2", 3, 3163), ("A3", 2, 216)]:
             with pytest.raises(OracleTooLarge):
                 bruteforce_modq(rid(name), m, q)
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_every_window_of_small_q_matches_point_by_point_enumeration(self, name):
+        # one batch per q with every m up to q + 2: windows of every width,
+        # coefficients that vanish mod q, and rank-3 slabs whose residue is 0
+        ident = rid(name)
+        for q in range(1, 11 if ident.rank < 3 else 8):
+            ms = range(q + 3)
+            expected = tuple(enumerated_modq(ident, m, q) for m in ms)
+            assert bruteforce_modq_counts(ident, ms, q, unsafe=True) == expected, q
+
+    @pytest.mark.parametrize("name, m, q, expected", [
+        ("A1", 10**6, 10**7, 9_000_000), ("A1", 10**7, 10**7, 1),
+        ("G2", 10**6, 3162, 1), ("A3", 10**6, 215, 1),
+    ])
+    def test_a_huge_m_at_the_cap_costs_what_m_equal_one_does(self, name, m, q, expected):
+        # one window of up to q - 1 residues (m >= q leaves only x = 0),
+        # counted in lines executed: at most twice what m = 1 costs
+        ident = rid(name)
+        positive_roots(ident)  # the cached root closure stays out of the count
+        _, small = oracle_lines(lambda: bruteforce_modq(ident, 1, q, unsafe=True), 10**5)
+        count, _ = oracle_lines(lambda: bruteforce_modq(ident, m, q, unsafe=True), 2 * small)
+        assert count == expected
 
     def test_point_cap_leaves_the_empty_arrangement(self):
         # m = 0 is answered as q**rank without enumerating anything

@@ -27,7 +27,8 @@ from .rootdata import RootSystemId, lookup
 
 #: Most points `bruteforce_modq_counts` enumerates: q**rank above this is
 #: refused.  One enumeration per (system, q) holds a grid of one byte per
-#: point, so at most 10**7 bytes, and one slab of it filled with ones.
+#: point, so at most 10**7 bytes, and at most 2**16 bytes of ones; at the
+#: cap, zeroing the grid and one `bytearray.count` of it take about 7 ms.
 ORACLE_MAX_POINTS = 10**7
 
 # Roots are coefficient vectors on the simple roots; the Cartan matrix entry
@@ -159,6 +160,16 @@ def asc_oracle(ident: RootSystemId) -> RatPoly:
     return RatPoly.over(coeffs)
 
 
+def _fill(grid: bytearray, ones: memoryview, start: int, stop: int) -> None:
+    """Set grid[start:stop] (start < stop) to 1: its first len(ones) cells
+    from `ones`, then each next run by copying all that is set before it."""
+    done = min(stop, start + len(ones))
+    grid[start:done] = ones[:done - start]
+    while done < stop:
+        done, end = min(stop, 2 * done - start), done
+        grid[end:done] = memoryview(grid)[start:start + done - end]
+
+
 def _mark(
     grid: bytearray, ones: memoryview, q: int, rows: int, slabs: list[tuple[int, int]],
     a: int, n: int, lo: int, hi: int,
@@ -178,13 +189,13 @@ def _mark(
     if not reach:  # the form is c on every cell of a slab
         for base, c in slabs:
             if lo < c <= hi:
-                grid[base:base + size] = ones[:size]
+                _fill(grid, ones, base, base + size)
         return
     if rows == 1:  # rank 1: the one slab (0, 0), one row; n*y < n*q
         for k in range(0, n * q, q):  # n*y in (lo + k, hi + k]
             y0, y1 = (lo + k) // n + 1, min(q - 1, (hi + k) // n)
             if y0 <= y1:
-                grid[y0:y1 + 1] = ones[:y1 - y0 + 1]
+                _fill(grid, ones, y0, y1 + 1)
         return
     g = math.gcd(a, n)
     span, drop = n // g, a // g
@@ -214,7 +225,7 @@ def _mark(
                 else:
                     grid[cells] = ones[:count]
         if wide:
-            grid[base:base + size] = ones[:size]
+            _fill(grid, ones, base, base + size)
             for cells, old in kept:
                 grid[cells] = old
 
@@ -231,10 +242,11 @@ def bruteforce_modq_counts(
     walked in ascending order with the marks kept, each adding only its new
     window (t_prev, t] with `_mark` on every slab of the last two coordinates
     (rank 1: one row), and counted with `bytearray.count`.  A window costs
-    the lines of its residues or of the fewer residues above it, never more
-    than 2q/3 residues' worth, so any m >= q - 1 costs what m = 1 does.
-    Requires the safe regime q > m*h unless `unsafe` is set, and refuses
-    more than ORACLE_MAX_POINTS points with OracleTooLarge.
+    the lines of its residues or of the fewer residues above it: its cost
+    grows with its width up to 2q/3 residues' worth, and any m >= q - 1
+    costs what m = 1 does.  Requires the safe regime q > m*h unless
+    `unsafe` is set, and refuses more than ORACLE_MAX_POINTS points with
+    OracleTooLarge.
     """
     forms = positive_roots(ident).roots
     if any(m < 0 for m in ms):
@@ -262,7 +274,7 @@ def bruteforce_modq_counts(
     for form in forms:
         *head, a, n = [0] * (2 - l) + [c % q for c in form]
         roots.append(([(i * rows * q, sum(map(mul, head, x)) % q) for i, x in enumerate(firsts)], a, n))
-    grid, ones = bytearray(q**l), memoryview(b"\x01" * (rows * q))
+    grid, ones = bytearray(q**l), memoryview(b"\x01" * min(rows * q, 2**16))  # a line has <= q cells
     done = 0
     for top in tops:
         for slabs, a, n in roots:

@@ -276,8 +276,6 @@ class RatPoly:
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at an int or Fraction x."""
-        if isinstance(x, int):
-            return Fraction(self.scaled_value(x), self.den)
         x = _frac(x)
         # homogenized Horner over Z: v = sum nums_k u^k w^(deg - k)
         u, w = x.numerator, x.denominator

@@ -567,6 +567,12 @@ class TestIntegerPaths:
         assert isinstance(value, Fraction)
         assert value == sum((c * Fraction(x) ** j for j, c in enumerate(p.coeffs)), Fraction(0))
 
+    @given(p=small_polys, x=st.integers(-200, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_value_is_den_times_the_value(self, p, x):
+        value = p.scaled_value(x)
+        assert type(value) is int and value == p.den * p.evaluate(x)
+
     @given(
         nums=st.lists(st.integers(-50, 50), max_size=6),
         den=st.integers(-30, 30).filter(bool),

@@ -549,17 +549,21 @@ class TestBruteforceModq:
             expected = tuple(enumerated_modq(ident, m, q) for m in ms)
             assert bruteforce_modq_counts(ident, ms, q, unsafe=True) == expected, q
 
-    @pytest.mark.parametrize("name, m, q, expected", [
-        ("A1", 10**6, 10**7, 9_000_000), ("A1", 10**7, 10**7, 1),
-        ("G2", 10**6, 3162, 1), ("A3", 10**6, 215, 1),
+    @pytest.mark.parametrize("name, m, q, expected, windows", [
+        ("A1", 10**6, 10**7, 9_000_000, 2), ("A1", 10**7, 10**7, 1, 2),
+        ("G2", 10**6, 3162, 1, 2), ("A3", 10**6, 215, 1, 2),
+        ("B2", 25, 100, 2838, 25), ("G2", 25, 100, 1353, 25),
+        ("A3", 10, 40, 10400, 10), ("C3", 6, 24, 956, 6),
     ])
-    def test_a_huge_m_at_the_cap_costs_what_m_equal_one_does(self, name, m, q, expected):
-        # one window of up to q - 1 residues (m >= q leaves only x = 0),
-        # counted in lines executed: at most twice what m = 1 costs
+    def test_the_cost_grows_with_the_window_and_not_with_m(self, name, m, q, expected, windows):
+        # counted in lines executed, at most `windows` times what m = 1
+        # costs: a window of m < 2q/3 residues (m = q // 4 here) costs at
+        # most m windows of one, and a huge m at the cap, one window of up
+        # to q - 1 residues (m >= q leaves only x = 0), at most two
         ident = rid(name)
         positive_roots(ident)  # the cached root closure stays out of the count
         _, small = oracle_lines(lambda: bruteforce_modq(ident, 1, q, unsafe=True), 10**5)
-        count, _ = oracle_lines(lambda: bruteforce_modq(ident, m, q, unsafe=True), 2 * small)
+        count, _ = oracle_lines(lambda: bruteforce_modq(ident, m, q, unsafe=True), windows * small)
         assert count == expected
 
     def test_point_cap_leaves_the_empty_arrangement(self):

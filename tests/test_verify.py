@@ -1,3 +1,4 @@
+import cmath
 import functools
 import itertools
 import json
@@ -261,6 +262,160 @@ class TestHornerErrorBound:
         c, roots = stalling_case(index)
         root = data.draw(st.sampled_from(roots))
         self.check(c, root + complex(a, b) * abs(root) * 10.0**exponent)
+
+
+# The sweep as it was when it computed with float coefficients and a float
+# numerator, kept verbatim as the reference for its complex-only form: the
+# two must give the same statuses and the same iterates to the last bit.
+
+
+def reference_horner2(coeffs, z):
+    """Value and derivative at z (coefficients ascending)."""
+    p = 0j
+    dp = 0j
+    for c in reversed(coeffs):
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def reference_aberth(c, z, radius):
+    """`verify._aberth` on float coefficients, with 1.0 as the numerator."""
+    prev_corr = math.inf
+    for _ in range(verify._MAX_ITER):
+        max_corr = 0.0
+        start = z[:]
+        values = []
+        for j, zj in enumerate(start):
+            p, dp = reference_horner2(c, zj)
+            values.append(p)
+            if p == 0:
+                continue
+            if dp == 0:
+                z[j] += radius * (1e-6 + 1e-6j)
+                max_corr = radius
+                continue
+            newton = p / dp
+            s = sum([1.0 / (zj - zk) for zk in itertools.chain(z[:j], z[j + 1:])])
+            denom = 1.0 - newton * s
+            w = newton if denom == 0 else newton / denom
+            z[j] -= w
+            if not cmath.isfinite(z[j]):  # max() below would drop a NaN correction
+                raise OutOfDoubleRange("Aberth iterate left the range of doubles")
+            max_corr = max(max_corr, abs(w))
+        if max_corr < verify._CORRECTION_TOL * radius:
+            return "converged"
+        if max_corr >= prev_corr:
+            # Rounding of the polynomial evaluation puts a floor under the
+            # corrections; once they stop shrinking there, the roots are as
+            # good as double precision allows.
+            if max_corr < verify._FLOOR_TOL * radius:
+                return "converged"
+            if all(abs(p) <= verify._horner_error_bound(c, zj) for p, zj in zip(values, start)):
+                return "stalled"
+        prev_corr = max_corr
+    return "spent"
+
+
+def bits(z):
+    """Real and imaginary parts as float.hex, so that -0.0 and 0.0 differ."""
+    return [(x.real.hex(), x.imag.hex()) for x in z]
+
+
+def outcome(aberth, c, z, radius):
+    """The status, or the name of the arithmetic error raised, and the
+    iterates z as the call left them."""
+    try:
+        status = aberth(c, z, radius)
+    except ArithmeticError as exc:  # OutOfDoubleRange, or two equal iterates
+        status = type(exc).__name__
+    return status, bits(z)
+
+
+def assert_matches_reference(c, z, radius):
+    """The outcome of `_aberth` on copies of c and z, checked bit for bit
+    against the reference's."""
+    want = outcome(reference_aberth, list(c), list(z), radius)
+    assert outcome(verify._aberth, list(c), list(z), radius) == want
+    return want
+
+
+def check_every_call(monkeypatch):
+    """The list every later `_aberth` call appends its status to, each call
+    checked against the reference on the same input."""
+    real_aberth = verify._aberth
+    statuses = []
+
+    def checked(c, z, radius):
+        want = outcome(reference_aberth, list(c), list(z), radius)
+        got = outcome(real_aberth, c, z, radius)
+        assert got == want
+        statuses.append(got[0])
+        return got[0]
+
+    monkeypatch.setattr(verify, "_aberth", checked)
+    return statuses
+
+
+finite = st.floats(-1e3, 1e3)
+
+
+class TestAberthMatchesFloatReference:
+    @pytest.mark.parametrize("name,m", STALLING, ids=str)
+    def test_stalling_inputs_and_their_centred_stage(self, name, m, monkeypatch):
+        statuses = check_every_call(monkeypatch)
+        find_roots(char_poly(rid(name), m))
+        assert statuses == ["stalled", "converged"]
+
+    def test_limit_polynomials(self, monkeypatch):
+        statuses = check_every_call(monkeypatch)
+        names = [str(i) for i in EXCEPTIONAL_IDS] + [f"A{n}" for n in range(2, 31)]
+        for name in names:
+            find_roots(limit_poly(rid(name)))
+        assert len(statuses) >= len(names) - 1  # A2's is (t - 1)^2: no call
+
+    @pytest.mark.parametrize("name", [f"A{n}" for n in range(12, 29)] + ["D14", "B16", "C18"])
+    def test_classical_char_polys(self, name, monkeypatch):
+        statuses = check_every_call(monkeypatch)
+        for m in (1, 2, 99, 1000, 9999):
+            find_roots(char_poly(rid(name), m))
+        assert len(statuses) >= 5
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(finite, min_size=1, max_size=20), st.data())
+    def test_random_monic_polynomials_and_starts(self, lower, data):
+        c = lower + [1.0]
+        n = len(lower)
+        z = data.draw(st.lists(st.builds(complex, finite, finite), min_size=n, max_size=n))
+        assert_matches_reference(c, z, verify._start_radius(c))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(finite, min_size=1, max_size=25), finite, finite)
+    def test_horner_passes(self, c, x, y):
+        z = complex(x, y)
+        want = reference_horner2(c, z)
+        coeffs = verify._complex(c)
+        assert bits(verify._horner2(coeffs, z)) == bits(want)
+        assert bits([verify._horner(coeffs, z)]) == bits(want[:1])
+
+    def test_start_on_a_root(self):
+        c, z = [2.0, -3.0, 1.0], [1 + 0j, 5 + 1j]
+        assert reference_horner2(c, z[0])[0] == 0
+        assert assert_matches_reference(c, z, verify._start_radius(c))[0] == "converged"
+
+    def test_start_on_a_critical_point_is_kicked(self):
+        c, z = [-1.0, 0.0, 1.0], [0j, 3 + 1j]
+        assert reference_horner2(c, z[0])[1] == 0
+        assert assert_matches_reference(c, z, verify._start_radius(c))[0] == "converged"
+
+    def test_iterate_leaving_the_doubles(self):
+        status, z = assert_matches_reference([1.0, 0.0, 1.0], [1e300 + 0j, -1e300 + 1j], 1.0)
+        assert status == "OutOfDoubleRange"
+        assert z[0] == ("nan", "nan")
+
+    def test_equal_starts(self):
+        c = [1.0, 0.0, 1.0]
+        assert assert_matches_reference(c, [1 + 1j, 1 + 1j], 1.0)[0] == "ZeroDivisionError"
 
 
 class TestLimitPoly:

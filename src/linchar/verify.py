@@ -85,14 +85,6 @@ def _complex(c: Sequence[float]) -> list[complex]:
     return [complex(x) for x in c]
 
 
-def _horner(coeffs: Sequence[complex], z: complex) -> complex:
-    """Value at z (coefficients ascending)."""
-    p = 0j
-    for c in reversed(coeffs):
-        p = p * z + c
-    return p
-
-
 def _horner2(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
     """Value and derivative at z (coefficients ascending)."""
     p = 0j
@@ -137,18 +129,14 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
     computation of polynomial zeros by means of Aberth's method", Numer.
     Algorithms 13, 1996).
     """
-    descending = _complex(c)[::-1]
+    coeffs = _complex(c)
     prev_corr = math.inf
     for _ in range(_MAX_ITER):
         max_corr = 0.0
         start = z[:]
         values = []
         for j, zj in enumerate(start):
-            p = dp = 0j
-            # _horner2 inline: a call per root costs about 3% of find_roots
-            for ck in descending:
-                dp = dp * zj + p
-                p = p * zj + ck
+            p, dp = _horner2(coeffs, zj)
             values.append(p)
             if p == 0:
                 continue
@@ -223,7 +211,7 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     n = len(c) - 1
     if n == 1:
         z = complex(-c[0])
-        return [z], [abs(_horner(c, z))], "converged"
+        return [z], [abs(_horner2(c, z)[0])], "converged"
     radius = _start_radius(c)
     z = [
         radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
@@ -271,7 +259,7 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
         moduli = [abs(c) for c in floats]
         residuals = []
         for z in roots:
-            val = abs(_horner(coeffs, z))
+            val = abs(_horner2(coeffs, z)[0])
             # fsum, not sum: Python 3.12 made float sum compensated, and the
             # last digit must not depend on the interpreter
             r = max(1.0, abs(z))

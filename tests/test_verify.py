@@ -267,6 +267,13 @@ class TestHornerErrorBound:
 # The sweep as it was when it computed with float coefficients and a float
 # numerator, kept verbatim as the reference for its complex-only form: the
 # two must give the same statuses and the same iterates to the last bit.
+# That holds only where a float operand becomes complex(x, 0.0) before a
+# mixed operation, as in CPython 3.10-3.13; CPython 3.14 adds and divides
+# mixed operands by C99 Annex G rules instead, so -0.0 + 0.0 and 1.0 / w
+# may round otherwise there.
+FLOATS_BECOME_COMPLEX = (complex(1.0, -0.0) + 1.0).imag.hex() == (
+    complex(1.0, -0.0) + complex(1.0)
+).imag.hex()
 
 
 def reference_horner2(coeffs, z):
@@ -348,10 +355,15 @@ def check_every_call(monkeypatch):
 
     def checked(c, z, radius):
         want = outcome(reference_aberth, list(c), list(z), radius)
-        got = outcome(real_aberth, c, z, radius)
-        assert got == want
-        statuses.append(got[0])
-        return got[0]
+        try:
+            status = real_aberth(c, z, radius)
+        except ArithmeticError as exc:  # raised on to find_roots, as unpatched
+            assert (type(exc).__name__, bits(z)) == want
+            statuses.append(want[0])
+            raise
+        assert (status, bits(z)) == want
+        statuses.append(status)
+        return status
 
     monkeypatch.setattr(verify, "_aberth", checked)
     return statuses
@@ -360,6 +372,10 @@ def check_every_call(monkeypatch):
 finite = st.floats(-1e3, 1e3)
 
 
+@pytest.mark.skipif(
+    not FLOATS_BECOME_COMPLEX,
+    reason="this Python does not turn a float operand into complex(x, 0.0)",
+)
 class TestAberthMatchesFloatReference:
     @pytest.mark.parametrize("name,m", STALLING, ids=str)
     def test_stalling_inputs_and_their_centred_stage(self, name, m, monkeypatch):
@@ -396,7 +412,6 @@ class TestAberthMatchesFloatReference:
         want = reference_horner2(c, z)
         coeffs = verify._complex(c)
         assert bits(verify._horner2(coeffs, z)) == bits(want)
-        assert bits([verify._horner(coeffs, z)]) == bits(want[:1])
 
     def test_start_on_a_root(self):
         c, z = [2.0, -3.0, 1.0], [1 + 0j, 5 + 1j]

@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -177,7 +176,7 @@ def _cmd_limit_roots(args):
 
 def _cmd_oracle(args):
     [count] = oracles.bruteforce_modq_counts(args.phi, (args.m,), args.q, args.unsafe_q)
-    value = linial.char_constituent(args.phi, args.m, args.q).evaluate(Fraction(args.q))
+    value = linial.char_constituent(args.phi, args.m, args.q).evaluate(args.q)
     return {"count": count, "char_quasi_value": str(value), "agree": count == value}, lambda: [
         f"#M_q({args.phi}, m={args.m}, q={args.q}) = {count}",
         f"chi_quasi value = {value} ({'agree' if count == value else 'DISAGREE'})",

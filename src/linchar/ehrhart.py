@@ -12,10 +12,10 @@ integer numerator over the one common denominator n**l * l!, and the table
 is then divided by the gcd of that denominator and all numerators, which
 leaves the least common denominator of the constituents.  A guard checks
 every integer 0..3n(l+1) against the counts on this table, in integers,
-before anything is returned.  `ehrhart_table` caches that table, which the
-shift kernel reads as it is.  `ehrhart_qp` makes each row over the common
-denominator a `RatPoly` in canonical form and keeps the table as its
-`numerators`.  No `Fraction` is made.
+before anything is returned.  `ehrhart_table` caches that table, the one
+cached form of L_Phi, which the shift kernel reads as it is.  `ehrhart_qp`
+makes each row over the common denominator a `RatPoly` in canonical form.
+No `Fraction` is made.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import SelfCheckFailed
@@ -37,21 +37,18 @@ SERIES_MAX = 10**6
 
 @dataclass(frozen=True)
 class QuasiPoly:
-    """A period and one constituent polynomial per residue class."""
+    """One constituent polynomial per residue class; the period is their count."""
 
-    period: int
     constituents: tuple[RatPoly, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "constituents", tuple(self.constituents))
-        if self.period < 1 or len(self.constituents) != self.period:
-            raise ValueError("need exactly one constituent per residue class")
+        if not self.constituents:
+            raise ValueError("need at least one constituent")
 
-    @cached_property
-    def numerators(self) -> IntegerTable:
-        """The constituents over their least common denominator, as the shift
-        kernel reads them."""
-        return IntegerTable.of(self.constituents)
+    @property
+    def period(self) -> int:
+        return len(self.constituents)
 
     def constituent(self, d: int) -> RatPoly:
         return self.constituents[d % self.period]
@@ -59,10 +56,6 @@ class QuasiPoly:
     def value(self, q: int) -> Fraction:
         """Evaluate at an integer, using mathematical mod (valid for q < 0)."""
         return self.constituent(q).evaluate(q)
-
-    @property
-    def degree(self) -> int:
-        return max(c.degree for c in self.constituents)
 
     def to_json(self) -> dict:
         return {
@@ -72,10 +65,10 @@ class QuasiPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuasiPoly":
-        return cls(
-            period=int(obj["period"]),
-            constituents=tuple(RatPoly.from_json(c) for c in obj["constituents"]),
-        )
+        qp = cls(tuple(RatPoly.from_json(c) for c in obj["constituents"]))
+        if int(obj["period"]) != qp.period:
+            raise ValueError(f"period {obj['period']} disagrees with {qp.period} constituents")
+        return qp
 
 
 def _denumerant_counts(marks, upto: int) -> list[int]:
@@ -145,13 +138,11 @@ def ehrhart_table(ident: RootSystemId) -> IntegerTable:
     return IntegerTable.from_rows(den, nums)
 
 
-@lru_cache(maxsize=None)
 def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
-    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi."""
+    """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi: the
+    rows of `ehrhart_table` as polynomials."""
     table = ehrhart_table(ident)
-    qp = QuasiPoly(len(table.nums), (RatPoly.over(num, table.den) for num in table.nums))
-    qp.__dict__["numerators"] = table  # the cached property: the table is split once
-    return qp
+    return QuasiPoly(tuple(RatPoly.over(num, table.den) for num in table.nums))
 
 
 def series_coeffs(ident: RootSystemId, count: int) -> list[int]:
@@ -189,8 +180,9 @@ def check_reciprocity(L: QuasiPoly, rank: int, h: int) -> bool:
     return all(lhs[L.constituent(-d)] == rhs[L.constituent(d - h)] for d in range(L.period))
 
 
-def apply_shift_qp(f: RatPoly, step: int, L: QuasiPoly) -> QuasiPoly:
-    """Apply f(S**step) to a quasi-polynomial: the constituent at d becomes
+def apply_shift_qp(f: RatPoly, step: int, table: IntegerTable) -> QuasiPoly:
+    """Apply f(S**step) to the quasi-polynomial whose constituents are the
+    rows of `table`: the constituent at d becomes
     sum_i f_i * L_{(d - step*i) mod period}(t - step*i)."""
-    return QuasiPoly(L.period, shift_constituents(f, step, L.numerators, range(L.period)))
+    return QuasiPoly(shift_constituents(f, step, table, range(len(table.nums))))
 

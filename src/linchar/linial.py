@@ -62,7 +62,7 @@ def char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
     R_Phi(S^(m+1)) applied to L_Phi."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return apply_shift_qp(shift_operator(ident, False), m + 1, ehrhart_qp(ident))
+    return apply_shift_qp(shift_operator(ident, False), m + 1, ehrhart_table(ident))
 
 
 def char_poly(ident: RootSystemId, m: int) -> RatPoly:
@@ -76,7 +76,7 @@ def half_char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
     applied with step m + 1."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return apply_shift_qp(shift_operator(ident, True), m + 1, ehrhart_qp(ident))
+    return apply_shift_qp(shift_operator(ident, True), m + 1, ehrhart_table(ident))
 
 
 def weyl_char_quasi(ident: RootSystemId) -> QuasiPoly:
@@ -85,10 +85,9 @@ def weyl_char_quasi(ident: RootSystemId) -> QuasiPoly:
     data = lookup(ident)
     L = ehrhart_qp(ident)
     scale = Fraction((-1) ** data.rank * data.weyl_order, data.index_of_connection)
-    out = tuple(
-        L.constituent(-d).compose_affine(-1, 0).scale(scale) for d in range(L.period)
+    return QuasiPoly(
+        tuple(L.constituent(-d).compose_affine(-1, 0).scale(scale) for d in range(L.period))
     )
-    return QuasiPoly(period=L.period, constituents=out)
 
 
 @lru_cache(maxsize=None)

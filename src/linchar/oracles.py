@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -82,33 +81,23 @@ def _units(l: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for i in range(l)) for j in range(l))
 
 
-@dataclass(frozen=True)
-class PositiveRootForms:
-    """Positive roots of a rank <= 3 system as integer linear forms.
+@lru_cache(maxsize=None)
+def positive_roots(ident: RootSystemId) -> tuple[tuple[int, ...], ...]:
+    """All l*h/2 positive-root coefficient vectors, sorted (rank <= 3 only).
 
     In the coordinates dual to the simple roots (the coweight basis), the
-    root sum(n_i alpha_i) is the linear form x -> sum(n_i x_i).
-    """
-
-    roots: tuple[tuple[int, ...], ...]
-    highest: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def positive_roots(ident: RootSystemId) -> PositiveRootForms:
-    """All l*h/2 positive-root coefficient vectors (rank <= 3 only).
-
-    Checked against the catalog, else SelfCheckFailed: the highest root is
-    unique and its coefficients are the marks, and for every k there are as
-    many roots of height k as exponents >= k (Kostant), which also fixes
-    their number at the sum of the exponents, l*h/2.
+    root sum(n_i alpha_i) is the linear form x -> sum(n_i x_i).  Checked
+    against the catalog, else SelfCheckFailed: the highest root is unique
+    and sorts last, and its coefficients are the marks; and for every k
+    there are as many roots of height k as exponents >= k (Kostant), which
+    also fixes their number at the sum of the exponents, l*h/2.
     """
     positives = sorted(v for v in _orbit(_units(ident.rank), _reflections(ident)) if min(v) >= 0)
     data = lookup(ident)
     top_height = max(map(sum, positives))
     tallest = [v for v in positives if sum(v) == top_height]
-    if len(tallest) != 1:
-        raise SelfCheckFailed(f"highest root of {ident} not unique")
+    if tallest != positives[-1:]:
+        raise SelfCheckFailed(f"highest root of {ident} not unique, or not last in sorted order")
     heights = Counter(map(sum, positives))
     for k in range(1, max(top_height, *data.exponents) + 1):
         exponents = sum(e >= k for e in data.exponents)
@@ -117,11 +106,11 @@ def positive_roots(ident: RootSystemId) -> PositiveRootForms:
                 f"root closure for {ident} has {heights[k]} positive roots of height {k}, "
                 f"but {exponents} exponents are >= {k}"
             )
-    if sorted(tallest[0]) != sorted(data.marks[1:]):
+    if sorted(positives[-1]) != sorted(data.marks[1:]):
         raise SelfCheckFailed(
-            f"highest root {tallest[0]} of {ident} does not carry the marks {data.marks[1:]}"
+            f"highest root {positives[-1]} of {ident} does not carry the marks {data.marks[1:]}"
         )
-    return PositiveRootForms(roots=tuple(positives), highest=tallest[0])
+    return tuple(positives)
 
 
 def asc_oracle(ident: RootSystemId) -> RatPoly:
@@ -133,7 +122,7 @@ def asc_oracle(ident: RootSystemId) -> RatPoly:
     alpha_0 = -highest root and c_0 = 1.  Rank <= 3 only; the marks used here
     are the highest-root coefficients in coordinate order.
     """
-    forms = positive_roots(ident)
+    highest = positive_roots(ident)[-1]
     data = lookup(ident)
     rank = ident.rank
     moves = [lambda w, s=s: tuple(map(s, w)) for s in _reflections(ident)]
@@ -143,10 +132,10 @@ def asc_oracle(ident: RootSystemId) -> RatPoly:
             f"Weyl enumeration for {ident} found {len(elements)} elements, "
             f"expected {data.weyl_order}"
         )
-    c_coord = (1,) + forms.highest
+    c_coord = (1,) + highest
     counts: Counter = Counter()
     for w in elements:
-        alpha0_img = tuple(-sum(c * v[k] for c, v in zip(forms.highest, w)) for k in range(rank))
+        alpha0_img = tuple(-sum(c * v[k] for c, v in zip(highest, w)) for k in range(rank))
         images = (alpha0_img,) + w
         counts[sum(c for c, img in zip(c_coord, images) if any(img) and min(img) >= 0)] += 1
     f = data.index_of_connection
@@ -248,7 +237,7 @@ def bruteforce_modq_counts(
     `unsafe` is set, and refuses more than ORACLE_MAX_POINTS points with
     OracleTooLarge.
     """
-    forms = positive_roots(ident).roots
+    forms = positive_roots(ident)
     if any(m < 0 for m in ms):
         raise ValueError("m must be >= 0")
     if q < 1:

@@ -12,15 +12,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-_RANK_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
-}
+# The least rank of each classical family; the exceptional types are the
+# keys of `_EXCEPTIONAL`.
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 _ID_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
@@ -33,11 +27,14 @@ class RootSystemId:
     rank: int
 
     def __post_init__(self):
-        lo_hi = _RANK_BOUNDS.get(self.family)
-        if lo_hi is None:
+        least = _LEAST_RANK.get(self.family)
+        if least is not None:
+            valid = self.rank >= least
+        elif any(family == self.family for family, _ in _EXCEPTIONAL):
+            valid = (self.family, self.rank) in _EXCEPTIONAL
+        else:
             raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if not valid:
             raise ValueError(f"invalid rank {self.rank} for family {self.family}")
 
     @classmethod

@@ -214,7 +214,6 @@ class TestErrors:
 
         monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
         ehrhart.ehrhart_table.cache_clear()  # the guard runs where the table is built
-        ehrhart.ehrhart_qp.cache_clear()
         code, data = run_json(capsys, "ehrhart", "G2", "--json")
         assert code == 1
         assert data["error"] == "SelfCheckFailed"
@@ -312,15 +311,20 @@ class TestRenderOnDemand:
     def test_single_constituent_queries_build_no_quasi_polynomial(self):
         # A fresh interpreter: earlier tests have filled the caches here.
         proc = run_subprocess(
-            "from linchar import cli, ehrhart\n"
+            "from linchar import cli, ehrhart, linial\n"
             "from linchar.rootdata import RootSystemId\n"
+            "built, honest = [], ehrhart.ehrhart_qp\n"
+            "def counted(ident):\n"
+            "    built.append(ident)\n"
+            "    return honest(ident)\n"
+            "ehrhart.ehrhart_qp = linial.ehrhart_qp = counted\n"
             "codes = [cli.main(['check-line', 'E8', '-m', '59', '--exact', '--json'])]\n"
             "table = ehrhart.ehrhart_table.cache_info()\n"
             "ehrhart.ehrhart_table(RootSystemId.parse('E8'))\n"
             "held = ehrhart.ehrhart_table.cache_info().hits - table.hits\n"
             "codes.append(cli.main(['charquasi', 'F4', '-m', '3', '--constituent', '5', '--json']))\n"
             "codes.append(cli.main(['oracle', 'modq', 'G2', '-m', '2', '-q', '40', '--json']))\n"
-            "print(codes, table.currsize, held, ehrhart.ehrhart_qp.cache_info().currsize)",
+            "print(codes, table.currsize, held, len(built))",
             capture_output=True, check=True,
         )
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 1 1 0"

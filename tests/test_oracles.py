@@ -21,7 +21,7 @@ from linchar.rootdata import RootSystemId
 
 PACKAGE = Path(linchar.__file__).parent
 ORACLE_NAMES = {
-    "_CARTAN", "PositiveRootForms", "positive_roots", "asc_oracle", "bruteforce_modq_counts",
+    "_CARTAN", "positive_roots", "asc_oracle", "bruteforce_modq_counts",
 }
 
 

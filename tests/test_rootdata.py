@@ -72,10 +72,19 @@ class TestLookup:
         for name, period in printed.items():
             assert lookup(rid(name)).period == period
 
-    @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "G4", "H3"])
+    @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "F5", "G1", "G4", "H3"])
     def test_invalid_ids(self, bad):
-        with pytest.raises(ValueError):
+        family, rank = bad[0], int(bad[1:])
+        if family == "H":
+            direct, parsed = "unknown family 'H'", "cannot parse root system id 'H3'"
+        else:
+            direct = parsed = f"invalid rank {rank} for family {family}"
+        with pytest.raises(ValueError) as err:
+            RootSystemId(family, rank)
+        assert str(err.value) == direct
+        with pytest.raises(ValueError) as err:
             rid(bad)
+        assert str(err.value) == parsed
 
     def test_parse_is_lenient_about_case(self):
         assert rid("e6") == RootSystemId("E", 6)
@@ -87,31 +96,31 @@ RANK3_IDS = [rid(s) for s in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G
 
 class TestPositiveRoots:
     def test_a2(self):
-        assert positive_roots(rid("A2")).roots == ((0, 1), (1, 0), (1, 1))
+        assert positive_roots(rid("A2")) == ((0, 1), (1, 0), (1, 1))
 
     def test_b2(self):
-        forms = positive_roots(rid("B2"))
-        assert set(forms.roots) == {(1, 0), (0, 1), (1, 1), (2, 1)}
-        assert forms.highest == (2, 1)
+        roots = positive_roots(rid("B2"))
+        assert set(roots) == {(1, 0), (0, 1), (1, 1), (2, 1)}
+        assert roots[-1] == (2, 1)
 
     def test_g2(self):
-        forms = positive_roots(rid("G2"))
-        assert set(forms.roots) == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
-        assert forms.highest == (3, 2)
+        roots = positive_roots(rid("G2"))
+        assert set(roots) == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
+        assert roots[-1] == (3, 2)
 
     @pytest.mark.parametrize("ident", RANK3_IDS, ids=str)
     def test_counts_and_highest_marks(self, ident):
         data = lookup(ident)
-        forms = positive_roots(ident)
-        assert len(forms.roots) == data.rank * data.coxeter_number // 2
-        # highest-root coefficients are the marks (coordinate order may differ)
-        assert sorted(forms.highest) == sorted(data.marks[1:])
+        roots = positive_roots(ident)
+        assert len(roots) == data.rank * data.coxeter_number // 2
+        # the highest root sorts last; its coefficients are the marks
+        # (coordinate order may differ)
+        assert sorted(roots[-1]) == sorted(data.marks[1:])
 
     @pytest.mark.parametrize("ident", RANK3_IDS, ids=str)
     def test_closed_under_simple_reflections_up_to_sign(self, ident):
-        forms = positive_roots(ident)
-        roots = set(forms.roots)
-        for vec in forms.roots:
+        roots = set(positive_roots(ident))
+        for vec in roots:
             for reflect in _reflections(ident):
                 img = reflect(vec)
                 neg = tuple(-x for x in img)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linchar.ehrhart import ehrhart_qp
+from linchar import ratpoly
+from linchar.ehrhart import apply_shift_qp, ehrhart_qp, ehrhart_table
 from linchar.eulerian import generalized_eulerian, truncate_half
 from linchar.linial import char_constituent, char_quasi, half_char_quasi
 from linchar.ratpoly import IntegerTable, RatPoly, shift_constituents
@@ -191,10 +192,14 @@ class TestLayers:
             seen += layer_columns
         assert sorted(seen) == list(range(width))
 
-    def test_split_is_made_once_per_table(self):
-        """L_Phi keeps its table, and with it the split, for every call."""
-        L = ehrhart_qp(RootSystemId.parse("E8"))
-        assert L.numerators is L.numerators
+    def test_split_is_made_once_per_table(self, monkeypatch):
+        """L_Phi is cached as its table, and with it the split, for every call."""
+        e8 = RootSystemId.parse("E8")
+        R = generalized_eulerian(e8)
+        full = apply_shift_qp(R, 2, ehrhart_table(e8))
+        monkeypatch.setattr(ratpoly, "_layers", None)  # a second split would fail
+        assert apply_shift_qp(R, 2, ehrhart_table(e8)) == full == char_quasi(e8, 1)
+        assert ehrhart_qp(e8).period == 60
 
     def test_period_one_table_is_one_layer(self):
         table = IntegerTable.of((RatPoly((3, 0, 5)),))
@@ -216,7 +221,7 @@ def test_alcove_table_split(ident):
     """The split of L_Phi: one layer for A_l; t^0..t^(l-2) at period 2 for
     B_l and C_l, t^0..t^(l-4) for D_l, and the rest at period 1; the
     exceptional types as listed."""
-    split = {p: columns for p, columns, _ in ehrhart_qp(ident).numerators.layers}
+    split = {p: columns for p, columns, _ in ehrhart_table(ident).layers}
     l = ident.rank
     if ident.family == "A":
         want = {1: tuple(range(l + 1))}

@@ -622,7 +622,7 @@ def bruteforce_modq(ident, m, q, unsafe=False):
 
 def enumerated_modq(ident, m, q):
     """The points of (Z/q)^l on no hyperplane alpha(x) = 1..m, counted one by one."""
-    forms = positive_roots(ident).roots
+    forms = positive_roots(ident)
     return sum(
         all(sum(c * x for c, x in zip(form, point)) % q not in range(1, m + 1) for form in forms)
         for point in itertools.product(range(q), repeat=ident.rank)

@@ -11,7 +11,7 @@ same facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ehrhart, eulerian, linial, oracles, rootdata, verify
@@ -19,13 +19,15 @@ from .ratpoly import RatPoly
 from .rootdata import ALL_TABLE_IDS, EXCEPTIONAL_IDS, RootSystemId
 
 
-@dataclass
-class CheckResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str = ""
-    reported: list[str] = field(default_factory=list)  # informational, not asserted
+class CheckResult(namedtuple("CheckResult", "number name passed detail reported")):
+    """One criterion's verdict; `reported` lists informational lines, which
+    are not asserted."""
+
+    __slots__ = ()
+
+    def __new__(cls, number: int, name: str, passed: bool, detail: str = "",
+                reported: list[str] | None = None):
+        return super().__new__(cls, number, name, passed, detail, [] if reported is None else reported)
 
     def to_json(self) -> dict:
         return {"number": self.number, "name": self.name, "passed": self.passed,

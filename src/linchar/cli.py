@@ -20,8 +20,8 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple
 
 from . import acceptance, ehrhart, linial, oracles, rootdata, verify
 from .errors import LincharError
@@ -59,9 +59,10 @@ def _criteria_list(text: str) -> list[int]:
 
 
 def to_json_str(obj) -> str:
-    """Indented strict JSON (no NaN or Infinity); any other object is written
-    as its `to_json()`."""
-    return json.dumps(obj, indent=2, default=lambda o: o.to_json(), allow_nan=False)
+    """Indented strict JSON (no NaN or Infinity).  json writes a named tuple,
+    as every linchar record is, as an array, so handlers pass a record's
+    `to_json()`."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _qp_human(qp) -> list[str]:
@@ -130,7 +131,7 @@ def _cmd_charquasi(args):
 
 def _cmd_admissible(args):
     rep = linial.admissible_residues(args.phi)
-    return rep, lambda: [
+    return rep.to_json(), lambda: [
         f"admissible residues of {args.phi}: {', '.join(map(str, rep.residues))}",
         f"admissible divisors: {', '.join(map(str, rep.divisors))}",
         f"m0 = {rep.m0}",
@@ -204,40 +205,31 @@ def _cmd_verify_all(args):
         human.append("all selected criteria pass" if ok else "FAILURES present")
         return human
 
-    return results, render, 0 if ok else 1
+    return [r.to_json() for r in results], render, 0 if ok else 1
 
 
 # -- the command table -------------------------------------------------------------
 
 
-class Arg(NamedTuple):
+class Arg(namedtuple("Arg", "flags dest type required default help metavar",
+                     defaults=(None, False, None, "", None))):
     """One argument of a command.  A positional has no flags; an option's flags
     are `-x` or `--long-name`.  An option whose `type` is None is a flag that
     stores True; every other argument takes one value and stores
     `type(value)`, which raises ValueError on a bad value."""
 
-    flags: tuple[str, ...]
-    dest: str
-    type: Callable[[str], Any] | None = None
-    required: bool = False
-    default: Any = None
-    help: str = ""
-    metavar: str | None = None
+    __slots__ = ()
 
 
-class Command(NamedTuple):
+class Command(namedtuple("Command", "help handler positionals options exclusive subcommands dest",
+                         defaults=(None, (), (), (), None, None))):
     """One (sub)command: either a `handler`, which takes the parsed namespace
     and returns (result, render[, exit code]) with render() the human lines,
-    or a group of `subcommands`, whose chosen name is stored under `dest`.
-    At most one of the flags named in `exclusive` may be given."""
+    or a group of `subcommands` (a dict from name to `Command`), whose chosen
+    name is stored under `dest`.  At most one of the flags named in
+    `exclusive` may be given; `positionals` and `options` are tuples of `Arg`."""
 
-    help: str
-    handler: Callable | None = None
-    positionals: tuple[Arg, ...] = ()
-    options: tuple[Arg, ...] = ()
-    exclusive: tuple[str, ...] = ()
-    subcommands: dict[str, Command] | None = None
-    dest: str | None = None
+    __slots__ = ()
 
 
 _HELP = Arg(("-h", "--help"), "help", help="show this help message and exit")

@@ -21,7 +21,7 @@ No `Fraction` is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -35,16 +35,21 @@ from .rootdata import RootSystemId, lookup
 SERIES_MAX = 10**6
 
 
-@dataclass(frozen=True)
-class QuasiPoly:
+class QuasiPoly(namedtuple("QuasiPoly", "constituents")):
     """One constituent polynomial per residue class; the period is their count."""
 
-    constituents: tuple[RatPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "constituents", tuple(self.constituents))
-        if not self.constituents:
+    def __new__(cls, constituents):
+        constituents = tuple(constituents)
+        if not constituents:
             raise ValueError("need at least one constituent")
+        return super().__new__(cls, constituents)
+
+    @classmethod
+    def _make(cls, fields):
+        # what `_replace` builds with: check the new fields too
+        return cls(*fields)
 
     @property
     def period(self) -> int:

@@ -10,7 +10,7 @@ arrangement.  Residues live in 0..period-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,11 +28,11 @@ from .rootdata import RootSystemId, lookup
 _QUASI_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class AdmissibleReport:
-    residues: tuple[int, ...]  # all admissible residues in 0..period-1
-    divisors: tuple[int, ...]  # the admissible divisors of the period (period itself as residue 0)
-    m0: int
+class AdmissibleReport(namedtuple("AdmissibleReport", "residues divisors m0")):
+    """`residues`: all admissible residues in 0..period-1; `divisors`: the
+    admissible divisors of the period (the period itself as residue 0)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"residues": self.residues, "divisors": self.divisors, "m0": self.m0}

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import product
 from operator import mul
-from typing import Callable, Iterable, Sequence
 
 from .errors import InexactDivision, OracleTooLarge, QTooSmall, SelfCheckFailed, UnsupportedRank
 from .ratpoly import RatPoly

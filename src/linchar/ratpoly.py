@@ -18,16 +18,15 @@ callers.  Floating point never enters here.  A shift operator f(S) is a
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice, zip_longest
 from operator import add
-from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InexactDivision
 
-Scalar = Union[int, Fraction]
-
-def _frac(x: Scalar) -> Fraction:
+def _frac(x: int | Fraction) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -131,7 +130,7 @@ class RatPoly:
 
     __slots__ = ("nums", "den")
 
-    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+    def __new__(cls, coeffs: Iterable[int | Fraction] = ()):
         cs = [_frac(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         return cls.over([c.numerator * (den // c.denominator) for c in cs], den)
@@ -170,11 +169,11 @@ class RatPoly:
         return cls.over((1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "RatPoly":
+    def monomial(cls, exponent: int, coeff: int | Fraction = 1) -> "RatPoly":
         return cls([0] * exponent + [coeff])
 
     @classmethod
-    def from_roots(cls, roots: Iterable[Scalar], leading: Scalar = 1) -> "RatPoly":
+    def from_roots(cls, roots: Iterable[int | Fraction], leading: int | Fraction = 1) -> "RatPoly":
         p = cls((leading,))
         for r in roots:
             p = p * cls((-_frac(r), 1))
@@ -257,7 +256,7 @@ class RatPoly:
     def __rmul__(self, other) -> "RatPoly":
         return self.scale(other)
 
-    def scale(self, s: Scalar) -> "RatPoly":
+    def scale(self, s: int | Fraction) -> "RatPoly":
         s = _frac(s)
         return RatPoly.over([x * s.numerator for x in self.nums], self.den * s.denominator)
 
@@ -274,7 +273,7 @@ class RatPoly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact Horner evaluation at an int or Fraction x."""
         x = _frac(x)
         # homogenized Horner over Z: v = sum nums_k u^k w^(deg - k)
@@ -292,7 +291,7 @@ class RatPoly:
             v = v * x + c
         return v
 
-    def compose_affine(self, a: Scalar, b: Scalar) -> "RatPoly":
+    def compose_affine(self, a: int | Fraction, b: int | Fraction) -> "RatPoly":
         """Exact substitution t -> a*t + b.
 
         With a = an/ad and b = bn/bd, integer Horner forms
@@ -423,15 +422,13 @@ def _layers(nums: tuple[tuple[int, ...], ...]) -> tuple:
     return tuple(layers)
 
 
-class IntegerTable(NamedTuple):
+class IntegerTable(namedtuple("IntegerTable", "den nums layers")):
     """Polynomials over one common denominator: ``polys[r] = nums[r] / den``,
     with ``nums[r]`` the ascending integer coefficients, and ``layers``, the
     columns split by least period (`_layers`), as the shift kernel reads
     them.  `of` and `from_rows` make the split once per table."""
 
-    den: int
-    nums: tuple[tuple[int, ...], ...]
-    layers: tuple
+    __slots__ = ()
 
     @classmethod
     def of(cls, polys: Sequence[RatPoly]) -> "IntegerTable":

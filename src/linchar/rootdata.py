@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 # The least rank of each classical family; the exceptional types are the
@@ -19,23 +19,27 @@ _LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _ID_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class RootSystemId:
-    """A family letter plus rank, e.g. B5 or E8."""
+class RootSystemId(namedtuple("RootSystemId", "family rank")):
+    """A family letter plus rank, e.g. B5 or E8; ids sort by family, then rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        least = _LEAST_RANK.get(self.family)
+    def __new__(cls, family: str, rank: int):
+        least = _LEAST_RANK.get(family)
         if least is not None:
-            valid = self.rank >= least
-        elif any(family == self.family for family, _ in _EXCEPTIONAL):
-            valid = (self.family, self.rank) in _EXCEPTIONAL
+            valid = rank >= least
+        elif any(known == family for known, _ in _EXCEPTIONAL):
+            valid = (family, rank) in _EXCEPTIONAL
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
         if not valid:
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
+            raise ValueError(f"invalid rank {rank} for family {family}")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, fields):
+        # what `_replace` builds with: check the new fields too
+        return cls(*fields)
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemId":
@@ -48,18 +52,14 @@ class RootSystemId:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class RootSystemData:
-    """One catalog row: all invariants are exact integers."""
+class RootSystemData(namedtuple(
+    "RootSystemData",
+    "rank exponents marks coxeter_number index_of_connection weyl_order period rad_period",
+)):
+    """One catalog row: all invariants are exact integers, `exponents` and
+    `marks` tuples of them; `marks` is (c_0, c_1, ..., c_l) with c_0 == 1."""
 
-    rank: int
-    exponents: tuple[int, ...]
-    marks: tuple[int, ...]  # (c_0, c_1, ..., c_l) with c_0 == 1
-    coxeter_number: int
-    index_of_connection: int
-    weyl_order: int
-    period: int
-    rad_period: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "exponents": self.exponents, "marks": self.marks,

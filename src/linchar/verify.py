@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
 
 from .errors import NonConvergence, OutOfDoubleRange
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
@@ -39,14 +39,14 @@ _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 _OUT_OF_RANGE = "polynomial does not fit in doubles"
 
 
-@dataclass(frozen=True)
-class ComplexRootSet:
-    """All complex roots of a polynomial, with a posteriori quality data."""
+class ComplexRootSet(namedtuple(
+    "ComplexRootSet", "roots residual_bound certified_radius converged", defaults=(True,)
+)):
+    """All complex roots of a polynomial, with a posteriori quality data:
+    `residual_bound` is max |p(root)| relative to the evaluation scale, and
+    `certified_radius` the inclusion disc radius of each root."""
 
-    roots: tuple[complex, ...]
-    residual_bound: float  # max |p(root)| relative to the evaluation scale
-    certified_radius: tuple[float, ...]  # per-root inclusion disc radius
-    converged: bool = True
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -57,14 +57,11 @@ class ComplexRootSet:
         }
 
 
-@dataclass(frozen=True)
-class LineCheckReport:
-    """Outcome of a vertical-line certification at Re t = center."""
+class LineCheckReport(namedtuple("LineCheckReport", "on_line center method details")):
+    """Outcome of a vertical-line certification at Re t = center (a
+    `Fraction`); `method` is "exact-sturm" or "numeric"."""
 
-    on_line: bool
-    center: Fraction
-    method: str  # "exact-sturm" or "numeric"
-    details: dict
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -217,15 +214,24 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
         radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
         for j in range(n)
     ]
-    status = _aberth(c, z, radius)
+    status = _run_aberth(c, z, radius)
     if status != "stalled":
         return z, _inclusion_radii(c, z), status
     centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
     shift = float(centroid)
     c = _monic_floats(factor.compose_affine(1, centroid))
     s = [zj - shift for zj in z]
-    status = _aberth(c, s, _start_radius(c))
+    status = _run_aberth(c, s, _start_radius(c))
     return [sj + shift for sj in s], _inclusion_radii(c, s), status
+
+
+def _run_aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
+    """`_aberth`, with its one division by zero, 1 / (z_j - z_k) for two
+    equal iterates, raised as the NonConvergence it is."""
+    try:
+        return _aberth(c, z, radius)
+    except ZeroDivisionError as exc:
+        raise NonConvergence("Aberth iterates collided: two became equal") from exc
 
 
 def find_roots(p: RatPoly) -> ComplexRootSet:
@@ -236,8 +242,8 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     Each factor is solved by `_factor_roots`, which centres it over Q if the
     iteration stalls.  Raises NonConvergence (with partial results attached)
     if any factor stalls again after centring or fails to settle within the
-    iteration budget, naming the stop it hit, and
-    OutOfDoubleRange if p or one of its factors does not fit in doubles, or
+    iteration budget, naming the stop it hit, or (with none attached) once
+    two iterates become equal, and OutOfDoubleRange if p or one of its factors does not fit in doubles, or
     an iterate or a residual leaves them.
     """
     if p.degree < 1:

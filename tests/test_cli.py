@@ -20,9 +20,9 @@ GOLDEN = pathlib.Path(__file__).parent / "data"
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
-def run_subprocess(code, **kwargs):
+def run_subprocess(code, *flags, **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run([sys.executable, "-c", code], env=env, text=True, **kwargs)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, text=True, **kwargs)
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +246,19 @@ class TestImports:
         )
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_imports_no_dataclasses_or_typing(self):
+        # Records are named tuples: nothing in linchar needs dataclasses (and
+        # with it inspect, ast and dis) or typing at run time.  -S, since a
+        # .pth file that site runs may load typing before the diff starts.
+        proc = run_subprocess(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import linchar.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & (set(sys.modules) - before)))",
+            "-S", capture_output=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_cold_query_loads_no_option_parser_modules(self):
         proc = run_subprocess(
             "import sys\n"
@@ -330,16 +343,14 @@ class TestRenderOnDemand:
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 1 1 0"
 
     def test_reports_are_the_dicts_of_their_fields(self):
-        # dataclasses.asdict, which the CLI no longer calls, is the oracle.
-        from dataclasses import asdict
-
+        # A record's own _asdict() is the oracle.
         from linchar import acceptance, linial, rootdata
 
         for ident in rootdata.ALL_TABLE_IDS:
-            assert rootdata.lookup(ident).to_json() == asdict(rootdata.lookup(ident))
-            assert linial.admissible_residues(ident).to_json() == asdict(linial.admissible_residues(ident))
+            assert rootdata.lookup(ident).to_json() == rootdata.lookup(ident)._asdict()
+            assert linial.admissible_residues(ident).to_json() == linial.admissible_residues(ident)._asdict()
         result = acceptance.CheckResult(3, "name", False, "detail", ["one", "two"])
-        assert result.to_json() == asdict(result)
+        assert result.to_json() == result._asdict()
 
 
 class TestNumericGolden:

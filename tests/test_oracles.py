@@ -3,7 +3,6 @@ the catalog self-check of the root closure, and a closed form for type A
 at every rank."""
 
 import ast
-import dataclasses
 import math
 import os
 import subprocess
@@ -97,7 +96,7 @@ class TestRootClosureSelfCheck:
 
     def test_marks_that_differ_from_the_highest_root(self, monkeypatch):
         g2 = rid("G2")
-        perturbed = dataclasses.replace(oracles.lookup(g2), marks=(1, 1, 4))
+        perturbed = oracles.lookup(g2)._replace(marks=(1, 1, 4))
         monkeypatch.setattr(oracles, "lookup", lambda ident: perturbed)
         with pytest.raises(SelfCheckFailed, match="does not carry the marks"):
             oracles.positive_roots.__wrapped__(g2)

@@ -136,10 +136,9 @@ class TestPositiveRoots:
         # A1 x A1 posing as a rank-2 system with h = 2 has two roots of top
         # height; the check must fire even with asserts stripped by -O.
         script = (
-            "import dataclasses\n"
             "from linchar import oracles\n"
             "a2 = oracles.RootSystemId.parse('A2')\n"
-            "fake = dataclasses.replace(oracles.lookup(a2), coxeter_number=2)\n"
+            "fake = oracles.lookup(a2)._replace(coxeter_number=2)\n"
             "oracles.lookup = lambda ident: fake\n"
             "oracles._CARTAN[('A', 2)] = ((2, 0), (0, 2))\n"
             "try:\n"

@@ -125,6 +125,22 @@ class TestFindRoots:
             find_roots(limit_poly(rid("E6")))
         assert str(budget.value) == "Aberth iteration did not converge within 1 iterations"
 
+    def test_colliding_iterates_are_named(self, monkeypatch):
+        # Two equal iterates divide by zero in the Aberth sum; that is a
+        # failure to converge, not a polynomial outside the doubles.
+        real_aberth = verify._aberth
+
+        def collide(c, z, radius):
+            z[1] = z[0]
+            return real_aberth(c, z, radius)
+
+        monkeypatch.setattr(verify, "_aberth", collide)
+        with pytest.raises(NonConvergence) as excinfo:
+            find_roots(RatPoly((1, 0, 1)))
+        assert str(excinfo.value) == "Aberth iterates collided: two became equal"
+        assert excinfo.value.partial is None
+        assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+
     def test_deterministic(self):
         p = limit_poly(rid("F4"))
         assert find_roots(p).roots == find_roots(p).roots

@@ -26,6 +26,7 @@ from operator import add
 
 from .errors import InexactDivision
 
+
 def _frac(x: int | Fraction) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -243,8 +243,8 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     iteration stalls.  Raises NonConvergence (with partial results attached)
     if any factor stalls again after centring or fails to settle within the
     iteration budget, naming the stop it hit, or (with none attached) once
-    two iterates become equal, and OutOfDoubleRange if p or one of its factors does not fit in doubles, or
-    an iterate or a residual leaves them.
+    two iterates become equal, and OutOfDoubleRange if p or one of its
+    factors does not fit in doubles, or an iterate or a residual leaves them.
     """
     if p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")

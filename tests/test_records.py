@@ -64,7 +64,18 @@ def test_record_semantics(name):
 def test_root_system_ids_sort_by_family_then_rank():
     ids = [RootSystemId.parse(s) for s in ("E8", "A10", "G2", "B3", "A3", "E6")]
     assert [str(i) for i in sorted(ids)] == ["A3", "A10", "B3", "E6", "E8", "G2"]
+
+
+def test_reprs_are_those_of_the_dataclasses():
+    # as the frozen dataclasses printed them, defaults included
     assert repr(RootSystemId("E", 8)) == "RootSystemId(family='E', rank=8)"
+    assert repr(lookup(G2)) == (
+        "RootSystemData(rank=2, exponents=(1, 5), marks=(1, 2, 3), coxeter_number=6, "
+        "index_of_connection=1, weyl_order=12, period=6, rad_period=6)"
+    )
+    assert repr(CheckResult(1, "x", True)) == (
+        "CheckResult(number=1, name='x', passed=True, detail='', reported=[])"
+    )
 
 
 def test_replace_checks_what_the_constructor_checks():

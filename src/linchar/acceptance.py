@@ -30,8 +30,7 @@ class CheckResult(namedtuple("CheckResult", "number name passed detail reported"
         return super().__new__(cls, number, name, passed, detail, [] if reported is None else reported)
 
     def to_json(self) -> dict:
-        return {"number": self.number, "name": self.name, "passed": self.passed,
-                "detail": self.detail, "reported": self.reported}
+        return self._asdict()
 
 
 def _ids(*names: str) -> list[RootSystemId]:

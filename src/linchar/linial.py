@@ -35,7 +35,7 @@ class AdmissibleReport(namedtuple("AdmissibleReport", "residues divisors m0")):
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"residues": self.residues, "divisors": self.divisors, "m0": self.m0}
+        return self._asdict()
 
 
 @lru_cache(maxsize=None)

@@ -569,18 +569,17 @@ def routh_hurwitz_all_roots_left(p: RatPoly) -> bool:
     holds the terms of p with the parity of deg p, row 1 the other terms.
     `_remainders` negates each remainder, so row k is a positive multiple of
     row k of the Routh array times (-1)^(k // 2).  p is strictly Hurwitz iff
-    no coefficient is negative, there are deg p + 1 rows (the degrees fall
-    by exactly one from deg p to 0) and every Routh row has a positive
-    leading coefficient (the first column of the array), that is, the signs
-    of the rows' leading coefficients run + + - - + + ....  Fewer rows mean
-    a zero pivot or a zero row of the array: that proves a root with
-    Re >= 0.
+    there are deg p + 1 rows (the degrees fall by exactly one from deg p to
+    0) and every Routh row has a positive leading coefficient (the first
+    column of the array), that is, the signs of the rows' leading
+    coefficients run + + - - + + ....  Fewer rows mean a zero pivot or a zero
+    row of the array: that proves a root with Re >= 0.  A negative
+    coefficient needs no test of its own: every coefficient of a Hurwitz
+    polynomial is positive (Stodola), so the column fails on any other.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     nums = p.nums if p.nums[-1] > 0 else [-x for x in p.nums]
-    if any(x < 0 for x in nums):
-        return False
     n = p.degree
     parts = ([x if (n - j) % 2 == k else 0 for j, x in enumerate(nums)] for k in (0, 1))
     rows = _remainders(*(RatPoly.over(part).nums for part in parts))  # trailing zeros dropped

@@ -62,10 +62,7 @@ class RootSystemData(namedtuple(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"rank": self.rank, "exponents": self.exponents, "marks": self.marks,
-                "coxeter_number": self.coxeter_number,
-                "index_of_connection": self.index_of_connection, "weyl_order": self.weyl_order,
-                "period": self.period, "rad_period": self.rad_period}
+        return self._asdict()
 
 
 def _radical(n: int) -> int:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,8 @@ from linchar.errors import (
     QTooSmall,
     UnsupportedRank,
 )
-from linchar.linial import char_poly, char_quasi, toy_poly
+from linchar.eulerian import classical_eulerian
+from linchar.linial import char_constituent, char_poly, char_quasi, half_char_quasi, toy_poly
 from linchar.oracles import ORACLE_MAX_POINTS, bruteforce_modq_counts, positive_roots
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup
@@ -808,3 +810,25 @@ class TestAsymptoticTrack:
     def test_residue_validated(self):
         with pytest.raises(ValueError):
             asymptotic_track(rid("G2"), 6, [1])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: char_constituent(rid("G2"), -1, 1), "m must be >= 0",
+                 id="char_constituent"),
+    pytest.param(lambda: half_char_quasi(rid("G2"), -1), "m must be >= 0", id="half_char_quasi"),
+    pytest.param(lambda: toy_poly(rid("G2"), -1), "m must be >= 0", id="toy_poly"),
+    pytest.param(lambda: bruteforce_modq_counts(rid("G2"), (2, -1), 7), "m must be >= 0",
+                 id="modq-m"),
+    pytest.param(lambda: bruteforce_modq_counts(rid("G2"), (0,), 0), "q must be >= 1",
+                 id="modq-q"),
+    pytest.param(lambda: asymptotic_track(rid("G2"), 1, [0]), "m must be >= 1 for tracking",
+                 id="asymptotic_track"),
+    pytest.param(lambda: classical_eulerian(0), "rank must be >= 1", id="classical_eulerian"),
+    pytest.param(lambda: check_on_line_exact(RatPoly.zero(), 2), "zero polynomial",
+                 id="check_on_line_exact"),
+    pytest.param(lambda: halfplane_exact(RatPoly.zero(), 2), "zero polynomial",
+                 id="halfplane_exact"),
+])
+def test_input_guards_refuse(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -249,15 +249,21 @@ def check_averaging():
     """Averaging identity"""
     for ident in EXCEPTIONAL_IDS:
         data = rootdata.lookup(ident)
+        n, h = data.period, data.coxeter_number
         sign = (-1) ** data.rank
         rep = linial.admissible_residues(ident)
+        # F depends on d's orbit {+-d + k*h mod n} alone: one F per orbit
+        orbit = {d: frozenset((s * d + k * h) % n for s in (1, -1) for k in range(rep.m0))
+                 for d in rep.residues}
         for m in range(1, 5):
             cq = linial.char_quasi(ident, m)
-            mh = m * data.coxeter_number
+            mh = m * h
+            recombined = {}
             for d in rep.residues:
-                F = linial.averaged_half(ident, m, d)
-                recombined = F + F.compose_affine(-1, mh).scale(sign)
-                if recombined != cq.constituent(d):
+                if orbit[d] not in recombined:
+                    F = linial.averaged_half(ident, m, d)
+                    recombined[orbit[d]] = F + F.compose_affine(-1, mh).scale(sign)
+                if recombined[orbit[d]] != cq.constituent(d):
                     return False, f"{ident} m={m} d={d}"
     return True, "all admissible residues, m <= 4"
 

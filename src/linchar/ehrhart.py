@@ -5,16 +5,22 @@ L_Phi(q) counts nonnegative integer vectors (m_1..m_l) with
 sum(c_i m_i) <= q, equivalently the coefficients of the series
 1 / prod_{i=0..l} (1 - z^{c_i}) with the slack mark c_0 = 1.  The whole
 build runs on Python ints.  The denumerant counts are running sums, one
-per mark c and residue class mod c.  Constituent d is interpolated from the
-l+1 counts at d, d+n, ..., d+l*n (n the period) through their integer
-forward differences, all n residues at once: every constituent is an
-integer numerator over the one common denominator n**l * l!, and the table
-is then divided by the gcd of that denominator and all numerators, which
-leaves the least common denominator of the constituents.  A guard checks
-every integer 0..3n(l+1) against the counts on this table, in integers,
-before anything is returned.  `ehrhart_table` caches that table, the one
-cached form of L_Phi, which the shift kernel reads as it is.  `ehrhart_qp`
-makes each row over the common denominator a `RatPoly` in canonical form.
+per mark c and residue class mod c.  (-1)^l (|W|/f) L_Phi(-q) is the
+characteristic quasi-polynomial of the Weyl arrangement, so L_Phi has the GCD
+property (Kamiya, Takemura and Terao, J. Algebraic Combin. 27, 2008): its
+constituent at d depends on gcd(d, n) alone, n the period.  So one row is
+interpolated per divisor v of n, at residue v mod n, from the l+1 counts at
+v, v+n, ..., v+l*n through their integer forward differences, and residue d
+takes the row of gcd(d, n).  Every row is an integer numerator over the one
+common denominator n**l * l!, and the table is then divided by the gcd of that
+denominator and the distinct rows, which leaves the least common denominator
+of the constituents.  A guard checks every integer 0..3n(l+1) against the
+counts on this table, in integers, before anything is returned.  It reads at
+least 3l+3 counts of every residue, more than the l+1 that fix a polynomial of
+degree l, so it verifies the GCD property rather than assuming it.
+`ehrhart_table` caches that table, the one cached form of L_Phi, which the
+shift kernel reads as it is.  `ehrhart_qp` makes each distinct row over the
+common denominator one `RatPoly` in canonical form, shared by its gcd class.
 No `Fraction` is made.
 """
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -89,29 +96,33 @@ def _denumerant_counts(marks, upto: int) -> list[int]:
     return dp
 
 
-def _newton_numerators(counts: list[int], n: int, l: int) -> list[tuple[int, ...]]:
-    """Integer numerators N_d, d = 0..n-1, of the degree-l polynomials p_d
-    through the points (d + j*n, counts[d + j*n]), j = 0..l, with
-    p_d = N_d / (n**l * l!); ascending coefficients.
+def _newton_numerators(
+    counts: list[int], n: int, l: int, residues: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Integer numerators N_d, d in `residues` (each in 0..n-1), of the
+    degree-l polynomials p_d through the points (d + j*n, counts[d + j*n]),
+    j = 0..l, with p_d = N_d / (n**l * l!); ascending coefficients, one per
+    residue, in order.
 
     Newton's forward-difference form with step n gives
     p_d(t) = sum_k Delta^k y_0 / (k! n^k) * prod_{i<k} (t - d - i*n); over the
     common denominator the weight of the k-th basis product is the integer
     Delta^k y_0 * n^(l-k) * l!/k!.  The sum is expanded in nested form,
-    w_0 + (t - d)(w_1 + (t - d - n)(w_2 + ...)).  Every step runs on all n
-    residues at once: each list below is indexed by d.
+    w_0 + (t - d)(w_1 + (t - d - n)(w_2 + ...)).  Every step runs on all the
+    residues at once: each list below is indexed like `residues`.
+    `ehrhart_table` asks for one residue per divisor of n.
     """
-    rows = [counts[j * n : j * n + n] for j in range(l + 1)]  # rows[j][d] = y_j of residue d
-    heads = []  # heads[k][d] = Delta^k y_0 of residue d
+    rows = [[counts[d + j * n] for d in residues] for j in range(l + 1)]  # rows[j][i] = y_j of residue i
+    heads = []  # heads[k][i] = Delta^k y_0 of residue i
     while rows:
         heads.append(rows[0])
         rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
-    num: list[list[int]] = []  # num[j][d] = coefficient of t^j in N_d
+    num: list[list[int]] = []  # num[j][i] = coefficient of t^j in N_(residues[i])
     scale = 1  # n^(l-k) * l!/k!
     for k in range(l, -1, -1):
-        roots = range(k * n, k * n + n)  # d + k*n
+        roots = [d + k * n for d in residues]
         # num <- num * (t - root) + weight_k
-        num = [[0] * n] + num
+        num = [[0] * len(residues)] + num
         for j in range(len(num) - 1):
             num[j] = [a - root * b for a, b, root in zip(num[j], num[j + 1], roots)]
         num[0] = [a + h * scale for a, h in zip(num[0], heads[k])]
@@ -121,15 +132,18 @@ def _newton_numerators(counts: list[int], n: int, l: int) -> list[tuple[int, ...
 
 @lru_cache(maxsize=None)
 def ehrhart_table(ident: RootSystemId) -> IntegerTable:
-    """L_Phi's constituents over their least common denominator, period-guarded."""
+    """L_Phi's constituents over their least common denominator, one row per
+    gcd class shared by its residues, period-guarded."""
     data = lookup(ident)
     n, l = data.period, data.rank
     counts = _denumerant_counts(data.marks, 3 * n * (l + 1))
-    nums = _newton_numerators(counts, n, l)
+    divisors = [v for v in range(1, n + 1) if n % v == 0]
+    reps = _newton_numerators(counts, n, l, [v % n for v in divisors])
     den = n**l * math.factorial(l)
-    g = math.gcd(den, *(c for num in nums for c in num))
+    g = math.gcd(den, *(c for num in reps for c in num))
     den //= g
-    nums = tuple(tuple(c // g for c in num) for num in nums)
+    by_gcd = {v: tuple(c // g for c in num) for v, num in zip(divisors, reps)}
+    nums = tuple(by_gcd[math.gcd(d, n)] for d in range(n))
     descending = [num[::-1] for num in nums]
     for q, count in enumerate(counts):
         acc = 0
@@ -147,7 +161,8 @@ def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
     """Ehrhart quasi-polynomial of the closed fundamental alcove of Phi: the
     rows of `ehrhart_table` as polynomials."""
     table = ehrhart_table(ident)
-    return QuasiPoly(tuple(RatPoly.over(num, table.den) for num in table.nums))
+    polys = {num: RatPoly.over(num, table.den) for num in set(table.nums)}
+    return QuasiPoly(tuple(polys[num] for num in table.nums))
 
 
 def series_coeffs(ident: RootSystemId, count: int) -> list[int]:

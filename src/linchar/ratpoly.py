@@ -309,10 +309,7 @@ class RatPoly:
         cpow = 1
         for coeff in reversed(nums[:-1]):
             cpow *= c
-            nxt = [B * x for x in acc]
-            nxt.append(0)
-            for i, x in enumerate(acc):
-                nxt[i + 1] += A * x
+            nxt = [B * x + A * y for x, y in zip(acc + [0], [0] + acc)]
             nxt[0] += coeff * cpow
             acc = nxt
         return RatPoly.over(acc, self.den * cpow)

@@ -174,6 +174,11 @@ FAILURES = [
         when(query("E7", 3, 1), lambda F, *args: F + T),
         "E7 m=3 d=1", id="9"),
     pytest.param(
+        # 29 is the last residue met of the orbit {1, 29, 31, 59}, whose F is made at d = 1
+        acceptance.check_averaging, linial, "char_quasi",
+        when(query("E8", 2), lambda qp, *args: plus_t(qp, 29)),
+        "E8 m=2 d=29", id="9-later-orbit-member"),
+    pytest.param(
         acceptance.check_line_certification, linial, "char_poly",
         when(query("E8", 59), lambda p, *args: p * RatPoly((-1, 1))),
         "E8 m=59 expected on-line", id="10"),

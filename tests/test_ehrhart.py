@@ -41,6 +41,19 @@ def nested_denumerant_counts(marks, upto):
     return dp
 
 
+def all_residue_table(ident) -> IntegerTable:
+    """L_Phi's table with every residue interpolated from its own nodes and
+    the gcd reduction run over all rows: a second path for the build that
+    interpolates one row per gcd class."""
+    data = lookup(ident)
+    n, l = data.period, data.rank
+    counts = series_coeffs(ident, (l + 1) * n)
+    nums = ehrhart._newton_numerators(counts, n, l, range(n))
+    den = n**l * math.factorial(l)
+    g = math.gcd(den, *(c for num in nums for c in num))
+    return IntegerTable.from_rows(den // g, tuple(tuple(c // g for c in num) for num in nums))
+
+
 def gcd_witness(L: QuasiPoly):
     """None if the constituents depend only on gcd(residue, period), else the
     first pair of residues with equal gcd and unequal constituents."""
@@ -172,6 +185,34 @@ class TestIntegerBuild:
     def test_table_round_trips_through_the_constituents(self, ident):
         assert IntegerTable.of(ehrhart_qp(ident).constituents) == ehrhart_table(ident)
 
+    @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
+    def test_table_is_the_all_residue_table(self, ident):
+        assert ehrhart_table(ident) == all_residue_table(ident)
+
+    @pytest.mark.parametrize("name", ["G2", "F4", "E8", "A5", "C30"])
+    def test_one_row_is_interpolated_per_divisor_of_the_period(self, monkeypatch, name):
+        n = lookup(rid(name)).period
+        honest = ehrhart._newton_numerators
+        asked = []
+
+        def recording(counts, period, rank, residues):
+            asked.append(list(residues))
+            return honest(counts, period, rank, residues)
+
+        monkeypatch.setattr(ehrhart, "_newton_numerators", recording)
+        table = ehrhart_table.__wrapped__(rid(name))
+        assert asked == [[v % n for v in range(1, n + 1) if n % v == 0]]
+        # residue d shares the row of gcd(d, n)
+        for d in range(n):
+            assert table.nums[d] is table.nums[math.gcd(d, n) % n]
+
+    @pytest.mark.parametrize("name", ["G2", "F4", "E8"])
+    def test_qp_builds_one_polynomial_per_distinct_row(self, name):
+        table = ehrhart_table(rid(name))
+        L = ehrhart_qp(rid(name))
+        assert len({id(c) for c in L.constituents}) == len(set(table.nums))
+        assert list(L.constituents) == [RatPoly.over(num, table.den) for num in table.nums]
+
     @pytest.mark.parametrize("name", ["G2", "F4", "E8"])
     def test_numerators_is_the_cached_table(self, monkeypatch, name):
         # L_Phi is cached once, as its table, so `_layers` splits it once:
@@ -220,6 +261,28 @@ class TestInterpolation:
 
         monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
         # past the table cache, which holds the honest table
+        with pytest.raises(AssertionError, match=f"period guard failed for {name} at q = {q}:"):
+            ehrhart_table.__wrapped__(rid(name))
+
+    @pytest.mark.parametrize(
+        "name, q",
+        [("E8", 7), ("E8", 7 + 8 * 60), ("E8", 59), ("F4", 10), ("G2", 5)],
+    )
+    def test_period_guard_catches_a_count_off_the_interpolated_rows(self, monkeypatch, name, q):
+        # q is a node of its own residue (q mod n + j*n, j <= l), but that
+        # residue shares the row of a smaller one with the same gcd, so only
+        # the guard reads the count at q.
+        data = lookup(rid(name))
+        n, l = data.period, data.rank
+        assert q < (l + 1) * n and math.gcd(q, n) % n != q % n
+        honest = ehrhart._denumerant_counts
+
+        def perturbed(marks, upto):
+            counts = honest(marks, upto)
+            counts[q] += 1
+            return counts
+
+        monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
         with pytest.raises(AssertionError, match=f"period guard failed for {name} at q = {q}:"):
             ehrhart_table.__wrapped__(rid(name))
 

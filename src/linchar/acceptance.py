@@ -203,15 +203,11 @@ def check_reciprocity_functional():
         L = ehrhart.ehrhart_qp(ident)
         if not ehrhart.check_reciprocity(L, data.rank, data.coxeter_number):
             return False, f"reciprocity {ident}"
-        sign = (-1) ** data.rank
         for m in range(0, 6):
             cq = linial.char_quasi(ident, m)
-            mh = m * data.coxeter_number
-            # the right side, substituted once per distinct constituent
-            mirror = {c: c.compose_affine(-1, mh).scale(sign) for c in set(cq.constituents)}
-            for d in range(cq.period):
-                if cq.constituent(d) != mirror[cq.constituent(mh - d)]:
-                    return False, f"functional equation fails for {ident}, m={m}, d={d}"
+            d = ehrhart.mirror_failure(cq, data.rank, m * data.coxeter_number)
+            if d is not None:
+                return False, f"functional equation fails for {ident}, m={m}, d={d}"
     return True, "m <= 5, all systems"
 
 

@@ -5,7 +5,9 @@ L_Phi(q) counts nonnegative integer vectors (m_1..m_l) with
 sum(c_i m_i) <= q, equivalently the coefficients of the series
 1 / prod_{i=0..l} (1 - z^{c_i}) with the slack mark c_0 = 1.  The whole
 build runs on Python ints.  The denumerant counts are running sums, one
-per mark c and residue class mod c.  (-1)^l (|W|/f) L_Phi(-q) is the
+per mark c and residue class mod c; they are also the series that
+`series_coeffs` returns (the power-series inversion of the denominator is a
+second path kept in the tests).  (-1)^l (|W|/f) L_Phi(-q) is the
 characteristic quasi-polynomial of the Weyl arrangement, so L_Phi has the GCD
 property (Kamiya, Takemura and Terao, J. Algebraic Combin. 27, 2008): its
 constituent at d depends on gcd(d, n) alone, n the period.  So one row is
@@ -37,8 +39,8 @@ from .errors import SelfCheckFailed
 from .ratpoly import IntegerTable, RatPoly, shift_constituents
 from .rootdata import RootSystemId, lookup
 
-#: Most coefficients `series_coeffs` computes: the list is refused up front
-#: rather than left to exhaust memory.
+#: Most denumerant counts `series_coeffs` returns: a longer list is refused
+#: up front rather than left to exhaust memory.
 SERIES_MAX = 10**6
 
 
@@ -166,38 +168,33 @@ def ehrhart_qp(ident: RootSystemId) -> QuasiPoly:
 
 
 def series_coeffs(ident: RootSystemId, count: int) -> list[int]:
-    """First `count` coefficients of 1 / prod_i (1 - z^{c_i}).
-
-    Computed by expanding the denominator and inverting the power series --
-    a code path independent of the denumerant dynamic programming.
-    """
+    """First `count` coefficients of 1 / prod_i (1 - z^{c_i}): the denumerant
+    counts L_Phi(0..count-1) that `ehrhart_table` interpolates."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > SERIES_MAX:
         raise ValueError(f"count must be <= {SERIES_MAX}")
-    data = lookup(ident)
-    denom = RatPoly.one()
-    for c in data.marks:
-        factor = [0] * (c + 1)
-        factor[0], factor[c] = 1, -1
-        denom = denom * RatPoly.over(factor)
-    a = denom.nums
-    out = [0] * count
-    out[0] = 1
-    for k in range(1, count):
-        out[k] = -sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1))
-    return out
+    return _denumerant_counts(lookup(ident).marks, count - 1)
+
+
+def mirror_failure(P: QuasiPoly, rank: int, c: int) -> int | None:
+    """First residue d at which P_d(t) = (-1)^rank P_(c-d)(c - t) fails, or
+    None if it holds for all; the right side is substituted once per
+    distinct constituent.  c = -h is Ehrhart-Macdonald reciprocity of L_Phi,
+    c = m*h the functional equation of chi."""
+    sign = (-1) ** rank
+    mirror = {p: p.compose_affine(-1, c).scale(sign) for p in set(P.constituents)}
+    for d in range(P.period):
+        if P.constituent(d) != mirror[P.constituent(c - d)]:
+            return d
+    return None
 
 
 def check_reciprocity(L: QuasiPoly, rank: int, h: int) -> bool:
     """Exact Ehrhart-Macdonald reciprocity L(-q) = (-1)^rank L(q - h),
-    checked constituent by constituent; each side is substituted once per
-    distinct constituent."""
-    sign = (-1) ** rank
-    distinct = set(L.constituents)
-    lhs = {c: c.compose_affine(-1, 0) for c in distinct}
-    rhs = {c: c.compose_affine(1, -h).scale(sign) for c in distinct}
-    return all(lhs[L.constituent(-d)] == rhs[L.constituent(d - h)] for d in range(L.period))
+    checked constituent by constituent as the mirror P_d(t) =
+    (-1)^rank P_(-h-d)(-h - t)."""
+    return mirror_failure(L, rank, -h) is None
 
 
 def apply_shift_qp(f: RatPoly, step: int, table: IntegerTable) -> QuasiPoly:

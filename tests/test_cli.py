@@ -154,6 +154,7 @@ class TestErrors:
         pytest.param("0", "count must be >= 1", id="0"),
         pytest.param("-2", "count must be >= 1", id="-2"),
         # refused before the list of coefficients is allocated
+        pytest.param("1000001", "count must be <= 1000000", id="1000001"),
         pytest.param("100000000000", "count must be <= 1000000", id="100000000000"),
     ])
     def test_series_count_below_one_is_a_value_error(self, capsys, count, message):

@@ -41,13 +41,30 @@ def nested_denumerant_counts(marks, upto):
     return dp
 
 
+def inverted_series(ident, count) -> list[int]:
+    """First `count` coefficients of 1 / prod_i (1 - z^{c_i}), by expanding
+    the denominator and inverting the power series: a second path for the
+    denumerant counts that `series_coeffs` returns."""
+    denom = RatPoly.one()
+    for c in lookup(ident).marks:
+        factor = [0] * (c + 1)
+        factor[0], factor[c] = 1, -1
+        denom = denom * RatPoly.over(factor)
+    a = denom.nums
+    out = [0] * count
+    out[0] = 1
+    for k in range(1, count):
+        out[k] = -sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1))
+    return out
+
+
 def all_residue_table(ident) -> IntegerTable:
     """L_Phi's table with every residue interpolated from its own nodes and
     the gcd reduction run over all rows: a second path for the build that
     interpolates one row per gcd class."""
     data = lookup(ident)
     n, l = data.period, data.rank
-    counts = series_coeffs(ident, (l + 1) * n)
+    counts = inverted_series(ident, (l + 1) * n)
     nums = ehrhart._newton_numerators(counts, n, l, range(n))
     den = n**l * math.factorial(l)
     g = math.gcd(den, *(c for num in nums for c in num))
@@ -229,7 +246,7 @@ class TestInterpolation:
     def test_matches_fraction_lagrange(self, ident):
         data = lookup(ident)
         n, l = data.period, data.rank
-        counts = series_coeffs(ident, l * n + n)
+        counts = inverted_series(ident, l * n + n)
         L = ehrhart_qp(ident)
         for d in range(n):
             nodes = [(d + j * n, counts[d + j * n]) for j in range(l + 1)]
@@ -296,9 +313,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
     def test_two_path_equivalence(self, ident):
-        # series inversion vs interpolated quasi-polynomial evaluation
+        # series inversion vs the denumerant counts vs interpolated
+        # quasi-polynomial evaluation
         N = 40
-        coeffs = series_coeffs(ident, N)
+        coeffs = inverted_series(ident, N)
+        assert series_coeffs(ident, N) == coeffs
         L = ehrhart_qp(ident)
         assert [L.value(q) for q in range(N)] == coeffs
 
@@ -321,6 +340,8 @@ class TestReciprocity:
         bumped = list(L.constituents)
         bumped[2] = bumped[2] + 1
         assert not check_reciprocity(QuasiPoly(tuple(bumped)), 2, 6)
+        # residue 2 mirrors residue -6 - 2 = 4 mod 6; 2 is met first
+        assert ehrhart.mirror_failure(QuasiPoly(tuple(bumped)), 2, -6) == 2
 
     @pytest.mark.parametrize("name", ["A3", "B3", "E6", "G2"])
     def test_numeric_form(self, name):

@@ -424,17 +424,9 @@ class IntegerTable(namedtuple("IntegerTable", "den nums layers")):
     """Polynomials over one common denominator: ``polys[r] = nums[r] / den``,
     with ``nums[r]`` the ascending integer coefficients, and ``layers``, the
     columns split by least period (`_layers`), as the shift kernel reads
-    them.  `of` and `from_rows` make the split once per table."""
+    them.  `from_rows` makes the split once per table."""
 
     __slots__ = ()
-
-    @classmethod
-    def of(cls, polys: Sequence[RatPoly]) -> "IntegerTable":
-        den = math.lcm(*(p.den for p in polys))
-        nums = tuple(
-            p.nums if p.den == den else tuple(x * (den // p.den) for x in p.nums) for p in polys
-        )
-        return cls.from_rows(den, nums)
 
     @classmethod
     def from_rows(cls, den: int, nums: tuple[tuple[int, ...], ...]) -> "IntegerTable":
@@ -512,7 +504,7 @@ def shift_constituents(
 
 def apply_shift(f: RatPoly, step: int, g: RatPoly) -> RatPoly:
     """Apply f(S**step) to g: sum_i f_i * g(t - step*i), exactly."""
-    return shift_constituents(f, step, IntegerTable.of((g,)), (0,))[0]
+    return shift_constituents(f, step, IntegerTable.from_rows(g.den, (g.nums,)), (0,))[0]
 
 
 # -- Sturm sequences -----------------------------------------------------------

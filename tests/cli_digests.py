@@ -5,7 +5,7 @@
 its stdout and of its stderr.  Run from the root of the repository:
 
     PYTHONPATH=src python tests/cli_digests.py              # through cli.main, in this process
-    PYTHONPATH=src python tests/cli_digests.py --fresh      # each in `python -m linchar.cli`
+    PYTHONPATH=src python tests/cli_digests.py --fresh      # each in `python -m linchar.cli`, one per CPU at once
     PYTHONPATH=src python tests/cli_digests.py --recapture  # rewrite, print the lines that changed
 
 Lines given after the options restrict a run to them; with `--recapture`, a
@@ -20,10 +20,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 TABLE = pathlib.Path(__file__).parent / "data" / "cli_digests.json"
 
@@ -88,7 +90,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     table = load()
     lines = args.lines or list(table)
-    news = changed(table, run_fresh if args.fresh else run_in_process, lines)
+    run = run_in_process
+    if args.fresh:
+        # each line is its own subprocess, so threads can wait on them side by side
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            run = dict(zip(lines, pool.map(run_fresh, lines))).__getitem__
+    news = changed(table, run, lines)
     for line, new in news.items():
         old = table.get(line) or {}
         parts = [key for key in ("code", "stdout", "stderr") if old.get(key) != new[key]]

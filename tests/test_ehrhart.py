@@ -200,7 +200,10 @@ class TestIntegerBuild:
 
     @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
     def test_table_round_trips_through_the_constituents(self, ident):
-        assert IntegerTable.of(ehrhart_qp(ident).constituents) == ehrhart_table(ident)
+        constituents = ehrhart_qp(ident).constituents
+        den = math.lcm(*(p.den for p in constituents))
+        nums = tuple(tuple(x * (den // p.den) for x in p.nums) for p in constituents)
+        assert IntegerTable.from_rows(den, nums) == ehrhart_table(ident)
 
     @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
     def test_table_is_the_all_residue_table(self, ident):

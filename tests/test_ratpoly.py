@@ -12,7 +12,6 @@ from linchar import ratpoly
 from linchar.errors import InexactDivision
 from linchar.ratpoly import (
     WITNESS_PRIME,
-    IntegerTable,
     RatPoly,
     _primitive,
     _pseudo_divrem,
@@ -23,6 +22,7 @@ from linchar.ratpoly import (
     apply_shift,
     routh_hurwitz_all_roots_left,
 )
+from strategies import numerators, polys, rationals, sized
 
 T = RatPoly((0, 1))
 NEG_INF = -math.inf  # the left end of (-inf, 0] in `fraction_sturm_count`
@@ -32,10 +32,10 @@ def poly(*ascending):
     return RatPoly(ascending)
 
 
-small_fractions = st.fractions(
-    min_value=-10, max_value=10, max_denominator=6
-)
-small_polys = st.lists(small_fractions, min_size=0, max_size=6).map(RatPoly)
+#: Coefficients x / den with |x / den| <= 10 and den in 1..6.
+small_fractions = rationals(10, 6)
+small_polys = polys(10, 6)
+small_operators = polys(10, 6, max_size=4)
 
 
 class TestRatPolyBasics:
@@ -147,17 +147,18 @@ class TestApplyShift:
             apply_shift(poly(1), 0, T)
 
     @given(
-        f1=st.lists(small_fractions, max_size=4).map(RatPoly),
-        f2=st.lists(small_fractions, max_size=4).map(RatPoly),
+        f1=small_operators,
+        f2=small_operators,
         g=small_polys,
         k=st.integers(min_value=1, max_value=4),
     )
+    @example(f1=RatPoly.zero(), f2=poly(3, Fraction(-1, 2)), g=poly(0, 0, 1), k=2)
     @settings(max_examples=60, deadline=None)
     def test_linearity_in_operator(self, f1, f2, g, k):
         assert apply_shift(f1 + f2, k, g) == apply_shift(f1, k, g) + apply_shift(f2, k, g)
 
     @given(
-        f=st.lists(small_fractions, max_size=4).map(RatPoly),
+        f=small_operators,
         g1=small_polys,
         g2=small_polys,
         k=st.integers(min_value=1, max_value=4),
@@ -167,7 +168,7 @@ class TestApplyShift:
         assert apply_shift(f, k, g1 + g2) == apply_shift(f, k, g1) + apply_shift(f, k, g2)
 
     @given(
-        f=st.lists(small_fractions, max_size=4).map(RatPoly),
+        f=small_operators,
         g=small_polys,
         k=st.integers(min_value=1, max_value=4),
     )
@@ -234,25 +235,19 @@ class TestSturm:
         assert 20 <= sum(verdicts) <= 130
 
 
+small_roots = st.one_of(st.just(Fraction(0)), small_fractions)
+nonzero_fractions = small_fractions.filter(bool)
+
+
 @st.composite
 def planted_root_polys(draw):
     """(p, expected): p = lead * prod (t - r)^k * prod ((t - a)^2 + b^2)^j with
     rational r of either sign (0 included), k in 1..3, b != 0 and j in 1..2,
     so every root is real and <= 0 exactly when no r is positive and there
     is no complex pair."""
-    linear = draw(
-        st.lists(
-            st.tuples(st.one_of(st.just(Fraction(0)), small_fractions), st.integers(1, 3)),
-            max_size=3,
-        )
-    )
-    pairs = draw(
-        st.lists(
-            st.tuples(small_fractions, small_fractions.filter(bool), st.integers(1, 2)),
-            max_size=2,
-        )
-    )
-    p = RatPoly((draw(small_fractions.filter(bool)),))
+    linear = sized(draw, st.tuples(small_roots, st.integers(1, 3)), 0, 3)
+    pairs = sized(draw, st.tuples(small_fractions, nonzero_fractions, st.integers(1, 2)), 0, 2)
+    p = RatPoly((draw(nonzero_fractions),))
     for r, k in linear:
         p = p * RatPoly((-r, 1)) ** k
     for a, b, j in pairs:
@@ -443,7 +438,7 @@ def fraction_all_roots_real_nonpositive(p):
 def polys_with_repeats(draw):
     """Products f1 * f2**2 * f3**k of small rational polynomials, so that
     repeated factors (and common factors of p and p') are frequent."""
-    factor = st.lists(small_fractions, min_size=1, max_size=4).map(RatPoly)
+    factor = polys(10, 6, min_size=1, max_size=4)
     return draw(factor) * draw(factor) ** 2 * draw(factor) ** draw(st.integers(0, 3))
 
 
@@ -535,6 +530,7 @@ class TestSquarefreeWitness:
 
 class TestIntegerPaths:
     @given(p=small_polys, q=small_polys)
+    @example(p=RatPoly.zero(), q=poly(Fraction(-5, 3), 0, 7))
     @settings(max_examples=100, deadline=None)
     def test_add_sub_mul_match_fraction_formulas(self, p, q):
         n = max(p.degree, q.degree) + 1
@@ -549,6 +545,7 @@ class TestIntegerPaths:
             assert_canonical(got)
 
     @given(p=small_polys, s=small_fractions)
+    @example(p=RatPoly.zero(), s=Fraction(7, 6))
     @settings(max_examples=100, deadline=None)
     def test_scale_derivative_monic_match_fraction_formulas(self, p, s):
         assert p.scale(s).coeffs == fraction_form(c * s for c in p.coeffs)
@@ -595,6 +592,7 @@ class TestIntegerPaths:
             RatPoly.over([1], 0)
 
     @given(p=small_polys, a=small_fractions, b=small_fractions)
+    @example(p=RatPoly.zero(), a=Fraction(-1, 2), b=3)
     @settings(max_examples=100, deadline=None)
     def test_compose_affine_matches_fraction_horner(self, p, a, b):
         assert p.compose_affine(a, b) == fraction_compose_affine(p, a, b)
@@ -658,7 +656,8 @@ class TestIntegerPaths:
         if a.is_zero or b.is_zero:
             return
         b = -b if b.leading > 0 else b  # negative leading coefficient
-        na, nb = IntegerTable.of((a, b)).nums
+        den = math.lcm(a.den, b.den)
+        na, nb = (tuple(x * (den // p.den) for x in p.nums) for p in (a, b))
         q, r, mult = _pseudo_divrem(na, nb)
         assert mult > 0
         assert RatPoly(na).scale(mult) == RatPoly(q) * RatPoly(nb) + RatPoly(r)
@@ -703,16 +702,15 @@ def hurwitz_minors(p):
 
 @st.composite
 def routh_inputs(draw):
-    """Integer or rational coefficients, and in half of the draws only the
-    even or only the odd powers of t, so that one parity part vanishes."""
-    entries = st.one_of(
-        st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4)
-    )
-    coeffs = draw(st.lists(entries, min_size=1, max_size=7))
+    """Coefficients x / den with |x / den| <= 6 over one den in 1..4 (den 1:
+    integers), and in half of the draws only the even or only the odd powers
+    of t, so that one parity part vanishes."""
+    den = draw(st.integers(1, 4))
+    nums = sized(draw, numerators(6, den), 1, 7)
     parity = draw(st.sampled_from([None, None, 0, 1]))
     if parity is not None:
-        coeffs = [c if j % 2 == parity else 0 for j, c in enumerate(coeffs)]
-    return RatPoly(coeffs)
+        nums = [x if j % 2 == parity else 0 for j, x in enumerate(nums)]
+    return RatPoly.over(nums, den)
 
 
 class TestRouthAgainstHurwitzMinors:

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linchar import ratpoly
@@ -19,6 +19,7 @@ from linchar.eulerian import generalized_eulerian, truncate_half
 from linchar.linial import char_constituent, char_quasi, half_char_quasi
 from linchar.ratpoly import IntegerTable, RatPoly, shift_constituents
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
+from strategies import numerators, polys_of, sized, table_over
 
 
 def naive_constituent(f: RatPoly, step: int, constituents, d: int) -> RatPoly:
@@ -31,55 +32,76 @@ def naive_constituent(f: RatPoly, step: int, constituents, d: int) -> RatPoly:
     return acc
 
 
-fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+#: The bounds of a drawn table entry or rational operator term: x / den with
+#: |x / den| <= BOUND and den in 1..MAX_DEN.
+BOUND, MAX_DEN = 50, 12
 
 
 @st.composite
 def operators(draw):
     """Shift operators like R_Phi and its truncation: integer coefficients,
-    sometimes with a half-integer top term."""
-    coeffs = draw(st.lists(st.integers(-40, 40), max_size=12))
+    sometimes with a half-integer top term, then up to 3 rational terms over
+    one denominator; all over 2 * den."""
+    coeffs = sized(draw, st.integers(-40, 40), 0, 12)
+    den = draw(st.integers(1, MAX_DEN))
+    extra = sized(draw, numerators(BOUND, den), 0, 3)
+    nums = [2 * den * c for c in coeffs] + [2 * x for x in extra]
     if coeffs and draw(st.booleans()):
-        coeffs[-1] = Fraction(draw(st.integers(-40, 40)) * 2 + 1, 2)
-    extra = draw(st.lists(fractions, max_size=3))
-    return RatPoly(list(coeffs) + extra)
+        nums[len(coeffs) - 1] = den * (2 * draw(st.integers(-40, 40)) + 1)
+    return RatPoly.over(nums, 2 * den)
 
 
 @st.composite
 def quasi_tables(draw):
+    """Periods 1..6, rows of up to 6 entries."""
+    den = draw(st.integers(1, MAX_DEN))
     period = draw(st.integers(1, 6))
-    return tuple(
-        RatPoly(draw(st.lists(fractions, max_size=6))) for _ in range(period)
-    )
+    return table_over(den, (sized(draw, numerators(BOUND, den), 0, 6) for _ in range(period)))
 
 
 @st.composite
 def tables_with_repeated_rows(draw):
     """Tables like L_Phi, whose rows repeat, but with no GCD structure: each
-    row is drawn from a pool of at most 3 polynomials."""
-    pool = draw(
-        st.lists(st.lists(fractions, max_size=6).map(RatPoly), min_size=1, max_size=3)
-    )
+    row is drawn from a pool of at most 3 rows."""
+    den = draw(st.integers(1, MAX_DEN))
+    pool = [sized(draw, numerators(BOUND, den), 0, 6) for _ in range(draw(st.integers(1, 3)))]
     period = draw(st.integers(1, 12))
-    return tuple(draw(st.sampled_from(pool)) for _ in range(period))
-
-
-entries = st.one_of(st.just(Fraction(0)), fractions)
+    return table_over(den, (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(period)))
 
 
 @st.composite
 def layered_tables(draw):
     """Tables shaped like an Ehrhart quasi-polynomial: each column has its
-    own period, a divisor of the table period.  Some columns are zero, and
-    each row drops its trailing zeros, so rows differ in length."""
+    own period, a divisor of the table period.  Some columns are zero, the
+    others have a zero entry at each clear bit of a drawn mask, and each row
+    drops its trailing zeros, so rows differ in length."""
     period = draw(st.integers(1, 12))
+    den = draw(st.integers(1, MAX_DEN))
     divisors = [p for p in range(1, period + 1) if period % p == 0]
     columns = []
     for _ in range(draw(st.integers(0, 6))):
-        p = draw(st.sampled_from(divisors))
-        values = draw(st.one_of(st.just([0] * p), st.lists(entries, min_size=p, max_size=p)))
+        p = divisors[draw(st.integers(0, len(divisors) - 1))]
+        mask = 0 if draw(st.booleans()) else draw(st.integers(0, 2**p - 1))
+        values = [draw(numerators(BOUND, den)) if mask >> r & 1 else 0 for r in range(p)]
         columns.append([values[r % p] for r in range(period)])
-    return tuple(RatPoly([col[r] for col in columns]) for r in range(period))
+    return table_over(den, ([col[r] for col in columns] for r in range(period)))
+
+
+@st.composite
+def with_residues(draw, tables, residue):
+    """(table, residues): a drawn table and a list of up to twice its period
+    residues, each drawn from ``residue(period)``."""
+    table = draw(tables)
+    period = len(table.nums)
+    return table, sized(draw, residue(period), 0, 2 * period)
+
+
+#: Corners for the examples: a half-integer top term; a period-12 table with
+#: a zero column whose rows r != 0 mod 3 lose their trailing zeros; and a
+#: period-12 table whose rows come from a pool of one.
+HALF_TOP = RatPoly((1, -2, Fraction(7, 2)))
+ZERO_COLUMN = table_over(6, ((r + 1, 0, (5, 0, 0)[r % 3]) for r in range(12)))
+POOL_OF_ONE = table_over(1, [(3, -1, 4)] * 12)
 
 
 def least_period(column) -> int:
@@ -92,9 +114,10 @@ def least_period(column) -> int:
 
 class TestKernelMatchesNaiveSum:
     @settings(max_examples=200, deadline=None)
-    @given(f=operators(), step=st.integers(1, 50), constituents=quasi_tables())
-    def test_every_residue(self, f, step, constituents):
-        table = IntegerTable.of(constituents)
+    @given(f=operators(), step=st.integers(1, 50), table=quasi_tables())
+    @example(f=HALF_TOP, step=5, table=table_over(4, ((1, 2), (0, 0, 3), (-7,))))
+    def test_every_residue(self, f, step, table):
+        constituents = polys_of(table)
         residues = range(len(constituents))
         want = tuple(naive_constituent(f, step, constituents, d) for d in residues)
         assert shift_constituents(f, step, table, residues) == want
@@ -103,26 +126,24 @@ class TestKernelMatchesNaiveSum:
     @given(
         f=operators(),
         step=st.integers(1, 50),
-        constituents=tables_with_repeated_rows(),
-        data=st.data(),
+        case=with_residues(tables_with_repeated_rows(), lambda n: st.integers(0, n - 1)),
     )
-    def test_repeated_rows_any_residue_list(self, f, step, constituents, data):
+    @example(f=HALF_TOP, step=7, case=(POOL_OF_ONE, (11, 0, 5, 5, 3)))
+    def test_repeated_rows_any_residue_list(self, f, step, case):
         """Residue lists in any order, with duplicates, or covering only part
         of the period: a kernel that reused results between residues whose
         own rows are equal, rather than between residues with the same d
         mod p within one layer, fails here."""
-        period = len(constituents)
-        residues = data.draw(st.lists(st.integers(0, period - 1), max_size=2 * period))
-        table = IntegerTable.of(constituents)
+        table, residues = case
+        constituents = polys_of(table)
         want = tuple(naive_constituent(f, step, constituents, d) for d in residues)
         assert shift_constituents(f, step, table, residues) == want
 
     def test_residue_is_taken_mod_period(self):
-        constituents = (RatPoly((1, 2)), RatPoly((0, 0, 3)), RatPoly((5,)))
-        table = IntegerTable.of(constituents)
+        table = IntegerTable.from_rows(1, ((1, 2), (0, 0, 3), (5,)))
         f = RatPoly((1, Fraction(1, 2), 3))
         residues = (-4, 7, 11)
-        want = tuple(naive_constituent(f, 4, constituents, d) for d in residues)
+        want = tuple(naive_constituent(f, 4, polys_of(table), d) for d in residues)
         assert shift_constituents(f, 4, table, residues) == want
 
     def test_equal_rows_merge_but_results_follow_the_residue(self):
@@ -131,46 +152,52 @@ class TestKernelMatchesNaiveSum:
         Every column has period 5, so the table is one layer and no residue
         reuses another's share.  Rows 0 and 2 are equal, yet constituents 0
         and 2 differ."""
-        g, h = RatPoly((1, 2)), RatPoly((0, 0, 3))
-        constituents = (g, h, g, h, h)
-        table = IntegerTable.of(constituents)
+        g, h = (1, 2), (0, 0, 3)
+        table = IntegerTable.from_rows(1, (g, h, g, h, h))
         f = RatPoly((1, 0, 1))
         residues = (2, 0, 2)
         got = shift_constituents(f, 1, table, residues)
-        assert got == tuple(naive_constituent(f, 1, constituents, d) for d in residues)
+        assert got == tuple(naive_constituent(f, 1, polys_of(table), d) for d in residues)
         assert got[0] != got[1]
 
     def test_empty_residue_list(self):
-        table = IntegerTable.of((RatPoly((1, 2)),))
+        table = IntegerTable.from_rows(1, ((1, 2),))
         assert shift_constituents(RatPoly((1, 1)), 3, table, ()) == ()
 
     @settings(max_examples=300, deadline=None)
-    @given(f=operators(), step=st.integers(1, 50), constituents=layered_tables())
-    def test_layered_tables_every_residue(self, f, step, constituents):
-        table = IntegerTable.of(constituents)
+    @given(f=operators(), step=st.integers(1, 50), table=layered_tables())
+    @example(f=RatPoly.zero(), step=1, table=ZERO_COLUMN)
+    @example(f=HALF_TOP, step=4, table=ZERO_COLUMN)
+    def test_layered_tables_every_residue(self, f, step, table):
+        constituents = polys_of(table)
         residues = range(len(constituents))
         want = tuple(naive_constituent(f, step, constituents, d) for d in residues)
         assert shift_constituents(f, step, table, residues) == want
 
     @settings(max_examples=300, deadline=None)
-    @given(f=operators(), step=st.integers(1, 50), constituents=layered_tables(), data=st.data())
-    def test_layered_tables_any_residue_list(self, f, step, constituents, data):
+    @given(
+        f=operators(),
+        step=st.integers(1, 50),
+        case=with_residues(layered_tables(), lambda n: st.integers(-2 * n, 3 * n)),
+    )
+    @example(f=HALF_TOP, step=9, case=(ZERO_COLUMN, (-24, 13, 35, 2, 2)))
+    def test_layered_tables_any_residue_list(self, f, step, case):
         """Residues with repeats, negative or past the period: each reads
         the share of its own d mod p in every layer."""
-        period = len(constituents)
-        residues = data.draw(st.lists(st.integers(-2 * period, 3 * period), max_size=2 * period))
-        table = IntegerTable.of(constituents)
+        table, residues = case
+        constituents = polys_of(table)
         want = tuple(naive_constituent(f, step, constituents, d) for d in residues)
         assert shift_constituents(f, step, table, residues) == want
 
 
 class TestLayers:
     @settings(max_examples=300, deadline=None)
-    @given(constituents=layered_tables())
-    def test_split_by_least_period(self, constituents):
+    @given(table=layered_tables())
+    @example(table=ZERO_COLUMN)
+    @example(table=POOL_OF_ONE)
+    def test_split_by_least_period(self, table):
         """Every column lands in exactly one layer, that of its least period,
         and each layer row holds C(k, q) * nums[r][k] at (q, k - q)."""
-        table = IntegerTable.of(constituents)
         period = len(table.nums)
         width = max(map(len, table.nums), default=0)
         columns = [[row[k] if k < len(row) else 0 for row in table.nums] for k in range(width)]
@@ -202,9 +229,9 @@ class TestLayers:
         assert ehrhart_qp(e8).period == 60
 
     def test_period_one_table_is_one_layer(self):
-        table = IntegerTable.of((RatPoly((3, 0, 5)),))
+        table = IntegerTable.from_rows(1, ((3, 0, 5),))
         assert [(p, columns) for p, columns, _ in table.layers] == [(1, (0, 1, 2))]
-        assert IntegerTable.of((RatPoly(()),)).layers == ()
+        assert IntegerTable.from_rows(1, ((),)).layers == ()
 
 
 _EXCEPTIONAL_SPLITS = {

@@ -38,9 +38,9 @@ def digest(code, stdout: bytes, stderr: bytes) -> dict:
     }
 
 
-def run_in_process(line: str) -> dict:
-    """The digest of `line` run through `cli.main`; `-h` and usage errors
-    end in SystemExit, whose code is the exit code."""
+def capture(line: str) -> tuple:
+    """(exit code, stdout, stderr) of `line` run through `cli.main`; `-h` and
+    usage errors end in SystemExit, whose code is the exit code."""
     from linchar.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -49,7 +49,12 @@ def run_in_process(line: str) -> dict:
             code = main(shlex.split(line))
         except SystemExit as exc:
             code = exc.code
-    return digest(code, out.getvalue().encode(), err.getvalue().encode())
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def run_in_process(line: str) -> dict:
+    """The digest of `line` run through `cli.main`."""
+    return digest(*capture(line))
 
 
 def run_fresh(line: str) -> dict:

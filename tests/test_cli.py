@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_digests
 from linchar.cli import COMMANDS, ROOT, main, parse_args, to_json_str
 
-GOLDEN = pathlib.Path(__file__).parent / "data"
+DIGESTS = cli_digests.load()
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
@@ -278,36 +279,60 @@ class TestImports:
         assert len(set(linchar.__all__)) == len(linchar.__all__)
 
 
+# The Test*Golden classes check lines of tests/data/cli_digests.json one by
+# one, so a changed output fails under the name of its command;
+# test_cli_digests.py checks that every line they name is in the table, with
+# its exit code.
+
+
 class TestTrackGolden:
-    # Captured with the scipy assignment solver that `_match_distance` used before.
-    @pytest.mark.parametrize(
-        "case",
-        json.loads((GOLDEN / "track_golden.json").read_text()),
-        ids=lambda case: " ".join(case["argv"][1:6]),
+    # `track ... --json`; first captured with the scipy assignment solver
+    # that `_match_distance` used before.
+    CASES = (
+        "E6 -d 1 --m-list 1,10,100,1000",
+        "E6 -d 0 --m-list 2,30",
+        "F4 -d 1 --m-list 1,7,50,400",
+        "F4 -d 6 --m-list 3,90",
+        "A5 -d 0 --m-list 1,3,20,300",
     )
-    def test_byte_identical(self, capsys, case):
-        code, out = run_cli(capsys, *case["argv"])
-        assert code == 0
-        assert out == to_json_str(case["stdout"]) + "\n"
+
+    @pytest.mark.parametrize("args", CASES)
+    def test_byte_identical(self, args):
+        line = f"track {args} --json"
+        assert cli_digests.run_in_process(line) == DIGESTS[line]
 
 
 class TestExactGolden:
-    # `--json` stdout of commands whose output is exact (no floats), keyed by
-    # the command line; captured while RatPoly still stored Fraction coefficients.
-    CASES = json.loads((GOLDEN / "cli_exact_golden.json").read_text())
+    # Commands whose `--json` output is exact (no floats); first captured
+    # while RatPoly still stored Fraction coefficients.
+    CASES = (
+        "table",
+        "eulerian E8",
+        "eulerian E7 --half",
+        "ehrhart E8",
+        "ehrhart G2 --series 30",
+        "charquasi E8 -m 379",
+        "charquasi E6 -m 5 --half",
+        "charquasi F4 -m 3 --constituent 5",
+        "admissible E8",
+        "toy E8 -m 3",
+        "check-line E8 -m 59",
+        "check-line E7 -m 23 -d 2",
+        "check-line B6 -m 7",
+        "oracle modq G2 -m 2 -q 40",
+    )
 
     @pytest.mark.parametrize("command", CASES)
-    def test_byte_identical(self, capsys, command):
-        code, out = run_cli(capsys, *shlex.split(command), "--json")
-        assert code == 0
-        assert out == self.CASES[command]
+    def test_byte_identical(self, command):
+        line = f"{command} --json"
+        assert cli_digests.run_in_process(line) == DIGESTS[line]
 
 
 class TestRenderOnDemand:
     """A --json query renders no human text and builds no L_Phi constituent
     it does not print."""
 
-    def test_json_goldens_hold_when_rendering_fails(self, capsys, monkeypatch):
+    def test_json_goldens_hold_when_rendering_fails(self, monkeypatch):
         from linchar import cli
         from linchar.ratpoly import RatPoly
 
@@ -316,9 +341,8 @@ class TestRenderOnDemand:
 
         monkeypatch.setattr(RatPoly, "pretty", refuse)
         monkeypatch.setattr(cli, "_qp_human", refuse)
-        for command, golden in TestExactGolden.CASES.items():
-            code, out = run_cli(capsys, *shlex.split(command), "--json")
-            assert (code, out) == (0, golden), command
+        lines = [line for line in DIGESTS if "--json" in shlex.split(line)]
+        assert cli_digests.changed(DIGESTS, cli_digests.run_in_process, lines) == {}
         with pytest.raises(RuntimeError, match="rendered"):
             main(["charquasi", "G2", "-m", "1"])
 
@@ -355,29 +379,70 @@ class TestRenderOnDemand:
 
 
 class TestNumericGolden:
-    # `--json` stdout of commands that print double roots and residuals, keyed
-    # by the command line.  Every float is printed in full, so these hold only
-    # if each last digit is the same on every supported Python.
-    CASES = json.loads((GOLDEN / "cli_numeric_golden.json").read_text())
+    # Commands whose `--json` output prints double roots and residuals.  Every
+    # float is printed in full, so these hold only if each last digit is the
+    # same on every supported Python.
+    CASES = (
+        "limit-roots E6",
+        "limit-roots E7",
+        "limit-roots E8",
+        "limit-roots F4",
+        "limit-roots G2",
+        "limit-roots A24",
+        "limit-roots A40",
+        "check-line A24 -m 1084 --numeric",
+        "check-line G2 -m 2 --numeric",
+        "check-line A12 -m 1086 --numeric",
+        "check-line E8 -m 59 --numeric",
+        "track E6 -d 1 --m-list 10,100,1000",
+        "verify-all",
+    )
 
     @pytest.mark.parametrize("command", CASES)
-    def test_byte_identical(self, capsys, command):
-        code, out = run_cli(capsys, *shlex.split(command), "--json")
-        assert code == 0
-        assert out == self.CASES[command]
+    def test_byte_identical(self, command):
+        line = f"{command} --json"
+        assert cli_digests.run_in_process(line) == DIGESTS[line]
 
 
 class TestHumanGolden:
-    # Human stdout, stderr and exit code of every command path, plus
-    # `verify-all --json`, keyed by the command line.  Every float in them is
-    # printed rounded, so they are the same on every supported Python.
-    CASES = json.loads((GOLDEN / "cli_human_golden.json").read_text())
+    # Human output of every command path, plus `verify-all --json`, each with
+    # its exit code.  Every float in them is printed rounded, so they are the
+    # same on every supported Python.
+    CASES = {
+        "table": 0,
+        "eulerian E6": 0,
+        "eulerian E7 --half": 0,
+        "ehrhart G2": 0,
+        "ehrhart B3": 0,
+        "ehrhart G2 --series 30": 0,
+        "charquasi G2 -m 1": 0,
+        "charquasi E6 -m 5 --half": 0,
+        "charquasi F4 -m 3 --constituent 5": 0,
+        "charquasi G2 -m 2 --half --constituent 1": 0,
+        "admissible E7": 0,
+        "admissible E8": 0,
+        "toy E6 -m 3": 0,
+        "toy A4 -m 2": 0,
+        "check-line E8 -m 59": 0,
+        "check-line E7 -m 23 -d 2 --exact": 0,
+        "check-line G2 -m 2 --numeric": 0,
+        "check-line A12 -m 1086 --numeric": 0,
+        "limit-roots G2": 0,
+        "limit-roots E6": 0,
+        "oracle modq G2 -m 2 -q 40": 0,
+        "oracle modq B2 -m 1 -q 4 --unsafe-q": 0,
+        "track E6 -d 1 --m-list 10,100,1000": 0,
+        "verify-all": 0,
+        "verify-all --only 3,1,10": 0,
+        "verify-all --json": 0,
+        "ehrhart G2 --series 0": 1,
+        "oracle modq G2 -m 2 -q 7": 1,
+        "charquasi G2 -m -1": 1,
+    }
 
-    @pytest.mark.parametrize("command", CASES)
-    def test_byte_identical(self, capsys, command):
-        code = main(shlex.split(command))
-        out, err = capsys.readouterr()
-        assert {"code": code, "stdout": out, "stderr": err} == self.CASES[command]
+    @pytest.mark.parametrize("line", CASES)
+    def test_byte_identical(self, line):
+        assert cli_digests.run_in_process(line) == DIGESTS[line]
 
 
 class TestVerifyAll:

@@ -1,14 +1,12 @@
 """Every command line of tests/data/cli_digests.json, run through `cli.main`
-in this process, keeps its exit code, stdout and stderr; and the goldens
-say what the digests say."""
-
-import hashlib
-import json
-import pathlib
+in this process, keeps its exit code, stdout and stderr; the table names
+every line the Test*Golden classes of test_cli.py pin; a one-character
+change to any part of an output fails its line and no other; and the table
+is written back byte for byte as it was read."""
 
 import cli_digests
+import test_cli
 
-GOLDEN = pathlib.Path(__file__).parent / "data"
 DIGESTS = cli_digests.load()
 
 
@@ -17,11 +15,37 @@ def test_every_line_keeps_its_digest():
 
 
 def test_goldens_agree_with_the_digests():
-    for kind in ("exact", "numeric"):
-        golden = json.loads((GOLDEN / f"cli_{kind}_golden.json").read_text())
-        for command, stdout in golden.items():
-            digest = hashlib.sha256(stdout.encode()).hexdigest()
-            assert DIGESTS[command + " --json"]["stdout"] == digest, command
-    for command, case in json.loads((GOLDEN / "cli_human_golden.json").read_text()).items():
-        digest = cli_digests.digest(case["code"], case["stdout"].encode(), case["stderr"].encode())
-        assert DIGESTS[command] == digest, command
+    codes = {f"{command} --json": 0 for command in test_cli.TestExactGolden.CASES}
+    codes.update({f"{command} --json": 0 for command in test_cli.TestNumericGolden.CASES})
+    codes.update({f"track {args} --json": 0 for args in test_cli.TestTrackGolden.CASES})
+    codes.update(test_cli.TestHumanGolden.CASES)
+    assert {line: DIGESTS.get(line, {}).get("code") for line in codes} == codes
+
+
+def test_one_changed_character_fails_only_its_line():
+    altered = {
+        "admissible E8 --json": "stdout",
+        "table": "stdout",
+        "track G2 -d 1 --m-list ,": "stderr",
+        "charquasi G2 -m -1": "code",
+    }
+    untouched = ["admissible E8", "table --json", "table -h", "charquasi G2 -m -1 --json"]
+
+    def run(line):
+        outputs = dict(zip(("code", "stdout", "stderr"), cli_digests.capture(line)))
+        part = altered.get(line)
+        if part == "code":
+            outputs[part] ^= 1
+        elif part:
+            data, i = outputs[part], len(outputs[part]) // 2
+            outputs[part] = data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+        return cli_digests.digest(**outputs)
+
+    news = cli_digests.changed(DIGESTS, run, [*altered, *untouched])
+    assert {line: [key for key in new if new[key] != DIGESTS[line][key]] for line, new in news.items()} == {
+        line: [part] for line, part in altered.items()
+    }
+
+
+def test_the_table_round_trips():
+    assert cli_digests.dump(cli_digests.load()) == cli_digests.TABLE.read_text()

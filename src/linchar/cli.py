@@ -17,10 +17,12 @@ envelope {"command", "error", "message", "schema_version"} carries the same
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import acceptance, ehrhart, linial, oracles, rootdata, verify
@@ -59,10 +61,75 @@ def _criteria_list(text: str) -> list[int]:
 
 
 def to_json_str(obj) -> str:
-    """Indented strict JSON (no NaN or Infinity).  json writes a named tuple,
-    as every linchar record is, as an array, so handlers pass a record's
-    `to_json()`."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """Indented strict JSON (no NaN or Infinity): the bytes of
+    `json.dumps(obj, indent=2, allow_nan=False)` for objects whose dict keys
+    are strings, with the same errors.  A tuple, so a named tuple as every
+    linchar record is, is written as an array, so handlers pass a record's
+    `to_json()`.
+
+    json writes indented text with its pure-Python encoder on Python
+    3.10-3.12; this is one recursive pass instead.  A list of only strings or
+    only ints is written in one join, and any other container met again at
+    the same depth is copied from its first rendering, so a quasi-polynomial
+    whose equal constituents share one dict (`QuasiPoly.to_json`) is
+    rendered once per distinct constituent."""
+    done: dict = {}  # (id, depth) of a container already written -> its text
+    open_ids: set = set()  # containers being written: a cycle is refused, as json does
+    indents = ["\n"]  # indents[depth] = "\n" + "  " * depth
+
+    def write(o, depth: int) -> str:
+        if isinstance(o, str):
+            return _quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if not math.isfinite(o):
+                json.dumps(o, indent=2, allow_nan=False)  # raises json's ValueError
+            return float.__repr__(o)
+        is_dict = isinstance(o, dict)
+        if not (is_dict or isinstance(o, (list, tuple))):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not o:
+            return "{}" if is_dict else "[]"
+        if len(indents) == depth + 1:
+            indents.append(indents[depth] + "  ")
+        inner, outer = indents[depth + 1], indents[depth]
+        if not is_dict:
+            if type(o[0]) is str:
+                try:
+                    return f"[{inner}{(',' + inner).join(map(_quote, o))}{outer}]"
+                except TypeError:  # not only strings
+                    pass
+            elif set(map(type, o)) == {int}:
+                return f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{outer}]"
+        key = (id(o), depth)
+        text = done.get(key)
+        if text is not None:
+            return text
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        parts = []  # one join per container: a child's text is copied once
+        if is_dict:
+            for k, v in o.items():
+                parts += (",", inner, _quote(k), ": ", write(v, depth + 1))
+        else:
+            for x in o:
+                parts += (",", inner, write(x, depth + 1))
+        parts[0] = "{" if is_dict else "["
+        parts += (outer, "}" if is_dict else "]")
+        text = "".join(parts)
+        open_ids.discard(id(o))
+        done[key] = text
+        return text
+
+    return write(obj, 0)
 
 
 def _qp_human(qp) -> list[str]:
@@ -562,6 +629,20 @@ def main(argv=None) -> int:
         path.append(getattr(args, command.dest))
         command = command.subcommands[path[-1]]
     name = "-".join(path)
+    # linchar's exact integers may pass CPython's int-to-str limit (an
+    # Eulerian coefficient of A400 has 868 digits); lift it while the
+    # command runs, after the arguments were parsed under it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(command, name, args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(command: Command, name: str, args) -> int:
     try:
         result, render, *code = command.handler(args)
         if args.json:

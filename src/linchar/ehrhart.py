@@ -72,9 +72,12 @@ class QuasiPoly(namedtuple("QuasiPoly", "constituents")):
         return self.constituent(q).evaluate(q)
 
     def to_json(self) -> dict:
+        """{"period", "constituents"}; equal constituents share one dict,
+        made once, so the writer renders each distinct one once."""
+        forms = {c: c.to_json() for c in set(self.constituents)}
         return {
             "period": self.period,
-            "constituents": [c.to_json() for c in self.constituents],
+            "constituents": [forms[c] for c in self.constituents],
         }
 
     @classmethod

@@ -135,5 +135,7 @@ def toy_poly(ident: RootSystemId, m: int) -> RatPoly:
     g(t) = prod_i (t + e_i), with g(t - h) = (-1)^rank g(-t)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    g = RatPoly.from_roots([-e for e in lookup(ident).exponents])
-    return apply_shift(shift_operator(ident, False), m + 1, g)
+    g = [1]
+    for e in lookup(ident).exponents:  # g <- (t + e) g, over Z
+        g = [e * a + b for a, b in zip(g + [0], [0] + g)]
+    return apply_shift(shift_operator(ident, False), m + 1, RatPoly.over(g))

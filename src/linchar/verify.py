@@ -295,7 +295,7 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
 @lru_cache(maxsize=None)
 def limit_poly(ident: RootSystemId) -> RatPoly:
     """The rescaled m -> infinity limit R'_Phi(S) t^l = sum a'_i (t - i)^l."""
-    return apply_shift(shift_operator(ident, True), 1, RatPoly.monomial(ident.rank))
+    return apply_shift(shift_operator(ident, True), 1, RatPoly.over([0] * ident.rank + [1]))
 
 
 def max_real_part(p: RatPoly) -> float:

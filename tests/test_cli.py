@@ -9,6 +9,8 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 import cli_digests
 from linchar.cli import COMMANDS, ROOT, main, parse_args, to_json_str
+from linchar.linial import shift_operator
+from linchar.rootdata import RootSystemId
 
 DIGESTS = cli_digests.load()
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -62,6 +66,21 @@ class TestEnvelope:
         assert len(coeffs) == 501
         assert coeffs[0] == ["0", "1"] and coeffs[1] == coeffs[500] == ["1", "1"]
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str limit on this interpreter")
+    def test_integers_past_the_int_to_str_limit_print(self, capsys):
+        # Eulerian coefficients of A400 have up to 868 digits, past the
+        # lowest limit CPython allows; main lifts the limit while it runs
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, data = run_json(capsys, "eulerian", "A400", "--json")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0, data
+        assert data["result"] == shift_operator(RootSystemId.parse("A400"), False).to_json()
+
     def test_round_trip_identity(self, capsys):
         code, out = run_cli(capsys, "ehrhart", "G2", "--series", "6", "--json")
         assert code == 0
@@ -70,12 +89,75 @@ class TestEnvelope:
 
     def test_quasi_polynomial_payload_parses_back(self, capsys):
         from linchar.ehrhart import QuasiPoly, ehrhart_qp
-        from linchar.rootdata import RootSystemId
 
         code, data = run_json(capsys, "ehrhart", "B3", "--json")
         assert code == 0
         qp = QuasiPoly.from_json(data["result"]["quasi_polynomial"])
         assert qp == ehrhart_qp(RootSystemId.parse("B3"))
+
+
+JsonPair = namedtuple("JsonPair", "left right")
+
+
+def json_values():
+    """JSON-able values as linchar's records hold them, and their edge cases:
+    nested dicts with string keys, lists, tuples and named tuples; strings
+    with quotes, backslashes, control, non-ASCII and astral characters (and a
+    lone surrogate); huge and negative ints; bools; None; every finite float,
+    with -0.0, subnormals and 1e308 among the examples; empty containers."""
+    text = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\xe9\u2028\ud800\U0001d11e') | st.characters(),
+                   max_size=6)
+    ints = st.integers(-(10**300), 10**300) | st.sampled_from([-(2**63), 2**64, -1, 0])
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1])
+    scalars = text | ints | floats | st.booleans() | st.none()
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(JsonPair, inner, inner),
+        st.dictionaries(text, inner, max_size=4),
+        st.lists(text, min_size=1, max_size=4),
+        st.lists(ints, min_size=1, max_size=4),
+    ), max_leaves=24)
+
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+class TestJsonWriter:
+    """`to_json_str` against its oracle, the stdlib encoder."""
+
+    @given(value=json_values())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes_as_the_stdlib_encoder(self, value):
+        # the same object again at one depth and at others
+        for doc in (value, {"value": value, "again": [value, value, {"deeper": value}]}):
+            assert to_json_str(doc) == json_dumps(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), [float("inf")], {"a": [1, -float("inf")]}],
+                             ids=["nan", "inf", "-inf"])
+    def test_nan_and_infinities_raise_the_stdlib_error(self, bad):
+        with pytest.raises(ValueError) as want:
+            json_dumps(bad)
+        with pytest.raises(ValueError) as got:
+            to_json_str(bad)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [object(), [1, {2}], {"a": b"bytes"}, (Fraction(1, 2),)],
+                             ids=["object", "set", "bytes", "fraction"])
+    def test_unsupported_types_raise_the_stdlib_error(self, bad):
+        with pytest.raises(TypeError) as want:
+            json_dumps(bad)
+        with pytest.raises(TypeError) as got:
+            to_json_str(bad)
+        assert str(got.value) == str(want.value)
+
+    def test_a_cycle_raises_the_stdlib_error(self):
+        cycle = {"a": []}
+        cycle["a"].append(cycle)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            to_json_str(cycle)
 
 
 class TestHumanOutput:

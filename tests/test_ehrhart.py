@@ -117,6 +117,14 @@ class TestQuasiPoly:
         assert qp.to_json()["period"] == 6
         assert QuasiPoly.from_json(qp.to_json()) == qp
 
+    def test_json_makes_each_distinct_constituent_once(self):
+        # equal constituents share one dict, which the CLI's writer then
+        # renders once: E8 has 12 distinct constituents of 60
+        qp = ehrhart_qp(rid("E8"))
+        forms = qp.to_json()["constituents"]
+        assert forms == [c.to_json() for c in qp.constituents]
+        assert len({id(form) for form in forms}) == len(set(qp.constituents)) == 12
+
     def test_immutable(self):
         qp = QuasiPoly((RatPoly((1,)),))
         with pytest.raises(AttributeError):

@@ -413,8 +413,10 @@ def _layers(nums: tuple[tuple[int, ...], ...]) -> tuple:
             row_terms = []
             for k, x in zip(ks, row):
                 if x:
+                    w = x  # C(k, q) * x, carried along q exactly
                     for q in range(k + 1):
-                        row_terms.append((q, k - q, math.comb(k, q) * x))
+                        row_terms.append((q, k - q, w))
+                        w = w * (k - q) // (q + 1)
             terms[row] = tuple(row_terms)
         layers.append((p, tuple(ks), tuple(map(terms.__getitem__, values))))
     return tuple(layers)

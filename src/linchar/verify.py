@@ -14,7 +14,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .errors import NonConvergence, OutOfDoubleRange
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
@@ -125,15 +124,26 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
     root, so no further correction can improve it (Bini, "Numerical
     computation of polynomial zeros by means of Aberth's method", Numer.
     Algorithms 13, 1996).
+
+    Each iterate runs `_horner2`'s loop inline, on the coefficients reversed
+    once per call, and adds the reciprocals in a loop from 0j over z[:j]
+    (moved earlier in this sweep, Gauss-Seidel) and then z[j + 1:].  These
+    are the operations and the order of `_horner2` and of `sum` over the
+    same terms, which CPython 3.10-3.13 does not compensate for complex
+    numbers, so every iterate keeps their bits with no call and no list per
+    iterate.
     """
-    coeffs = _complex(c)
+    rcoeffs = _complex(c)[::-1]
     prev_corr = math.inf
     for _ in range(_MAX_ITER):
         max_corr = 0.0
         start = z[:]
         values = []
         for j, zj in enumerate(start):
-            p, dp = _horner2(coeffs, zj)
+            p = dp = 0j
+            for ck in rcoeffs:
+                dp = dp * zj + p
+                p = p * zj + ck
             values.append(p)
             if p == 0:
                 continue
@@ -143,13 +153,19 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
                 continue
             newton = p / dp
             # (1 + 0j) is what 1.0 becomes in a complex division (see _complex)
-            s = sum([(1 + 0j) / (zj - zk) for zk in chain(z[:j], z[j + 1:])])
+            s = 0j
+            for zk in z[:j]:
+                s += (1 + 0j) / (zj - zk)
+            for zk in z[j + 1:]:
+                s += (1 + 0j) / (zj - zk)
             denom = (1 + 0j) - newton * s
             w = newton if denom == 0 else newton / denom
             z[j] -= w
-            if not cmath.isfinite(z[j]):  # max() below would drop a NaN correction
+            if not cmath.isfinite(z[j]):  # the comparison below would drop a NaN
                 raise OutOfDoubleRange("Aberth iterate left the range of doubles")
-            max_corr = max(max_corr, abs(w))
+            corr = abs(w)
+            if corr > max_corr:
+                max_corr = corr
         if max_corr < _CORRECTION_TOL * radius:
             return "converged"
         if max_corr >= prev_corr:
@@ -166,7 +182,8 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
 
 def _horner_error_bound(c: Sequence[float], z: complex) -> float:
     """gamma_4n * sum |c_k| |z|^k, which bounds |fl(p(z)) - p(z)| for the
-    value `_horner2` computes (coefficients ascending, degree n).
+    value `_horner2` computes, and `_aberth`'s inline pass with it
+    (coefficients ascending, degree n).
 
     gamma_k = k*u / (1 - k*u) with u = 2**-53 (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., 5.1); 4n rather than 2n because a

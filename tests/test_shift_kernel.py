@@ -261,6 +261,18 @@ def test_alcove_table_split(ident):
     assert split == want
 
 
+@pytest.mark.parametrize("name", ["A60", "A120", "B30", "C40", "D30"])
+def test_layer_binomials_at_high_degree(name):
+    """The layer terms hold C(k, q) * nums[r][k] up to k = rank, past the
+    few columns the drawn tables reach."""
+    table = ehrhart_table(RootSystemId.parse(name))
+    for _, columns, rows in table.layers:
+        for r, terms in enumerate(rows):
+            num = table.nums[r]
+            want = [(q, k - q, math.comb(k, q) * num[k]) for k in columns if num[k] for q in range(k + 1)]
+            assert list(terms) == want
+
+
 @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
 class TestCharConstituent:
     def test_matches_full_quasi_polynomial(self, ident):

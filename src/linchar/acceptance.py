@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from . import ehrhart, eulerian, linial, oracles, rootdata, verify
@@ -84,15 +85,13 @@ def check_table1():
 
 def check_eulerian():
     """Eulerian polynomials"""
-    checks = [
-        (eulerian.classical_eulerian(2), RatPoly((0, 1, 1))),
-        (eulerian.classical_eulerian(6), RatPoly((0, 1, 57, 302, 302, 57, 1))),
-        (
-            eulerian.generalized_eulerian(RootSystemId.parse("E6")),
-            RatPoly((0, 1, 61, 537, 1916, 3782, 4686, 3782, 1916, 537, 61, 1)),
-        ),
-    ]
-    for got, want in checks:
+    printed = {
+        "A2": RatPoly((0, 1, 1)),
+        "A6": RatPoly((0, 1, 57, 302, 302, 57, 1)),
+        "E6": RatPoly((0, 1, 61, 537, 1916, 3782, 4686, 3782, 1916, 537, 61, 1)),
+    }
+    for name, want in printed.items():
+        got = eulerian.generalized_eulerian(RootSystemId.parse(name))
         if got != want:
             return False, f"{got} != {want}"
     for name in ("A1", "A2", "B2", "G2"):
@@ -159,7 +158,8 @@ def check_g2_example():
     return True, ""
 
 
-_TABLE2 = {"E6": 5.3703, "E7": 8.4367, "E8": 14.6604, "F4": 4.8967, "G2": 2.166}
+# printed truncated, not rounded: E8's maximum is 14.66048..., G2's is 13/6
+_TABLE2 = {"E6": "5.3703", "E7": "8.4367", "E8": "14.6604", "F4": "4.8967", "G2": "2.166"}
 
 _E6_PRINTED_ROOTS = [
     complex(4.55334, -0.465487),
@@ -173,10 +173,13 @@ _E6_PRINTED_ROOTS = [
 
 def check_table2():
     """Maximal real parts"""
-    for name, want in _TABLE2.items():
-        got = verify.max_real_part(verify.limit_poly(RootSystemId.parse(name)))
-        if abs(got - want) > 1e-3:
-            return False, f"{name}: {got} vs {want}"
+    for name, printed in _TABLE2.items():
+        F = verify.limit_poly(RootSystemId.parse(name))
+        low = Decimal(printed)
+        high = low + Decimal(1).scaleb(low.as_tuple().exponent)
+        # low <= max Re t < high: Re t < low fails for some root, Re t < high holds for all
+        if [verify.halfplane_exact(F, 2 * Fraction(x)) for x in (low, high)] != [False, True]:
+            return False, f"{name}: max real part not in [{low}, {high})"
     roots = verify.find_roots(verify.limit_poly(RootSystemId.parse("E6"))).roots
     dist = verify._match_distance(roots, _E6_PRINTED_ROOTS)
     if dist > 1e-4:
@@ -201,7 +204,7 @@ def check_reciprocity_functional():
     for ident in ALL_TABLE_IDS:
         data = rootdata.lookup(ident)
         L = ehrhart.ehrhart_qp(ident)
-        if not ehrhart.check_reciprocity(L, data.rank, data.coxeter_number):
+        if ehrhart.mirror_failure(L, data.rank, -data.coxeter_number) is not None:
             return False, f"reciprocity {ident}"
         for m in range(0, 6):
             cq = linial.char_quasi(ident, m)

@@ -193,13 +193,6 @@ def mirror_failure(P: QuasiPoly, rank: int, c: int) -> int | None:
     return None
 
 
-def check_reciprocity(L: QuasiPoly, rank: int, h: int) -> bool:
-    """Exact Ehrhart-Macdonald reciprocity L(-q) = (-1)^rank L(q - h),
-    checked constituent by constituent as the mirror P_d(t) =
-    (-1)^rank P_(-h-d)(-h - t)."""
-    return mirror_failure(L, rank, -h) is None
-
-
 def apply_shift_qp(f: RatPoly, step: int, table: IntegerTable) -> QuasiPoly:
     """Apply f(S**step) to the quasi-polynomial whose constituents are the
     rows of `table`: the constituent at d becomes

@@ -1,4 +1,4 @@
-"""Classical and generalized Eulerian polynomials, and truncation.
+"""Generalized Eulerian polynomials and their truncation.
 
 R_Phi comes from the product formula
 R_Phi(x) = [c_0]_x [c_1]_x ... [c_l]_x * R_{A_l}(x), where [c]_x is the
@@ -23,14 +23,6 @@ def _eulerian_row(n: int) -> list[int]:
     for k in range(2, n + 1):
         row = [(j + 1) * a + (k - j) * b for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
     return row
-
-
-@lru_cache(maxsize=None)
-def classical_eulerian(rank: int) -> RatPoly:
-    """R_{A_l}(x) = x * A_l(x): lowest term x, degree l."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    return RatPoly.over([0] + _eulerian_row(rank))
 
 
 @lru_cache(maxsize=None)

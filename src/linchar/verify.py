@@ -2,7 +2,8 @@
 certificates, limit polynomials, and asymptotic root tracking.
 
 Exactness boundary: membership on the vertical line Re t = M/2 and strict
-half-plane bounds are decided over Q (Sturm / Routh); floating point is used
+half-plane bounds Re t < H/2 for rational H are decided over Q (Sturm /
+Routh); two such bounds bracket a maximal real part.  Floating point is used
 only for root coordinates in reports and for asymptotic distances.
 """
 
@@ -315,11 +316,6 @@ def limit_poly(ident: RootSystemId) -> RatPoly:
     return apply_shift(shift_operator(ident, True), 1, RatPoly.over([0] * ident.rank + [1]))
 
 
-def max_real_part(p: RatPoly) -> float:
-    """Largest real part among the roots of p."""
-    return max(z.real for z in find_roots(p).roots)
-
-
 def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     """Exact verdict: do all roots of p satisfy Re t = M/2 (M = center_times_2)?
 
@@ -371,8 +367,9 @@ def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
     )
 
 
-def halfplane_exact(p: RatPoly, bound_times_2: int) -> bool:
-    """Exact verdict that every root satisfies Re t < H/2 (H = bound_times_2).
+def halfplane_exact(p: RatPoly, bound_times_2: int | Fraction) -> bool:
+    """Exact verdict that every root satisfies Re t < H/2 (H = bound_times_2,
+    any rational).
 
     Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of q.
     The Routh test decides it either way: a Routh row whose degree falls by

@@ -74,7 +74,7 @@ def test_oracle_criterion_fails_on_one_count_off_by_one(monkeypatch, triple):
     assert check_oracle() == (False, f"{name} m={m} q={q}")
 
 
-# -- every other criterion fails when one engine value is off ---------------------
+# -- every other criterion fails when one engine or printed value is off ---------
 
 T = RatPoly((0, 1))
 
@@ -95,6 +95,11 @@ def query(name, *args):
     return lambda ident, *rest: str(ident) == name and rest == args
 
 
+def printed(name, value):
+    """Table 2 with `value` printed for the system `name`."""
+    return lambda table: {**table, name: value}
+
+
 A3_ROW = "(1, 2, 3), (1, 1, 1, 1), 4, 4"
 
 FAILURES = [
@@ -107,8 +112,8 @@ FAILURES = [
         when(query("A2"), lambda data, ident: data._replace(weyl_order=7)),
         "invariants fail for A2", id="1-invariants"),
     pytest.param(
-        acceptance.check_eulerian, eulerian, "classical_eulerian",
-        when(lambda rank: rank == 6, lambda R, rank: R + RatPoly.monomial(3)),
+        acceptance.check_eulerian, eulerian, "generalized_eulerian",
+        when(query("A6"), lambda R, ident: R + RatPoly.monomial(3)),
         f"{RatPoly((0, 1, 57, 303, 302, 57, 1))} != {RatPoly((0, 1, 57, 302, 302, 57, 1))}",
         id="2-eulerian"),
     pytest.param(
@@ -140,9 +145,21 @@ FAILURES = [
         when(query("G2", 1), lambda qp, *args: plus_t(qp, 5)),
         "half (m=1) constituent 5", id="4-half-1"),
     pytest.param(
-        acceptance.check_table2, verify, "max_real_part",
-        when(lambda F: F == verify.limit_poly(RootSystemId.parse("E7")), lambda top, F: top + 0.5),
-        lambda altered: f"E7: {altered[1]} vs 8.4367", id="5-max-real-part"),
+        acceptance.check_table2, verify, "limit_poly",
+        when(query("E7"), lambda F, ident: F * RatPoly((-9, 1))),
+        "E7: max real part not in [8.4367, 8.4368)", id="5-max-real-part"),
+    pytest.param(
+        acceptance.check_table2, acceptance, "_TABLE2", printed("E8", "14.6605"),
+        "E8: max real part not in [14.6605, 14.6606)", id="5-e8-rounded"),
+    pytest.param(
+        acceptance.check_table2, acceptance, "_TABLE2", printed("G2", "2.167"),
+        "G2: max real part not in [2.167, 2.168)", id="5-g2-rounded"),
+    pytest.param(
+        acceptance.check_table2, acceptance, "_TABLE2", printed("E7", "8.4366"),
+        "E7: max real part not in [8.4366, 8.4367)", id="5-e7-one-unit-low"),
+    pytest.param(
+        acceptance.check_table2, acceptance, "_TABLE2", printed("E7", "8.4368"),
+        "E7: max real part not in [8.4368, 8.4369)", id="5-e7-one-unit-high"),
     pytest.param(
         acceptance.check_table2, verify, "find_roots",
         lambda found, F: found._replace(roots=[z + 1e-3j for z in found.roots]),
@@ -203,7 +220,8 @@ def test_criterion_fails_on_one_engine_value_off(monkeypatch, check, module, nam
         altered.append(result)
         return result
 
-    monkeypatch.setattr(module, name, patched)
+    # a printed table is replaced whole; an engine function by `patched`
+    monkeypatch.setattr(module, name, patched if callable(honest) else change(honest))
     passed, got = check()
     # a detail that prints a float is read back from the altered values
     assert (passed, got) == (False, detail if isinstance(detail, str) else detail(altered))

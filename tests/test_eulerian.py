@@ -5,7 +5,7 @@ import pytest
 
 from linchar.ehrhart import series_coeffs
 from linchar.errors import UnsupportedRank
-from linchar.eulerian import classical_eulerian, generalized_eulerian, truncate_half
+from linchar.eulerian import generalized_eulerian, truncate_half
 from linchar.oracles import asc_oracle
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
@@ -27,35 +27,46 @@ def q_analogue(c: int) -> RatPoly:
     return RatPoly((1,) * c)
 
 
+def classical(l: int) -> RatPoly:
+    """R_{A_l}(x) = sum_k A(l, k) x^(k+1), each Eulerian number from the
+    closed sum A(l, k) = sum_{j <= k} (-1)^j C(l+1, j) (k+1-j)^l rather than
+    the recurrence `generalized_eulerian` builds its rows with."""
+    return RatPoly([0] + [
+        sum((-1) ** j * math.comb(l + 1, j) * (k + 1 - j) ** l for j in range(k + 1))
+        for k in range(l)
+    ])
+
+
 def product_formula(ident) -> RatPoly:
     """R_Phi = R_{A_l} * prod_i [c_i]_x as `RatPoly` products over Fraction:
     a second path for the integer window sums of `generalized_eulerian`."""
     data = lookup(ident)
-    poly = classical_eulerian(data.rank)
+    poly = classical(data.rank)
     for c in data.marks:
         poly = poly * q_analogue(c)
     return poly
 
 
 class TestClassicalEulerian:
+    """R_{A_l} = generalized_eulerian(A_l), against the closed sum."""
+
     def test_small_ranks(self):
-        assert classical_eulerian(1) == RatPoly((0, 1))
-        assert classical_eulerian(2) == RatPoly((0, 1, 1))
-        assert classical_eulerian(3) == RatPoly((0, 1, 4, 1))
+        for l, want in ((1, (0, 1)), (2, (0, 1, 1)), (3, (0, 1, 4, 1))):
+            assert generalized_eulerian(RootSystemId("A", l)) == classical(l) == RatPoly(want)
 
     def test_rank_six(self):
-        assert classical_eulerian(6) == RatPoly((0, 1, 57, 302, 302, 57, 1))
+        want = RatPoly((0, 1, 57, 302, 302, 57, 1))
+        assert generalized_eulerian(RootSystemId("A", 6)) == classical(6) == want
 
     def test_coefficient_sum_is_factorial(self):
         for l in range(1, 9):
-            assert classical_eulerian(l).evaluate(1) == Fraction(
+            assert generalized_eulerian(RootSystemId("A", l)).evaluate(1) == Fraction(
                 lookup(RootSystemId("A", l)).weyl_order, l + 1
             )
 
     def test_rank_past_the_recursion_limit(self):
-        # With the caches empty, no row computed by an earlier test can stand
+        # With the cache empty, no row computed by an earlier test can stand
         # in for the rows below 600.
-        classical_eulerian.cache_clear()
         generalized_eulerian.cache_clear()
         R = generalized_eulerian(RootSystemId("A", 600))
         assert R.degree == 600
@@ -79,7 +90,7 @@ class TestGeneralizedEulerian:
 
     def test_type_a_reduces_to_classical(self):
         for l in (1, 3, 5):
-            assert generalized_eulerian(RootSystemId("A", l)) == classical_eulerian(l)
+            assert generalized_eulerian(RootSystemId("A", l)) == classical(l)
 
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
     def test_structure(self, ident):

@@ -22,7 +22,6 @@ from linchar.errors import (
     QTooSmall,
     UnsupportedRank,
 )
-from linchar.eulerian import classical_eulerian
 from linchar.linial import char_constituent, char_poly, char_quasi, half_char_quasi, toy_poly
 from linchar.oracles import ORACLE_MAX_POINTS, bruteforce_modq_counts, positive_roots
 from linchar.ratpoly import RatPoly
@@ -35,7 +34,6 @@ from linchar.verify import (
     halfplane_exact,
     limit_combination,
     limit_poly,
-    max_real_part,
 )
 
 
@@ -469,15 +467,24 @@ class TestLimitPoly:
 
 
 class TestMaxRealPart:
+    """Table 2 truncates the maximal real part to its printed digits: for a
+    value P with k decimals, P <= max Re t < P + 10^-k, decided exactly."""
+
     @pytest.mark.parametrize(
         "name,value",
-        [("E6", 5.3703), ("E7", 8.4367), ("E8", 14.6604), ("F4", 4.8967), ("G2", 2.166)],
+        [("E6", "5.3703"), ("E7", "8.4367"), ("E8", "14.6604"), ("F4", "4.8967"), ("G2", "2.166")],
     )
     def test_printed_table(self, name, value):
-        assert max_real_part(limit_poly(rid(name))) == pytest.approx(value, abs=1e-3)
+        F = limit_poly(rid(name))
+        low = Fraction(value)
+        high = low + Fraction(1, 10 ** len(value.partition(".")[2]))
+        assert not halfplane_exact(F, 2 * low)
+        assert halfplane_exact(F, 2 * high)
 
     def test_g2_exact_value(self):
-        assert max_real_part(limit_poly(rid("G2"))) == pytest.approx(13 / 6, abs=1e-12)
+        F = limit_poly(rid("G2"))
+        assert not halfplane_exact(F, Fraction(13, 3))
+        assert halfplane_exact(F, Fraction(13, 3) + Fraction(1, 2**60))
 
 
 class TestCheckOnLineExact:
@@ -823,7 +830,6 @@ class TestAsymptoticTrack:
                  id="modq-q"),
     pytest.param(lambda: asymptotic_track(rid("G2"), 1, [0]), "m must be >= 1 for tracking",
                  id="asymptotic_track"),
-    pytest.param(lambda: classical_eulerian(0), "rank must be >= 1", id="classical_eulerian"),
     pytest.param(lambda: check_on_line_exact(RatPoly.zero(), 2), "zero polynomial",
                  id="check_on_line_exact"),
     pytest.param(lambda: halfplane_exact(RatPoly.zero(), 2), "zero polynomial",

@@ -369,8 +369,9 @@ ROOT = Command(
 # -- the parser ----------------------------------------------------------------------
 #
 # It keeps the rules of the stdlib's option parser for the shapes the table uses
-# (one value per option, at most one positional), so that every command line
-# accepted before keeps its meaning; the tests hold the two against each other.
+# (one value per option, one positional slot per level: a command's argument or
+# a group's subcommand), so that every command line accepted before keeps its
+# meaning; the tests hold the two against each other.
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 _SEPARATOR = "--"  # the token itself; every token after it is a positional
@@ -437,8 +438,6 @@ def _parse_level(command, prog, argv, namespace):
             break
         kinds.append(_classify(token, options))
     n = len(argv)
-    option_at = [i for i, kind in enumerate(kinds) if type(kind) is tuple]
-    slots = list(command.positionals) + ([None] if command.subcommands is not None else [])
     seen: set[str] = set()
     extras: list[str] = []
 
@@ -461,48 +460,53 @@ def _parse_level(command, prog, argv, namespace):
                     raise _UsageError(f"not allowed with argument {_arg_name(other)}", arg)
         namespace[arg.dest] = value
 
-    def positionals_from(i: int) -> int:
-        start = i + (i < n and kinds[i] == _SEPARATOR)
-        if not slots or start >= n or kinds[start] is not None:
-            return i
-        slot = slots.pop(0)
-        if slot is None:  # the subcommand takes every remaining token
-            name = argv[i]
-            sub = command.subcommands.get(name)
-            if sub is None:
-                choices = ", ".join(map(repr, command.subcommands))
-                raise _UsageError(
-                    f"argument {command.dest}: invalid choice: {name!r} (choose from {choices})")
-            seen.add(command.dest)
-            namespace[command.dest] = name
-            subspace: dict = {}
-            extras.extend(_parse(sub, f"{prog} {name}", argv[i + 1:], subspace))
-            namespace.update(subspace)
-            return n
-        stop = start + 1 + (start + 1 < n and kinds[start + 1] == _SEPARATOR)
-        take(slot, argv[start])
-        return stop
-
-    def option_at_index(i: int) -> int:
-        arg, flag, value = kinds[i]
+    # One pass.  The level's one slot, its positional or its group's
+    # subcommand, takes the first positional token (the token after a `--`
+    # met first) and skips a `--` right after it; a subcommand takes every
+    # token after it.  Other positionals and unknown options are extras.
+    slot = command.positionals[0] if command.positionals else command.subcommands
+    i = 0
+    while i < n:
+        kind = kinds[i]
+        if type(kind) is not tuple:
+            start = i + (kind == _SEPARATOR)
+            if slot is None or start == n:
+                extras.append(argv[i])
+                i += 1
+            elif slot is command.subcommands:
+                name = argv[i]
+                sub = slot.get(name)
+                if sub is None:
+                    choices = ", ".join(map(repr, slot))
+                    raise _UsageError(
+                        f"argument {command.dest}: invalid choice: {name!r} (choose from {choices})")
+                seen.add(command.dest)
+                namespace[command.dest] = name
+                extras.extend(_parse(sub, f"{prog} {name}", argv[i + 1:], namespace))
+                break
+            else:
+                take(slot, argv[start])
+                slot = None
+                i = start + 1 + (start + 1 < n and kinds[start + 1] == _SEPARATOR)
+            continue
+        arg, flag, value = kind
+        i += 1
         if arg is None:
-            extras.append(argv[i])
-            return i + 1
+            extras.append(flag)
+            continue
         taken = []
         while True:
             if value is None:
                 if arg.type is None:
                     taken.append((arg, None))
-                    stop = i + 1
-                elif i + 1 < n and kinds[i + 1] is None:
-                    taken.append((arg, argv[i + 1]))
-                    stop = i + 2
+                elif i < n and kinds[i] is None:
+                    taken.append((arg, argv[i]))
+                    i += 1
                 else:
                     raise _UsageError("expected one argument", arg)
                 break
             if arg.type is not None:
                 taken.append((arg, value))
-                stop = i + 1
                 break
             # A short flag with text attached: the text is more short flags.
             if flag[1] == "-" or value == "" or "-" + value[0] not in options:
@@ -512,22 +516,6 @@ def _parse_level(command, prog, argv, namespace):
             arg, value = options[flag], value[1:] or None
         for arg, value in taken:
             take(arg, value)
-        return stop
-
-    # Before each option, the positionals take what they can of the tokens
-    # since the last one; tokens they leave are extras.
-    i = 0
-    while option_at and i <= option_at[-1]:
-        next_option = next(j for j in option_at if j >= i)
-        if i != next_option:
-            stop = positionals_from(i)
-            if stop > i:
-                i = stop
-                continue
-            extras.extend(argv[i:next_option])
-            i = next_option
-        i = option_at_index(i)
-    extras.extend(argv[positionals_from(i):])
 
     for arg in args:
         # The stdlib parser stored [] for `-m=--`, which no handler accepts; a

@@ -80,13 +80,6 @@ class QuasiPoly(namedtuple("QuasiPoly", "constituents")):
             "constituents": [forms[c] for c in self.constituents],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuasiPoly":
-        qp = cls(tuple(RatPoly.from_json(c) for c in obj["constituents"]))
-        if int(obj["period"]) != qp.period:
-            raise ValueError(f"period {obj['period']} disagrees with {qp.period} constituents")
-        return qp
-
 
 def _denumerant_counts(marks, upto: int) -> list[int]:
     """counts[q] = #{m >= 0 : sum marks_i * m_i = q} for q = 0..upto.

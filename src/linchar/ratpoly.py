@@ -9,8 +9,8 @@ A `RatPoly` is integer numerators over one positive common denominator:
 (gcd(den, *nums) = 1, top numerator nonzero; the zero polynomial is
 ``nums == ()`` over ``den == 1``).  Every routine computes on these integers
 and returns through `RatPoly.over`, the one normalising constructor;
-``coeffs``, ``coeff(j)`` and ``leading`` are `fractions.Fraction` views for
-callers.  Floating point never enters here.  A shift operator f(S) is a
+``coeffs`` is the `fractions.Fraction` view for callers.  Floating point
+never enters here.  A shift operator f(S) is a
 `RatPoly` read in S: ``coeffs[i]`` multiplies S**i, where
 (S g)(t) = g(t - 1).
 """
@@ -166,23 +166,8 @@ class RatPoly:
         return cls()
 
     @classmethod
-    def one(cls) -> "RatPoly":
-        return cls.over((1,))
-
-    @classmethod
     def monomial(cls, exponent: int, coeff: int | Fraction = 1) -> "RatPoly":
         return cls([0] * exponent + [coeff])
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[int | Fraction], leading: int | Fraction = 1) -> "RatPoly":
-        p = cls((leading,))
-        for r in roots:
-            p = p * cls((-_frac(r), 1))
-        return p
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RatPoly":
-        return cls(Fraction(int(n), int(d)) for n, d in obj["coeffs"])
 
     # -- basic structure ---------------------------------------------------
 
@@ -201,15 +186,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
-    def coeff(self, j: int) -> Fraction:
-        return Fraction(self.nums[j], self.den) if 0 <= j < len(self.nums) else Fraction(0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RatPoly) and self.den == other.den and self.nums == other.nums
 
@@ -222,55 +198,14 @@ class RatPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
         if not isinstance(other, RatPoly):
             return NotImplemented
         pairs = zip_longest(self.nums, other.nums, fillvalue=0)
         return RatPoly.over([x * other.den + y * self.den for x, y in pairs], self.den * other.den)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly.over([-x for x in self.nums], self.den)
-
-    def __sub__(self, other) -> "RatPoly":
-        return self + (-other if isinstance(other, RatPoly) else RatPoly((-_frac(other),)))
-
-    def __rsub__(self, other) -> "RatPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums):
-                    out[i + j] += a * b
-        return RatPoly.over(out, self.den * other.den)
-
-    def __rmul__(self, other) -> "RatPoly":
-        return self.scale(other)
-
     def scale(self, s: int | Fraction) -> "RatPoly":
         s = _frac(s)
         return RatPoly.over([x * s.numerator for x in self.nums], self.den * s.denominator)
-
-    def __pow__(self, k: int) -> "RatPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result, base = RatPoly.one(), self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -313,9 +248,6 @@ class RatPoly:
             nxt[0] += coeff * cpow
             acc = nxt
         return RatPoly.over(acc, self.den * cpow)
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly.over([j * x for j, x in enumerate(self.nums)][1:], self.den)
 
     # -- square-free structure --------------------------------------------------
 

@@ -89,11 +89,12 @@ class TestEnvelope:
         assert to_json_str(parsed) == out.rstrip("\n")
 
     def test_quasi_polynomial_payload_parses_back(self, capsys):
-        from linchar.ehrhart import QuasiPoly, ehrhart_qp
+        from linchar.ehrhart import ehrhart_qp
+        from polys import quasi_from_json
 
         code, data = run_json(capsys, "ehrhart", "B3", "--json")
         assert code == 0
-        qp = QuasiPoly.from_json(data["result"]["quasi_polynomial"])
+        qp = quasi_from_json(data["result"]["quasi_polynomial"])
         assert qp == ehrhart_qp(RootSystemId.parse("B3"))
 
 
@@ -714,6 +715,15 @@ class TestParser:
     ])
     def test_edge_cases_agree(self, argv):
         agree_with_oracle(argv)
+
+    def test_each_level_has_at_most_one_positional_slot(self):
+        # The parser reads a level with one slot: a command's one positional,
+        # or a group's subcommand; a second one would be mis-parsed.
+        levels = [ROOT]
+        for command in levels:  # at most one positional, and none in a group
+            assert len(command.positionals) <= (command.subcommands is None), command.help
+            levels += (command.subcommands or {}).values()
+        assert len(levels) == len(COMMANDS) + 2  # the root and `oracle modq` too
 
     def test_negative_value_reaches_the_library(self, capsys):
         assert parse_args(["charquasi", "G2", "-m", "-1"]).m == -1

@@ -16,6 +16,7 @@ from linchar.ehrhart import (
 from linchar.eulerian import generalized_eulerian, truncate_half
 from linchar.ratpoly import IntegerTable, RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
+from polys import ONE, from_roots, mul, quasi_from_json
 
 
 def rid(text):
@@ -44,12 +45,7 @@ def inverted_series(ident, count) -> list[int]:
     """First `count` coefficients of 1 / prod_i (1 - z^{c_i}), by expanding
     the denominator and inverting the power series: a second path for the
     denumerant counts that `series_coeffs` returns."""
-    denom = RatPoly.one()
-    for c in lookup(ident).marks:
-        factor = [0] * (c + 1)
-        factor[0], factor[c] = 1, -1
-        denom = denom * RatPoly.over(factor)
-    a = denom.nums
+    a = mul(*(RatPoly.over([1] + [0] * (c - 1) + [-1]) for c in lookup(ident).marks)).nums
     out = [0] * count
     out[0] = 1
     for k in range(1, count):
@@ -86,11 +82,11 @@ def lagrange(points) -> RatPoly:
     in Fraction arithmetic: a second path for `ehrhart_qp`."""
     total = RatPoly.zero()
     for j, (xj, yj) in enumerate(points):
-        num = RatPoly.one()
+        num = ONE
         den = Fraction(1)
         for k, (xk, _) in enumerate(points):
             if k != j:
-                num = num * RatPoly((-xk, 1))
+                num = mul(num, RatPoly((-xk, 1)))
                 den *= xj - xk
         total = total + num.scale(Fraction(yj) / den)
     return total
@@ -109,12 +105,12 @@ class TestQuasiPoly:
         # a stated period is outside input: one that disagrees is refused
         stated = {"period": 3, "constituents": [RatPoly((1,)).to_json()]}
         with pytest.raises(ValueError):
-            QuasiPoly.from_json(stated)
+            quasi_from_json(stated)
 
     def test_json_round_trip(self):
         qp = ehrhart_qp(rid("G2"))
         assert qp.to_json()["period"] == 6
-        assert QuasiPoly.from_json(qp.to_json()) == qp
+        assert quasi_from_json(qp.to_json()) == qp
 
     def test_json_makes_each_distinct_constituent_once(self):
         # equal constituents share one dict, which the CLI's writer then
@@ -167,14 +163,14 @@ class TestEhrhartQP:
         lead = Fraction(data.index_of_connection, data.weyl_order)
         for c in L.constituents:
             assert c.degree == data.rank
-            assert c.leading == lead
+            assert c.coeffs[-1] == lead
 
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
     def test_coprime_residues_factor_through_exponents(self, ident):
         data = lookup(ident)
         L = ehrhart_qp(ident)
         lead = Fraction(data.index_of_connection, data.weyl_order)
-        want = RatPoly.from_roots([-e for e in data.exponents], leading=1).scale(lead)
+        want = from_roots([-e for e in data.exponents], leading=1).scale(lead)
         for d in range(L.period):
             if math.gcd(d, L.period) == 1:
                 assert L.constituent(d) == want
@@ -248,7 +244,7 @@ class TestIntegerBuild:
         monkeypatch.setattr(ratpoly, "_layers", None)  # a second split would fail
         L = ehrhart_qp(rid(name))
         assert L.period == len(table.nums)
-        assert apply_shift_qp(RatPoly.one(), 1, ehrhart_table(rid(name))) == L
+        assert apply_shift_qp(ONE, 1, ehrhart_table(rid(name))) == L
 
 
 class TestInterpolation:
@@ -348,7 +344,7 @@ class TestReciprocity:
     def test_mutation_detected(self):
         L = ehrhart_qp(rid("G2"))
         bumped = list(L.constituents)
-        bumped[2] = bumped[2] + 1
+        bumped[2] = bumped[2] + RatPoly((1,))
         # residue 2 mirrors residue -6 - 2 = 4 mod 6; 2 is met first
         assert ehrhart.mirror_failure(QuasiPoly(tuple(bumped)), 2, -6) == 2
 
@@ -363,7 +359,7 @@ class TestReciprocity:
 class TestApplyShiftQP:
     def test_identity_operator(self):
         g2 = rid("G2")
-        assert apply_shift_qp(RatPoly.one(), 1, ehrhart_table(g2)) == ehrhart_qp(g2)
+        assert apply_shift_qp(ONE, 1, ehrhart_table(g2)) == ehrhart_qp(g2)
 
     def test_worpitzky_g2(self):
         g2 = rid("G2")

@@ -22,6 +22,7 @@ from linchar.ratpoly import (
     apply_shift,
     routh_hurwitz_all_roots_left,
 )
+from polys import ONE, coeff, derivative, from_json, from_roots, mul, neg, power, sub
 from strategies import numerators, polys, rationals, sized
 
 T = RatPoly((0, 1))
@@ -47,10 +48,12 @@ class TestRatPolyBasics:
     def test_arithmetic(self):
         p, q = poly(1, 2), poly(0, 0, 3)
         assert p + q == poly(1, 2, 3)
-        assert p - p == RatPoly.zero()
-        assert p * q == poly(0, 0, 3, 6)
-        assert (T + 1) ** 2 == poly(1, 2, 1)
+        assert sub(p, p) == RatPoly.zero()
+        assert mul(p, q) == poly(0, 0, 3, 6)
+        assert power(T + ONE, 2) == poly(1, 2, 1)
         assert p.scale(Fraction(1, 2)) == poly(Fraction(1, 2), 1)
+        with pytest.raises(TypeError):  # a sum takes two polynomials, no scalar
+            p + 1
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -71,27 +74,27 @@ class TestRatPolyBasics:
         assert poly(5).compose_affine(7, -2) == poly(5)
 
     def test_divrem_and_gcd(self):
-        p = RatPoly.from_roots([1, 2, 3])
-        q, r = fraction_divrem(p, RatPoly.from_roots([2]))
-        assert r.is_zero and q == RatPoly.from_roots([1, 3])
-        assert remainder_gcd(p, RatPoly.from_roots([2, 5])) == RatPoly.from_roots([2])
+        p = from_roots([1, 2, 3])
+        q, r = fraction_divrem(p, from_roots([2]))
+        assert r.is_zero and q == from_roots([1, 3])
+        assert remainder_gcd(p, from_roots([2, 5])) == from_roots([2])
 
     def test_inexact_division_is_named(self):
-        p = RatPoly.from_roots([1, 2, 3])
-        assert _quotient(p.nums, RatPoly.from_roots([2]).nums) == [3, -4, 1]
+        p = from_roots([1, 2, 3])
+        assert _quotient(p.nums, from_roots([2]).nums) == [3, -4, 1]
         with pytest.raises(InexactDivision):
-            _quotient(p.nums, RatPoly.from_roots([4]).nums)
+            _quotient(p.nums, from_roots([4]).nums)
 
     def test_squarefree(self):
-        p = RatPoly.from_roots([-1, -1, -3])
+        p = from_roots([-1, -1, -3])
         assert p.squarefree_factors() == [
-            (RatPoly.from_roots([-3]), 1),
-            (RatPoly.from_roots([-1]), 2),
+            (from_roots([-3]), 1),
+            (from_roots([-1]), 2),
         ]
 
     def test_json_round_trip(self):
         p = poly(Fraction(-5, 3), 0, 7)
-        assert RatPoly.from_json(p.to_json()) == p
+        assert from_json(p.to_json()) == p
         assert p.to_json() == {"coeffs": [["-5", "3"], ["0", "1"], ["7", "1"]]}
 
     @given(
@@ -107,7 +110,7 @@ class TestRatPolyBasics:
         # The Fraction form is the oracle: to_json builds no Fraction.
         p = RatPoly.over(nums, den)
         assert p.to_json() == {"coeffs": [[str(c.numerator), str(c.denominator)] for c in p.coeffs]}
-        assert RatPoly.from_json(p.to_json()) == p
+        assert from_json(p.to_json()) == p
 
     def test_pretty(self):
         assert poly(11, -6, 1).pretty() == "t^2 - 6*t + 11"
@@ -186,8 +189,8 @@ class TestReflect:
         assert T.compose_affine(-1, 6) == poly(6, -1)
         fixed = poly(11, -6, 1)  # symmetric about 3
         assert fixed.compose_affine(-1, 6) == fixed
-        cube = RatPoly.from_roots([1, 1, 1])
-        assert cube.compose_affine(-1, 0) == -RatPoly.from_roots([-1, -1, -1])
+        cube = from_roots([1, 1, 1])
+        assert cube.compose_affine(-1, 0) == neg(from_roots([-1, -1, -1]))
 
     @given(g=small_polys, M=small_fractions)
     @settings(max_examples=80, deadline=None)
@@ -199,18 +202,18 @@ class TestSturm:
     """`all_roots_real_nonpositive` is the Sturm chain read at -inf and at 0."""
 
     def test_examples(self):
-        assert not all_roots_real_nonpositive(RatPoly.from_roots([1, 2]))
-        assert all_roots_real_nonpositive(RatPoly.from_roots([-1, -2]))
+        assert not all_roots_real_nonpositive(from_roots([1, 2]))
+        assert all_roots_real_nonpositive(from_roots([-1, -2]))
         assert not all_roots_real_nonpositive(poly(1, 0, 1))
-        assert not all_roots_real_nonpositive(RatPoly.from_roots([0, 0, 5]))
-        assert all_roots_real_nonpositive(RatPoly.from_roots([0, 0, -5]))
+        assert not all_roots_real_nonpositive(from_roots([0, 0, 5]))
+        assert all_roots_real_nonpositive(from_roots([0, 0, -5]))
 
     def test_right_endpoint_included_left_excluded(self):
         # (-inf, 0]: a root at 0 counts, of any multiplicity; one just right of 0 does not
         for roots in ([0, -3], [0, 0, 0, -3, -3], [0, 0]):
-            assert all_roots_real_nonpositive(RatPoly.from_roots(roots))
-        assert not all_roots_real_nonpositive(RatPoly.from_roots([Fraction(1, 100), -3]))
-        assert not all_roots_real_nonpositive(RatPoly.from_roots([0, 0, Fraction(1, 100)]))
+            assert all_roots_real_nonpositive(from_roots(roots))
+        assert not all_roots_real_nonpositive(from_roots([Fraction(1, 100), -3]))
+        assert not all_roots_real_nonpositive(from_roots([0, 0, Fraction(1, 100)]))
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -223,11 +226,11 @@ class TestSturm:
         for _ in range(150):
             deg = rng.randint(1, 6)
             roots = [rng.randint(-6, 2) for _ in range(deg)]
-            p = RatPoly.from_roots(roots, leading=rng.choice([1, -2, 3]))
+            p = from_roots(roots, leading=rng.choice([1, -2, 3]))
             n_complex_pairs = rng.randint(0, 1)
             for _ in range(n_complex_pairs):
                 a, b = rng.randint(-3, 3), rng.randint(1, 3)
-                p = p * poly(a * a + b * b, -2 * a, 1)  # (t-a)^2 + b^2
+                p = mul(p, poly(a * a + b * b, -2 * a, 1))  # (t-a)^2 + b^2
             expected = not n_complex_pairs and max(roots) <= 0
             assert all_roots_real_nonpositive(p) is expected
             assert fraction_sturm_count(p, NEG_INF, 0) == len({r for r in roots if r <= 0})
@@ -249,9 +252,9 @@ def planted_root_polys(draw):
     pairs = sized(draw, st.tuples(small_fractions, nonzero_fractions, st.integers(1, 2)), 0, 2)
     p = RatPoly((draw(nonzero_fractions),))
     for r, k in linear:
-        p = p * RatPoly((-r, 1)) ** k
+        p = mul(p, power(RatPoly((-r, 1)), k))
     for a, b, j in pairs:
-        p = p * RatPoly((a * a + b * b, -2 * a, 1)) ** j
+        p = mul(p, power(RatPoly((a * a + b * b, -2 * a, 1)), j))
     return p, not pairs and all(r <= 0 for r, _k in linear)
 
 
@@ -277,12 +280,12 @@ class TestAllRootsRealNonpositive:
         assert all_roots_real_nonpositive(p) is expected
 
     def test_examples(self):
-        assert all_roots_real_nonpositive(RatPoly.from_roots([-1, -1, -3]))
+        assert all_roots_real_nonpositive(from_roots([-1, -1, -3]))
         assert not all_roots_real_nonpositive(poly(1, 0, 1))
-        assert all_roots_real_nonpositive(RatPoly.from_roots([0, -2]))
+        assert all_roots_real_nonpositive(from_roots([0, -2]))
 
     def test_positive_root_detected(self):
-        assert not all_roots_real_nonpositive(RatPoly.from_roots([-1, 2]))
+        assert not all_roots_real_nonpositive(from_roots([-1, 2]))
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
@@ -297,11 +300,11 @@ class TestRouthHurwitz:
 
     def test_roots_on_axis_not_conclusive_true(self):
         # (t^2+1)(t+1): zero row in the array
-        p = poly(1, 0, 1) * poly(1, 1)
+        p = mul(poly(1, 0, 1), poly(1, 1))
         assert routh_hurwitz_all_roots_left(p) is not True
 
     def test_stable_cubic_and_unstable_cubic(self):
-        assert routh_hurwitz_all_roots_left(RatPoly.from_roots([-1, -2, -3])) is True
+        assert routh_hurwitz_all_roots_left(from_roots([-1, -2, -3])) is True
         assert routh_hurwitz_all_roots_left(poly(2, 1, 1, 1)) is False
 
     def test_degree_zero_vacuous(self):
@@ -318,10 +321,10 @@ class TestRouthHurwitz:
         checked = 0
         for _ in range(60):
             deg = rng.randint(1, 6)
-            p = RatPoly.from_roots([rng.randint(-9, -1) for _ in range(deg)])
+            p = from_roots([rng.randint(-9, -1) for _ in range(deg)])
             for _ in range(rng.randint(0, 2)):
                 a, b = rng.randint(-5, -1), rng.randint(1, 4)
-                p = p * poly(a * a + b * b, -2 * a, 1)
+                p = mul(p, poly(a * a + b * b, -2 * a, 1))
             if routh_hurwitz_all_roots_left(p) is True:
                 checked += 1
                 assert max(z.real for z in find_roots(p).roots) < 0
@@ -352,7 +355,7 @@ def fraction_divrem(p, q):
     rem = list(p.coeffs)
     while len(rem) > q.degree and rem:
         k = len(rem) - 1 - q.degree
-        factor = rem[-1] / q.leading
+        factor = rem[-1] / q.coeffs[-1]
         quo[k] = factor
         for j, c in enumerate(q.coeffs):
             rem[k + j] -= factor * c
@@ -367,7 +370,7 @@ def fraction_compose_affine(p, a, b):
     acc = RatPoly.zero()
     lin = RatPoly((b, a))
     for c in reversed(p.coeffs):
-        acc = acc * lin + c
+        acc = mul(acc, lin) + RatPoly((c,))
     return acc
 
 
@@ -375,7 +378,7 @@ def fraction_gcd(p, q):
     """Monic gcd over Q by Euclid with Fraction long division."""
     while not q.is_zero:
         p, q = q, fraction_divrem(p, q)[1]
-    return RatPoly.one() if p.is_zero else p.monic()
+    return ONE if p.is_zero else p.monic()
 
 
 def fraction_exact_div(p, q):
@@ -389,17 +392,17 @@ def fraction_squarefree_factors(p):
     p = p.monic()
     if p.degree == 0:
         return []
-    g = fraction_gcd(p, p.derivative())
+    g = fraction_gcd(p, derivative(p))
     b = fraction_exact_div(p, g)
-    c = fraction_exact_div(p.derivative(), g)
-    d = c - b.derivative()
+    c = fraction_exact_div(derivative(p), g)
+    d = sub(c, derivative(b))
     factors, i = [], 1
     while b.degree > 0:
         a = fraction_gcd(b, d)
         if a.degree > 0:
             factors.append((a, i))
         b = fraction_exact_div(b, a)
-        d = fraction_exact_div(d, a) - b.derivative()
+        d = sub(fraction_exact_div(d, a), derivative(b))
         i += 1
     return factors
 
@@ -407,18 +410,18 @@ def fraction_squarefree_factors(p):
 def fraction_sturm_count(p, a, b):
     """Distinct real roots of p in (a, b] from the Fraction Sturm chain,
     evaluated at rational endpoints in Fraction; ``a`` may be `NEG_INF`."""
-    ps = fraction_exact_div(p, fraction_gcd(p, p.derivative()))
+    ps = fraction_exact_div(p, fraction_gcd(p, derivative(p)))
     if ps.degree == 0:
         return 0
-    chain = [ps, ps.derivative()]
+    chain = [ps, derivative(ps)]
     while chain[-1].degree > 0:
         rem = fraction_divrem(chain[-2], chain[-1])[1]
         if rem.is_zero:
             break
-        chain.append(-rem)
+        chain.append(neg(rem))
 
     def sign(q, x):
-        v = q.leading * (-1) ** q.degree if x == NEG_INF else q.evaluate(x)
+        v = q.coeffs[-1] * (-1) ** q.degree if x == NEG_INF else q.evaluate(x)
         return (v > 0) - (v < 0)
 
     def variations(x):
@@ -431,7 +434,7 @@ def fraction_sturm_count(p, a, b):
 def fraction_all_roots_real_nonpositive(p):
     """The Fraction Sturm chain's verdict: the distinct real roots of p in
     (-inf, 0] are as many as the roots of its square-free part."""
-    return fraction_sturm_count(p, NEG_INF, 0) == p.degree - fraction_gcd(p, p.derivative()).degree
+    return fraction_sturm_count(p, NEG_INF, 0) == p.degree - fraction_gcd(p, derivative(p)).degree
 
 
 @st.composite
@@ -439,14 +442,14 @@ def polys_with_repeats(draw):
     """Products f1 * f2**2 * f3**k of small rational polynomials, so that
     repeated factors (and common factors of p and p') are frequent."""
     factor = polys(10, 6, min_size=1, max_size=4)
-    return draw(factor) * draw(factor) ** 2 * draw(factor) ** draw(st.integers(0, 3))
+    return mul(draw(factor), power(draw(factor), 2), power(draw(factor), draw(st.integers(0, 3))))
 
 
 #: Products with repeated factors, or planted root sets that are often all
 #: real and <= 0, each times t**k for k in 0..3: both verdicts are frequent,
 #: and so is 0 as a multiple root, where g = gcd(p, p') has g(0) = 0.
 sturm_inputs = st.builds(
-    lambda p, k: p * T**k,
+    lambda p, k: mul(p, power(T, k)),
     st.one_of(polys_with_repeats(), planted_root_polys().map(lambda case: case[0])),
     st.integers(0, 3),
 )
@@ -482,18 +485,18 @@ class TestSquarefreeWitness:
         return calls
 
     def test_squarefree_input_skips_yun(self, remainder_calls):
-        p = RatPoly.from_roots([Fraction(-1, 2), 3, 7], leading=6)
+        p = from_roots([Fraction(-1, 2), 3, 7], leading=6)
         assert _squarefree_mod_prime(p.nums)
         assert p.squarefree_factors() == [(p.monic(), 1)]
         assert remainder_calls == []
         assert fraction_squarefree_factors(p) == [(p.monic(), 1)]
 
     def test_repeated_root_falls_back(self, remainder_calls):
-        p = RatPoly.from_roots([-1, -1, -3])
+        p = from_roots([-1, -1, -3])
         assert not _squarefree_mod_prime(p.nums)
         assert p.squarefree_factors() == [
-            (RatPoly.from_roots([-3]), 1),
-            (RatPoly.from_roots([-1]), 2),
+            (from_roots([-3]), 1),
+            (from_roots([-1]), 2),
         ]
         assert remainder_calls
 
@@ -534,13 +537,13 @@ class TestIntegerPaths:
     @settings(max_examples=100, deadline=None)
     def test_add_sub_mul_match_fraction_formulas(self, p, q):
         n = max(p.degree, q.degree) + 1
-        sums = [p.coeff(j) + q.coeff(j) for j in range(n)]
-        diffs = [p.coeff(j) - q.coeff(j) for j in range(n)]
+        sums = [coeff(p, j) + coeff(q, j) for j in range(n)]
+        diffs = [coeff(p, j) - coeff(q, j) for j in range(n)]
         prods = [
-            sum((p.coeff(i) * q.coeff(k - i) for i in range(k + 1)), Fraction(0))
+            sum((coeff(p, i) * coeff(q, k - i) for i in range(k + 1)), Fraction(0))
             for k in range(2 * n)
         ]
-        for got, want in ((p + q, sums), (p - q, diffs), (p * q, prods)):
+        for got, want in ((p + q, sums), (sub(p, q), diffs), (mul(p, q), prods)):
             assert got.coeffs == fraction_form(want)
             assert_canonical(got)
 
@@ -549,8 +552,8 @@ class TestIntegerPaths:
     @settings(max_examples=100, deadline=None)
     def test_scale_derivative_monic_match_fraction_formulas(self, p, s):
         assert p.scale(s).coeffs == fraction_form(c * s for c in p.coeffs)
-        assert p.derivative().coeffs == fraction_form(j * c for j, c in enumerate(p.coeffs) if j)
-        for got in (p.scale(s), p.derivative()):
+        assert derivative(p).coeffs == fraction_form(j * c for j, c in enumerate(p.coeffs) if j)
+        for got in (p.scale(s), derivative(p)):
             assert_canonical(got)
         if not p.is_zero:
             monic = p.monic()
@@ -604,14 +607,14 @@ class TestIntegerPaths:
             return
         assert remainder_gcd(p, q) == fraction_gcd(p, q)
         if not p.is_zero:
-            assert remainder_gcd(p, p.derivative()) == fraction_gcd(p, p.derivative())
+            assert remainder_gcd(p, derivative(p)) == fraction_gcd(p, derivative(p))
 
     @given(p=polys_with_repeats(), q=small_polys)
     @settings(max_examples=60, deadline=None)
     def test_exact_div_matches_long_division(self, p, q):
         if q.is_zero:
             return
-        assert _quotient((p * q).nums, q.nums) == _primitive(p.nums)
+        assert _quotient(mul(p, q).nums, q.nums) == _primitive(p.nums)
         quo, rem = fraction_divrem(p, q)
         if rem.is_zero:
             assert _quotient(p.nums, q.nums) == _primitive(quo.nums)
@@ -627,8 +630,8 @@ class TestIntegerPaths:
         assert p.squarefree_factors() == fraction_squarefree_factors(p)
 
     @given(p=sturm_inputs)
-    @example(RatPoly.from_roots([0, 0, -1, -1, -2]))
-    @example(RatPoly.from_roots([0, 0, -1, Fraction(1, 3)]))
+    @example(from_roots([0, 0, -1, -1, -2]))
+    @example(from_roots([0, 0, -1, Fraction(1, 3)]))
     @settings(max_examples=80, deadline=None)
     def test_sturm_count_matches_fraction_chain(self, p):
         if p.is_zero:
@@ -655,16 +658,16 @@ class TestIntegerPaths:
         a, b = RatPoly(a), RatPoly(b)
         if a.is_zero or b.is_zero:
             return
-        b = -b if b.leading > 0 else b  # negative leading coefficient
+        b = neg(b) if b.nums[-1] > 0 else b  # negative leading coefficient
         den = math.lcm(a.den, b.den)
         na, nb = (tuple(x * (den // p.den) for x in p.nums) for p in (a, b))
         q, r, mult = _pseudo_divrem(na, nb)
         assert mult > 0
-        assert RatPoly(na).scale(mult) == RatPoly(q) * RatPoly(nb) + RatPoly(r)
+        assert RatPoly(na).scale(mult) == mul(RatPoly(q), RatPoly(nb)) + RatPoly(r)
         assert len(r) < len(nb)
         # Sturm chains of these divide by elements with a negative leading
         # coefficient, and still decide like the Fraction chain
-        for p in (b, a * a * b, a * a * b * T**2):
+        for p in (b, mul(a, a, b), mul(a, a, b, T, T)):
             assert all_roots_real_nonpositive(p) is fraction_all_roots_real_nonpositive(p)
 
 
@@ -731,8 +734,8 @@ class TestRouthAgainstHurwitzMinors:
     @settings(max_examples=100, deadline=None)
     def test_planted_stable_polynomials(self, real, pairs):
         # roots -r and -a +- b*i: strictly Hurwitz by construction
-        p = RatPoly.from_roots([-r for r in real])
+        p = from_roots([-r for r in real])
         for re, im in pairs:
-            p = p * poly(re * re + im * im, 2 * re, 1)
+            p = mul(p, poly(re * re + im * im, 2 * re, 1))
         assert routh_hurwitz_all_roots_left(p) is True
         assert all(d > 0 for d in hurwitz_minors(p))

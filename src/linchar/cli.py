@@ -22,6 +22,7 @@ import os
 import re
 import sys
 from collections import namedtuple
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -191,8 +192,7 @@ def _cmd_charquasi(args):
         return poly.to_json(), lambda: [
             f"{kind}({args.phi}, m={args.m}) at d = {args.constituent}: {poly.pretty()}"
         ]
-    build = linial.half_char_quasi if args.half else linial.char_quasi
-    qp = build(args.phi, args.m)
+    qp = linial.char_quasi(args.phi, args.m, args.half)
     return qp.to_json(), lambda: [f"{kind}({args.phi}, m={args.m}):"] + _qp_human(qp)
 
 
@@ -244,7 +244,8 @@ def _cmd_limit_roots(args):
 
 def _cmd_oracle(args):
     [count] = oracles.bruteforce_modq_counts(args.phi, (args.m,), args.q, args.unsafe_q)
-    value = linial.char_constituent(args.phi, args.m, args.q).evaluate(args.q)
+    poly = linial.char_constituent(args.phi, args.m, args.q)
+    value = Fraction(poly.scaled_value(args.q), poly.den)
     return {"count": count, "char_quasi_value": str(value), "agree": count == value}, lambda: [
         f"#M_q({args.phi}, m={args.m}, q={args.q}) = {count}",
         f"chi_quasi value = {value} ({'agree' if count == value else 'DISAGREE'})",
@@ -441,14 +442,14 @@ def _parse_level(command, prog, argv, namespace):
     seen: set[str] = set()
     extras: list[str] = []
 
-    def take(arg: Arg, value):
+    def take(arg: Arg, value, attached=False):
         seen.add(arg.dest)
         if arg is _HELP:
             sys.stdout.write(_help(command, prog))
             sys.exit(0)
         if arg.type is None:
             value = True
-        elif value != _SEPARATOR:  # `-m=--` is refused once the whole line is read
+        elif not attached or value != _SEPARATOR:  # `-m=--` is refused once the whole line is read
             try:
                 value = arg.type(value)
             except ValueError as exc:
@@ -514,8 +515,8 @@ def _parse_level(command, prog, argv, namespace):
             taken.append((arg, None))
             flag = "-" + value[0]
             arg, value = options[flag], value[1:] or None
-        for arg, value in taken:
-            take(arg, value)
+        for arg, value in taken:  # a `--` reaches here only attached to its flag
+            take(arg, value, attached=True)
 
     for arg in args:
         # The stdlib parser stored [] for `-m=--`, which no handler accepts; a

@@ -69,7 +69,8 @@ class QuasiPoly(namedtuple("QuasiPoly", "constituents")):
 
     def value(self, q: int) -> Fraction:
         """Evaluate at an integer, using mathematical mod (valid for q < 0)."""
-        return self.constituent(q).evaluate(q)
+        c = self.constituent(q)
+        return Fraction(c.scaled_value(q), c.den)
 
     def to_json(self) -> dict:
         """{"period", "constituents"}; equal constituents share one dict,

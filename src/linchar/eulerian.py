@@ -9,7 +9,6 @@ ascent-statistic definition over the Weyl group is the second path in
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 
 from .ratpoly import RatPoly
@@ -25,7 +24,6 @@ def _eulerian_row(n: int) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=None)
 def generalized_eulerian(ident: RootSystemId) -> RatPoly:
     """R_Phi(x) = [c_0]_x ... [c_l]_x * R_{A_l}(x); degree h-1, integer coefficients.
 

@@ -3,8 +3,9 @@ Weyl arrangements, half quasi-polynomials, admissible residues, the averaging
 construction, and the polynomial toy case.
 
 Everything here composes the Eulerian polynomial (as a shift operator) with
-the alcove Ehrhart quasi-polynomial; m = 0 always means the empty
-arrangement.  Residues live in 0..period-1.
+the alcove Ehrhart quasi-polynomial; the half quasi-polynomial is the same
+composition with the truncated operator, chosen by a `half` flag.  m = 0
+always means the empty arrangement.  Residues live in 0..period-1.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from .eulerian import generalized_eulerian, truncate_half
 from .ratpoly import RatPoly, apply_shift, shift_constituents
 from .rootdata import RootSystemId, lookup
 
-# Entries kept per m-keyed quasi-polynomial cache, full and half alike.  The
-# acceptance matrix builds 31 systems for m <= 5 and reads them again in later
-# criteria, and `averaged_half` reads every orbit member from one cached half
-# build, so this holds all of it while keeping m-sweeps from growing without
-# limit.
+# Entries kept by the m-keyed `char_quasi` cache, full and half builds
+# together.  The acceptance matrix builds 191 full quasi-polynomials, read
+# again in later criteria, and 21 half ones, from which `averaged_half` reads
+# every orbit member; this holds all 212 while keeping m-sweeps from growing
+# without limit.  A key is spelled as the call is, so the package passes
+# (ident, m) for a full build and (ident, m, True) for a half one.
 _QUASI_CACHE_SIZE = 256
 
 
@@ -48,8 +50,8 @@ def shift_operator(ident: RootSystemId, half: bool) -> RatPoly:
 
 
 def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) -> RatPoly:
-    """The residue-d constituent of `char_quasi` (or of `half_char_quasi`
-    when `half`), computed on its own without building the other residues."""
+    """The residue-d constituent of `char_quasi(ident, m, half)`, computed on
+    its own without building the other residues."""
     if m < 0:
         raise ValueError("m must be >= 0")
     table = ehrhart_table(ident)
@@ -57,26 +59,18 @@ def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) ->
 
 
 @lru_cache(maxsize=_QUASI_CACHE_SIZE)
-def char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
+def char_quasi(ident: RootSystemId, m: int, half: bool = False) -> QuasiPoly:
     """Characteristic quasi-polynomial of the m-th extended Linial arrangement:
-    R_Phi(S^(m+1)) applied to L_Phi."""
+    R_Phi(S^(m+1)) applied to L_Phi; when `half`, the half characteristic
+    quasi-polynomial, with the truncation R'_Phi in place of R_Phi."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return apply_shift_qp(shift_operator(ident, False), m + 1, ehrhart_table(ident))
+    return apply_shift_qp(shift_operator(ident, half), m + 1, ehrhart_table(ident))
 
 
 def char_poly(ident: RootSystemId, m: int) -> RatPoly:
     """Characteristic polynomial: the prime (d = 1) constituent."""
     return char_constituent(ident, m, 1)
-
-
-@lru_cache(maxsize=_QUASI_CACHE_SIZE)
-def half_char_quasi(ident: RootSystemId, m: int) -> QuasiPoly:
-    """Half characteristic quasi-polynomial: the truncated Eulerian polynomial
-    applied with step m + 1."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return apply_shift_qp(shift_operator(ident, True), m + 1, ehrhart_table(ident))
 
 
 def weyl_char_quasi(ident: RootSystemId) -> QuasiPoly:
@@ -122,8 +116,8 @@ def averaged_half(ident: RootSystemId, m: int, d: int) -> RatPoly:
     report = admissible_residues(ident)
     if d % n not in report.residues:
         raise NotAdmissible(f"residue {d} mod {n} is not admissible for {ident}")
-    half = half_char_quasi(ident, m)
-    acc = RatPoly.zero()
+    half = char_quasi(ident, m, True)
+    acc = RatPoly.over(())
     for k in range(report.m0):
         for r in (d + k * h, -d + k * h):
             acc = acc + half.constituent(r)

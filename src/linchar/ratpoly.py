@@ -161,14 +161,6 @@ class RatPoly:
         object.__setattr__(p, "den", den)
         return p
 
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int | Fraction = 1) -> "RatPoly":
-        return cls([0] * exponent + [coeff])
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -208,17 +200,6 @@ class RatPoly:
         return RatPoly.over([x * s.numerator for x in self.nums], self.den * s.denominator)
 
     # -- evaluation and substitution ----------------------------------------
-
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        """Exact Horner evaluation at an int or Fraction x."""
-        x = _frac(x)
-        # homogenized Horner over Z: v = sum nums_k u^k w^(deg - k)
-        u, w = x.numerator, x.denominator
-        v, wpow = 0, 1
-        for c in reversed(self.nums):
-            v = v * u + c * wpow
-            wpow *= w
-        return Fraction(v * w, self.den * wpow)
 
     def scaled_value(self, x: int) -> int:
         """den * p(x) at an integer x: Horner over the numerators, in Z."""
@@ -405,21 +386,13 @@ def shift_constituents(
                 for j in range(1, size):
                     x *= shift
                     mu[j] += x
-    folds = {period: moments}  # the classes folded mod p, for each p met so far
     plan = []  # per layer: its period and rows, its folded classes, its shares by d mod p
     for p, _, rows in constituents.layers:
-        if p not in folds:
-            # from the coarsest fold so far that p divides; lists may be
-            # shared between folds, and are never written in place
-            finer = moments
-            for q, fold in folds.items():
-                if q % p == 0 and len(fold) < len(finer):
-                    finer = fold
-            folded = folds[p] = {}
-            for c, mu in finer.items():
-                acc = folded.get(c % p)
-                folded[c % p] = mu if acc is None else list(map(add, acc, mu))
-        plan.append((p, rows, folds[p], {}))
+        folded = {}  # may share lists with `moments`, and never writes one in place
+        for c, mu in moments.items():
+            acc = folded.get(c % p)
+            folded[c % p] = mu if acc is None else list(map(add, acc, mu))
+        plan.append((p, rows, folded, {}))
     out_den = f.den * constituents.den
     results = []
     for d in residues:

@@ -382,7 +382,6 @@ def halfplane_exact(p: RatPoly, bound_times_2: int | Fraction) -> bool:
     return routh_hurwitz_all_roots_left(shifted)
 
 
-@lru_cache(maxsize=None)
 def limit_combination(ident: RootSystemId) -> RatPoly:
     """F(t) + (-1)^l F(h - t) for F = limit_poly: the degree-l polynomial whose
     roots the rescaled constituent roots approach."""

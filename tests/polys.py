@@ -1,13 +1,34 @@
 """Reference arithmetic that the tests need and linchar does not (products,
-negation, derivatives, JSON read-back), as plain functions over a `RatPoly`'s
-``nums`` and ``den``."""
+negation, derivatives, evaluation at a rational point, JSON read-back), as
+plain functions over a `RatPoly`'s ``nums`` and ``den``."""
 
 from fractions import Fraction
 
 from linchar.ehrhart import QuasiPoly
 from linchar.ratpoly import RatPoly
 
+ZERO = RatPoly.over(())
 ONE = RatPoly.over((1,))
+
+
+def monomial(exponent: int, coeff: int | Fraction = 1) -> RatPoly:
+    """coeff * t**exponent."""
+    return RatPoly([0] * exponent + [coeff])
+
+
+def evaluate(p: RatPoly, x: int | Fraction) -> Fraction:
+    """p(x) at an int or Fraction x, by Horner's rule homogenized over Z:
+    v = sum nums_k u^k w^(deg - k) for x = u / w.  A float or complex x is a
+    TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
+    x = Fraction(x)
+    u, w = x.numerator, x.denominator
+    v, wpow = 0, 1
+    for c in reversed(p.nums):
+        v = v * u + c * wpow
+        wpow *= w
+    return Fraction(v * w, p.den * wpow)
 
 
 def mul(*factors: RatPoly) -> RatPoly:

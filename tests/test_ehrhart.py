@@ -16,7 +16,7 @@ from linchar.ehrhart import (
 from linchar.eulerian import generalized_eulerian, truncate_half
 from linchar.ratpoly import IntegerTable, RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
-from polys import ONE, from_roots, mul, quasi_from_json
+from polys import ONE, ZERO, from_roots, monomial, mul, quasi_from_json
 
 
 def rid(text):
@@ -80,7 +80,7 @@ def gcd_witness(L: QuasiPoly):
 def lagrange(points) -> RatPoly:
     """Interpolating polynomial through (x, y) points, by Lagrange's formula
     in Fraction arithmetic: a second path for `ehrhart_qp`."""
-    total = RatPoly.zero()
+    total = ZERO
     for j, (xj, yj) in enumerate(points):
         num = ONE
         den = Fraction(1)
@@ -131,7 +131,7 @@ class TestQuasiPoly:
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_equality_and_hash(self, clone):
         E8 = ehrhart_qp(rid("E8"))
-        for qp in (E8, QuasiPoly((RatPoly.zero(),))):
+        for qp in (E8, QuasiPoly((ZERO,))):
             other = clone(qp)
             assert other == qp and hash(other) == hash(qp)
             assert other.period == qp.period
@@ -381,7 +381,7 @@ class TestApplyShiftQP:
 
     def test_period_preserved(self):
         L = ehrhart_qp(rid("E7"))
-        out = apply_shift_qp(RatPoly.monomial(1), 5, ehrhart_table(rid("E7")))
+        out = apply_shift_qp(monomial(1), 5, ehrhart_table(rid("E7")))
         assert out.period == L.period
         assert out.constituent(3) == L.constituent(3 - 5).compose_affine(1, -5)
 
@@ -392,9 +392,9 @@ class TestGcdProperty:
         assert gcd_witness(qp) is None
 
     def test_half_char_quasi_fails_gcd(self):
-        from linchar.linial import half_char_quasi
+        from linchar.linial import char_quasi
 
-        i, j = gcd_witness(half_char_quasi(rid("G2"), 1))
+        i, j = gcd_witness(char_quasi(rid("G2"), 1, True))
         assert math.gcd(i, 6) == math.gcd(j, 6)
 
     def test_witness_identifies_differing_pair(self):

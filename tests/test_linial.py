@@ -1,16 +1,20 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from linchar.errors import NotAdmissible
 from linchar.linial import (
+    _QUASI_CACHE_SIZE,
     admissible_residues,
     averaged_half,
     char_constituent,
     char_poly,
     char_quasi,
-    half_char_quasi,
     toy_poly,
     weyl_char_quasi,
 )
@@ -18,7 +22,7 @@ from linchar.eulerian import generalized_eulerian
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup
 from linchar.verify import check_on_line_exact
-from polys import from_roots, neg, sub
+from polys import ZERO, from_roots, monomial, neg, sub
 
 
 def rid(text):
@@ -36,7 +40,7 @@ class TestCharQuasi:
     def test_m_zero_is_empty_arrangement(self, name):
         data = lookup(rid(name))
         cq = char_quasi(rid(name), 0)
-        assert all(c == RatPoly.monomial(data.rank) for c in cq.constituents)
+        assert all(c == monomial(data.rank) for c in cq.constituents)
 
     @pytest.mark.parametrize("name,m", [("G2", 2), ("B2", 3), ("E6", 1), ("F4", 2)])
     def test_constituents_monic_integer(self, name, m):
@@ -73,7 +77,7 @@ class TestCharPoly:
         assert char_poly(rid("G2"), 1) == RatPoly((11, -6, 1))
 
     def test_m_zero(self):
-        assert char_poly(rid("E6"), 0) == RatPoly.monomial(6)
+        assert char_poly(rid("E6"), 0) == monomial(6)
 
     def test_e6_m1_functional_equation(self):
         p = char_poly(rid("E6"), 1)
@@ -99,7 +103,7 @@ class TestBruteforceCrossCheck:
 
 class TestHalfCharQuasi:
     def test_g2_m1_table(self):
-        half = half_char_quasi(rid("G2"), 1)
+        half = char_quasi(rid("G2"), 1, True)
         constants = {0: 12, 1: 5, 2: 10, 3: 3, 4: 14, 5: 1}
         for d, c in constants.items():
             assert half.constituent(d) == RatPoly((c, -8, 3)).scale(Fraction(1, 6))
@@ -108,7 +112,7 @@ class TestHalfCharQuasi:
     def test_decomposition_into_halves(self, name, m):
         data = lookup(rid(name))
         cq = char_quasi(rid(name), m)
-        half = half_char_quasi(rid(name), m)
+        half = char_quasi(rid(name), m, True)
         mh = m * data.coxeter_number
         sign = (-1) ** data.rank
         for d in range(cq.period):
@@ -119,7 +123,7 @@ class TestHalfCharQuasi:
         # R_{A1} = x, so R' = x/2 and the half is half of one shifted copy
         a1 = rid("A1")
         for m in (0, 1, 3):
-            half = half_char_quasi(a1, m)
+            half = char_quasi(a1, m, True)
             cq = char_quasi(a1, m)
             assert half.constituent(0) == cq.constituent(0).scale(Fraction(1, 2))
 
@@ -209,7 +213,7 @@ def orbit_sum_of_single_constituents(ident, m, d):
     """The averaged half-polynomial built the slow way: every orbit member
     {+-d + k*h} as its own single-constituent shift, then averaged."""
     data, report = lookup(ident), admissible_residues(ident)
-    acc = RatPoly.zero()
+    acc = ZERO
     for k in range(report.m0):
         for r in (d + k * data.coxeter_number, -d + k * data.coxeter_number):
             acc = acc + char_constituent(ident, m, r, half=True)
@@ -241,7 +245,7 @@ class TestAveragedHalf:
     def test_type_a_single_class(self):
         a3 = rid("A3")
         F = averaged_half(a3, 2, 0)
-        half = half_char_quasi(a3, 2)
+        half = char_quasi(a3, 2, True)
         assert F == half.constituent(0)
 
     def test_not_admissible_rejected(self):
@@ -269,4 +273,35 @@ class TestToyPoly:
         R = generalized_eulerian(rid("E6"))
         for m in (0, 1, 4):
             shifted = [seed.compose_affine(1, -(m + 1) * i).scale(c) for i, c in enumerate(R.coeffs)]
-            assert toy_poly(rid("E6"), m) == sum(shifted, RatPoly.zero())
+            assert toy_poly(rid("E6"), m) == sum(shifted, ZERO)
+
+
+# In a fresh interpreter: one acceptance matrix, then the counts of every
+# `functools.lru_cache` that a linchar module defines.
+CACHE_TRAFFIC = """
+import importlib, json, pkgutil
+import linchar
+from linchar import acceptance
+modules = [importlib.import_module("linchar." + m.name) for m in pkgutil.iter_modules(linchar.__path__)]
+assert all(result.passed for result in acceptance.run_all())
+print(json.dumps({
+    f"{module.__name__}.{name}": fn.cache_info()._asdict()
+    for module in modules for name, fn in vars(module).items()
+    if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+}))
+"""
+
+
+def test_every_cache_is_hit_and_builds_each_key_once():
+    # A cache that no caller hits only holds memory; one whose misses exceed
+    # its size evicted or built a key twice.  char_quasi holds the matrix's
+    # full and half builds together, within its bound.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", CACHE_TRAFFIC], env=env, capture_output=True,
+                          text=True, check=True)
+    caches = json.loads(proc.stdout.splitlines()[-1])
+    assert "linchar.linial.char_quasi" in caches and "linchar.rootdata.lookup" in caches
+    for name, info in caches.items():
+        assert info["hits"] >= 1, (name, info)
+        assert info["misses"] == info["currsize"], (name, info)
+    assert caches["linchar.linial.char_quasi"]["currsize"] <= _QUASI_CACHE_SIZE

@@ -22,7 +22,7 @@ from linchar.ratpoly import (
     apply_shift,
     routh_hurwitz_all_roots_left,
 )
-from polys import ONE, coeff, derivative, from_json, from_roots, mul, neg, power, sub
+from polys import ONE, ZERO, coeff, derivative, evaluate, from_json, from_roots, monomial, mul, neg, power, sub
 from strategies import numerators, polys, rationals, sized
 
 T = RatPoly((0, 1))
@@ -48,7 +48,7 @@ class TestRatPolyBasics:
     def test_arithmetic(self):
         p, q = poly(1, 2), poly(0, 0, 3)
         assert p + q == poly(1, 2, 3)
-        assert sub(p, p) == RatPoly.zero()
+        assert sub(p, p) == ZERO
         assert mul(p, q) == poly(0, 0, 3, 6)
         assert power(T + ONE, 2) == poly(1, 2, 1)
         assert p.scale(Fraction(1, 2)) == poly(Fraction(1, 2), 1)
@@ -60,12 +60,18 @@ class TestRatPolyBasics:
             RatPoly((0.5, 1))
 
     def test_evaluate_exact_and_numeric(self):
+        # the reference evaluation of tests/polys.py, and linchar's own
+        # integer-point value, den * p(x), against it
         p = poly(1, -3, 2)  # 2t^2 - 3t + 1
-        assert p.evaluate(Fraction(1, 2)) == 0
-        assert p.evaluate(2) == 3
+        assert evaluate(p, Fraction(1, 2)) == 0
+        assert evaluate(p, 2) == 3
+        q = poly(Fraction(1, 2), 0, Fraction(1, 3))  # (3 + 2t^2) / 6
+        assert evaluate(q, Fraction(1, 2)) == Fraction(7, 12)
+        points = (-3, 0, 3)
+        assert [q.scaled_value(x) for x in points] == [q.den * evaluate(q, x) for x in points] == [21, 3, 21]
         for x in (1.0, 1j):
             with pytest.raises(TypeError):
-                p.evaluate(x)
+                evaluate(p, x)
 
     def test_compose_affine(self):
         p = poly(0, 0, 1)  # t^2
@@ -114,9 +120,9 @@ class TestRatPolyBasics:
 
     def test_pretty(self):
         assert poly(11, -6, 1).pretty() == "t^2 - 6*t + 11"
-        assert RatPoly.zero().pretty() == "0"
+        assert ZERO.pretty() == "0"
 
-    @pytest.mark.parametrize("p", [RatPoly.zero(), poly(Fraction(-5, 3), 0, 7), poly(4, -6, 2)])
+    @pytest.mark.parametrize("p", [ZERO, poly(Fraction(-5, 3), 0, 7), poly(4, -6, 2)])
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_equality_hash_and_canonical_form(self, p, clone):
@@ -143,7 +149,7 @@ class TestApplyShift:
     def test_identity_and_zero_operator(self):
         g = poly(2, -1, 4)
         assert apply_shift(poly(1), 1, g) == g
-        assert apply_shift(RatPoly.zero(), 1, g) == RatPoly.zero()
+        assert apply_shift(ZERO, 1, g) == ZERO
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -155,7 +161,7 @@ class TestApplyShift:
         g=small_polys,
         k=st.integers(min_value=1, max_value=4),
     )
-    @example(f1=RatPoly.zero(), f2=poly(3, Fraction(-1, 2)), g=poly(0, 0, 1), k=2)
+    @example(f1=ZERO, f2=poly(3, Fraction(-1, 2)), g=poly(0, 0, 1), k=2)
     @settings(max_examples=60, deadline=None)
     def test_linearity_in_operator(self, f1, f2, g, k):
         assert apply_shift(f1 + f2, k, g) == apply_shift(f1, k, g) + apply_shift(f2, k, g)
@@ -178,9 +184,9 @@ class TestApplyShift:
     @settings(max_examples=60, deadline=None)
     def test_inflate_agrees_with_step(self, f, g, k):
         # f(S**k) as an operator in S: coefficient i moves to k*i
-        inflated = RatPoly.zero()
+        inflated = ZERO
         for i, c in enumerate(f.coeffs):
-            inflated = inflated + RatPoly.monomial(k * i, c)
+            inflated = inflated + monomial(k * i, c)
         assert apply_shift(f, k, g) == apply_shift(inflated, 1, g)
 
 
@@ -217,7 +223,7 @@ class TestSturm:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            all_roots_real_nonpositive(RatPoly.zero())
+            all_roots_real_nonpositive(ZERO)
         assert all_roots_real_nonpositive(poly(-3))  # no roots at all
 
     def test_random_planted_integer_roots(self):
@@ -289,7 +295,7 @@ class TestAllRootsRealNonpositive:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            all_roots_real_nonpositive(RatPoly.zero())
+            all_roots_real_nonpositive(ZERO)
 
 
 class TestRouthHurwitz:
@@ -312,7 +318,7 @@ class TestRouthHurwitz:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            routh_hurwitz_all_roots_left(RatPoly.zero())
+            routh_hurwitz_all_roots_left(ZERO)
 
     def test_true_implies_numeric_left_halfplane(self):
         from linchar.verify import find_roots
@@ -367,7 +373,7 @@ def fraction_divrem(p, q):
 
 def fraction_compose_affine(p, a, b):
     """p(a*t + b) by Horner in Fraction."""
-    acc = RatPoly.zero()
+    acc = ZERO
     lin = RatPoly((b, a))
     for c in reversed(p.coeffs):
         acc = mul(acc, lin) + RatPoly((c,))
@@ -421,7 +427,7 @@ def fraction_sturm_count(p, a, b):
         chain.append(neg(rem))
 
     def sign(q, x):
-        v = q.coeffs[-1] * (-1) ** q.degree if x == NEG_INF else q.evaluate(x)
+        v = q.coeffs[-1] * (-1) ** q.degree if x == NEG_INF else evaluate(q, x)
         return (v > 0) - (v < 0)
 
     def variations(x):
@@ -533,7 +539,7 @@ class TestSquarefreeWitness:
 
 class TestIntegerPaths:
     @given(p=small_polys, q=small_polys)
-    @example(p=RatPoly.zero(), q=poly(Fraction(-5, 3), 0, 7))
+    @example(p=ZERO, q=poly(Fraction(-5, 3), 0, 7))
     @settings(max_examples=100, deadline=None)
     def test_add_sub_mul_match_fraction_formulas(self, p, q):
         n = max(p.degree, q.degree) + 1
@@ -548,7 +554,7 @@ class TestIntegerPaths:
             assert_canonical(got)
 
     @given(p=small_polys, s=small_fractions)
-    @example(p=RatPoly.zero(), s=Fraction(7, 6))
+    @example(p=ZERO, s=Fraction(7, 6))
     @settings(max_examples=100, deadline=None)
     def test_scale_derivative_monic_match_fraction_formulas(self, p, s):
         assert p.scale(s).coeffs == fraction_form(c * s for c in p.coeffs)
@@ -563,7 +569,7 @@ class TestIntegerPaths:
     @given(p=small_polys, x=st.one_of(st.integers(-20, 20), small_fractions))
     @settings(max_examples=100, deadline=None)
     def test_exact_evaluate_matches_fraction_sum(self, p, x):
-        value = p.evaluate(x)
+        value = evaluate(p, x)
         assert isinstance(value, Fraction)
         assert value == sum((c * Fraction(x) ** j for j, c in enumerate(p.coeffs)), Fraction(0))
 
@@ -571,7 +577,7 @@ class TestIntegerPaths:
     @settings(max_examples=100, deadline=None)
     def test_scaled_value_is_den_times_the_value(self, p, x):
         value = p.scaled_value(x)
-        assert type(value) is int and value == p.den * p.evaluate(x)
+        assert type(value) is int and value == p.den * evaluate(p, x)
 
     @given(
         nums=st.lists(st.integers(-50, 50), max_size=6),
@@ -595,7 +601,7 @@ class TestIntegerPaths:
             RatPoly.over([1], 0)
 
     @given(p=small_polys, a=small_fractions, b=small_fractions)
-    @example(p=RatPoly.zero(), a=Fraction(-1, 2), b=3)
+    @example(p=ZERO, a=Fraction(-1, 2), b=3)
     @settings(max_examples=100, deadline=None)
     def test_compose_affine_matches_fraction_horner(self, p, a, b):
         assert p.compose_affine(a, b) == fraction_compose_affine(p, a, b)

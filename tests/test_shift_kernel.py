@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 from linchar import ratpoly
 from linchar.ehrhart import apply_shift_qp, ehrhart_qp, ehrhart_table
 from linchar.eulerian import generalized_eulerian, truncate_half
-from linchar.linial import char_constituent, char_quasi, half_char_quasi
+from linchar.linial import char_constituent, char_quasi
 from linchar.ratpoly import IntegerTable, RatPoly, shift_constituents
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
+from polys import ZERO
 from strategies import numerators, polys_of, sized, table_over
 
 
 def naive_constituent(f: RatPoly, step: int, constituents, d: int) -> RatPoly:
     """sum_i f_i * g_(d - step*i)(t - step*i), one substitution per term."""
-    acc = RatPoly.zero()
+    acc = ZERO
     for i, fi in enumerate(f.coeffs):
         if fi != 0:
             g = constituents[(d - step * i) % len(constituents)]
@@ -166,7 +167,7 @@ class TestKernelMatchesNaiveSum:
 
     @settings(max_examples=300, deadline=None)
     @given(f=operators(), step=st.integers(1, 50), table=layered_tables())
-    @example(f=RatPoly.zero(), step=1, table=ZERO_COLUMN)
+    @example(f=ZERO, step=1, table=ZERO_COLUMN)
     @example(f=HALF_TOP, step=4, table=ZERO_COLUMN)
     def test_layered_tables_every_residue(self, f, step, table):
         constituents = polys_of(table)
@@ -228,6 +229,30 @@ class TestLayers:
         assert apply_shift_qp(R, 2, ehrhart_table(e8)) == full == char_quasi(e8, 1)
         assert ehrhart_qp(e8).period == 60
 
+    def test_a_share_reads_at_most_p_rows_of_its_layer(self):
+        """The operator's classes mod the table period are folded mod p for a
+        layer of period p, so each of the layer's p shares reads at most p of
+        its rows, however many classes the operator has."""
+
+        class CountedRows(tuple):
+            reads = 0
+
+            def __getitem__(self, r):
+                self.reads += 1
+                return super().__getitem__(r)
+
+        e8 = RootSystemId.parse("E8")
+        table = ehrhart_table(e8)
+        counted = [CountedRows(rows) for _, _, rows in table.layers]
+        layers = tuple((p, columns, rows) for (p, columns, _), rows in zip(table.layers, counted))
+        R = generalized_eulerian(e8)  # 29 terms, each in its own class mod 60 at step 1
+        residues = range(60)
+        got = shift_constituents(R, 1, IntegerTable(table.den, table.nums, layers), residues)
+        assert got == shift_constituents(R, 1, table, residues)
+        assert [(p, rows.reads) for (p, _, _), rows in zip(layers, counted)] == [
+            (60, 60 * 29), (12, 12 * 12), (6, 6 * 6), (2, 2 * 2), (1, 1)
+        ]
+
     def test_period_one_table_is_one_layer(self):
         table = IntegerTable.from_rows(1, ((3, 0, 5),))
         assert [(p, columns) for p, columns, _ in table.layers] == [(1, (0, 1, 2))]
@@ -280,7 +305,7 @@ class TestCharConstituent:
         # residues; each of its constituents must equal the one built alone,
         # also at the shift steps m + 1 = 7 and 380
         for m in (0, 1, 2, 3, 6, 379):
-            full, half = char_quasi(ident, m), half_char_quasi(ident, m)
+            full, half = char_quasi(ident, m), char_quasi(ident, m, True)
             for d in range(full.period):
                 assert char_constituent(ident, m, d) == full.constituent(d)
                 assert char_constituent(ident, m, d, half=True) == half.constituent(d)

@@ -22,7 +22,7 @@ from linchar.errors import (
     QTooSmall,
     UnsupportedRank,
 )
-from linchar.linial import char_constituent, char_poly, char_quasi, half_char_quasi, toy_poly
+from linchar.linial import char_constituent, char_poly, char_quasi, toy_poly
 from linchar.oracles import ORACLE_MAX_POINTS, bruteforce_modq_counts, positive_roots
 from linchar.ratpoly import RatPoly
 from linchar.rootdata import EXCEPTIONAL_IDS, RootSystemId, lookup
@@ -35,7 +35,7 @@ from linchar.verify import (
     limit_combination,
     limit_poly,
 )
-from polys import ONE, from_roots, mul, power, sub
+from polys import ONE, ZERO, from_roots, monomial, mul, power, sub
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -456,7 +456,7 @@ class TestLimitPoly:
 
     def test_e6_display_form(self):
         weights = {1: 1, 2: 61, 3: 537, 4: 1916, 5: 3782, 6: 2343}
-        want = RatPoly.zero()
+        want = ZERO
         for i, a in weights.items():
             want = want + from_roots([i] * 6).scale(a)
         assert limit_poly(rid("E6")) == want
@@ -558,9 +558,9 @@ class TestCheckOnLineExact:
     def test_e6_at_m_zero(self):
         # char_poly(E6, 0) = t^6, whose even part about M = 0 is u^3
         p = char_poly(rid("E6"), 0)
-        assert p == RatPoly.monomial(6)
+        assert p == monomial(6)
         rep = check_on_line_exact(p, 0)
-        assert rep.on_line and rep.details["even_part"] == RatPoly.monomial(3).to_json()
+        assert rep.on_line and rep.details["even_part"] == monomial(3).to_json()
 
 
 class TestCheckOnLineNumeric:
@@ -823,7 +823,7 @@ class TestAsymptoticTrack:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: char_constituent(rid("G2"), -1, 1), "m must be >= 0",
                  id="char_constituent"),
-    pytest.param(lambda: half_char_quasi(rid("G2"), -1), "m must be >= 0", id="half_char_quasi"),
+    pytest.param(lambda: char_quasi(rid("G2"), -1, True), "m must be >= 0", id="half_char_quasi"),
     pytest.param(lambda: toy_poly(rid("G2"), -1), "m must be >= 0", id="toy_poly"),
     pytest.param(lambda: bruteforce_modq_counts(rid("G2"), (2, -1), 7), "m must be >= 0",
                  id="modq-m"),
@@ -831,9 +831,9 @@ class TestAsymptoticTrack:
                  id="modq-q"),
     pytest.param(lambda: asymptotic_track(rid("G2"), 1, [0]), "m must be >= 1 for tracking",
                  id="asymptotic_track"),
-    pytest.param(lambda: check_on_line_exact(RatPoly.zero(), 2), "zero polynomial",
+    pytest.param(lambda: check_on_line_exact(ZERO, 2), "zero polynomial",
                  id="check_on_line_exact"),
-    pytest.param(lambda: halfplane_exact(RatPoly.zero(), 2), "zero polynomial",
+    pytest.param(lambda: halfplane_exact(ZERO, 2), "zero polynomial",
                  id="halfplane_exact"),
 ])
 def test_input_guards_refuse(call, message):

@@ -593,11 +593,7 @@ def _help(command: Command, prog: str) -> str:
     for title, rows in (("positional arguments", positionals), ("options", options)):
         if rows:
             lines += ["", f"{title}:"]
-        for name, text in rows:
-            if text and len(name) + 2 > width:
-                lines += [f"  {name}", " " * (width + 2) + text]
-            else:
-                lines.append(f"  {name:<{width}}{text}".rstrip())
+        lines += [f"  {name:<{width}}{text}".rstrip() for name, text in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,14 @@
-"""Root localization: numeric root finding, exact line and half-plane
-certificates, limit polynomials, and asymptotic root tracking.
+"""Root location: the two exact certificates first, then numeric root
+finding, limit polynomials and asymptotic root tracking.
 
 Exactness boundary: membership on the vertical line Re t = M/2 and strict
-half-plane bounds Re t < H/2 for rational H are decided over Q (Sturm /
-Routh); two such bounds bracket a maximal real part.  Floating point is used
-only for root coordinates in reports and for asymptotic distances.
+half-plane bounds Re t < H/2 for rational H are decided over Q, each by one
+function that reads the primitive remainder sequence over Z (`_remainders`)
+at its two ends: `check_on_line_exact` a Sturm chain through its signs at
+-inf and at 0, `halfplane_exact` the Routh rows through their leading
+coefficients.  Two half-plane bounds bracket a maximal real part.  Nothing
+above the numeric section uses floating point; below it, floats give root
+coordinates in reports and asymptotic distances.
 """
 
 from __future__ import annotations
@@ -16,16 +20,236 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonConvergence, OutOfDoubleRange
+from .errors import InexactDivision, NonConvergence, OutOfDoubleRange
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
 from .linial import char_constituent, char_quasi, shift_operator  # noqa: F401
-from .ratpoly import (
-    RatPoly,
-    all_roots_real_nonpositive,
-    apply_shift,
-    routh_hurwitz_all_roots_left,
-)
+from .ratpoly import RatPoly, apply_shift
 from .rootdata import RootSystemId, lookup
+
+# -- exact root location ------------------------------------------------------
+
+
+class LineCheckReport(namedtuple("LineCheckReport", "on_line center method details")):
+    """Outcome of a vertical-line certification at Re t = center (a
+    `Fraction`); `method` is "exact-sturm" or "numeric"."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {
+            "on_line": self.on_line,
+            "center": [str(self.center.numerator), str(self.center.denominator)],
+            "method": self.method,
+            "details": self.details,
+        }
+
+
+def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division over Z: (q, r, mult) with mult * a == q * b + r,
+    deg r < deg b and mult = |lc b|**k for the k elimination steps.  The
+    multiplier is positive whatever the sign of lc b, so r is a positive
+    multiple of the remainder over Q.  ``a`` and ``b`` carry no trailing
+    zeros, and ``b`` is nonzero; ``r`` comes back the same way."""
+    db = len(b) - 1
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    lower = b[:-1]
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    mult = 1
+    while len(r) > db:
+        c = sign * r[-1]
+        if lead != 1:
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+            mult *= lead
+        k = len(r) - 1 - db
+        q[k] += c
+        r.pop()
+        for j, x in enumerate(lower):
+            r[k + j] -= c * x
+        while r and not r[-1]:
+            r.pop()
+    return q, r, mult
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """a divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*a)
+    return [x // g for x in a]
+
+
+def _remainders(a: Sequence[int], b: Sequence[int]) -> list[Sequence[int]]:
+    """The primitive remainder sequence a, b, -pp(prem(a, b)), ... over Z,
+    up to its last nonzero element, which is gcd(a, b) up to a factor in Q
+    (Brown, JACM 18, 1971).  ``a`` is nonzero; a zero ``b`` gives [a].  The
+    pseudo-division multiplier is positive, so each element is a positive
+    multiple of the matching element of a, b, -rem, ... over Q."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        if len(b) == 1:
+            break
+        b = [-x for x in _primitive(_pseudo_divrem(seq[-2], b)[1])]
+    return seq
+
+
+def _quotient(a: Sequence[int], g: Sequence[int]) -> list[int]:
+    """pp(a / g) for a nonzero g that divides a over Q, else `InexactDivision`.
+    A positive multiple of a / g, because the pseudo-division multiplier is."""
+    q, r, _ = _pseudo_divrem(a, g)
+    if r:
+        raise InexactDivision("division was not exact")
+    return _primitive(q)
+
+
+#: The prime of the square-free witness, 2**61 - 1.
+WITNESS_PRIME = (1 << 61) - 1
+
+
+def _squarefree_mod_prime(a: Sequence[int]) -> bool:
+    """True if q = `WITNESS_PRIME` does not divide lc(a) and a, a' are
+    coprime over GF(q).
+
+    Then a is square-free over Q (Brown, JACM 18, 1971): a common factor of
+    a and a' of positive degree can be taken primitive in Z[t], its leading
+    coefficient divides lc(a), so it keeps its degree mod q and divides both
+    images there.  False proves nothing.  ``a`` carries no trailing zeros
+    and has degree below q.
+    """
+    q = WITNESS_PRIME
+    if a[-1] % q == 0:
+        return False
+    u = [x % q for x in a]
+    v = [j * x % q for j, x in enumerate(a)][1:]  # lc is deg(a) * lc(a), nonzero mod q
+    while len(v) > 1:
+        inv = pow(v[-1], -1, q)
+        while len(u) >= len(v):
+            c = u[-1] * inv % q
+            k = len(u) - len(v)
+            for j, x in enumerate(v):
+                u[k + j] = (u[k + j] - c * x) % q
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(v) == 1
+
+
+def _squarefree_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
+    """Square-free decomposition: [(f_1, 1), (f_2, 2), ...] with
+    p = leading * prod f_i**i, each f_i monic square-free, deg f_i > 0.
+
+    A prime witness answers first: when `_squarefree_mod_prime` proves p
+    square-free, the result is [(p made monic, 1)] with no gcd over Z
+    taken.  Otherwise Musser's split decides, in integers: g_0 = pp(p) and
+    g_k = gcd(g_(k-1), g_(k-1)'), the last element of their remainder
+    sequence, until g_k is constant; h_k = g_(k-1) / g_k is the product of
+    the f_i with i >= k, so f_k = h_k / h_(k+1)."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    if p.degree == 0:
+        return []
+    if _squarefree_mod_prime(p.nums):
+        return [(RatPoly.over(p.nums, p.nums[-1]), 1)]
+    gs = [_primitive(p.nums)]
+    while len(gs[-1]) > 1:
+        g = gs[-1]
+        gs.append(_remainders(g, _primitive([j * x for j, x in enumerate(g)][1:]))[-1])
+    hs = [_quotient(a, g) for a, g in zip(gs, gs[1:])]
+    factors = []
+    for k, (h, h_next) in enumerate(zip(hs, hs[1:] + [[1]]), 1):
+        f = _quotient(h, h_next)
+        if len(f) > 1:
+            factors.append((RatPoly.over(f, f[-1]), k))
+    return factors
+
+
+def _sturm_chain(p: RatPoly) -> tuple[list[list[int]], int]:
+    """Sturm chain over Z of the square-free part of p, and deg gcd(p, p').
+
+    The chain is `_remainders` of p and p', a positive multiple, element by
+    element, of the chain p, p', -rem, ... over Q; it ends in g = gcd(p, p').
+    When g is not constant, every element is divided exactly by g, again up
+    to a positive factor: the result is a Sturm chain of p/g that is valid
+    at every point, the roots of p included.
+    """
+    a = _primitive(p.nums)
+    chain = _remainders(a, _primitive([j * x for j, x in enumerate(a)][1:]))
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [_quotient(q, g) for q in chain]
+    return chain, len(g) - 1
+
+
+def _variations(values: Sequence[int]) -> int:
+    """Sign variations of a list of integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
+    """Exact verdict: do all roots of p satisfy Re t = M/2 (M = center_times_2)?
+
+    Substitutes t = M/2 + s over Q.  All roots lie on the line iff the
+    substituted polynomial g has the parity g(s) = (-1)^deg g g(-s), so
+    that g(s) = s^eps G(s^2) with eps = deg g mod 2, and every root of its
+    even part G is real and <= 0 (with multiplicity).  The Sturm chain of G
+    decides that: the distinct real roots of G in (-inf, 0] number
+    deg G - deg gcd(G, G'), and the count is the chain read at its two ends,
+    each element q with the sign of q[-1] * (-1)^deg q at -inf and the sign
+    of q[0] at 0.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    center = Fraction(center_times_2, 2)
+    if p.degree == 0:
+        return LineCheckReport(True, center, "exact-sturm", {"degree": 0})
+    g = p.compose_affine(1, center)
+    eps = g.degree % 2
+    if any(g.nums[1 - eps::2]):
+        return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
+    ghat = RatPoly.over(g.nums[eps::2], g.den)
+    chain, deg_g = _sturm_chain(ghat)
+    at_neg_inf = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
+    at_zero = [q[0] for q in chain]
+    on_line = _variations(at_neg_inf) - _variations(at_zero) == ghat.degree - deg_g
+    details = {
+        "parity_ok": True,
+        "even_part": ghat.to_json(),
+        "even_part_all_roots_real_nonpositive": on_line,
+    }
+    return LineCheckReport(on_line, center, "exact-sturm", details)
+
+
+def halfplane_exact(p: RatPoly, bound_times_2: int | Fraction) -> bool:
+    """Exact verdict that every root satisfies Re t < H/2 (H = bound_times_2,
+    any rational), decisive in every case.
+
+    Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of
+    q, which Routh's test decides.  With the leading coefficient of q made
+    positive, the rows are `_remainders` of q's two parity parts: row 0
+    holds the terms of q with the parity of deg q, row 1 the other terms.
+    `_remainders` negates each remainder, so row k is a positive multiple of
+    row k of the Routh array times (-1)^(k // 2).  q is strictly Hurwitz iff
+    there are deg q + 1 rows (the degrees fall by exactly one from deg q to
+    0) and every Routh row has a positive leading coefficient (the first
+    column of the array), that is, the signs of the rows' leading
+    coefficients run + + - - + + ....  Fewer rows mean a zero pivot or a zero
+    row of the array: that proves a root with Re t >= H/2, so the verdict is
+    False.  A negative coefficient needs no test of its own: every
+    coefficient of a Hurwitz polynomial is positive (Stodola), so the column
+    fails on any other.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    q = p.compose_affine(1, Fraction(bound_times_2, 2))
+    nums = q.nums if q.nums[-1] > 0 else [-x for x in q.nums]
+    n = q.degree
+    parts = ([x if (n - j) % 2 == k else 0 for j, x in enumerate(nums)] for k in (0, 1))
+    rows = _remainders(*(RatPoly.over(part).nums for part in parts))  # trailing zeros dropped
+    return len(rows) == n + 1 and all((row[-1] > 0) == (k % 4 < 2) for k, row in enumerate(rows))
+
+
+# -- numeric root location ----------------------------------------------------
 
 _MAX_ITER = 200
 _CORRECTION_TOL = 1e-13  # relative to the start radius of the polynomial iterated
@@ -44,7 +268,11 @@ class ComplexRootSet(namedtuple(
 )):
     """All complex roots of a polynomial, with a posteriori quality data:
     `residual_bound` is max |p(root)| relative to the evaluation scale, and
-    `certified_radius` the inclusion disc radius of each root."""
+    `certified_radius` holds, per root, n*|f/f'| for its square-free factor
+    f of degree n.  In exact arithmetic the disc of that radius holds a root
+    of f; here it is evaluated in doubles with no bound on the rounding and
+    no check that the discs are disjoint, so it is an unproven estimate,
+    whatever its name (the JSON key keeps it)."""
 
     __slots__ = ()
 
@@ -54,21 +282,6 @@ class ComplexRootSet(namedtuple(
             "residual_bound": self.residual_bound,
             "certified_radius": list(self.certified_radius),
             "converged": self.converged,
-        }
-
-
-class LineCheckReport(namedtuple("LineCheckReport", "on_line center method details")):
-    """Outcome of a vertical-line certification at Re t = center (a
-    `Fraction`); `method` is "exact-sturm" or "numeric"."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "on_line": self.on_line,
-            "center": [str(self.center.numerator), str(self.center.denominator)],
-            "method": self.method,
-            "details": self.details,
         }
 
 
@@ -270,7 +483,7 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     radii: list[float] = []
     failed: set[str] = set()
     try:
-        for factor, mult in p.squarefree_factors():
+        for factor, mult in _squarefree_factors(p):
             zs, rads, status = _factor_roots(factor)
             if status != "converged":
                 failed.add(status)
@@ -316,32 +529,6 @@ def limit_poly(ident: RootSystemId) -> RatPoly:
     return apply_shift(shift_operator(ident, True), 1, RatPoly.over([0] * ident.rank + [1]))
 
 
-def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
-    """Exact verdict: do all roots of p satisfy Re t = M/2 (M = center_times_2)?
-
-    Substitutes t = M/2 + s over Q.  All roots lie on the line iff the
-    substituted polynomial g has the parity g(s) = (-1)^deg g(-s) and its
-    even part G(s^2) has only real nonpositive roots.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    center = Fraction(center_times_2, 2)
-    if p.degree == 0:
-        return LineCheckReport(True, center, "exact-sturm", {"degree": 0})
-    g = p.compose_affine(1, center)
-    eps = g.degree % 2
-    if any(g.nums[1 - eps::2]):
-        return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
-    ghat = RatPoly.over(g.nums[eps::2], g.den)
-    on_line = all_roots_real_nonpositive(ghat)
-    details = {
-        "parity_ok": True,
-        "even_part": ghat.to_json(),
-        "even_part_all_roots_real_nonpositive": on_line,
-    }
-    return LineCheckReport(on_line, center, "exact-sturm", details)
-
-
 def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
     """Numeric counterpart: each |Re root - M/2| against `_LINE_TOL`, or
     against `_LINE_ULPS` units of the root's modulus where that is larger.
@@ -365,21 +552,6 @@ def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
             "residual_bound": rs.residual_bound,
         },
     )
-
-
-def halfplane_exact(p: RatPoly, bound_times_2: int | Fraction) -> bool:
-    """Exact verdict that every root satisfies Re t < H/2 (H = bound_times_2,
-    any rational).
-
-    Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of q.
-    The Routh test decides it either way: a Routh row whose degree falls by
-    more than one (a zero pivot or a zero row of the array) proves a root
-    with Re t >= H/2, so the verdict is False.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    shifted = p.compose_affine(1, Fraction(bound_times_2, 2))
-    return routh_hurwitz_all_roots_left(shifted)
 
 
 def limit_combination(ident: RootSystemId) -> RatPoly:

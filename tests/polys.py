@@ -1,5 +1,6 @@
 """Reference arithmetic that the tests need and linchar does not (products,
-negation, derivatives, evaluation at a rational point, JSON read-back), as
+negation, derivatives, monic normalisation, evaluation at a rational point,
+JSON read-back), as
 plain functions over a `RatPoly`'s ``nums`` and ``den``."""
 
 from fractions import Fraction
@@ -53,6 +54,13 @@ def neg(p: RatPoly) -> RatPoly:
 
 def sub(p: RatPoly, q: RatPoly) -> RatPoly:
     return p + neg(q)
+
+
+def monic(p: RatPoly) -> RatPoly:
+    """p over its leading coefficient; the zero polynomial is a ValueError."""
+    if p.is_zero:
+        raise ValueError("cannot normalize the zero polynomial")
+    return RatPoly.over(p.nums, p.nums[-1])
 
 
 def from_roots(roots, leading: int | Fraction = 1) -> RatPoly:

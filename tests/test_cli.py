@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import itertools
@@ -9,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from collections import namedtuple
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cli_digests
+from linchar import ratpoly
 from linchar.cli import COMMANDS, ROOT, main, parse_args, to_json_str
 from linchar.linial import shift_operator
 from linchar.rootdata import RootSystemId
@@ -354,6 +357,21 @@ class TestImports:
             capture_output=True, check=True,
         )
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_ratpoly_stands_alone(self):
+        # the ring and the shift kernel: no linchar import, four public names
+        tree = ast.parse(pathlib.Path(ratpoly.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and node.module.partition(".")[0] != "linchar", ast.dump(node)
+            elif isinstance(node, ast.Import):
+                assert all(alias.name.partition(".")[0] != "linchar" for alias in node.names), ast.dump(node)
+        public = {
+            name for name, value in vars(ratpoly).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+            and getattr(value, "__module__", ratpoly.__name__) == ratpoly.__name__
+        }
+        assert public == {"RatPoly", "IntegerTable", "shift_constituents", "apply_shift"}
 
     def test_package_all_resolves_without_duplicates(self):
         import linchar
@@ -762,6 +780,18 @@ class TestParser:
         names += list(command.subcommands or ())
         for name in names:
             assert re.search(rf"(^|[\s\[{{,]){re.escape(name)}\b", text), (path, name)
+        # every row with help text has its name fit the help column: the
+        # text starts two or more spaces after the name, at one column
+        helps = ["show this help message and exit"]
+        helps += [arg.help for arg in command.positionals + command.options if arg.help]
+        helps += [sub.help for sub in (command.subcommands or {}).values()]
+        columns = set()
+        for help_text in helps:
+            line = next(line for line in text.splitlines() if line.startswith("  ") and line.endswith(help_text))
+            column = len(line) - len(help_text)
+            assert line[column - 2:column] == "  ", (path, line)
+            columns.add(column)
+        assert len(columns) == 1, (path, columns)
 
     def test_readme_examples_parse(self):
         lines = []

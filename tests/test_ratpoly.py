@@ -8,21 +8,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linchar import ratpoly
+from linchar import verify
 from linchar.errors import InexactDivision
-from linchar.ratpoly import (
+from linchar.ratpoly import RatPoly, apply_shift
+from linchar.verify import (
     WITNESS_PRIME,
-    RatPoly,
     _primitive,
     _pseudo_divrem,
     _quotient,
     _remainders,
+    _squarefree_factors,
     _squarefree_mod_prime,
-    all_roots_real_nonpositive,
-    apply_shift,
-    routh_hurwitz_all_roots_left,
+    check_on_line_exact,
+    halfplane_exact,
 )
-from polys import ONE, ZERO, coeff, derivative, evaluate, from_json, from_roots, monomial, mul, neg, power, sub
+from polys import ONE, ZERO, coeff, derivative, evaluate, from_json, from_roots, monic, monomial, mul, neg, power, sub
 from strategies import numerators, polys, rationals, sized
 
 T = RatPoly((0, 1))
@@ -31,6 +31,13 @@ NEG_INF = -math.inf  # the left end of (-inf, 0] in `fraction_sturm_count`
 
 def poly(*ascending):
     return RatPoly(ascending)
+
+
+def all_roots_real_nonpositive(G):
+    """Every root of G real and <= 0, with multiplicity, as the line
+    certificate decides it: G(s^2) has even parity, so `check_on_line_exact`
+    at Re s = 0 runs its Sturm count on G itself."""
+    return check_on_line_exact(RatPoly.over([x for c in G.nums for x in (c, 0)], G.den), 0).on_line
 
 
 #: Coefficients x / den with |x / den| <= 10 and den in 1..6.
@@ -93,7 +100,7 @@ class TestRatPolyBasics:
 
     def test_squarefree(self):
         p = from_roots([-1, -1, -3])
-        assert p.squarefree_factors() == [
+        assert _squarefree_factors(p) == [
             (from_roots([-3]), 1),
             (from_roots([-1]), 2),
         ]
@@ -205,7 +212,7 @@ class TestReflect:
 
 
 class TestSturm:
-    """`all_roots_real_nonpositive` is the Sturm chain read at -inf and at 0."""
+    """The Sturm count of `check_on_line_exact`: the chain read at -inf and at 0."""
 
     def test_examples(self):
         assert not all_roots_real_nonpositive(from_roots([1, 2]))
@@ -300,25 +307,25 @@ class TestAllRootsRealNonpositive:
 
 class TestRouthHurwitz:
     def test_examples(self):
-        assert routh_hurwitz_all_roots_left(poly(1, 1)) is True
-        assert routh_hurwitz_all_roots_left(poly(-1, 0, 1)) is False
-        assert routh_hurwitz_all_roots_left(poly(1, 0, 1)) is False
+        assert halfplane_exact(poly(1, 1), 0) is True
+        assert halfplane_exact(poly(-1, 0, 1), 0) is False
+        assert halfplane_exact(poly(1, 0, 1), 0) is False
 
     def test_roots_on_axis_not_conclusive_true(self):
         # (t^2+1)(t+1): zero row in the array
         p = mul(poly(1, 0, 1), poly(1, 1))
-        assert routh_hurwitz_all_roots_left(p) is not True
+        assert halfplane_exact(p, 0) is not True
 
     def test_stable_cubic_and_unstable_cubic(self):
-        assert routh_hurwitz_all_roots_left(from_roots([-1, -2, -3])) is True
-        assert routh_hurwitz_all_roots_left(poly(2, 1, 1, 1)) is False
+        assert halfplane_exact(from_roots([-1, -2, -3]), 0) is True
+        assert halfplane_exact(poly(2, 1, 1, 1), 0) is False
 
     def test_degree_zero_vacuous(self):
-        assert routh_hurwitz_all_roots_left(poly(5)) is True
+        assert halfplane_exact(poly(5), 0) is True
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            routh_hurwitz_all_roots_left(ZERO)
+            halfplane_exact(ZERO, 0)
 
     def test_true_implies_numeric_left_halfplane(self):
         from linchar.verify import find_roots
@@ -331,7 +338,7 @@ class TestRouthHurwitz:
             for _ in range(rng.randint(0, 2)):
                 a, b = rng.randint(-5, -1), rng.randint(1, 4)
                 p = mul(p, poly(a * a + b * b, -2 * a, 1))
-            if routh_hurwitz_all_roots_left(p) is True:
+            if halfplane_exact(p, 0) is True:
                 checked += 1
                 assert max(z.real for z in find_roots(p).roots) < 0
         assert checked >= 50
@@ -384,7 +391,7 @@ def fraction_gcd(p, q):
     """Monic gcd over Q by Euclid with Fraction long division."""
     while not q.is_zero:
         p, q = q, fraction_divrem(p, q)[1]
-    return ONE if p.is_zero else p.monic()
+    return ONE if p.is_zero else monic(p)
 
 
 def fraction_exact_div(p, q):
@@ -395,7 +402,7 @@ def fraction_exact_div(p, q):
 
 def fraction_squarefree_factors(p):
     """Yun's decomposition with `fraction_gcd` and Fraction long division."""
-    p = p.monic()
+    p = monic(p)
     if p.degree == 0:
         return []
     g = fraction_gcd(p, derivative(p))
@@ -481,26 +488,26 @@ class TestSquarefreeWitness:
     @pytest.fixture
     def remainder_calls(self, monkeypatch):
         calls = []
-        remainders = ratpoly._remainders
+        remainders = verify._remainders
 
         def counted(a, b):
             calls.append((a, b))
             return remainders(a, b)
 
-        monkeypatch.setattr(ratpoly, "_remainders", counted)
+        monkeypatch.setattr(verify, "_remainders", counted)
         return calls
 
     def test_squarefree_input_skips_yun(self, remainder_calls):
         p = from_roots([Fraction(-1, 2), 3, 7], leading=6)
         assert _squarefree_mod_prime(p.nums)
-        assert p.squarefree_factors() == [(p.monic(), 1)]
+        assert _squarefree_factors(p) == [(monic(p), 1)]
         assert remainder_calls == []
-        assert fraction_squarefree_factors(p) == [(p.monic(), 1)]
+        assert fraction_squarefree_factors(p) == [(monic(p), 1)]
 
     def test_repeated_root_falls_back(self, remainder_calls):
         p = from_roots([-1, -1, -3])
         assert not _squarefree_mod_prime(p.nums)
-        assert p.squarefree_factors() == [
+        assert _squarefree_factors(p) == [
             (from_roots([-3]), 1),
             (from_roots([-1]), 2),
         ]
@@ -510,18 +517,18 @@ class TestSquarefreeWitness:
         # (t - 1)**2 + q has discriminant -4q, but is (t - 1)**2 mod q
         p = poly(1 + WITNESS_PRIME, -2, 1)
         assert not _squarefree_mod_prime(p.nums)
-        assert p.squarefree_factors() == [(p, 1)]
+        assert _squarefree_factors(p) == [(p, 1)]
         assert remainder_calls
 
     def test_prime_dividing_the_leading_coefficient_is_no_witness(self, remainder_calls):
         p = poly(1, 1, WITNESS_PRIME)
         assert not _squarefree_mod_prime(p.nums)
-        assert p.squarefree_factors() == [(p.monic(), 1)]
+        assert _squarefree_factors(p) == [(monic(p), 1)]
         assert remainder_calls
 
     def test_linear_and_constant(self):
         assert _squarefree_mod_prime((5, 3))
-        assert poly(7).squarefree_factors() == []
+        assert _squarefree_factors(poly(7)) == []
 
     @given(p=polys_with_repeats())
     @settings(max_examples=80, deadline=None)
@@ -530,11 +537,11 @@ class TestSquarefreeWitness:
             return
         yun = fraction_squarefree_factors(p)
         with pytest.MonkeyPatch.context() as mp:  # force the integer split
-            mp.setattr(ratpoly, "_squarefree_mod_prime", lambda a: False)
-            assert p.squarefree_factors() == yun
+            mp.setattr(verify, "_squarefree_mod_prime", lambda a: False)
+            assert _squarefree_factors(p) == yun
         if _squarefree_mod_prime(p.nums):
-            assert yun == [(p.monic(), 1)]
-        assert p.squarefree_factors() == yun
+            assert yun == [(monic(p), 1)]
+        assert _squarefree_factors(p) == yun
 
 
 class TestIntegerPaths:
@@ -562,9 +569,9 @@ class TestIntegerPaths:
         for got in (p.scale(s), derivative(p)):
             assert_canonical(got)
         if not p.is_zero:
-            monic = p.monic()
-            assert monic.coeffs == fraction_form(c / p.coeffs[-1] for c in p.coeffs)
-            assert_canonical(monic)
+            normalized = monic(p)
+            assert normalized.coeffs == fraction_form(c / p.coeffs[-1] for c in p.coeffs)
+            assert_canonical(normalized)
 
     @given(p=small_polys, x=st.one_of(st.integers(-20, 20), small_fractions))
     @settings(max_examples=100, deadline=None)
@@ -633,7 +640,7 @@ class TestIntegerPaths:
     def test_squarefree_factors_match_yun_over_fractions(self, p):
         if p.is_zero:
             return
-        assert p.squarefree_factors() == fraction_squarefree_factors(p)
+        assert _squarefree_factors(p) == fraction_squarefree_factors(p)
 
     @given(p=sturm_inputs)
     @example(from_roots([0, 0, -1, -1, -2]))
@@ -731,7 +738,7 @@ class TestRouthAgainstHurwitzMinors:
         if p.is_zero:
             return
         expected = all(d > 0 for d in hurwitz_minors(p))
-        assert routh_hurwitz_all_roots_left(p) is expected
+        assert halfplane_exact(p, 0) is expected
 
     @given(
         st.lists(st.integers(1, 5), min_size=1, max_size=3),
@@ -743,5 +750,5 @@ class TestRouthAgainstHurwitzMinors:
         p = from_roots([-r for r in real])
         for re, im in pairs:
             p = mul(p, poly(re * re + im * im, 2 * re, 1))
-        assert routh_hurwitz_all_roots_left(p) is True
+        assert halfplane_exact(p, 0) is True
         assert all(d > 0 for d in hurwitz_minors(p))

@@ -174,13 +174,13 @@ _E6_PRINTED_ROOTS = [
 def check_table2():
     """Maximal real parts"""
     for name, printed in _TABLE2.items():
-        F = verify.limit_poly(RootSystemId.parse(name))
+        F = linial.limit_poly(RootSystemId.parse(name))
         low = Decimal(printed)
         high = low + Decimal(1).scaleb(low.as_tuple().exponent)
         # low <= max Re t < high: Re t < low fails for some root, Re t < high holds for all
         if [verify.halfplane_exact(F, 2 * Fraction(x)) for x in (low, high)] != [False, True]:
             return False, f"{name}: max real part not in [{low}, {high})"
-    roots = verify.find_roots(verify.limit_poly(RootSystemId.parse("E6"))).roots
+    roots = verify.find_roots(linial.limit_poly(RootSystemId.parse("E6"))).roots
     dist = verify._match_distance(roots, _E6_PRINTED_ROOTS)
     if dist > 1e-4:
         return False, f"E6 roots off by {dist}"
@@ -192,7 +192,7 @@ def check_halfplane():
     lines = []
     for ident in EXCEPTIONAL_IDS:
         h = rootdata.lookup(ident).coxeter_number
-        F = verify.limit_poly(ident)
+        F = linial.limit_poly(ident)
         if not verify.halfplane_exact(F, h):
             return False, f"{ident}: exact verdict False"
         lines.append(f"{ident}: exact")

@@ -225,7 +225,7 @@ def _cmd_check_line(args):
 
 
 def _cmd_limit_roots(args):
-    F = verify.limit_poly(args.phi)
+    F = linial.limit_poly(args.phi)
     roots = verify.find_roots(F)
     h = rootdata.lookup(args.phi).coxeter_number
     top = max(z.real for z in roots.roots)

@@ -22,16 +22,7 @@ class NotAdmissible(LincharError, ValueError):
 
 
 class NonConvergence(LincharError, RuntimeError):
-    """Root iteration did not converge; partial results are attached.
-
-    Attributes
-    ----------
-    partial : the best root set found so far (flagged not converged), or None.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Root iteration did not converge; the message names the stop it hit."""
 
 
 class OutOfDoubleRange(LincharError, ArithmeticError):

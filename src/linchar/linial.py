@@ -1,11 +1,12 @@
 """Characteristic quasi-polynomials of extended Linial arrangements and of
 Weyl arrangements, half quasi-polynomials, admissible residues, the averaging
-construction, and the polynomial toy case.
+construction, the polynomial toy case and the m -> infinity limit polynomial.
 
 Everything here composes the Eulerian polynomial (as a shift operator) with
-the alcove Ehrhart quasi-polynomial; the half quasi-polynomial is the same
-composition with the truncated operator, chosen by a `half` flag.  m = 0
-always means the empty arrangement.  Residues live in 0..period-1.
+the alcove Ehrhart quasi-polynomial or with a polynomial; the half
+quasi-polynomial and the limit polynomial use the truncated operator, chosen
+by a `half` flag.  m = 0 always means the empty arrangement.  Residues live
+in 0..period-1.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .rootdata import RootSystemId, lookup
 # together.  The acceptance matrix builds 191 full quasi-polynomials, read
 # again in later criteria, and 21 half ones, from which `averaged_half` reads
 # every orbit member; this holds all 212 while keeping m-sweeps from growing
-# without limit.  A key is spelled as the call is, so the package passes
-# (ident, m) for a full build and (ident, m, True) for a half one.
+# without limit.
 _QUASI_CACHE_SIZE = 256
 
 
@@ -58,11 +58,16 @@ def char_constituent(ident: RootSystemId, m: int, d: int, half: bool = False) ->
     return shift_constituents(shift_operator(ident, half), m + 1, table, (d,))[0]
 
 
-@lru_cache(maxsize=_QUASI_CACHE_SIZE)
 def char_quasi(ident: RootSystemId, m: int, half: bool = False) -> QuasiPoly:
     """Characteristic quasi-polynomial of the m-th extended Linial arrangement:
     R_Phi(S^(m+1)) applied to L_Phi; when `half`, the half characteristic
-    quasi-polynomial, with the truncation R'_Phi in place of R_Phi."""
+    quasi-polynomial, with the truncation R'_Phi in place of R_Phi.  Cached by
+    value, however the call spells `half`."""
+    return _char_quasi(ident, m, half)
+
+
+@lru_cache(maxsize=_QUASI_CACHE_SIZE)
+def _char_quasi(ident: RootSystemId, m: int, half: bool) -> QuasiPoly:
     if m < 0:
         raise ValueError("m must be >= 0")
     return apply_shift_qp(shift_operator(ident, half), m + 1, ehrhart_table(ident))
@@ -133,3 +138,17 @@ def toy_poly(ident: RootSystemId, m: int) -> RatPoly:
     for e in lookup(ident).exponents:  # g <- (t + e) g, over Z
         g = [e * a + b for a, b in zip(g + [0], [0] + g)]
     return apply_shift(shift_operator(ident, False), m + 1, RatPoly.over(g))
+
+
+@lru_cache(maxsize=None)
+def limit_poly(ident: RootSystemId) -> RatPoly:
+    """The rescaled m -> infinity limit R'_Phi(S) t^l = sum a'_i (t - i)^l."""
+    return apply_shift(shift_operator(ident, True), 1, RatPoly.over([0] * ident.rank + [1]))
+
+
+def limit_combination(ident: RootSystemId) -> RatPoly:
+    """F(t) + (-1)^l F(h - t) for F = limit_poly: the degree-l polynomial whose
+    roots the rescaled constituent roots approach."""
+    data = lookup(ident)
+    F = limit_poly(ident)
+    return F + F.compose_affine(-1, data.coxeter_number).scale((-1) ** data.rank)

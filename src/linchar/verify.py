@@ -1,5 +1,6 @@
 """Root location: the two exact certificates first, then numeric root
-finding, limit polynomials and asymptotic root tracking.
+finding and asymptotic root tracking.  It builds none of the engine's
+polynomials and caches nothing; `linchar.linial` builds them.
 
 Exactness boundary: membership on the vertical line Re t = M/2 and strict
 half-plane bounds Re t < H/2 for rational H are decided over Q, each by one
@@ -18,12 +19,11 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InexactDivision, NonConvergence, OutOfDoubleRange
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
-from .linial import char_constituent, char_quasi, shift_operator  # noqa: F401
-from .ratpoly import RatPoly, apply_shift
+from .linial import char_constituent, char_quasi, limit_combination  # noqa: F401
+from .ratpoly import RatPoly
 from .rootdata import RootSystemId, lookup
 
 # -- exact root location ------------------------------------------------------
@@ -163,29 +163,6 @@ def _squarefree_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     return factors
 
 
-def _sturm_chain(p: RatPoly) -> tuple[list[list[int]], int]:
-    """Sturm chain over Z of the square-free part of p, and deg gcd(p, p').
-
-    The chain is `_remainders` of p and p', a positive multiple, element by
-    element, of the chain p, p', -rem, ... over Q; it ends in g = gcd(p, p').
-    When g is not constant, every element is divided exactly by g, again up
-    to a positive factor: the result is a Sturm chain of p/g that is valid
-    at every point, the roots of p included.
-    """
-    a = _primitive(p.nums)
-    chain = _remainders(a, _primitive([j * x for j, x in enumerate(a)][1:]))
-    g = chain[-1]
-    if len(g) > 1:
-        chain = [_quotient(q, g) for q in chain]
-    return chain, len(g) - 1
-
-
-def _variations(values: Sequence[int]) -> int:
-    """Sign variations of a list of integers, zeros skipped."""
-    signs = [v > 0 for v in values if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     """Exact verdict: do all roots of p satisfy Re t = M/2 (M = center_times_2)?
 
@@ -208,10 +185,23 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     if any(g.nums[1 - eps::2]):
         return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
     ghat = RatPoly.over(g.nums[eps::2], g.den)
-    chain, deg_g = _sturm_chain(ghat)
+    # `_remainders` of G and G' is a positive multiple, element by element, of
+    # the chain G, G', -rem, ... over Q, and it ends in gcd(G, G').  Dividing
+    # every element exactly by that gcd, again up to a positive factor, gives
+    # a Sturm chain of the square-free part that is valid at every point, the
+    # multiple roots of G included.
+    a = _primitive(ghat.nums)
+    chain = _remainders(a, _primitive([j * x for j, x in enumerate(a)][1:]))
+    common = chain[-1]
+    if len(common) > 1:
+        chain = [_quotient(q, common) for q in chain]
     at_neg_inf = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
     at_zero = [q[0] for q in chain]
-    on_line = _variations(at_neg_inf) - _variations(at_zero) == ghat.degree - deg_g
+    variations = []
+    for values in (at_neg_inf, at_zero):  # sign changes, zeros skipped
+        signs = [v > 0 for v in values if v]
+        variations.append(sum(1 for x, y in zip(signs, signs[1:]) if x != y))
+    on_line = variations[0] - variations[1] == ghat.degree - (len(common) - 1)
     details = {
         "parity_ok": True,
         "even_part": ghat.to_json(),
@@ -263,10 +253,9 @@ _INIT_ROTATION = 0.4  # radians; breaks conjugate symmetry deterministically
 _OUT_OF_RANGE = "polynomial does not fit in doubles"
 
 
-class ComplexRootSet(namedtuple(
-    "ComplexRootSet", "roots residual_bound certified_radius converged", defaults=(True,)
-)):
-    """All complex roots of a polynomial, with a posteriori quality data:
+class ComplexRootSet(namedtuple("ComplexRootSet", "roots residual_bound certified_radius")):
+    """All complex roots of a polynomial, as `find_roots` returns them once
+    every factor converged, with a posteriori quality data:
     `residual_bound` is max |p(root)| relative to the evaluation scale, and
     `certified_radius` holds, per root, n*|f/f'| for its square-free factor
     f of degree n.  In exact arithmetic the disc of that radius holds a root
@@ -281,7 +270,7 @@ class ComplexRootSet(namedtuple(
             "roots": [[z.real, z.imag] for z in self.roots],
             "residual_bound": self.residual_bound,
             "certified_radius": list(self.certified_radius),
-            "converged": self.converged,
+            "converged": True,
         }
 
 
@@ -433,7 +422,9 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     of Horner's rule there, stage 2 shifts the factor exactly over Q by its
     root centroid c = -a_(n-1) / (n*a_n) and continues, under the same
     stops, from the stalled iterates minus c.  A stall in stage 2 is final.
-    Runs that do not stall return stage 1's roots unchanged.
+    Runs that do not stall return stage 1's roots unchanged.  `_aberth`'s one
+    division by zero, 1 / (z_j - z_k) for two equal iterates, is raised as
+    the NonConvergence it is.
     """
     c = _monic_floats(factor)
     n = len(c) - 1
@@ -445,24 +436,18 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
         radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
         for j in range(n)
     ]
-    status = _run_aberth(c, z, radius)
-    if status != "stalled":
-        return z, _inclusion_radii(c, z), status
-    centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
-    shift = float(centroid)
-    c = _monic_floats(factor.compose_affine(1, centroid))
-    s = [zj - shift for zj in z]
-    status = _run_aberth(c, s, _start_radius(c))
-    return [sj + shift for sj in s], _inclusion_radii(c, s), status
-
-
-def _run_aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
-    """`_aberth`, with its one division by zero, 1 / (z_j - z_k) for two
-    equal iterates, raised as the NonConvergence it is."""
     try:
-        return _aberth(c, z, radius)
+        status = _aberth(c, z, radius)
+        if status != "stalled":
+            return z, _inclusion_radii(c, z), status
+        centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
+        shift = float(centroid)
+        c = _monic_floats(factor.compose_affine(1, centroid))
+        s = [zj - shift for zj in z]
+        status = _aberth(c, s, _start_radius(c))
     except ZeroDivisionError as exc:
         raise NonConvergence("Aberth iterates collided: two became equal") from exc
+    return [sj + shift for sj in s], _inclusion_radii(c, s), status
 
 
 def find_roots(p: RatPoly) -> ComplexRootSet:
@@ -471,11 +456,12 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     The exact square-free decomposition is taken first so the Aberth
     iteration only ever sees simple roots; multiple roots are then replicated.
     Each factor is solved by `_factor_roots`, which centres it over Q if the
-    iteration stalls.  Raises NonConvergence (with partial results attached)
+    iteration stalls.  Every set returned converged.  Raises NonConvergence
     if any factor stalls again after centring or fails to settle within the
-    iteration budget, naming the stop it hit, or (with none attached) once
-    two iterates become equal, and OutOfDoubleRange if p or one of its
-    factors does not fit in doubles, or an iterate or a residual leaves them.
+    iteration budget, naming the stop it hit, or once two iterates become
+    equal, and OutOfDoubleRange if p or one of its factors does not fit in
+    doubles, or an iterate or a residual leaves them; the residuals are
+    checked first, so an input that fails both ways is out of range.
     """
     if p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
@@ -506,27 +492,18 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
             raise OutOfDoubleRange(_OUT_OF_RANGE)
     except (OverflowError, ZeroDivisionError) as exc:  # p/den overflows or underflows to 0.0
         raise OutOfDoubleRange(_OUT_OF_RANGE) from exc
-    residual = max(residuals, default=0.0)
-    result = ComplexRootSet(
-        roots=tuple(roots),
-        residual_bound=residual,
-        certified_radius=tuple(radii),
-        converged=not failed,
-    )
     if failed:
         stops = {
             "stalled": "stalled at the rounding floor of Horner's rule after centring",
             "spent": f"did not converge within {_MAX_ITER} iterations",
         }
         message = " and ".join(stops[status] for status in sorted(failed))
-        raise NonConvergence(f"Aberth iteration {message}", partial=result)
-    return result
-
-
-@lru_cache(maxsize=None)
-def limit_poly(ident: RootSystemId) -> RatPoly:
-    """The rescaled m -> infinity limit R'_Phi(S) t^l = sum a'_i (t - i)^l."""
-    return apply_shift(shift_operator(ident, True), 1, RatPoly.over([0] * ident.rank + [1]))
+        raise NonConvergence(f"Aberth iteration {message}")
+    return ComplexRootSet(
+        roots=tuple(roots),
+        residual_bound=max(residuals, default=0.0),
+        certified_radius=tuple(radii),
+    )
 
 
 def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
@@ -552,14 +529,6 @@ def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
             "residual_bound": rs.residual_bound,
         },
     )
-
-
-def limit_combination(ident: RootSystemId) -> RatPoly:
-    """F(t) + (-1)^l F(h - t) for F = limit_poly: the degree-l polynomial whose
-    roots the rescaled constituent roots approach."""
-    data = lookup(ident)
-    F = limit_poly(ident)
-    return F + F.compose_affine(-1, data.coxeter_number).scale((-1) ** data.rank)
 
 
 def _min_cost_assignment(cost: Sequence[Sequence[float]]) -> list[int]:

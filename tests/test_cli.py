@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cli_digests
-from linchar import ratpoly
+from linchar import linial, ratpoly, verify
 from linchar.cli import COMMANDS, ROOT, main, parse_args, to_json_str
 from linchar.linial import shift_operator
 from linchar.rootdata import RootSystemId
@@ -372,6 +372,24 @@ class TestImports:
             and getattr(value, "__module__", ratpoly.__name__) == ratpoly.__name__
         }
         assert public == {"RatPoly", "IntegerTable", "shift_constituents", "apply_shift"}
+
+    def test_verify_builds_no_engine_value(self):
+        # root location only: the polynomials it locates are built in linial
+        tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+        imported, names = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None)
+                      or getattr(node, "name", None))
+        assert "lru_cache" not in names
+        assert imported["linial"] == {"char_constituent", "char_quasi", "limit_combination"}
+        assert imported["ratpoly"] == {"RatPoly"}
+        defined = {
+            node.name for node in ast.parse(pathlib.Path(linial.__file__).read_text()).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert {"limit_poly", "limit_combination"} <= defined
 
     def test_package_all_resolves_without_duplicates(self):
         import linchar

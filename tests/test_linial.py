@@ -277,31 +277,39 @@ class TestToyPoly:
 
 
 # In a fresh interpreter: one acceptance matrix, then the counts of every
-# `functools.lru_cache` that a linchar module defines.
+# `functools.lru_cache` that a linchar module defines, then the misses of the
+# char_quasi cache after two more spellings of a build the matrix made.
 CACHE_TRAFFIC = """
 import importlib, json, pkgutil
 import linchar
-from linchar import acceptance
+from linchar import acceptance, linial
+from linchar.rootdata import RootSystemId
 modules = [importlib.import_module("linchar." + m.name) for m in pkgutil.iter_modules(linchar.__path__)]
 assert all(result.passed for result in acceptance.run_all())
-print(json.dumps({
+caches = {
     f"{module.__name__}.{name}": fn.cache_info()._asdict()
     for module in modules for name, fn in vars(module).items()
     if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
-}))
+}
+g2 = RootSystemId("G", 2)
+linial.char_quasi(g2, 1, False)
+linial.char_quasi(g2, 1, half=False)
+print(json.dumps([caches, linial._char_quasi.cache_info().misses]))
 """
 
 
 def test_every_cache_is_hit_and_builds_each_key_once():
     # A cache that no caller hits only holds memory; one whose misses exceed
     # its size evicted or built a key twice.  char_quasi holds the matrix's
-    # full and half builds together, within its bound.
+    # full and half builds together, within its bound, keyed by value:
+    # criterion 4 built (G2, 1), so no other spelling of it builds again.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", CACHE_TRAFFIC], env=env, capture_output=True,
                           text=True, check=True)
-    caches = json.loads(proc.stdout.splitlines()[-1])
-    assert "linchar.linial.char_quasi" in caches and "linchar.rootdata.lookup" in caches
+    caches, misses_after = json.loads(proc.stdout.splitlines()[-1])
+    assert "linchar.linial._char_quasi" in caches and "linchar.rootdata.lookup" in caches
     for name, info in caches.items():
         assert info["hits"] >= 1, (name, info)
         assert info["misses"] == info["currsize"], (name, info)
-    assert caches["linchar.linial.char_quasi"]["currsize"] <= _QUASI_CACHE_SIZE
+    assert caches["linchar.linial._char_quasi"]["currsize"] <= _QUASI_CACHE_SIZE
+    assert misses_after == caches["linchar.linial._char_quasi"]["misses"]

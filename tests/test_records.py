@@ -8,9 +8,9 @@ import pytest
 from linchar import cli
 from linchar.acceptance import CheckResult
 from linchar.ehrhart import ehrhart_qp, ehrhart_table
-from linchar.linial import admissible_residues, char_poly
+from linchar.linial import admissible_residues, char_poly, limit_poly
 from linchar.rootdata import RootSystemId, lookup
-from linchar.verify import check_on_line_exact, find_roots, limit_poly
+from linchar.verify import check_on_line_exact, find_roots
 
 G2 = RootSystemId("G", 2)
 

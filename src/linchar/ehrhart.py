@@ -130,7 +130,7 @@ def _newton_numerators(
 
 
 @lru_cache(maxsize=None)
-def ehrhart_table(ident: RootSystemId) -> IntegerTable:
+def ehrhart_table(ident: RootSystemId, /) -> IntegerTable:
     """L_Phi's constituents over their least common denominator, one row per
     gcd class shared by its residues, period-guarded."""
     data = lookup(ident)

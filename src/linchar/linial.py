@@ -41,7 +41,7 @@ class AdmissibleReport(namedtuple("AdmissibleReport", "residues divisors m0")):
 
 
 @lru_cache(maxsize=None)
-def shift_operator(ident: RootSystemId, half: bool) -> RatPoly:
+def shift_operator(ident: RootSystemId, half: bool, /) -> RatPoly:
     """R_Phi, or its truncation R'_Phi when `half`, read as a polynomial in S."""
     R = generalized_eulerian(ident)
     if half:
@@ -67,7 +67,7 @@ def char_quasi(ident: RootSystemId, m: int, half: bool = False) -> QuasiPoly:
 
 
 @lru_cache(maxsize=_QUASI_CACHE_SIZE)
-def _char_quasi(ident: RootSystemId, m: int, half: bool) -> QuasiPoly:
+def _char_quasi(ident: RootSystemId, m: int, half: bool, /) -> QuasiPoly:
     if m < 0:
         raise ValueError("m must be >= 0")
     return apply_shift_qp(shift_operator(ident, half), m + 1, ehrhart_table(ident))
@@ -90,7 +90,7 @@ def weyl_char_quasi(ident: RootSystemId) -> QuasiPoly:
 
 
 @lru_cache(maxsize=None)
-def admissible_residues(ident: RootSystemId) -> AdmissibleReport:
+def admissible_residues(ident: RootSystemId, /) -> AdmissibleReport:
     """Residues d whose constituent is invariant under d -> +-d + k*h.
 
     Because the characteristic quasi-polynomial has the GCD-property, d is
@@ -141,7 +141,7 @@ def toy_poly(ident: RootSystemId, m: int) -> RatPoly:
 
 
 @lru_cache(maxsize=None)
-def limit_poly(ident: RootSystemId) -> RatPoly:
+def limit_poly(ident: RootSystemId, /) -> RatPoly:
     """The rescaled m -> infinity limit R'_Phi(S) t^l = sum a'_i (t - i)^l."""
     return apply_shift(shift_operator(ident, True), 1, RatPoly.over([0] * ident.rank + [1]))
 

@@ -82,7 +82,7 @@ def _units(l: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def positive_roots(ident: RootSystemId) -> tuple[tuple[int, ...], ...]:
+def positive_roots(ident: RootSystemId, /) -> tuple[tuple[int, ...], ...]:
     """All l*h/2 positive-root coefficient vectors, sorted (rank <= 3 only).
 
     In the coordinates dual to the simple roots (the coweight basis), the

@@ -1,10 +1,12 @@
 """Exact univariate polynomials over Q and the shift-operator calculus.
 
-A `RatPoly` is integer numerators over one positive common denominator:
-``nums[j] / den`` multiplies ``t**j``, stored ascending, in canonical form
-(gcd(den, *nums) = 1, top numerator nonzero; the zero polynomial is
-``nums == ()`` over ``den == 1``).  Every routine computes on these integers
-and returns through `RatPoly.over`, the one normalising constructor;
+A `RatPoly` is the named tuple ``(nums, den)`` of integer numerators over
+one positive common denominator: ``nums[j] / den`` multiplies ``t**j``,
+stored ascending, in canonical form (gcd(den, *nums) = 1, top numerator
+nonzero; the zero polynomial is ``nums == ()`` over ``den == 1``).  Every
+routine computes on these integers and returns through `RatPoly.over`, the
+normalising constructor; ``RatPoly(coeffs, den=1)``, which takes ints or
+Fractions, ends there too, and so do `_replace`, pickle and copy.
 ``coeffs`` is the `fractions.Fraction` view for callers.  Floating point
 never enters here.  A shift operator f(S) is a `RatPoly` read in S:
 ``coeffs[i]`` multiplies S**i, where (S g)(t) = g(t - 1), and
@@ -31,23 +33,25 @@ def _frac(x: int | Fraction) -> Fraction:
     raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
 
 
-class RatPoly:
+class RatPoly(namedtuple("RatPoly", "nums den")):
     """Dense polynomial over Q in one variable (conventionally t), stored as
-    ``nums`` over ``den`` in canonical form (see the module docstring)."""
+    ``nums`` over ``den`` in canonical form (see the module docstring).
 
-    __slots__ = ("nums", "den")
+    ``RatPoly(coeffs, den=1)`` has coefficients ``coeffs[j] / den``, with
+    each ``coeffs[j]`` an int or a Fraction and ``den`` a nonzero int."""
 
-    def __new__(cls, coeffs: Iterable[int | Fraction] = ()):
+    __slots__ = ()
+    __mul__ = __rmul__ = None  # a polynomial times an int is no repeated tuple
+
+    def __new__(cls, coeffs: Iterable[int | Fraction] = (), den: int = 1):
         cs = [_frac(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        return cls.over([c.numerator * (den // c.denominator) for c in cs], den)
+        lcm = math.lcm(*(c.denominator for c in cs))
+        return cls.over([c.numerator * (lcm // c.denominator) for c in cs], lcm * den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through `over`, not through __setattr__
-        return RatPoly.over, (self.nums, self.den)
+    @classmethod
+    def _make(cls, fields):
+        # what `_replace` builds with: canonical form for the new fields too
+        return cls(*fields)
 
     # -- constructors ------------------------------------------------------
 
@@ -62,10 +66,7 @@ class RatPoly:
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         if g != 1:
             nums, den = [x // g for x in nums], den // g
-        p = object.__new__(cls)
-        object.__setattr__(p, "nums", tuple(nums))
-        object.__setattr__(p, "den", den)
-        return p
+        return tuple.__new__(cls, (tuple(nums), den))
 
     # -- basic structure ---------------------------------------------------
 
@@ -83,15 +84,6 @@ class RatPoly:
     @property
     def is_zero(self) -> bool:
         return not self.nums
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash(("RatPoly", self.den, self.nums))
-
-    def __repr__(self) -> str:
-        return f"RatPoly({list(self.coeffs)!r})"
 
     # -- arithmetic --------------------------------------------------------
 

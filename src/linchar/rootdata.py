@@ -2,7 +2,11 @@
 
 Exponents, marks, Coxeter number, index of connection, Weyl group order,
 period and its radical for the classical families A/B/C/D (any rank) and the
-exceptional types E6, E7, E8, F4, G2.
+exceptional types E6, E7, E8, F4, G2.  Only the exponents e_i, the marks c_i
+and the index of connection f are given, by closed form per classical family
+(D3 comes out as A3's row) or as a stored exceptional row; `lookup` derives
+the rest: h = sum c_i, |W| = prod (e_i + 1), the period lcm c_i and its
+radical.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ _EXCEPTIONAL = {
 
 
 @lru_cache(maxsize=None)
-def lookup(ident: RootSystemId) -> RootSystemData:
+def lookup(ident: RootSystemId, /) -> RootSystemData:
     """Exact catalog data; classical families come from the closed-form rows."""
     fam, l = ident.family, ident.rank
     if fam == "A":
@@ -98,8 +102,6 @@ def lookup(ident: RootSystemId) -> RootSystemData:
         marks_tail = (1,) + (2,) * (l - 1)
         f = 2
     elif fam == "D":
-        if l == 3:
-            return lookup(RootSystemId("A", 3))  # D3 = A3 coincidence
         exponents = tuple(sorted(list(range(1, 2 * l - 2, 2)) + [l - 1]))
         marks_tail = (1, 1, 1) + (2,) * (l - 3)
         f = 4

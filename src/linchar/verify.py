@@ -146,8 +146,6 @@ def _squarefree_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     the f_i with i >= k, so f_k = h_k / h_(k+1)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
     if _squarefree_mod_prime(p.nums):
         return [(RatPoly.over(p.nums, p.nums[-1]), 1)]
     gs = [_primitive(p.nums)]

@@ -113,6 +113,10 @@ FAILURES = [
         when(query("A2"), lambda data, ident: data._replace(weyl_order=7)),
         "invariants fail for A2", id="1-invariants"),
     pytest.param(
+        acceptance.check_table1, rootdata, "lookup",
+        when(query("C8"), lambda data, ident: data._replace(index_of_connection=1)),
+        "invariants fail for C8", id="1-index-of-connection"),
+    pytest.param(
         acceptance.check_eulerian, eulerian, "generalized_eulerian",
         when(query("A6"), lambda R, ident: R + monomial(3)),
         f"{RatPoly((0, 1, 57, 303, 302, 57, 1))} != {RatPoly((0, 1, 57, 302, 302, 57, 1))}",

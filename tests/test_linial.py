@@ -1,12 +1,17 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import linchar
+from linchar import linial
 from linchar.errors import NotAdmissible
 from linchar.linial import (
     _QUASI_CACHE_SIZE,
@@ -313,3 +318,29 @@ def test_every_cache_is_hit_and_builds_each_key_once():
         assert info["misses"] == info["currsize"], (name, info)
     assert caches["linchar.linial._char_quasi"]["currsize"] <= _QUASI_CACHE_SIZE
     assert misses_after == caches["linchar.linial._char_quasi"]["misses"]
+
+
+def test_a_cached_build_has_one_spelling():
+    # A cache keys by how a call is spelled: were f(G2, half=True) allowed
+    # beside f(G2, True), it would build the same value twice.  So every
+    # builder behind a `functools.lru_cache` takes its arguments by position
+    # only, and a keyword spelling raises before it can add an entry.
+    modules = [importlib.import_module("linchar." + m.name) for m in pkgutil.iter_modules(linchar.__path__)]
+    cached = {
+        f"{module.__name__.removeprefix('linchar.')}.{name}": fn
+        for module in modules for name, fn in vars(module).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+    }
+    assert sorted(cached) == [
+        "ehrhart.ehrhart_table", "linial._char_quasi", "linial.admissible_residues",
+        "linial.limit_poly", "linial.shift_operator", "oracles.positive_roots", "rootdata.lookup",
+    ]
+    for name, fn in cached.items():
+        kinds = {p.kind for p in inspect.signature(fn.__wrapped__).parameters.values()}
+        assert kinds == {inspect.Parameter.POSITIONAL_ONLY}, name
+    g2 = rid("G2")
+    linial.shift_operator(g2, True)
+    before = linial.shift_operator.cache_info().currsize
+    with pytest.raises(TypeError):
+        linial.shift_operator(g2, half=True)
+    assert linial.shift_operator.cache_info().currsize == before

@@ -9,6 +9,7 @@ from linchar import cli
 from linchar.acceptance import CheckResult
 from linchar.ehrhart import ehrhart_qp, ehrhart_table
 from linchar.linial import admissible_residues, char_poly, limit_poly
+from linchar.ratpoly import RatPoly
 from linchar.rootdata import RootSystemId, lookup
 from linchar.verify import check_on_line_exact, find_roots
 
@@ -25,6 +26,7 @@ RECORDS = {
     "Arg": lambda: cli.Arg(("--out",), "out", str, metavar="FILE", help="write output to FILE"),
     "Command": lambda: cli.ROOT.subcommands["table"],
     "IntegerTable": lambda: ehrhart_table(G2),
+    "RatPoly": lambda: limit_poly(G2),
 }
 
 
@@ -83,3 +85,13 @@ def test_replace_checks_what_the_constructor_checks():
         RootSystemId("E", 8)._replace(rank=9)
     with pytest.raises(ValueError, match="need at least one constituent"):
         ehrhart_qp(G2)._replace(constituents=())
+
+
+def test_ratpoly_replace_is_canonical_and_a_product_is_refused():
+    p = RatPoly.over((1, 2))
+    assert p._replace(nums=(2, 4), den=2) == p
+    with pytest.raises(ZeroDivisionError):
+        p._replace(den=0)
+    # a tuple times an int repeats it; a polynomial has no such product
+    with pytest.raises(TypeError):
+        p * 2

@@ -54,6 +54,16 @@ class TestLookup:
     def test_d3_is_a3(self):
         assert lookup(rid("D3")) == lookup(rid("A3"))
 
+    def test_d3_row_is_the_d_formula_at_rank_3(self):
+        # no special case sends D3 to A3: the D family's closed form builds a
+        # row of its own, equal to A3's field by field
+        d3, a3 = lookup(rid("D3")), lookup(rid("A3"))
+        assert d3 is not a3
+        assert d3._asdict() == a3._asdict() == {
+            "rank": 3, "exponents": (1, 2, 3), "marks": (1, 1, 1, 1), "coxeter_number": 4,
+            "index_of_connection": 4, "weyl_order": 24, "period": 1, "rad_period": 1,
+        }
+
     @pytest.mark.parametrize("ident", ALL_TABLE_IDS, ids=str)
     def test_catalog_invariants(self, ident):
         d = lookup(ident)

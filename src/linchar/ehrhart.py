@@ -16,10 +16,16 @@ v, v+n, ..., v+l*n through their integer forward differences, and residue d
 takes the row of gcd(d, n).  Every row is an integer numerator over the one
 common denominator n**l * l!, and the table is then divided by the gcd of that
 denominator and the distinct rows, which leaves the least common denominator
-of the constituents.  A guard checks every integer 0..3n(l+1) against the
-counts on this table, in integers, before anything is returned.  It reads at
-least 3l+3 counts of every residue, more than the l+1 that fix a polynomial of
-degree l, so it verifies the GCD property rather than assuming it.
+of the constituents.  Before anything is returned a guard proves, in
+integers, that the table equals L_Phi at every q >= 0, from the counts at
+q = 0..(l+1)n - 1 that the interpolation reads and no others: (a) every count
+lies on its residue's row, which checks the GCD property on the residues
+that share a row; (b) the counts times prod_i (1 - z^{c_i}) are 1 mod
+z^((l+1)n), so they are L_Phi's values; (c) every mark divides n, so the
+series is Q(z) / (1 - z^n)^(l+1) with deg Q < (l+1)n and L_Phi is a
+polynomial of degree <= l on each residue class for all q >= 0 (Stanley,
+Enumerative Combinatorics I, 4.4).  A row through l+1 of L_Phi's values on
+its residue is then L_Phi there.
 `ehrhart_table` caches that table, the one cached form of L_Phi, which the
 shift kernel reads as it is.  `ehrhart_qp` makes each distinct row over the
 common denominator one `RatPoly` in canonical form, shared by its gcd class.
@@ -34,6 +40,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 
 from .errors import SelfCheckFailed
 from .ratpoly import IntegerTable, RatPoly, shift_constituents
@@ -132,10 +139,11 @@ def _newton_numerators(
 @lru_cache(maxsize=None)
 def ehrhart_table(ident: RootSystemId, /) -> IntegerTable:
     """L_Phi's constituents over their least common denominator, one row per
-    gcd class shared by its residues, period-guarded."""
+    gcd class shared by its residues, proved equal to L_Phi at every q >= 0
+    by the period guard's three checks on the counts it interpolates."""
     data = lookup(ident)
     n, l = data.period, data.rank
-    counts = _denumerant_counts(data.marks, 3 * n * (l + 1))
+    counts = _denumerant_counts(data.marks, (l + 1) * n - 1)
     divisors = [v for v in range(1, n + 1) if n % v == 0]
     reps = _newton_numerators(counts, n, l, [v % n for v in divisors])
     den = n**l * math.factorial(l)
@@ -144,6 +152,7 @@ def ehrhart_table(ident: RootSystemId, /) -> IntegerTable:
     by_gcd = {v: tuple(c // g for c in num) for v, num in zip(divisors, reps)}
     nums = tuple(by_gcd[math.gcd(d, n)] for d in range(n))
     descending = [num[::-1] for num in nums]
+    # (a) each count lies on the row of its residue
     for q, count in enumerate(counts):
         acc = 0
         for c in descending[q % n]:
@@ -152,6 +161,24 @@ def ehrhart_table(ident: RootSystemId, /) -> IntegerTable:
             raise SelfCheckFailed(
                 f"period guard failed for {ident} at q = {q}: "
                 f"interpolation disagrees with the denumerant count"
+            )
+    # (b) the counts times prod_i (1 - z^c_i) leave 1; counts is not read again
+    for c in data.marks:
+        counts[c:] = map(sub, counts[c:], counts[:-c])
+    counts[0] -= 1
+    if any(counts):
+        k = next(k for k, x in enumerate(counts) if x)
+        raise SelfCheckFailed(
+            f"period guard failed for {ident} at z^{k}: "
+            f"the denumerant counts are not the series 1 / prod_i (1 - z^c_i)"
+        )
+    # (c) every mark divides the period, so L_Phi has degree <= l on each
+    # residue class for all q >= 0, and by (a) and (b) equals its row there
+    for c in data.marks:
+        if n % c:
+            raise SelfCheckFailed(
+                f"period guard failed for {ident}: mark {c} does not divide "
+                f"the period {n}"
             )
     return IntegerTable.from_rows(den, nums)
 

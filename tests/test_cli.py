@@ -308,6 +308,19 @@ class TestErrors:
         assert data["error"] == "SelfCheckFailed"
         assert "period guard failed for G2" in data["message"]
 
+    def test_wrong_period_is_a_named_error(self, capsys, monkeypatch):
+        # B2 read with period 1 passes every count check; only the guard's
+        # check that the marks divide the period refuses the table
+        from linchar import ehrhart
+
+        honest = ehrhart.lookup
+        monkeypatch.setattr(ehrhart, "lookup", lambda ident: honest(ident)._replace(period=1))
+        ehrhart.ehrhart_table.cache_clear()
+        code, data = run_json(capsys, "ehrhart", "B2", "--json")
+        assert code == 1
+        assert data["error"] == "SelfCheckFailed"
+        assert data["message"] == "period guard failed for B2: mark 2 does not divide the period 1"
+
     def test_closed_pipe_exits_without_traceback(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails with EPIPE

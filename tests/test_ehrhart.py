@@ -13,6 +13,7 @@ from linchar.ehrhart import (
     ehrhart_table,
     series_coeffs,
 )
+from linchar.errors import SelfCheckFailed
 from linchar.eulerian import generalized_eulerian, truncate_half
 from linchar.ratpoly import IntegerTable, RatPoly
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
@@ -194,6 +195,31 @@ class TestIntegerBuild:
         assert ehrhart._denumerant_counts(data.marks, upto) == nested_denumerant_counts(data.marks, upto)
 
     @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
+    def test_table_matches_the_nested_loop_past_the_nodes(self, ident):
+        # the guard proves the table for every q from the nodes alone; this
+        # reads it against a second path three times as far
+        data = lookup(ident)
+        n = data.period
+        table = ehrhart_table(ident)
+        counts = nested_denumerant_counts(data.marks, 3 * n * (data.rank + 1))
+        for q, count in enumerate(counts):
+            assert sum(c * q**j for j, c in enumerate(table.nums[q % n])) == count * table.den
+
+    @pytest.mark.parametrize("name", ["G2", "F4", "E8", "A5", "C30"])
+    def test_counts_stop_at_the_last_node(self, monkeypatch, name):
+        data = lookup(rid(name))
+        honest = ehrhart._denumerant_counts
+        asked = []
+
+        def recording(marks, upto):
+            asked.append(upto)
+            return honest(marks, upto)
+
+        monkeypatch.setattr(ehrhart, "_denumerant_counts", recording)
+        ehrhart_table.__wrapped__(rid(name))
+        assert asked == [(data.rank + 1) * data.period - 1]
+
+    @pytest.mark.parametrize("ident", TWO_PATH_IDS, ids=str)
     def test_table_is_the_reduced_table_of_the_constituents(self, ident):
         table = ehrhart_table(ident)
         coeffs = [c.coeffs for c in ehrhart_qp(ident).constituents]
@@ -265,16 +291,23 @@ class TestInterpolation:
     @pytest.mark.parametrize("name", ["G2", "B3", "E6", "A4", "F4", "E8"])
     @pytest.mark.parametrize("where", ["first", "last", "first-residue-1", "last-residue-n-1"])
     def test_period_guard_catches_a_count_past_the_nodes(self, monkeypatch, name, where):
+        # q is a node of a residue alone in its gcd class: the row of that
+        # residue is interpolated through the wrong count and no other residue
+        # reads it, so check (a) cannot see the fault and check (b) must.
+        # Residues 0 and n/2 (n even) are alone; at n = 1 the second pair
+        # takes inner nodes of residue 0.  The ids are kept stable from a
+        # sampled guard that read counts past the nodes.
         data = lookup(rid(name))
         n, l = data.period, data.rank
-        guard_upto = 3 * n * (l + 1)
-        # The nodes of residue r are r + j*n, j <= l; each q is past them.
+        r = n // 2
+        inner = 1 if r == 0 else 0
         q = {
-            "first": (l + 1) * n,
-            "last": guard_upto,
-            "first-residue-1": (l + 1) * n + 1,
-            "last-residue-n-1": guard_upto - 1,
+            "first": 0,
+            "last": l * n,
+            "first-residue-1": r + inner * n,
+            "last-residue-n-1": r + (l - inner) * n,
         }[where]
+        assert [d for d in range(n) if math.gcd(d, n) == math.gcd(q, n)] == [q % n]
         honest = ehrhart._denumerant_counts
 
         def perturbed(marks, upto):
@@ -284,8 +317,18 @@ class TestInterpolation:
 
         monkeypatch.setattr(ehrhart, "_denumerant_counts", perturbed)
         # past the table cache, which holds the honest table
-        with pytest.raises(AssertionError, match=f"period guard failed for {name} at q = {q}:"):
+        with pytest.raises(AssertionError, match=rf"period guard failed for {name} at z\^{q}: "):
             ehrhart_table.__wrapped__(rid(name))
+
+    def test_period_guard_refuses_a_period_the_marks_do_not_divide(self, monkeypatch):
+        # B2 read with period 1: the three counts 1, 2, 4 at q = 0..2 pass
+        # checks (a) and (b), and their parabola gives 7 at q = 3 where
+        # L_Phi(3) = 6; only check (c), that every mark divides the period,
+        # refuses the table.
+        honest = ehrhart.lookup
+        monkeypatch.setattr(ehrhart, "lookup", lambda ident: honest(ident)._replace(period=1))
+        with pytest.raises(SelfCheckFailed, match="period guard failed for B2: mark 2 does not divide the period 1"):
+            ehrhart_table.__wrapped__(rid("B2"))
 
     @pytest.mark.parametrize(
         "name, q",

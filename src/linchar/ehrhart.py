@@ -152,7 +152,10 @@ def ehrhart_table(ident: RootSystemId, /) -> IntegerTable:
     by_gcd = {v: tuple(c // g for c in num) for v, num in zip(divisors, reps)}
     nums = tuple(by_gcd[math.gcd(d, n)] for d in range(n))
     descending = [num[::-1] for num in nums]
-    # (a) each count lies on the row of its residue
+    # (a) each count lies on the row of its residue.  This also reads each
+    # interpolated residue at its own nodes, which on a gcd class with one
+    # residue (E8: 0 and 30 mod 60) is the only runtime check of
+    # `_newton_numerators`, so those nodes are kept
     for q, count in enumerate(counts):
         acc = 0
         for c in descending[q % n]:

@@ -6,9 +6,11 @@ stored Cartan matrix and checks the result against the catalog,
 `asc_oracle` builds R_Phi from the ascent statistic over an enumerated Weyl
 group, and `bruteforce_modq_counts` counts the points of (Z/qZ)^l off every
 hyperplane alpha(x) = 1..m, marking each root's hyperplanes in a grid of one
-byte per point with strided slices.  No engine module imports this one (only
-`acceptance` and `cli` do), and of linchar it imports only `errors`,
-`ratpoly` and `rootdata`, so an oracle shares no code with what it checks.
+byte per point with strided slices and counting each point as it is first
+marked, so the grid is never scanned whole.  No engine module imports this
+one (only `acceptance` and `cli` do), and of linchar it imports only
+`errors`, `ratpoly` and `rootdata`, so an oracle shares no code with what it
+checks.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .rootdata import RootSystemId, lookup
 
 #: Most points `bruteforce_modq_counts` enumerates: q**rank above this is
 #: refused.  One enumeration per (system, q) holds a grid of one byte per
-#: point, so at most 10**7 bytes, and at most 2**16 bytes of ones; at the
-#: cap, zeroing the grid and one `bytearray.count` of it take about 7 ms.
+#: point, so at most 10**7 bytes, and at most 2**16 bytes of ones; each
+#: count is taken in place or on one line of at most q bytes, so the peak
+#: stays the grid's.
 ORACLE_MAX_POINTS = 10**7
 
 # Roots are coefficient vectors on the simple roots; the Cartan matrix entry
@@ -149,74 +152,90 @@ def asc_oracle(ident: RootSystemId) -> RatPoly:
     return RatPoly.over(coeffs)
 
 
-def _fill(grid: bytearray, ones: memoryview, start: int, stop: int) -> None:
+def _fill(grid: bytearray, ones: bytearray, start: int, stop: int) -> None:
     """Set grid[start:stop] (start < stop) to 1: its first len(ones) cells
-    from `ones`, then each next run by copying all that is set before it."""
+    from `ones`, then each next run by copying all that is set before it.
+    The copies go through a memoryview of the grid, which moves the bytes in
+    place, where a bytearray slice assignment first copies its source."""
+    view = memoryview(grid)
     done = min(stop, start + len(ones))
-    grid[start:done] = ones[:done - start]
+    view[start:done] = ones[:done - start]
     while done < stop:
         done, end = min(stop, 2 * done - start), done
-        grid[end:done] = memoryview(grid)[start:start + done - end]
+        view[end:done] = view[start:start + done - end]
 
 
 def _mark(
-    grid: bytearray, ones: memoryview, q: int, rows: int, slabs: list[tuple[int, int]],
-    a: int, n: int, lo: int, hi: int,
+    grid: bytearray, ones: bytearray, q: int, rows: int, roots: list[tuple],
+    lo: int, hi: int, tally: list[int],
 ) -> None:
-    """Set to 1 each cell base + q*x + y (x < rows, y < q) of each slab
-    (base, c) where (c + a*x + n*y) mod q is in lo+1..hi, for 0 <= a, n < q
-    and 0 <= lo < hi < q, with the residues 1..lo already marked.
+    """For each root (slabs, a, n, reach, g, span, drop, step, inverse) of
+    `bruteforce_modq_counts`, set to 1 each cell base + q*x + y (x < rows,
+    y < q) of each slab (base, c) where (c + a*x + n*y) mod q is in
+    lo+1..hi, for 0 <= a, n < q and 0 <= lo < hi < q, with the residues
+    1..lo already marked, and keep ``tally[i]``, the cells of slab i set so
+    far, up to date.
 
     Residue r is taken on the lines a*x + n*y = v, v = (r - c) mod q + k*q,
-    one per wrap k.  Along a line x steps by span = n/g and y by -drop = -a/g
-    (g = gcd(a, n)), so its cells are one strided slice (for n = 0, the row
-    x = v/a).  At rank 1 the one row takes one contiguous run per wrap
-    instead, and a window wider than twice the residues hi+1..q fills the
-    slab and writes the saved lines of those residues back.
+    one per wrap k, up to reach = a*(rows - 1) + n*(q - 1).  Along a line x
+    steps by span = n/g and y by -drop = -a/g (g = gcd(a, n)), so its cells
+    are one slice of the given step, q*span - drop (for n = 0, the run of
+    row x = v/a); inverse is 1/drop mod span.  At rank 1 the one row takes
+    one contiguous run per wrap instead, and a window wider than twice the
+    residues hi+1..q fills the slab and writes the saved lines of those
+    residues back.  The lines of distinct v are disjoint, so the new cells
+    are counted as they are written, and no slab is scanned whole: a
+    strided line's zeros (at most q bytes) just before it, a run's in
+    place, and a slab filled whole holds all its cells but the zeros of the
+    lines written back.
     """
-    size, reach = rows * q, a * (rows - 1) + n * (q - 1)
-    if not reach:  # the form is c on every cell of a slab
-        for base, c in slabs:
-            if lo < c <= hi:
-                _fill(grid, ones, base, base + size)
-        return
-    if rows == 1:  # rank 1: the one slab (0, 0), one row; n*y < n*q
-        for k in range(0, n * q, q):  # n*y in (lo + k, hi + k]
-            y0, y1 = (lo + k) // n + 1, min(q - 1, (hi + k) // n)
-            if y0 <= y1:
-                _fill(grid, ones, y0, y1 + 1)
-        return
-    g = math.gcd(a, n)
-    span, drop = n // g, a // g
-    step, inverse = q * span - drop, pow(drop, -1, span) if n else 0
+    size = rows * q
     wide = hi - lo > 2 * (q - hi)
-    for base, c in slabs:
-        kept = []
-        for r in range(hi + 1, q + 1) if wide else range(lo + 1, hi + 1):
-            for v in range((r - c) % q, reach + 1, q):
-                if v % g:
-                    continue
-                if n:
-                    x = v // g * inverse % span  # the least x >= 0 with n | v - a*x
-                    y = (v - a * x) // n
-                    if y >= q:  # walk down the line into the slab (drop > 0 here)
-                        t = (y - q) // drop + 1
-                        x, y = x + t * span, y - t * drop
-                    count = min((rows - 1 - x) // span, y // drop if drop else rows) + 1
-                    start = base + q * x + y
-                    cells = slice(start, start + step * (count - 1) + 1, step)
-                else:
-                    count, cells = q, slice(base + q * (v // a), base + q * (v // a) + q)
-                if count <= 0:
-                    continue
-                if wide:
-                    kept.append((cells, grid[cells]))
-                else:
+    for slabs, a, n, reach, g, span, drop, step, inverse in roots:
+        if not reach:  # the form is c on every cell of a slab
+            for i, (base, c) in enumerate(slabs):
+                if lo < c <= hi:
+                    _fill(grid, ones, base, base + size)
+                    tally[i] = size
+            continue
+        if rows == 1:  # rank 1: the one slab (0, 0), one row; n*y < n*q
+            for k in range(0, n * q, q):  # n*y in (lo + k, hi + k]
+                y0, y1 = (lo + k) // n + 1, min(q - 1, (hi + k) // n)
+                if y0 <= y1:
+                    tally[0] += grid.count(0, y0, y1 + 1)
+                    _fill(grid, ones, y0, y1 + 1)
+            continue
+        for i, (base, c) in enumerate(slabs):
+            kept = []
+            for r in range(hi + 1, q + 1) if wide else range(lo + 1, hi + 1):
+                for v in range((r - c) % q, reach + 1, q):
+                    if v % g:
+                        continue
+                    if n:
+                        x = v // g * inverse % span  # the least x >= 0 with n | v - a*x
+                        y = (v - a * x) // n
+                        if y >= q:  # walk down the line into the slab (drop > 0 here)
+                            t = (y - q) // drop + 1
+                            x, y = x + t * span, y - t * drop
+                        count = min((rows - 1 - x) // span, y // drop if drop else rows) + 1
+                        start = base + q * x + y
+                        cells = slice(start, start + step * (count - 1) + 1, step)
+                    else:
+                        count, start = q, base + q * (v // a)
+                        cells = slice(start, start + q)
+                    if count <= 0:
+                        continue
+                    if wide:
+                        kept.append((cells, grid[cells]))
+                        continue
+                    tally[i] += grid[cells].count(0) if n else grid.count(0, start, start + q)
                     grid[cells] = ones[:count]
-        if wide:
-            _fill(grid, ones, base, base + size)
-            for cells, old in kept:
-                grid[cells] = old
+            if wide:
+                _fill(grid, ones, base, base + size)
+                tally[i] = size
+                for cells, old in kept:
+                    tally[i] -= old.count(0)
+                    grid[cells] = old
 
 
 def bruteforce_modq_counts(
@@ -230,12 +249,13 @@ def bruteforce_modq_counts(
     some root's residue is in 1..t.  The distinct tops t = min(m, q-1) are
     walked in ascending order with the marks kept, each adding only its new
     window (t_prev, t] with `_mark` on every slab of the last two coordinates
-    (rank 1: one row), and counted with `bytearray.count`.  A window costs
-    the lines of its residues or of the fewer residues above it: its cost
-    grows with its width up to 2q/3 residues' worth, and any m >= q - 1
-    costs what m = 1 does.  Requires the safe regime q > m*h unless
-    `unsafe` is set, and refuses more than ORACLE_MAX_POINTS points with
-    OracleTooLarge.
+    (rank 1: one row).  `_mark` keeps a tally of the points each slab has
+    marked, so the count at t is q**l less their sum, and the grid is never
+    scanned whole.  A window costs the lines of its residues or of the
+    fewer residues above it: its cost grows with its width up to 2q/3
+    residues' worth, and any m >= q - 1 costs what m = 1 does.  Requires
+    the safe regime q > m*h unless `unsafe` is set, and refuses more than
+    ORACLE_MAX_POINTS points with OracleTooLarge.
     """
     forms = positive_roots(ident)
     if any(m < 0 for m in ms):
@@ -259,15 +279,22 @@ def bruteforce_modq_counts(
         )
     rows = q if l > 1 else 1
     firsts = list(product(range(q), repeat=max(l - 2, 0)))  # the slabs' first l-2 coordinates
-    roots = []
+    roots = []  # each root's slabs and the geometry of its lines, as `_mark` reads them
     for form in forms:
         *head, a, n = [0] * (2 - l) + [c % q for c in form]
-        roots.append(([(i * rows * q, sum(map(mul, head, x)) % q) for i, x in enumerate(firsts)], a, n))
-    grid, ones = bytearray(q**l), memoryview(b"\x01" * min(rows * q, 2**16))  # a line has <= q cells
+        g = math.gcd(a, n)
+        span, drop = (n // g, a // g) if g else (0, 0)
+        roots.append((
+            [(i * rows * q, sum(map(mul, head, x)) % q) for i, x in enumerate(firsts)],
+            a, n, a * (rows - 1) + n * (q - 1), g, span, drop, q * span - drop,
+            pow(drop, -1, span) if n else 0,
+        ))
+    # a bytearray of ones: a slice of it is assigned without a second copy
+    grid, ones = bytearray(q**l), bytearray(b"\x01" * min(rows * q, 2**16))  # a line has <= q cells
+    tally = [0] * len(firsts)  # the points of each slab marked so far
     done = 0
     for top in tops:
-        for slabs, a, n in roots:
-            _mark(grid, ones, q, rows, slabs, a, n, done, top)
-        counts[top] = q**l - grid.count(1)
+        _mark(grid, ones, q, rows, roots, done, top, tally)
+        counts[top] = q**l - sum(tally)
         done = top
     return tuple(counts[min(m, q - 1)] for m in ms)

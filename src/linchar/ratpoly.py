@@ -25,11 +25,11 @@ from itertools import islice, zip_longest
 from operator import add
 
 
-def _frac(x: int | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x itself, an exact scalar whose ``numerator`` and ``denominator`` the
+    integer routines read; anything else, a float included, is refused."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
 
 
@@ -44,7 +44,7 @@ class RatPoly(namedtuple("RatPoly", "nums den")):
     __mul__ = __rmul__ = None  # a polynomial times an int is no repeated tuple
 
     def __new__(cls, coeffs: Iterable[int | Fraction] = (), den: int = 1):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         lcm = math.lcm(*(c.denominator for c in cs))
         return cls.over([c.numerator * (lcm // c.denominator) for c in cs], lcm * den)
 
@@ -94,7 +94,7 @@ class RatPoly(namedtuple("RatPoly", "nums den")):
         return RatPoly.over([x * other.den + y * self.den for x, y in pairs], self.den * other.den)
 
     def scale(self, s: int | Fraction) -> "RatPoly":
-        s = _frac(s)
+        s = _exact(s)
         return RatPoly.over([x * s.numerator for x in self.nums], self.den * s.denominator)
 
     # -- evaluation and substitution ----------------------------------------
@@ -107,26 +107,34 @@ class RatPoly(namedtuple("RatPoly", "nums den")):
         return v
 
     def compose_affine(self, a: int | Fraction, b: int | Fraction) -> "RatPoly":
-        """Exact substitution t -> a*t + b.
+        """Exact substitution t -> a*t + b, as one integer Taylor shift.
 
-        With a = an/ad and b = bn/bd, integer Horner forms
-        sum_k nums_k * c^(n-k) * (A*t + B)^k for A = an*bd, B = bn*ad,
-        c = ad*bd, and the result is that over den * c^n.
+        With a = an/ad and b = bn/bd, a*t + b = (A*t + B)/c for A = an*bd,
+        B = bn*ad and c = ad*bd, so the result is
+        sum_k nums_k * c^(n-k) * (A*t + B)^k over den * c^n: scale
+        coefficient k by c^(n-k), shift by B in place (n passes of
+        ``nums[j] += B * nums[j+1]``, j descending), then scale coefficient
+        k by A^k.  No `Fraction` is built.
         """
+        a, b = _exact(a), _exact(b)
         if self.is_zero:
             return self
-        a, b = _frac(a), _frac(b)
-        nums = self.nums
         A, B = a.numerator * b.denominator, b.numerator * a.denominator
         c = a.denominator * b.denominator
-        acc = [nums[-1]]
-        cpow = 1
-        for coeff in reversed(nums[:-1]):
-            cpow *= c
-            nxt = [B * x + A * y for x, y in zip(acc + [0], [0] + acc)]
-            nxt[0] += coeff * cpow
-            acc = nxt
-        return RatPoly.over(acc, self.den * cpow)
+        nums = list(self.nums)
+        n = len(nums) - 1
+        power = 1
+        for k in range(n - 1, -1, -1):
+            power *= c
+            nums[k] *= power
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                nums[j] += B * nums[j + 1]
+        power = 1
+        for k in range(1, n + 1):
+            power *= A
+            nums[k] *= power
+        return RatPoly.over(nums, self.den * c**n)
 
     # -- serialization -------------------------------------------------------
 
@@ -228,9 +236,12 @@ def shift_constituents(
     (`IntegerTable.layers`).  A layer of period p reads row (d + c) mod p,
     so its classes are folded mod p and its share of the result depends on
     d mod p alone: it is convolved once per d mod p, and every residue with
-    that d mod p reuses it.  Each result is the sum of its layers' shares.
-    Exact throughout; one result per entry of `residues`, in order, residues
-    taken mod period.
+    that d mod p reuses it.  The folds run down the layers: a layer whose
+    period divides the last one's folds that layer's classes (E8: 60, 12,
+    6, 2, 1), any other folds the classes mod the period again.  Each result
+    is the sum of its layers' shares, normalised once per distinct sum, so
+    equal results are one object.  Exact throughout; one result per entry
+    of `residues`, in order, residues taken mod period.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
@@ -250,13 +261,18 @@ def shift_constituents(
                     x *= shift
                     mu[j] += x
     plan = []  # per layer: its period and rows, its folded classes, its shares by d mod p
+    last, source = period, moments  # the classes the next layer folds, and their period
     for p, _, rows in constituents.layers:
-        folded = {}  # may share lists with `moments`, and never writes one in place
-        for c, mu in moments.items():
+        if last % p:
+            source = moments
+        folded = {}  # may share lists with `source`, and never writes one in place
+        for c, mu in source.items():
             acc = folded.get(c % p)
             folded[c % p] = mu if acc is None else list(map(add, acc, mu))
         plan.append((p, rows, folded, {}))
+        last, source = p, folded
     out_den = f.den * constituents.den
+    made: dict[tuple[int, ...], RatPoly] = {}  # one normalised result per distinct sum
     results = []
     for d in residues:
         shares = []
@@ -268,7 +284,11 @@ def shift_constituents(
                     for q, j, w in rows[(d + e) % p]:
                         share[q] += w * mu[j]
             shares.append(share)
-        results.append(RatPoly.over(map(sum, zip(*shares)), out_den))
+        total = tuple(map(sum, zip(*shares)))
+        result = made.get(total)
+        if result is None:
+            result = made[total] = RatPoly.over(total, out_den)
+        results.append(result)
     return tuple(results)
 
 

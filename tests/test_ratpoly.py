@@ -86,6 +86,13 @@ class TestRatPolyBasics:
         assert p.compose_affine(2, 3) == poly(9, 12, 4)
         assert poly(5).compose_affine(7, -2) == poly(5)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 3), (-1.0, 3), (1, 3.0), (Fraction(1), 2.5)])
+    def test_compose_affine_refuses_floats(self, a, b):
+        # a float equal to +-1 is refused like any other, on the zero polynomial too
+        for p in (poly(1, 2, 3), ZERO):
+            with pytest.raises(TypeError, match=r"^exact scalar expected \(int or Fraction\), got float$"):
+                p.compose_affine(a, b)
+
     def test_divrem_and_gcd(self):
         p = from_roots([1, 2, 3])
         q, r = fraction_divrem(p, from_roots([2]))
@@ -611,6 +618,22 @@ class TestIntegerPaths:
     @example(p=ZERO, a=Fraction(-1, 2), b=3)
     @settings(max_examples=100, deadline=None)
     def test_compose_affine_matches_fraction_horner(self, p, a, b):
+        assert p.compose_affine(a, b) == fraction_compose_affine(p, a, b)
+
+    @given(
+        p=polys(10, 6, max_size=10),
+        a=st.one_of(st.sampled_from([1, -1]), small_fractions),
+        b=st.one_of(
+            st.integers(-3 * 10**7, 3 * 10**7),  # E8's centre m*h/2 at m = 10**6
+            st.integers(-60, 60).map(Fraction),
+            small_fractions,
+        ),
+    )
+    @example(p=poly(1, -2, 3, 4), a=-1, b=Fraction(5, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_compose_affine_matches_fraction_horner_at_linchar_substitutions(self, p, a, b):
+        """t -> +-t + b with an integer b is nearly every substitution linchar
+        makes; a rational a or b scales the shift by powers of c and A."""
         assert p.compose_affine(a, b) == fraction_compose_affine(p, a, b)
 
     @given(p=polys_with_repeats(), q=polys_with_repeats())

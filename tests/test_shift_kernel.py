@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from linchar import ratpoly
 from linchar.ehrhart import apply_shift_qp, ehrhart_qp, ehrhart_table
 from linchar.eulerian import generalized_eulerian, truncate_half
-from linchar.linial import char_constituent, char_quasi
+from linchar.linial import _char_quasi, char_constituent, char_quasi, shift_operator
 from linchar.ratpoly import IntegerTable, RatPoly, shift_constituents
 from linchar.rootdata import ALL_TABLE_IDS, RootSystemId, lookup
 from polys import ZERO
@@ -103,6 +103,11 @@ def with_residues(draw, tables, residue):
 HALF_TOP = RatPoly((1, -2, Fraction(7, 2)))
 ZERO_COLUMN = table_over(6, ((r + 1, 0, (5, 0, 0)[r % 3]) for r in range(12)))
 POOL_OF_ONE = table_over(1, [(3, -1, 4)] * 12)
+#: A period-6 table whose layers come as 6, 2, 3, 1: period 3 does not divide
+#: the 2 before it, so that layer folds from the classes mod 6, not mod 2.
+BROKEN_CHAIN = table_over(5, ((r + 1, (4, -3)[r % 2], (2, 0, -7)[r % 3], 9) for r in range(6)))
+#: An operator with a term in every class mod 6 at step 1.
+SIX_CLASSES = RatPoly((3, -1, 4, 1, -5, 9, Fraction(2, 3)))
 
 
 def least_period(column) -> int:
@@ -161,6 +166,28 @@ class TestKernelMatchesNaiveSum:
         assert got == tuple(naive_constituent(f, 1, polys_of(table), d) for d in residues)
         assert got[0] != got[1]
 
+    def test_equal_results_are_normalised_once(self, monkeypatch):
+        """E8's 60 constituents at m = 1 take 2 values, so the call builds 2
+        polynomials, one per distinct sum, and each still equals the naive
+        sum of its residue."""
+        e8 = RootSystemId.parse("E8")
+        f, table = shift_operator(e8, False), ehrhart_table(e8)
+        over = RatPoly.over.__func__
+        built = []
+
+        def recording_over(cls, nums, den=1):
+            built.append(tuple(nums))
+            return over(cls, nums, den)
+
+        monkeypatch.setattr(RatPoly, "over", classmethod(recording_over))
+        got = _char_quasi.__wrapped__(e8, 1, False).constituents
+        monkeypatch.undo()
+        distinct = {id(c): c for c in got}
+        assert len(got) == 60 and len(distinct) == len(built) == 2
+        assert len(set(built)) == 2
+        L = polys_of(table)
+        assert got == tuple(naive_constituent(f, 2, L, d) for d in range(60))
+
     def test_empty_residue_list(self):
         table = IntegerTable.from_rows(1, ((1, 2),))
         assert shift_constituents(RatPoly((1, 1)), 3, table, ()) == ()
@@ -169,6 +196,7 @@ class TestKernelMatchesNaiveSum:
     @given(f=operators(), step=st.integers(1, 50), table=layered_tables())
     @example(f=ZERO, step=1, table=ZERO_COLUMN)
     @example(f=HALF_TOP, step=4, table=ZERO_COLUMN)
+    @example(f=SIX_CLASSES, step=1, table=BROKEN_CHAIN)
     def test_layered_tables_every_residue(self, f, step, table):
         constituents = polys_of(table)
         residues = range(len(constituents))
@@ -252,6 +280,11 @@ class TestLayers:
         assert [(p, rows.reads) for (p, _, _), rows in zip(layers, counted)] == [
             (60, 60 * 29), (12, 12 * 12), (6, 6 * 6), (2, 2 * 2), (1, 1)
         ]
+
+    def test_a_layer_can_leave_the_divisor_chain(self):
+        """BROKEN_CHAIN, an example of the kernel tests, has a layer whose
+        period does not divide the one before it; no L_Phi has one."""
+        assert [p for p, _, _ in BROKEN_CHAIN.layers] == [6, 2, 3, 1]
 
     def test_period_one_table_is_one_layer(self):
         table = IntegerTable.from_rows(1, ((3, 0, 5),))

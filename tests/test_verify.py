@@ -3,8 +3,10 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -751,6 +753,31 @@ class TestBruteforceModq:
         _, small = oracle_lines(lambda: bruteforce_modq(ident, 1, q, unsafe=True), 10**5)
         count, _ = oracle_lines(lambda: bruteforce_modq(ident, m, q, unsafe=True), windows * small)
         assert count == expected
+
+    def test_counting_the_marks_holds_no_copy_at_the_cap(self):
+        # A1 at q = 10**7 marks one point for m = 1 and 10**7 - 1 points in
+        # one run for m = q; counted in place, both peak at the grid's size.
+        # Each child prints its peak resident set from VmHWM, which starts
+        # afresh at exec: on Linux ru_maxrss keeps the peak of the process
+        # that forked it, here the test runner's, which is above both.
+        script = (
+            "import re, sys\n"
+            "from linchar.oracles import bruteforce_modq_counts\n"
+            "from linchar.rootdata import RootSystemId\n"
+            "m = int(sys.argv[1])\n"
+            "print(bruteforce_modq_counts(RootSystemId('A', 1), [m], 10**7, unsafe=True)[0])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        peaks_kb = {}
+        for m, count in ((1, 10**7 - 1), (10**7, 1)):
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(m)], capture_output=True, text=True, env=env, check=True
+            ).stdout.split()
+            assert int(out[0]) == count
+            peaks_kb[m] = int(out[1])
+        assert peaks_kb[10**7] - peaks_kb[1] < 2 * 1024, peaks_kb
 
     def test_point_cap_leaves_the_empty_arrangement(self):
         # m = 0 is answered as q**rank without enumerating anything

@@ -34,10 +34,6 @@ class CheckResult(namedtuple("CheckResult", "number name passed detail reported"
         return self._asdict()
 
 
-def _ids(*names: str) -> list[RootSystemId]:
-    return [RootSystemId.parse(n) for n in names]
-
-
 _PRINTED_ROWS = {
     "A3": ((1, 2, 3), (1, 1, 1, 1), 4, 4, 24, 1, 1),
     "B4": ((1, 3, 5, 7), (1, 1, 2, 2, 2), 8, 2, 384, 2, 2),
@@ -283,7 +279,7 @@ def check_line_certification():
 
 def check_oracle():
     """Enumeration oracle"""
-    for ident in _ids("A2", "B2", "G2"):
+    for ident in map(RootSystemId.parse, ("A2", "B2", "G2")):
         h = rootdata.lookup(ident).coxeter_number
         cqs = [linial.char_quasi(ident, m) for m in range(0, 4)]
         for q in range(1, 151):

@@ -627,16 +627,17 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def _envelope(name: str, **fields) -> str:
+    """The --json text of a result or an error: "command" first, then
+    `fields`, then "schema_version"."""
+    return to_json_str({"command": name, **fields, "schema_version": SCHEMA_VERSION})
+
+
 def _run(command: Command, name: str, args) -> int:
     try:
         result, render, *code = command.handler(args)
         if args.json:
-            text = to_json_str({
-                "command": name,
-                "inputs": _inputs(command, args),
-                "result": result,
-                "schema_version": SCHEMA_VERSION,
-            })
+            text = _envelope(name, inputs=_inputs(command, args), result=result)
         else:
             text = "\n".join(render())
         if args.out:
@@ -653,12 +654,7 @@ def _run(command: Command, name: str, args) -> int:
     except (LincharError, ValueError, ZeroDivisionError, OSError) as exc:
         error = type(exc).__name__
         if args.json:
-            print(to_json_str({
-                "command": name,
-                "error": error,
-                "message": str(exc),
-                "schema_version": SCHEMA_VERSION,
-            }))
+            print(_envelope(name, error=error, message=str(exc)))
         else:
             print(f"error: {error}: {exc}", file=sys.stderr)
         return 1

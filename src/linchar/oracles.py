@@ -52,18 +52,13 @@ _CARTAN = {
 }
 
 
-def _cartan(ident: RootSystemId) -> tuple[tuple[int, ...], ...]:
-    """The stored Cartan matrix of `ident` (D3 is A3); every oracle passes
-    this rank gate."""
-    if ident.rank > 3:
-        raise UnsupportedRank(f"enumeration oracle capped at rank 3, got {ident}")
-    return _CARTAN["A" if ident.family == "D" else ident.family, ident.rank]
-
-
 def _reflections(ident: RootSystemId) -> list[Callable]:
     """The simple reflections s_1..s_l of `ident`, acting on root
-    coefficient vectors."""
-    cartan = _cartan(ident)
+    coefficient vectors, from its stored Cartan matrix (D3 is A3); every
+    oracle passes this rank gate."""
+    if ident.rank > 3:
+        raise UnsupportedRank(f"enumeration oracle capped at rank 3, got {ident}")
+    cartan = _CARTAN["A" if ident.family == "D" else ident.family, ident.rank]
     return [
         lambda v, j=j: v[:j] + (v[j] - sum(n * row[j] for n, row in zip(v, cartan)),) + v[j + 1:]
         for j in range(ident.rank)
@@ -180,14 +175,14 @@ def _mark(
     one per wrap k, up to reach = a*(rows - 1) + n*(q - 1).  Along a line x
     steps by span = n/g and y by -drop = -a/g (g = gcd(a, n)), so its cells
     are one slice of the given step, q*span - drop (for n = 0, the run of
-    row x = v/a); inverse is 1/drop mod span.  At rank 1 the one row takes
-    one contiguous run per wrap instead, and a window wider than twice the
-    residues hi+1..q fills the slab and writes the saved lines of those
-    residues back.  The lines of distinct v are disjoint, so the new cells
-    are counted as they are written, and no slab is scanned whole: a
-    strided line's zeros (at most q bytes) just before it, a run's in
-    place, and a slab filled whole holds all its cells but the zeros of the
-    lines written back.
+    row x = v/a); inverse is 1/drop mod span.  At rank 1 (A1, whose one
+    root is the form y) the window is one run of the one row instead, and a
+    window wider than twice the residues hi+1..q fills the slab and writes
+    the saved lines of those residues back.  The lines of distinct v are
+    disjoint, so the new cells are counted as they are written, and no slab
+    is scanned whole: a strided line's zeros (at most q bytes) just before
+    it, a run's in place, and a slab filled whole holds all its cells but
+    the zeros of the lines written back.
     """
     size = rows * q
     wide = hi - lo > 2 * (q - hi)
@@ -198,12 +193,9 @@ def _mark(
                     _fill(grid, ones, base, base + size)
                     tally[i] = size
             continue
-        if rows == 1:  # rank 1: the one slab (0, 0), one row; n*y < n*q
-            for k in range(0, n * q, q):  # n*y in (lo + k, hi + k]
-                y0, y1 = (lo + k) // n + 1, min(q - 1, (hi + k) // n)
-                if y0 <= y1:
-                    tally[0] += grid.count(0, y0, y1 + 1)
-                    _fill(grid, ones, y0, y1 + 1)
+        if rows == 1:  # A1: one slab, one row, the form y; the window is one run
+            tally[0] += grid.count(0, lo + 1, hi + 1)
+            _fill(grid, ones, lo + 1, hi + 1)
             continue
         for i, (base, c) in enumerate(slabs):
             kept = []
@@ -255,7 +247,9 @@ def bruteforce_modq_counts(
     fewer residues above it: its cost grows with its width up to 2q/3
     residues' worth, and any m >= q - 1 costs what m = 1 does.  Requires
     the safe regime q > m*h unless `unsafe` is set, and refuses more than
-    ORACLE_MAX_POINTS points with OracleTooLarge.
+    ORACLE_MAX_POINTS points with OracleTooLarge, but only when it must
+    enumerate: when every top is 0 (each m is 0, or q = 1) every count is
+    q**l, returned without a grid or a refusal however large.
     """
     forms = positive_roots(ident)
     if any(m < 0 for m in ms):

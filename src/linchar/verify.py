@@ -5,11 +5,12 @@ polynomials and caches nothing; `linchar.linial` builds them.
 Exactness boundary: membership on the vertical line Re t = M/2 and strict
 half-plane bounds Re t < H/2 for rational H are decided over Q, each by one
 function that reads the primitive remainder sequence over Z (`_remainders`)
-at its two ends: `check_on_line_exact` a Sturm chain through its signs at
--inf and at 0, `halfplane_exact` the Routh rows through their leading
-coefficients.  Two half-plane bounds bracket a maximal real part.  Nothing
-above the numeric section uses floating point; below it, floats give root
-coordinates in reports and asymptotic distances.
+at its two ends: `check_on_line_exact` the Sturm chain of the even part,
+its roots at 0 divided out, through its signs at -inf and at 0, and
+`halfplane_exact` the Routh rows through their leading coefficients.  Two
+half-plane bounds bracket a maximal real part.  Nothing above the numeric
+section uses floating point; below it, floats give root coordinates in
+reports and asymptotic distances.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def _squarefree_mod_prime(a: Sequence[int]) -> bool:
 
 
 def _squarefree_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Square-free decomposition: [(f_1, 1), (f_2, 2), ...] with
-    p = leading * prod f_i**i, each f_i monic square-free, deg f_i > 0.
+    """Square-free decomposition of a nonzero p: [(f_1, 1), (f_2, 2), ...]
+    with p = leading * prod f_i**i, each f_i monic square-free, deg f_i > 0.
 
     A prime witness answers first: when `_squarefree_mod_prime` proves p
     square-free, the result is [(p made monic, 1)] with no gcd over Z
@@ -144,8 +145,6 @@ def _squarefree_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     g_k = gcd(g_(k-1), g_(k-1)'), the last element of their remainder
     sequence, until g_k is constant; h_k = g_(k-1) / g_k is the product of
     the f_i with i >= k, so f_k = h_k / h_(k+1)."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
     if _squarefree_mod_prime(p.nums):
         return [(RatPoly.over(p.nums, p.nums[-1]), 1)]
     gs = [_primitive(p.nums)]
@@ -167,11 +166,13 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     Substitutes t = M/2 + s over Q.  All roots lie on the line iff the
     substituted polynomial g has the parity g(s) = (-1)^deg g g(-s), so
     that g(s) = s^eps G(s^2) with eps = deg g mod 2, and every root of its
-    even part G is real and <= 0 (with multiplicity).  The Sturm chain of G
-    decides that: the distinct real roots of G in (-inf, 0] number
-    deg G - deg gcd(G, G'), and the count is the chain read at its two ends,
-    each element q with the sign of q[-1] * (-1)^deg q at -inf and the sign
-    of q[0] at 0.
+    even part G is real and <= 0 (with multiplicity).  The root u = 0 of any
+    multiplicity k passes, so the test is on G1 = G / u^k, with G1(0) != 0:
+    its distinct real roots in (-inf, 0) must number deg G1 - deg
+    gcd(G1, G1').  Neither end is a root of G1, so the Sturm chain G1, G1',
+    -rem, ... counts them as it is, multiple roots included, read at its two
+    ends: each element q with the sign of q[-1] * (-1)^deg q at -inf and the
+    sign of q[0] at 0.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -183,23 +184,17 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     if any(g.nums[1 - eps::2]):
         return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
     ghat = RatPoly.over(g.nums[eps::2], g.den)
-    # `_remainders` of G and G' is a positive multiple, element by element, of
-    # the chain G, G', -rem, ... over Q, and it ends in gcd(G, G').  Dividing
-    # every element exactly by that gcd, again up to a positive factor, gives
-    # a Sturm chain of the square-free part that is valid at every point, the
-    # multiple roots of G included.
     a = _primitive(ghat.nums)
+    while not a[0]:  # G = u^k G1 with G1(0) != 0, and u = 0 is a root <= 0
+        del a[0]
     chain = _remainders(a, _primitive([j * x for j, x in enumerate(a)][1:]))
-    common = chain[-1]
-    if len(common) > 1:
-        chain = [_quotient(q, common) for q in chain]
     at_neg_inf = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
     at_zero = [q[0] for q in chain]
     variations = []
     for values in (at_neg_inf, at_zero):  # sign changes, zeros skipped
         signs = [v > 0 for v in values if v]
         variations.append(sum(1 for x, y in zip(signs, signs[1:]) if x != y))
-    on_line = variations[0] - variations[1] == ghat.degree - (len(common) - 1)
+    on_line = variations[0] - variations[1] == len(a) - len(chain[-1])
     details = {
         "parity_ok": True,
         "even_part": ghat.to_json(),
@@ -213,9 +208,9 @@ def halfplane_exact(p: RatPoly, bound_times_2: int | Fraction) -> bool:
     any rational), decisive in every case.
 
     Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of
-    q, which Routh's test decides.  With the leading coefficient of q made
-    positive, the rows are `_remainders` of q's two parity parts: row 0
-    holds the terms of q with the parity of deg q, row 1 the other terms.
+    q, which Routh's test decides.  With q taken times the sign of its
+    leading coefficient, the rows are `_remainders` of its parity parts:
+    row 0 holds the terms of q with the parity of deg q, row 1 the others.
     `_remainders` negates each remainder, so row k is a positive multiple of
     row k of the Routh array times (-1)^(k // 2).  q is strictly Hurwitz iff
     there are deg q + 1 rows (the degrees fall by exactly one from deg q to
@@ -230,9 +225,9 @@ def halfplane_exact(p: RatPoly, bound_times_2: int | Fraction) -> bool:
     if p.is_zero:
         raise ValueError("zero polynomial")
     q = p.compose_affine(1, Fraction(bound_times_2, 2))
-    nums = q.nums if q.nums[-1] > 0 else [-x for x in q.nums]
+    sign = 1 if q.nums[-1] > 0 else -1
     n = q.degree
-    parts = ([x if (n - j) % 2 == k else 0 for j, x in enumerate(nums)] for k in (0, 1))
+    parts = ([sign * x if (n - j) % 2 == k else 0 for j, x in enumerate(q.nums)] for k in (0, 1))
     rows = _remainders(*(RatPoly.over(part).nums for part in parts))  # trailing zeros dropped
     return len(rows) == n + 1 and all((row[-1] > 0) == (k % 4 < 2) for k, row in enumerate(rows))
 

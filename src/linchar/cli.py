@@ -69,16 +69,15 @@ def to_json_str(obj) -> str:
     `to_json()`.
 
     json writes indented text with its pure-Python encoder on Python
-    3.10-3.12; this is one recursive pass instead.  A list of only strings or
-    only ints is written in one join, and any other container met again at
-    the same depth is copied from its first rendering, so a quasi-polynomial
-    whose equal constituents share one dict (`QuasiPoly.to_json`) is
-    rendered once per distinct constituent."""
-    done: dict = {}  # (id, depth) of a container already written -> its text
+    3.10-3.12; this is one recursive pass instead.  A list of only ints is
+    written in one join, and any other container met again at the same
+    depth is copied from its first rendering, so a quasi-polynomial whose
+    equal constituents share one dict (`QuasiPoly.to_json`) is rendered once
+    per distinct constituent."""
+    done: dict = {}  # (id, indent) of a container already written -> its text
     open_ids: set = set()  # containers being written: a cycle is refused, as json does
-    indents = ["\n"]  # indents[depth] = "\n" + "  " * depth
 
-    def write(o, depth: int) -> str:
+    def write(o, outer: str) -> str:
         if isinstance(o, str):
             return _quote(o)
         if o is None:
@@ -98,18 +97,10 @@ def to_json_str(obj) -> str:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if not o:
             return "{}" if is_dict else "[]"
-        if len(indents) == depth + 1:
-            indents.append(indents[depth] + "  ")
-        inner, outer = indents[depth + 1], indents[depth]
-        if not is_dict:
-            if type(o[0]) is str:
-                try:
-                    return f"[{inner}{(',' + inner).join(map(_quote, o))}{outer}]"
-                except TypeError:  # not only strings
-                    pass
-            elif set(map(type, o)) == {int}:
-                return f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{outer}]"
-        key = (id(o), depth)
+        inner = outer + "  "
+        if not is_dict and set(map(type, o)) == {int}:
+            return f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{outer}]"
+        key = (id(o), outer)
         text = done.get(key)
         if text is not None:
             return text
@@ -119,10 +110,10 @@ def to_json_str(obj) -> str:
         parts = []  # one join per container: a child's text is copied once
         if is_dict:
             for k, v in o.items():
-                parts += (",", inner, _quote(k), ": ", write(v, depth + 1))
+                parts += (",", inner, _quote(k), ": ", write(v, inner))
         else:
             for x in o:
-                parts += (",", inner, write(x, depth + 1))
+                parts += (",", inner, write(x, inner))
         parts[0] = "{" if is_dict else "["
         parts += (outer, "}" if is_dict else "]")
         text = "".join(parts)
@@ -130,7 +121,7 @@ def to_json_str(obj) -> str:
         done[key] = text
         return text
 
-    return write(obj, 0)
+    return write(obj, "\n")
 
 
 def _qp_human(qp) -> list[str]:

@@ -59,10 +59,9 @@ def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
     mult = 1
     while len(r) > db:
         c = sign * r[-1]
-        if lead != 1:
-            r = [lead * x for x in r]
-            q = [lead * x for x in q]
-            mult *= lead
+        r = [lead * x for x in r]
+        q = [lead * x for x in q]
+        mult *= lead
         k = len(r) - 1 - db
         q[k] += c
         r.pop()
@@ -88,8 +87,6 @@ def _remainders(a: Sequence[int], b: Sequence[int]) -> list[Sequence[int]]:
     seq = [a]
     while b:
         seq.append(b)
-        if len(b) == 1:
-            break
         b = [-x for x in _primitive(_pseudo_divrem(seq[-2], b)[1])]
     return seq
 
@@ -177,8 +174,6 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     if p.is_zero:
         raise ValueError("zero polynomial")
     center = Fraction(center_times_2, 2)
-    if p.degree == 0:
-        return LineCheckReport(True, center, "exact-sturm", {"degree": 0})
     g = p.compose_affine(1, center)
     eps = g.degree % 2
     if any(g.nums[1 - eps::2]):

@@ -385,6 +385,16 @@ def fraction_divrem(p, q):
     return RatPoly(quo), RatPoly(rem)
 
 
+def fraction_remainders(p, q):
+    """The Euclid sequence p, q, -rem(p, q), ... by Fraction long division,
+    r_(k+1) = -rem(r_(k-1), r_k), up to its last nonzero element."""
+    seq = [p]
+    while not q.is_zero:
+        seq.append(q)
+        q = neg(fraction_divrem(seq[-2], q)[1])
+    return seq
+
+
 def fraction_compose_affine(p, a, b):
     """p(a*t + b) by Horner in Fraction."""
     acc = ZERO
@@ -644,6 +654,44 @@ class TestIntegerPaths:
         assert remainder_gcd(p, q) == fraction_gcd(p, q)
         if not p.is_zero:
             assert remainder_gcd(p, derivative(p)) == fraction_gcd(p, derivative(p))
+
+    @given(p=polys_with_repeats(), q=polys_with_repeats())
+    # coprime, so the sequence ends in a constant
+    @example(p=from_roots([1, 2, 3], leading=-2), q=from_roots([-1, 5], leading=3))
+    # it ends in the nonconstant gcd (t - 1)(t + 2)
+    @example(p=mul(from_roots([1, -2]), poly(1, 0, 3)), q=mul(from_roots([1, -2]), poly(4, 1)))
+    @example(p=poly(3, -1, 2), q=ZERO)  # b = 0 gives [a]
+    @settings(max_examples=80, deadline=None)
+    def test_remainders_match_fraction_euclid_element_by_element(self, p, q):
+        """Each element of the integer sequence is a positive multiple of
+        its match in the Fraction Euclid sequence, and the two end together."""
+        if p.is_zero:
+            return
+        seq = _remainders(_primitive(p.nums), _primitive(q.nums))
+        euclid = fraction_remainders(p, q)
+        assert len(seq) == len(euclid)
+        for got, want in zip(seq, euclid):
+            ratio = got[-1] / want.coeffs[-1]
+            assert ratio > 0 and RatPoly(got) == want.scale(ratio)
+
+    @given(
+        a=st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+        lower=st.lists(st.integers(-30, 30), max_size=4),
+        lead=st.sampled_from([1, -1, 2, -3, 7]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pseudo_division_multiplier_counts_the_elimination_steps(self, a, lower, lead):
+        """mult = |lc b|**k for the k steps of the Fraction long division, so
+        1 for a monic b, and q and r are mult times the Fraction quotient and
+        remainder."""
+        a, b = RatPoly(a).nums, (*lower, lead)
+        if not a:
+            return
+        quo, rem = fraction_divrem(RatPoly(a), RatPoly(b))
+        q, r, mult = _pseudo_divrem(a, b)
+        assert mult == abs(lead) ** sum(1 for c in quo.coeffs if c)
+        assert RatPoly(a).scale(mult) == mul(RatPoly(q), RatPoly(b)) + RatPoly(r)
+        assert (RatPoly(q), RatPoly(r)) == (quo.scale(mult), rem.scale(mult))
 
     @given(p=polys_with_repeats(), q=small_polys)
     @settings(max_examples=60, deadline=None)

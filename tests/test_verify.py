@@ -495,6 +495,16 @@ class TestCheckOnLineExact:
 
     def test_degenerate_degree_zero(self):
         assert check_on_line_exact(RatPoly((4,)), 6).on_line
+        # a constant takes the general path: the same detail keys as any
+        # on-line verdict, with its even part the constant itself
+        keys = {"parity_ok", "even_part", "even_part_all_roots_real_nonpositive"}
+        assert set(check_on_line_exact(RatPoly((11, -6, 1)), 6).details) == keys
+        for c in (4, -7, Fraction(-2, 3)):
+            rep = check_on_line_exact(RatPoly((c,)), 6)
+            assert rep.on_line and rep.method == "exact-sturm" and rep.center == 3
+            assert set(rep.details) == keys
+            assert rep.details["parity_ok"] and rep.details["even_part_all_roots_real_nonpositive"]
+            assert rep.details["even_part"] == RatPoly((c,)).to_json()
 
     def test_odd_center_times_two(self):
         # roots 3/2 +- i

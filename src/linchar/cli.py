@@ -599,23 +599,28 @@ def _inputs(command: Command, args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    path, command = [], ROOT
-    while command.subcommands is not None:
-        path.append(getattr(args, command.dest))
-        command = command.subcommands[path[-1]]
-    name = "-".join(path)
-    # linchar's exact integers may pass CPython's int-to-str limit (an
-    # Eulerian coefficient of A400 has 868 digits); lift it while the
-    # command runs, after the arguments were parsed under it.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    """Run one command; the exit code.  Ctrl-C ends it with 130 (128 +
+    SIGINT), as shells expect, and with no traceback and no output."""
     try:
-        return _run(command, name, args)
-    finally:
+        args = parse_args(argv)
+        path, command = [], ROOT
+        while command.subcommands is not None:
+            path.append(getattr(args, command.dest))
+            command = command.subcommands[path[-1]]
+        name = "-".join(path)
+        # linchar's exact integers may pass CPython's int-to-str limit (an
+        # Eulerian coefficient of A400 has 868 digits); lift it while the
+        # command runs, after the arguments were parsed under it.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         if limit is not None:
-            sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(0)
+        try:
+            return _run(command, name, args)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+    except KeyboardInterrupt:
+        return 130
 
 
 def _envelope(name: str, **fields) -> str:

@@ -399,18 +399,58 @@ def _inclusion_radii(c: Sequence[float], z: Sequence[complex]) -> list[float]:
     return radii
 
 
+def _unresolved_at_centroid(factor: RatPoly, c: Sequence[float], centroid: Fraction) -> bool:
+    """True if `_horner_error_bound` at float(centroid) is at least
+    |p(centroid)| for the monic p = factor / lc, whose doubles are c: then c
+    cannot even resolve the sign of p at the centre of its roots.
+
+    Decided exactly: with centroid = u/v, one Horner pass over Z gives
+    H = sum a_k u^k v^(n-k) = lc * v^n * p(centroid), and the bound, an exact
+    ratio of integers, is compared with |H| / (|lc| * v^n) by
+    cross-multiplying, so no quotient of the integers is rounded or can
+    overflow.  A bound or a float(centroid) outside the doubles raises
+    OverflowError.
+    """
+    u, v = centroid.numerator, centroid.denominator
+    value, power = 0, 1
+    for a in reversed(factor.nums):
+        value = value * u + a * power
+        power *= v
+    num, den = _horner_error_bound(c, float(centroid)).as_integer_ratio()
+    return num * abs(factor.nums[-1]) * (power // v) >= abs(value) * den
+
+
+def _start_circle(radius: float, n: int) -> list[complex]:
+    """n starts on the circle of that radius about 0, rotated off the axes."""
+    return [
+        radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
+        for j in range(n)
+    ]
+
+
 def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     """Roots of a square-free factor, their inclusion radii and the status
-    `_aberth` ended on, in two deterministic stages.
+    `_aberth` ended on, routed by the factor's root centroid
+    c = -a_(n-1) / (n*a_n).
 
-    Stage 1 iterates on the factor as given, from a rotated circle of radius
-    `_start_radius`.  When the roots sit far from 0, the monomial
-    coefficients cancel in doubles and the corrections stall on a noise
-    floor above _FLOOR_TOL; once every residual is inside the rounding bound
-    of Horner's rule there, stage 2 shifts the factor exactly over Q by its
-    root centroid c = -a_(n-1) / (n*a_n) and continues, under the same
-    stops, from the stalled iterates minus c.  A stall in stage 2 is final.
-    Runs that do not stall return stage 1's roots unchanged.  `_aberth`'s one
+    When the roots sit far from 0 compared with their spread, the monomial
+    coefficients cancel in doubles.  If they cancel so far that the doubles
+    cannot resolve p at c (`_unresolved_at_centroid`), the
+    factor is shifted exactly over Q by c first, and `_aberth` runs on the
+    centred factor from a rotated circle of its own `_start_radius`; the
+    roots of a run that converges come back plus c.  Any other end of that
+    run, or of the test (a stall, the spent budget, two equal iterates, a
+    bound, iterate or coefficient outside the doubles) falls back to the
+    two stages below, from their usual start, so the route fails no factor
+    the two stages solve.  c = 0 needs no test: the factor is centred.
+
+    The two stages, which every other factor runs: stage 1 iterates on the
+    factor as given, from a rotated circle of radius `_start_radius`.  If
+    the corrections stall on a noise floor above _FLOOR_TOL with every
+    residual inside the rounding bound of Horner's rule, stage 2 shifts the
+    factor exactly over Q by c and continues, under the same stops, from
+    the stalled iterates minus c.  A stall in stage 2 is final.  Runs that
+    do not stall return stage 1's roots unchanged.  `_aberth`'s one
     division by zero, 1 / (z_j - z_k) for two equal iterates, is raised as
     the NonConvergence it is.
     """
@@ -419,16 +459,23 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     if n == 1:
         z = complex(-c[0])
         return [z], [abs(_horner2(c, z)[0])], "converged"
+    centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
+    try:
+        if centroid and _unresolved_at_centroid(factor, c, centroid):
+            shift = float(centroid)
+            cc = _monic_floats(factor.compose_affine(1, centroid))
+            radius = _start_radius(cc)
+            s = _start_circle(radius, n)
+            if _aberth(cc, s, radius) == "converged":
+                return [sj + shift for sj in s], _inclusion_radii(cc, s), "converged"
+    except ArithmeticError:  # OverflowError, OutOfDoubleRange, two equal iterates
+        pass
     radius = _start_radius(c)
-    z = [
-        radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
-        for j in range(n)
-    ]
+    z = _start_circle(radius, n)
     try:
         status = _aberth(c, z, radius)
         if status != "stalled":
             return z, _inclusion_radii(c, z), status
-        centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
         shift = float(centroid)
         c = _monic_floats(factor.compose_affine(1, centroid))
         s = [zj - shift for zj in z]
@@ -443,11 +490,14 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
 
     The exact square-free decomposition is taken first so the Aberth
     iteration only ever sees simple roots; multiple roots are then replicated.
-    Each factor is solved by `_factor_roots`, which centres it over Q if the
-    iteration stalls.  Every set returned converged.  Raises NonConvergence
-    if any factor stalls again after centring or fails to settle within the
-    iteration budget, naming the stop it hit, or once two iterates become
-    equal, and OutOfDoubleRange if p or one of its factors does not fit in
+    Each factor is solved by `_factor_roots`, which centres it over Q at its
+    root centroid before the first iteration if its doubles cannot resolve
+    it there, and otherwise once the iteration stalls; a centred first run
+    that does not converge falls back to the latter.  Every set returned
+    converged.  Raises NonConvergence if any factor stalls again after
+    centring or fails to settle within the iteration budget, naming the
+    stop it hit, or once two iterates become equal, and OutOfDoubleRange if
+    p or one of its factors does not fit in
     doubles, or an iterate or a residual leaves them; the residuals are
     checked first, so an input that fails both ways is out of range.
     """

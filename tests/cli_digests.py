@@ -4,9 +4,13 @@
 `linchar`, as `shlex.split` reads them) to its exit code and the sha256 of
 its stdout and of its stderr.  Run from the root of the repository:
 
-    PYTHONPATH=src python tests/cli_digests.py              # through cli.main, in this process
-    PYTHONPATH=src python tests/cli_digests.py --fresh      # each in `python -m linchar.cli`, one per CPU at once
-    PYTHONPATH=src python tests/cli_digests.py --recapture  # rewrite, print the lines that changed
+    python tests/cli_digests.py              # through cli.main, in this process
+    python tests/cli_digests.py --fresh      # each in `python -m linchar.cli`, one per CPU at once
+    python tests/cli_digests.py --recapture  # rewrite, print the lines that changed
+
+Both ways run the linchar of this checkout, `src/` beside `tests/`,
+whatever `PYTHONPATH` says: the in-process run puts it first on
+`sys.path`, and each fresh interpreter gets it as its `PYTHONPATH`.
 
 Lines given after the options restrict a run to them; with `--recapture`, a
 line not yet in the table is added.  Without `--recapture` nothing is
@@ -28,6 +32,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 TABLE = pathlib.Path(__file__).parent / "data" / "cli_digests.json"
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
 
 def digest(code, stdout: bytes, stderr: bytes) -> dict:
@@ -60,7 +67,7 @@ def run_in_process(line: str) -> dict:
 def run_fresh(line: str) -> dict:
     """The digest of `line` run by `python -m linchar.cli` in a new interpreter."""
     argv = [sys.executable, "-m", "linchar.cli", *shlex.split(line)]
-    proc = subprocess.run(argv, capture_output=True)
+    proc = subprocess.run(argv, capture_output=True, env=dict(os.environ, PYTHONPATH=SRC))
     return digest(proc.returncode, proc.stdout, proc.stderr)
 
 

@@ -8,8 +8,10 @@ import os
 import pathlib
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import types
 from collections import namedtuple
 from fractions import Fraction
@@ -333,6 +335,21 @@ class TestErrors:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == ""
+
+    def test_interrupt_exits_130_without_traceback(self):
+        # the exact A250 check runs for over a minute; start-up takes well
+        # under the second waited, so SIGINT lands inside the command
+        argv = [sys.executable, "-m", "linchar.cli", "check-line", "A250", "-m", "1", "--exact", "--json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(argv, env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            time.sleep(1.0)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert (proc.returncode, out) == (130, "")
+        assert "Traceback" not in err
 
 
 class TestImports:

@@ -1,8 +1,13 @@
 """Every command line of tests/data/cli_digests.json, run through `cli.main`
 in this process, keeps its exit code, stdout and stderr; the table names
 every line the Test*Golden classes of test_cli.py pin; a one-character
-change to any part of an output fails its line and no other; and the table
-is written back byte for byte as it was read."""
+change to any part of an output fails its line and no other; the script
+runs this checkout's linchar with no PYTHONPATH, in process and fresh; and
+the table is written back byte for byte as it was read."""
+
+import os
+import subprocess
+import sys
 
 import cli_digests
 import test_cli
@@ -45,6 +50,14 @@ def test_one_changed_character_fails_only_its_line():
     assert {line: [key for key in new if new[key] != DIGESTS[line][key]] for line, new in news.items()} == {
         line: [part] for line, part in altered.items()
     }
+
+
+def test_runs_this_checkout_with_no_pythonpath():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    for flags in ([], ["--fresh"]):
+        proc = subprocess.run([sys.executable, cli_digests.__file__, *flags, "admissible G2 --json"],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 lines, 0 changed\n", "")
 
 
 def test_the_table_round_trips():

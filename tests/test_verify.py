@@ -143,9 +143,18 @@ class TestFindRoots:
 
 
 # Classical inputs whose monomial coefficients cancel so heavily in doubles
-# that the iteration stalls on a noise floor and has to finish on the factor
-# centred at its root centroid.
+# that the iteration on the factor as given stalls on a noise floor, so the
+# roots come from the factor centred at its root centroid.  Those of
+# CENTRED_FIRST cancel so far that their doubles cannot resolve p at the
+# centroid, and start centred; B16 33 resolves it, stalls in stage 1 and
+# finishes in stage 2.
 STALLING = [("A20", 9999), ("A24", 1084), ("A28", 1), ("B16", 33), ("C18", 1630)]
+CENTRED_FIRST = {("A20", 9999), ("A24", 1084), ("A28", 1), ("C18", 1630)}
+
+
+def expected_statuses(name, m):
+    """What each `_aberth` call on a STALLING input ends on."""
+    return ["converged"] if (name, m) in CENTRED_FIRST else ["stalled", "converged"]
 
 
 def record_statuses(monkeypatch):
@@ -183,7 +192,7 @@ class TestFindRootsCentredStage:
     def test_stage_one_stops_at_the_rounding_floor(self, name, m, monkeypatch):
         statuses = record_statuses(monkeypatch)
         find_roots(char_poly(rid(name), m))
-        assert statuses == ["stalled", "converged"]
+        assert statuses == expected_statuses(name, m)
 
     def test_stage_one_roots_unchanged(self, monkeypatch):
         """Inputs that converge without centring keep the exact floats they had
@@ -209,9 +218,124 @@ class TestFindRootsCentredStage:
 
         monkeypatch.setattr(verify, "_aberth", centred_stage_fails)
         with pytest.raises(NonConvergence) as excinfo:
-            find_roots(char_poly(rid("A20"), 9999))
+            find_roots(char_poly(rid("B16"), 33))
         assert statuses == ["stalled", "converged"]
         assert str(excinfo.value) == "Aberth iteration did not converge within 200 iterations"
+
+    @pytest.mark.parametrize("end", ["stalled", "spent", ZeroDivisionError, OutOfDoubleRange])
+    def test_failed_centred_first_run_falls_back(self, end, monkeypatch):
+        """A centred first run that ends any way but "converged" leaves the
+        roots to the two stages, started afresh: the same floats, to the
+        bit, as when the route is never taken."""
+        p = char_poly(rid("A20"), 9999)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_unresolved_at_centroid", lambda *args: False)
+            statuses = record_statuses(patch)
+            want = find_roots(p)
+        assert statuses == ["stalled", "converged"]
+        real_aberth = verify._aberth
+        statuses = []
+
+        def first_run_fails(c, z, radius):
+            statuses.append(real_aberth(c, z, radius))
+            if len(statuses) > 1:
+                return statuses[-1]
+            if isinstance(end, str):
+                return end
+            raise end("made to fail")
+
+        monkeypatch.setattr(verify, "_aberth", first_run_fails)
+        got = find_roots(p)
+        assert statuses == ["converged", "stalled", "converged"]
+        assert bits(got.roots) == bits(want.roots)
+        assert got.certified_radius == want.certified_radius
+        assert got.residual_bound == want.residual_bound
+
+
+def mpmath_roots_on_the_line(p):
+    """The roots of a p whose roots lie on Re t = c, its root centroid, from
+    `mpmath.polyroots` at 50 digits on a polynomial of half the degree: p(c +
+    s) = s^eps G(s^2) exactly, checked here, so the roots are c + sqrt(x)
+    and c - sqrt(x) for each root x of G (and c itself for odd degree).  The
+    roots of G are found as x = R w, with R a power of two near the largest,
+    so they lie about the unit circle, where the iteration converges fast."""
+    mpmath = pytest.importorskip("mpmath")
+    n = p.degree
+    c = Fraction(-p.nums[-2], n * p.nums[-1])
+    q = p.compose_affine(1, c)
+    eps = n % 2
+    assert not any(q.nums[1 - eps::2])
+    g = RatPoly.over(q.nums[eps::2])
+    k = g.degree
+    scale = Fraction(2) ** round(max(
+        (math.log2(abs(x)) - math.log2(abs(g.nums[-1]))) / (k - j)
+        for j, x in enumerate(g.nums[:-1]) if x
+    ))
+    w = g.compose_affine(scale, 0)
+    with mpmath.workdps(50):
+        def mpf(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        found = mpmath.polyroots([mpf(x) for x in reversed(w.coeffs)], maxsteps=400, extraprec=100)
+        halves = [mpmath.sqrt(mpf(scale) * x) for x in found]
+        return [complex(mpf(c) + s) for s in [*halves, *(-s for s in halves), *[0] * eps]]
+
+
+# Per classical-sweep system with inputs that start centred, the one of
+# largest m among the pooled inputs of perfbench's workloads.all_sweep_ops().
+CENTRED_FIRST_POOLED = [("A18", 5482), ("A20", 8109), ("A24", 9057), ("A28", 7398), ("C18", 8409)]
+
+
+class TestCentredFirstRun:
+    @pytest.mark.parametrize("name,m", CENTRED_FIRST_POOLED, ids=str)
+    def test_pooled_inputs_match_mpmath(self, name, m, monkeypatch):
+        p = char_poly(rid(name), m)
+        statuses = record_statuses(monkeypatch)
+        got = find_roots(p).roots
+        assert statuses == ["converged"]
+        want = mpmath_roots_on_the_line(p)
+        scale = max(abs(w) for w in want)
+        assert verify._match_distance(got, want) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("name,m,routed", [
+        ("A20", 9999, True), ("A28", 1, True), ("B16", 33, False), ("A16", 4, False),
+        ("A12", 1, False), ("E8", 0, False),
+    ], ids=str)
+    def test_route_is_decided_exactly(self, name, m, routed):
+        """The rule against its definition in Fractions: the bound at
+        float(c) against |p(c)| for the monic p."""
+        p = limit_poly(rid(name)) if m == 0 else char_poly(rid(name), m)
+        (factor, _), = verify._squarefree_factors(p)
+        c = verify._monic_floats(factor)
+        centroid = Fraction(-factor.nums[-2], factor.degree * factor.nums[-1])
+        monic = [x / factor.coeffs[-1] for x in factor.coeffs]
+        value = sum(a * centroid**k for k, a in enumerate(monic))
+        bound = Fraction(verify._horner_error_bound(c, float(centroid)))
+        assert (bound >= abs(value)) == routed
+        assert verify._unresolved_at_centroid(factor, c, centroid) == routed
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=12),
+        st.integers(1, 10**6),
+        st.integers(1, 1000),
+    )
+    def test_rule_matches_fractions(self, lower, lead, centre):
+        """Random factors, also shifted far out so that the doubles lose p at
+        the centroid, against the rule written in Fractions."""
+        factor = RatPoly.over(lower + [lead]).compose_affine(1, centre)
+        c = verify._monic_floats(factor)
+        centroid = Fraction(-factor.nums[-2], factor.degree * factor.nums[-1])
+        value = sum(Fraction(a, factor.nums[-1]) * centroid**k for k, a in enumerate(factor.nums))
+        bound = Fraction(verify._horner_error_bound(c, float(centroid)))
+        assert verify._unresolved_at_centroid(factor, c, centroid) == (bound >= abs(value))
+
+    def test_a_root_at_the_centroid_is_routed(self):
+        # (t - 5)(t^2 - 10 t + 26): centroid 5, where p vanishes
+        factor = RatPoly((-130, 76, -15, 1))
+        c = verify._monic_floats(factor)
+        assert verify._unresolved_at_centroid(factor, c, Fraction(5))
+        assert sorted(find_roots(factor).roots, key=lambda z: z.imag) == [5 - 1j, 5, 5 + 1j]
 
 
 def exact_value(c, z):
@@ -390,7 +514,7 @@ class TestAberthMatchesFloatReference:
     def test_stalling_inputs_and_their_centred_stage(self, name, m, monkeypatch):
         statuses = check_every_call(monkeypatch)
         find_roots(char_poly(rid(name), m))
-        assert statuses == ["stalled", "converged"]
+        assert statuses == expected_statuses(name, m)
 
     def test_limit_polynomials(self, monkeypatch):
         statuses = check_every_call(monkeypatch)

@@ -436,13 +436,18 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     When the roots sit far from 0 compared with their spread, the monomial
     coefficients cancel in doubles.  If they cancel so far that the doubles
     cannot resolve p at c (`_unresolved_at_centroid`), the
-    factor is shifted exactly over Q by c first, and `_aberth` runs on the
-    centred factor from a rotated circle of its own `_start_radius`; the
-    roots of a run that converges come back plus c.  Any other end of that
-    run, or of the test (a stall, the spent budget, two equal iterates, a
-    bound, iterate or coefficient outside the doubles) falls back to the
-    two stages below, from their usual start, so the route fails no factor
-    the two stages solve.  c = 0 needs no test: the factor is centred.
+    factor is shifted exactly over Q by c first.  If the centred factor is
+    g(s) = s^eps G(s^2) with eps = n % 2, which its coefficients show
+    exactly, `_aberth` runs on G, of degree n // 2, and the roots of g are
+    0 for odd n and r and -r for r = sqrt(u) at each root u of G;
+    otherwise it runs on g.  Either run starts from a rotated circle of
+    its polynomial's own `_start_radius`, the inclusion radii are those of
+    g, and the roots of a run that converges come back plus c.  Any other
+    end of that run, or of the test (a stall, the spent budget, two equal
+    iterates, a bound, iterate or coefficient outside the doubles) falls
+    back to the two stages below, from their usual start, so the route
+    fails no factor the two stages solve.  c = 0 needs no test: the factor
+    is centred.
 
     The two stages, which every other factor runs: stage 1 iterates on the
     factor as given, from a rotated circle of radius `_start_radius`.  If
@@ -463,10 +468,21 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     try:
         if centroid and _unresolved_at_centroid(factor, c, centroid):
             shift = float(centroid)
-            cc = _monic_floats(factor.compose_affine(1, centroid))
-            radius = _start_radius(cc)
-            s = _start_circle(radius, n)
-            if _aberth(cc, s, radius) == "converged":
+            g = factor.compose_affine(1, centroid)
+            cc = _monic_floats(g)
+            eps = n % 2
+            if not any(g.nums[1 - eps::2]):  # g(s) = s^eps G(s^2)
+                cg = _monic_floats(RatPoly.over(g.nums[eps::2], g.den))
+                radius = _start_radius(cg)
+                u = _start_circle(radius, n // 2)
+                status = _aberth(cg, u, radius)
+                halves = [cmath.sqrt(uk) for uk in u]
+                s = [0j] * eps + halves + [-r for r in halves]
+            else:
+                radius = _start_radius(cc)
+                s = _start_circle(radius, n)
+                status = _aberth(cc, s, radius)
+            if status == "converged":
                 return [sj + shift for sj in s], _inclusion_radii(cc, s), "converged"
     except ArithmeticError:  # OverflowError, OutOfDoubleRange, two equal iterates
         pass
@@ -492,12 +508,13 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     iteration only ever sees simple roots; multiple roots are then replicated.
     Each factor is solved by `_factor_roots`, which centres it over Q at its
     root centroid before the first iteration if its doubles cannot resolve
-    it there, and otherwise once the iteration stalls; a centred first run
-    that does not converge falls back to the latter.  Every set returned
-    converged.  Raises NonConvergence if any factor stalls again after
-    centring or fails to settle within the iteration budget, naming the
-    stop it hit, or once two iterates become equal, and OutOfDoubleRange if
-    p or one of its factors does not fit in
+    it there, and otherwise once the iteration stalls; a factor centred
+    first that is s^eps G(s^2) is solved on G, of half the degree, and a
+    centred first run that does not converge falls back to the latter
+    route.  Every set returned converged.  Raises NonConvergence if any
+    factor stalls again after centring or fails to settle within the
+    iteration budget, naming the stop it hit, or once two iterates become
+    equal, and OutOfDoubleRange if p or one of its factors does not fit in
     doubles, or an iterate or a residual leaves them; the residuals are
     checked first, so an input that fails both ways is out of range.
     """

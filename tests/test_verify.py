@@ -170,6 +170,20 @@ def record_statuses(monkeypatch):
     return statuses
 
 
+def record_degrees(monkeypatch):
+    """The list every later `_aberth` call appends (degree of its
+    polynomial, number of its iterates) to."""
+    real_aberth = verify._aberth
+    degrees = []
+
+    def recording(c, z, radius):
+        degrees.append((len(c) - 1, len(z)))
+        return real_aberth(c, z, radius)
+
+    monkeypatch.setattr(verify, "_aberth", recording)
+    return degrees
+
+
 class TestFindRootsCentredStage:
     @pytest.mark.parametrize("name,m", STALLING, ids=str)
     def test_converges_on_the_line(self, name, m):
@@ -180,11 +194,18 @@ class TestFindRootsCentredStage:
 
     @pytest.mark.parametrize("name,m", STALLING, ids=str)
     def test_matches_mpmath(self, name, m):
-        mpmath = pytest.importorskip("mpmath")
+        """Against `mpmath.polyroots` at 50 digits, on the centred polynomial
+        split by parity (`mpmath_roots_on_the_line`); B16 33, which reaches
+        the centring only in stage 2, against mpmath on p as given, so that
+        one reference shares nothing with the centring."""
         p = char_poly(rid(name), m)
-        with mpmath.workdps(50):
-            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
-            want = [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=400, extraprec=100)]
+        if (name, m) == ("B16", 33):
+            mpmath = pytest.importorskip("mpmath")
+            with mpmath.workdps(50):
+                coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
+                want = [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=400, extraprec=100)]
+        else:
+            want = mpmath_roots_on_the_line(p)
         scale = max(abs(w) for w in want)
         assert verify._match_distance(find_roots(p).roots, want) <= 1e-10 * scale
 
@@ -329,6 +350,62 @@ class TestCentredFirstRun:
         value = sum(Fraction(a, factor.nums[-1]) * centroid**k for k, a in enumerate(factor.nums))
         bound = Fraction(verify._horner_error_bound(c, float(centroid)))
         assert verify._unresolved_at_centroid(factor, c, centroid) == (bound >= abs(value))
+
+    @pytest.mark.parametrize("name,m", sorted(CENTRED_FIRST) + CENTRED_FIRST_POOLED, ids=str)
+    def test_runs_on_the_half_degree_even_part(self, name, m, monkeypatch):
+        """Centred at m*h/2, these are g(s) = G(s^2) exactly (even rank), and
+        the one run is on G."""
+        degrees = record_degrees(monkeypatch)
+        p = char_poly(rid(name), m)
+        rs = find_roots(p)
+        n = p.degree
+        assert degrees == [(n // 2, n // 2)]
+        assert len(rs.roots) == n
+        assert all(z.real == line_center(name, m) for z in rs.roots)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(2, 28), st.integers(1, 20), st.data())
+    def test_planted_roots_on_a_line_far_out(self, n, y, data):
+        """c + i*y_k and c - i*y_k for n // 2 distinct y_k, and c itself at
+        odd n, with c so far from 0 that the doubles of p cannot resolve p
+        at c: the route is taken, and each planted root comes back.  Each
+        y_k is at least 5/4 of the one before, so G is well conditioned."""
+        ys = [y]
+        for _ in range(n // 2 - 1):
+            ys.append(ys[-1] + max(1, ys[-1] // 4) + data.draw(st.integers(0, ys[-1])))
+        eps = n % 2
+        # large enough for the route, small enough for the doubles of p
+        twice_c = data.draw(st.integers(2 * ys[-1], 4 * ys[-1])) * 10 ** (3 + 20 // n)
+        c = Fraction(twice_c + data.draw(st.integers(0, 1)), 2)
+        centred = mul(monomial(eps), *[RatPoly((yk * yk, 0, 1)) for yk in ys])
+        p = centred.compose_affine(1, -c)
+        planted = [complex(c)] * eps + [complex(c, s * yk) for yk in ys for s in (1, -1)]
+        with pytest.MonkeyPatch.context() as patch:
+            degrees = record_degrees(patch)
+            got = find_roots(p).roots
+        assert degrees == [(n // 2, n // 2)]
+        assert len(got) == n
+        assert all(z.real == c for z in got)
+        assert verify._match_distance(got, planted) <= 1e-10 * ys[-1]
+
+    def test_centred_factor_without_parity_runs_at_full_degree(self, monkeypatch):
+        """A24's limit polynomial is routed, but centred it has terms of both
+        parities: its roots come from one run at full degree on the centred
+        factor, to the bit (the `limit-roots A24` digest lines pin them)."""
+        p = limit_poly(rid("A24"))
+        (factor, _), = verify._squarefree_factors(p)
+        n = factor.degree
+        centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
+        g = factor.compose_affine(1, centroid)
+        assert any(g.nums[1::2]) and any(g.nums[::2])
+        cc = verify._monic_floats(g)
+        radius = verify._start_radius(cc)
+        s = verify._start_circle(radius, n)
+        assert verify._aberth(cc, s, radius) == "converged"
+        want = sorted((z + float(centroid) for z in s), key=lambda z: (z.real, z.imag))
+        degrees = record_degrees(monkeypatch)
+        assert bits(find_roots(p).roots) == bits(want)
+        assert degrees == [(n, n)]
 
     def test_a_root_at_the_centroid_is_routed(self):
         # (t - 5)(t^2 - 10 t + 26): centroid 5, where p vanishes

@@ -399,10 +399,22 @@ def _inclusion_radii(c: Sequence[float], z: Sequence[complex]) -> list[float]:
     return radii
 
 
-def _unresolved_at_centroid(factor: RatPoly, c: Sequence[float], centroid: Fraction) -> bool:
+# A factor starts centred once `_horner_error_bound` at its root centroid c
+# reaches 1/_CENTRE_MARGIN of |p(c)|.  Over the 280 pooled classical-sweep
+# inputs, log10(bound / |p(c)|) is at most -2.72 where stage 1 converges and
+# -2.25 to -0.05 where it stalls (log10 2**-8 = -2.41); the routed ones read
+# from 0.01 up.
+_CENTRE_MARGIN = 2**8
+
+
+def _barely_resolved_at_centroid(factor: RatPoly, c: Sequence[float], centroid: Fraction) -> bool:
     """True if `_horner_error_bound` at float(centroid) is at least
-    |p(centroid)| for the monic p = factor / lc, whose doubles are c: then c
-    cannot even resolve the sign of p at the centre of its roots.
+    |p(centroid)| / _CENTRE_MARGIN for the monic p = factor / lc, whose
+    doubles are c: then c resolves p at the centre of its roots to fewer
+    than 8 bits, and on the classical-sweep pool every factor that does so
+    and runs Aberth on c as given stalls on the rounding floor of Horner's
+    rule before it converges.  A wrong answer costs a run and never a
+    root: a centred run that does not converge falls back to the two stages.
 
     Decided exactly: with centroid = u/v, one Horner pass over Z gives
     H = sum a_k u^k v^(n-k) = lc * v^n * p(centroid), and the bound, an exact
@@ -417,7 +429,7 @@ def _unresolved_at_centroid(factor: RatPoly, c: Sequence[float], centroid: Fract
         value = value * u + a * power
         power *= v
     num, den = _horner_error_bound(c, float(centroid)).as_integer_ratio()
-    return num * abs(factor.nums[-1]) * (power // v) >= abs(value) * den
+    return _CENTRE_MARGIN * num * abs(factor.nums[-1]) * (power // v) >= abs(value) * den
 
 
 def _start_circle(radius: float, n: int) -> list[complex]:
@@ -435,19 +447,20 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
 
     When the roots sit far from 0 compared with their spread, the monomial
     coefficients cancel in doubles.  If they cancel so far that the doubles
-    cannot resolve p at c (`_unresolved_at_centroid`), the
-    factor is shifted exactly over Q by c first.  If the centred factor is
-    g(s) = s^eps G(s^2) with eps = n % 2, which its coefficients show
-    exactly, `_aberth` runs on G, of degree n // 2, and the roots of g are
-    0 for odd n and r and -r for r = sqrt(u) at each root u of G;
-    otherwise it runs on g.  Either run starts from a rotated circle of
-    its polynomial's own `_start_radius`, the inclusion radii are those of
-    g, and the roots of a run that converges come back plus c.  Any other
-    end of that run, or of the test (a stall, the spent budget, two equal
-    iterates, a bound, iterate or coefficient outside the doubles) falls
-    back to the two stages below, from their usual start, so the route
-    fails no factor the two stages solve.  c = 0 needs no test: the factor
-    is centred.
+    resolve p at c to fewer than 8 bits (`_barely_resolved_at_centroid`),
+    stage 1 below would only stall, so the factor is shifted exactly over Q
+    by c first.  If the centred factor is g(s) = s^eps G(s^2) with
+    eps = n % 2, which its coefficients show exactly, `_aberth` runs on G,
+    of degree n // 2, and the roots of g are 0 for odd n and r and -r for
+    r = sqrt(u) at each root u of G; otherwise it runs on g.  A factor with
+    c = 0 is centred already: it takes the run on G if it has that parity,
+    and the two stages otherwise.  Either run starts from a rotated circle
+    of its polynomial's own `_start_radius`, the inclusion radii are those
+    of g, and the roots of a run that converges come back plus c.  Any
+    other end of that run, or of the test (a stall, the spent budget, two
+    equal iterates, a bound, iterate or coefficient outside the doubles)
+    falls back to the two stages below, from their usual start, so the
+    route fails no factor the two stages solve.
 
     The two stages, which every other factor runs: stage 1 iterates on the
     factor as given, from a rotated circle of radius `_start_radius`.  If
@@ -465,12 +478,15 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
         z = complex(-c[0])
         return [z], [abs(_horner2(c, z)[0])], "converged"
     centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
+    eps = n % 2
     try:
-        if centroid and _unresolved_at_centroid(factor, c, centroid):
+        # a factor centred already gains only from the run on G
+        routed = (_barely_resolved_at_centroid(factor, c, centroid) if centroid
+                  else not any(factor.nums[1 - eps::2]))
+        if routed:
             shift = float(centroid)
             g = factor.compose_affine(1, centroid)
             cc = _monic_floats(g)
-            eps = n % 2
             if not any(g.nums[1 - eps::2]):  # g(s) = s^eps G(s^2)
                 cg = _monic_floats(RatPoly.over(g.nums[eps::2], g.den))
                 radius = _start_radius(cg)
@@ -507,9 +523,10 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     The exact square-free decomposition is taken first so the Aberth
     iteration only ever sees simple roots; multiple roots are then replicated.
     Each factor is solved by `_factor_roots`, which centres it over Q at its
-    root centroid before the first iteration if its doubles cannot resolve
-    it there, and otherwise once the iteration stalls; a factor centred
-    first that is s^eps G(s^2) is solved on G, of half the degree, and a
+    root centroid before the first iteration if its doubles resolve it
+    there to fewer than 8 bits (where the iteration as given stalls), and
+    otherwise once the iteration stalls; a factor centred first, or centred
+    already, that is s^eps G(s^2) is solved on G, of half the degree, and a
     centred first run that does not converge falls back to the latter
     route.  Every set returned converged.  Raises NonConvergence if any
     factor stalls again after centring or fails to settle within the

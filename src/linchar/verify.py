@@ -100,8 +100,9 @@ def _quotient(a: Sequence[int], g: Sequence[int]) -> list[int]:
     return _primitive(q)
 
 
-#: The prime of the square-free witness, 2**61 - 1.
-WITNESS_PRIME = (1 << 61) - 1
+#: The prime of the square-free witness, 2**30 - 35, the largest below
+#: 2**30: its residues are single-digit ints in CPython.
+WITNESS_PRIME = 1073741789
 
 
 def _squarefree_mod_prime(a: Sequence[int]) -> bool:
@@ -440,6 +441,38 @@ def _start_circle(radius: float, n: int) -> list[complex]:
     ]
 
 
+def _polygon_starts(c: Sequence[float]) -> list[complex]:
+    """n starts for monic c (ascending doubles, degree n), one circle about 0
+    per edge of the Newton polygon of |c| (Bini, Numer. Algorithms 13, 1996).
+
+    For each edge (i, j) of the upper convex hull of the points (k, log|c_k|)
+    with c_k != 0, j - i starts lie on the circle of radius
+    (|c_i| / |c_j|)^(1/(j - i)), rotated by 2*pi*i/n + _INIT_ROTATION.  Built
+    left to right, the hull keeps a vertex only where the radius, as a
+    double, grows past it, so no two edges share a circle.  The hull starts
+    at the lowest k with c_k != 0; below it c has a root at 0 of that
+    multiplicity, whose starts are at 0.  A square-free c has at most one
+    root there, so its starts are distinct.
+    """
+    n = len(c) - 1
+
+    def radius(i: int, j: int) -> float:
+        return (abs(c[i]) / abs(c[j])) ** (1 / (j - i))
+
+    hull: list[int] = []
+    for k, ck in enumerate(c):
+        if not ck:
+            continue
+        while len(hull) > 1 and radius(hull[-2], hull[-1]) >= radius(hull[-1], k):
+            hull.pop()
+        hull.append(k)
+    starts = [0j] * hull[0]
+    for i, j in zip(hull, hull[1:]):
+        r, turn = radius(i, j), 2 * math.pi * i / n + _INIT_ROTATION
+        starts += [r * cmath.exp(1j * (2 * math.pi * k / (j - i) + turn)) for k in range(j - i)]
+    return starts
+
+
 def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     """Roots of a square-free factor, their inclusion radii and the status
     `_aberth` ended on, routed by the factor's root centroid
@@ -454,13 +487,15 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     of degree n // 2, and the roots of g are 0 for odd n and r and -r for
     r = sqrt(u) at each root u of G; otherwise it runs on g.  A factor with
     c = 0 is centred already: it takes the run on G if it has that parity,
-    and the two stages otherwise.  Either run starts from a rotated circle
-    of its polynomial's own `_start_radius`, the inclusion radii are those
-    of g, and the roots of a run that converges come back plus c.  Any
-    other end of that run, or of the test (a stall, the spent budget, two
-    equal iterates, a bound, iterate or coefficient outside the doubles)
-    falls back to the two stages below, from their usual start, so the
-    route fails no factor the two stages solve.
+    and the two stages otherwise.  The roots of a centred factor spread
+    over orders of magnitude, so either run starts from one circle per edge
+    of its own polynomial's Newton polygon (`_polygon_starts`), and
+    `_start_radius` of that polynomial sets its tolerances.  The inclusion
+    radii are those of g, and the roots of a run that converges come back
+    plus c.  Any other end of that run, or of the test (a stall, the spent
+    budget, two equal iterates, a bound, iterate or coefficient outside the
+    doubles) falls back to the two stages below, from their usual start, so
+    the route fails no factor the two stages solve.
 
     The two stages, which every other factor runs: stage 1 iterates on the
     factor as given, from a rotated circle of radius `_start_radius`.  If
@@ -489,15 +524,13 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
             cc = _monic_floats(g)
             if not any(g.nums[1 - eps::2]):  # g(s) = s^eps G(s^2)
                 cg = _monic_floats(RatPoly.over(g.nums[eps::2], g.den))
-                radius = _start_radius(cg)
-                u = _start_circle(radius, n // 2)
-                status = _aberth(cg, u, radius)
+                u = _polygon_starts(cg)
+                status = _aberth(cg, u, _start_radius(cg))
                 halves = [cmath.sqrt(uk) for uk in u]
                 s = [0j] * eps + halves + [-r for r in halves]
             else:
-                radius = _start_radius(cc)
-                s = _start_circle(radius, n)
-                status = _aberth(cc, s, radius)
+                s = _polygon_starts(cc)
+                status = _aberth(cc, s, _start_radius(cc))
             if status == "converged":
                 return [sj + shift for sj in s], _inclusion_radii(cc, s), "converged"
     except ArithmeticError:  # OverflowError, OutOfDoubleRange, two equal iterates
@@ -526,9 +559,10 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     root centroid before the first iteration if its doubles resolve it
     there to fewer than 8 bits (where the iteration as given stalls), and
     otherwise once the iteration stalls; a factor centred first, or centred
-    already, that is s^eps G(s^2) is solved on G, of half the degree, and a
-    centred first run that does not converge falls back to the latter
-    route.  Every set returned converged.  Raises NonConvergence if any
+    already, that is s^eps G(s^2) is solved on G, of half the degree, each
+    centred first run starts from the circles of its Newton polygon, and
+    one that does not converge falls back to the latter route.  Every set
+    returned converged.  Raises NonConvergence if any
     factor stalls again after centring or fails to settle within the
     iteration budget, naming the stop it hit, or once two iterates become
     equal, and OutOfDoubleRange if p or one of its factors does not fit in

@@ -543,6 +543,12 @@ class TestSquarefreeWitness:
         assert _squarefree_factors(p) == [(monic(p), 1)]
         assert remainder_calls
 
+    def test_witness_prime_is_a_prime_below_2_to_the_30(self):
+        # below 2**30 every residue is one digit of a CPython int
+        sympy = pytest.importorskip("sympy")
+        assert sympy.isprime(WITNESS_PRIME)
+        assert WITNESS_PRIME < 2**30
+
     def test_linear_and_constant(self):
         assert _squarefree_mod_prime((5, 3))
         assert _squarefree_factors(poly(7)) == []

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linchar.oracles as oracles
@@ -414,9 +414,8 @@ class TestCentredFirstRun:
         g = factor.compose_affine(1, centroid)
         assert any(g.nums[1::2]) and any(g.nums[::2])
         cc = verify._monic_floats(g)
-        radius = verify._start_radius(cc)
-        s = verify._start_circle(radius, n)
-        assert verify._aberth(cc, s, radius) == "converged"
+        s = verify._polygon_starts(cc)
+        assert verify._aberth(cc, s, verify._start_radius(cc)) == "converged"
         want = sorted((z + float(centroid) for z in s), key=lambda z: (z.real, z.imag))
         degrees = record_degrees(monkeypatch)
         assert bits(find_roots(p).roots) == bits(want)
@@ -438,6 +437,38 @@ class TestCentredFirstRun:
             assert statuses == ["converged"], (name, m)
             full_degree += degrees[0][0] == rid(name).rank
         assert (len(ops), full_degree) == (280, 94)
+
+    def test_centred_inputs_converge_within_16_sweeps(self, monkeypatch):
+        """From the circles of `_polygon_starts` each of the 186 pooled
+        inputs that start centred converges in its one `_aberth` call
+        within 16 sweeps; from one circle of `_start_radius` they took up
+        to 34."""
+        monkeypatch.setattr(verify, "_MAX_ITER", 16)
+        degrees = record_degrees(monkeypatch)
+        statuses = record_statuses(monkeypatch)
+        centred = 0
+        for name, m in pooled_sweep_inputs():
+            del degrees[:], statuses[:]
+            try:
+                find_roots(char_poly(rid(name), m))
+            except NonConvergence:  # stage 1 may need more than 16
+                pass
+            if degrees[0][0] < rid(name).rank:
+                centred += 1
+                assert statuses == ["converged"], (name, m)
+        assert centred == 186
+
+    def test_a_root_at_the_centroid_keeps_its_start(self, monkeypatch):
+        """The roots 10^6 + {-3, 0, 1, 2}: centred, g(s) = s^4 - 7s^2 + 6s
+        has no parity and g(0) = 0, so the Newton polygon of its nonzero
+        coefficients covers 3 roots, and the fourth start sits at 0."""
+        centre = 10**6
+        p = from_roots([centre - 3, centre, centre + 1, centre + 2])
+        degrees = record_degrees(monkeypatch)
+        got = find_roots(p).roots
+        assert degrees == [(4, 4)]
+        assert len(got) == 4
+        assert verify._match_distance(got, [centre - 3, centre, centre + 1, centre + 2]) <= 1e-9
 
     def test_a_factor_centred_at_zero_runs_on_its_even_part(self, monkeypatch):
         """prod (s^2 + y^2) over y = 21..30 has root centroid 0, and its
@@ -482,6 +513,42 @@ class TestCentredFirstRun:
         c = verify._monic_floats(factor)
         assert verify._barely_resolved_at_centroid(factor, c, Fraction(5))
         assert sorted(find_roots(factor).roots, key=lambda z: z.imag) == [5 - 1j, 5, 5 + 1j]
+
+
+# Lower coefficients of monic doubles: zero or of modulus in [1e-20, 1e20].
+coefficient = st.one_of(st.just(0.0), st.floats(1e-20, 1e20), st.floats(-1e20, -1e-20))
+
+
+class TestPolygonStarts:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(coefficient, min_size=1, max_size=40))
+    @example([0.0, 6.0, -7.0, 0.0])  # s^4 - 7s^2 + 6s, a root at 0
+    def test_n_distinct_finite_starts(self, lower):
+        """Any degree 1-40, with zeros anywhere below the leading 1 but at
+        most a simple root at 0 (c_0 or c_1 nonzero), as a square-free
+        factor has; a zero c_0 puts one start at 0."""
+        c = lower + [1.0]
+        if not c[0] and not c[1]:
+            c[1] = 1.0
+        starts = verify._polygon_starts(c)
+        assert len(starts) == len(c) - 1
+        assert len(set(starts)) == len(starts)
+        assert all(cmath.isfinite(z) for z in starts)
+        assert starts.count(0j) == (c[0] == 0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(1e-3, 1e3), st.lists(st.tuples(st.floats(10, 1000), st.booleans()), max_size=11),
+           st.booleans())
+    def test_radii_follow_separated_moduli(self, smallest, steps, negative):
+        """Real roots whose moduli are at least 10 times apart: the sorted
+        radii of the starts are within a factor 2 of the sorted moduli."""
+        roots = [-smallest if negative else smallest]
+        for ratio, sign in steps:
+            roots.append((-1 if sign else 1) * abs(roots[-1]) * ratio)
+        c = [float(x) for x in from_roots([Fraction(r) for r in roots]).coeffs]
+        radii = sorted(abs(z) for z in verify._polygon_starts(c))
+        for r, modulus in zip(radii, sorted(map(abs, roots))):
+            assert modulus / 2 <= r <= 2 * modulus
 
 
 def exact_value(c, z):

@@ -302,15 +302,15 @@ def _start_radius(c: Sequence[float]) -> float:
     return max(min(cauchy, fujiwara), 1e-30)
 
 
-def _aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
+def _aberth(c: Sequence[float], z: list[complex]) -> str:
     """Ehrlich-Aberth iteration on a monic square-free polynomial (ascending
     floats), updating the iterates z in place.
 
     Returns "converged" once the corrections fall below _CORRECTION_TOL or
-    stop shrinking below _FLOOR_TOL (both relative to `radius`), "stalled"
-    once they stop shrinking above _FLOOR_TOL while every |p(z_j)| is inside
-    `_horner_error_bound`, and "spent" after _MAX_ITER iterations.  Raises
-    OutOfDoubleRange once an iterate is not finite.
+    stop shrinking below _FLOOR_TOL (both relative to `_start_radius(c)`),
+    "stalled" once they stop shrinking above _FLOOR_TOL while every |p(z_j)|
+    is inside `_horner_error_bound`, and "spent" after _MAX_ITER iterations.
+    Raises OutOfDoubleRange once an iterate is not finite.
 
     A residual inside the rounding bound carries no information about the
     root, so no further correction can improve it (Bini, "Numerical
@@ -325,6 +325,7 @@ def _aberth(c: Sequence[float], z: list[complex], radius: float) -> str:
     numbers, so every iterate keeps their bits with no call and no list per
     iterate.
     """
+    radius = _start_radius(c)
     rcoeffs = _complex(c)[::-1]
     prev_corr = math.inf
     for _ in range(_MAX_ITER):
@@ -433,12 +434,9 @@ def _barely_resolved_at_centroid(factor: RatPoly, c: Sequence[float], centroid: 
     return _CENTRE_MARGIN * num * abs(factor.nums[-1]) * (power // v) >= abs(value) * den
 
 
-def _start_circle(radius: float, n: int) -> list[complex]:
-    """n starts on the circle of that radius about 0, rotated off the axes."""
-    return [
-        radius * cmath.exp(1j * (2 * math.pi * j / n + _INIT_ROTATION))
-        for j in range(n)
-    ]
+def _start_circle(radius: float, n: int, turn: float) -> list[complex]:
+    """n starts on the circle of that radius about 0, the first at angle turn."""
+    return [radius * cmath.exp(1j * (2 * math.pi * k / n + turn)) for k in range(n)]
 
 
 def _polygon_starts(c: Sequence[float]) -> list[complex]:
@@ -468,9 +466,37 @@ def _polygon_starts(c: Sequence[float]) -> list[complex]:
         hull.append(k)
     starts = [0j] * hull[0]
     for i, j in zip(hull, hull[1:]):
-        r, turn = radius(i, j), 2 * math.pi * i / n + _INIT_ROTATION
-        starts += [r * cmath.exp(1j * (2 * math.pi * k / (j - i) + turn)) for k in range(j - i)]
+        starts += _start_circle(radius(i, j), j - i, 2 * math.pi * i / n + _INIT_ROTATION)
     return starts
+
+
+def _centred_roots(
+    factor: RatPoly, centroid: Fraction, starts: list[complex] | None = None
+) -> tuple[list[complex], list[float], str]:
+    """`_aberth` on g(s) = factor(s + c), shifted exactly over Q by the
+    centroid c: the roots of factor, g's inclusion radii and the status.
+
+    Given starts near the roots of factor, the run is on g from the starts
+    minus c.  Without, it starts from the circles of the Newton polygon
+    (`_polygon_starts`), as the roots of g spread over orders of magnitude,
+    and runs on G if g = s^eps G(s^2) with eps = deg g % 2; the roots of g
+    are then 0 for odd degree and r and -r for r = sqrt(u) at each root u
+    of G.
+    """
+    g = factor.compose_affine(1, centroid)
+    cc = _monic_floats(g)
+    shift = float(centroid)
+    eps = g.degree % 2
+    if starts is None and not any(g.nums[1 - eps::2]):
+        cg = _monic_floats(RatPoly.over(g.nums[eps::2], g.den))
+        u = _polygon_starts(cg)
+        status = _aberth(cg, u)
+        halves = [cmath.sqrt(uk) for uk in u]
+        s = [0j] * eps + halves + [-r for r in halves]
+    else:
+        s = _polygon_starts(cc) if starts is None else [zj - shift for zj in starts]
+        status = _aberth(cc, s)
+    return [sj + shift for sj in s], _inclusion_radii(cc, s), status
 
 
 def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
@@ -481,31 +507,22 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
     When the roots sit far from 0 compared with their spread, the monomial
     coefficients cancel in doubles.  If they cancel so far that the doubles
     resolve p at c to fewer than 8 bits (`_barely_resolved_at_centroid`),
-    stage 1 below would only stall, so the factor is shifted exactly over Q
-    by c first.  If the centred factor is g(s) = s^eps G(s^2) with
-    eps = n % 2, which its coefficients show exactly, `_aberth` runs on G,
-    of degree n // 2, and the roots of g are 0 for odd n and r and -r for
-    r = sqrt(u) at each root u of G; otherwise it runs on g.  A factor with
-    c = 0 is centred already: it takes the run on G if it has that parity,
-    and the two stages otherwise.  The roots of a centred factor spread
-    over orders of magnitude, so either run starts from one circle per edge
-    of its own polynomial's Newton polygon (`_polygon_starts`), and
-    `_start_radius` of that polynomial sets its tolerances.  The inclusion
-    radii are those of g, and the roots of a run that converges come back
-    plus c.  Any other end of that run, or of the test (a stall, the spent
+    stage 1 below would only stall, so the factor takes the centred run of
+    `_centred_roots` first.  A factor with c = 0 is centred already: it
+    takes that run if it is s^eps G(s^2), and the two stages otherwise.
+    Any end of that run but "converged", or of the test (a stall, the spent
     budget, two equal iterates, a bound, iterate or coefficient outside the
-    doubles) falls back to the two stages below, from their usual start, so
+    doubles), falls back to the two stages below, from their usual start, so
     the route fails no factor the two stages solve.
 
     The two stages, which every other factor runs: stage 1 iterates on the
     factor as given, from a rotated circle of radius `_start_radius`.  If
     the corrections stall on a noise floor above _FLOOR_TOL with every
-    residual inside the rounding bound of Horner's rule, stage 2 shifts the
-    factor exactly over Q by c and continues, under the same stops, from
-    the stalled iterates minus c.  A stall in stage 2 is final.  Runs that
-    do not stall return stage 1's roots unchanged.  `_aberth`'s one
-    division by zero, 1 / (z_j - z_k) for two equal iterates, is raised as
-    the NonConvergence it is.
+    residual inside the rounding bound of Horner's rule, stage 2 is
+    `_centred_roots` from the stalled iterates, at full degree.  A stall in
+    stage 2 is final.  Runs that do not stall return stage 1's roots
+    unchanged.  `_aberth`'s one division by zero, 1 / (z_j - z_k) for two
+    equal iterates, is raised as the NonConvergence it is.
     """
     c = _monic_floats(factor)
     n = len(c) - 1
@@ -513,41 +530,23 @@ def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
         z = complex(-c[0])
         return [z], [abs(_horner2(c, z)[0])], "converged"
     centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
-    eps = n % 2
     try:
         # a factor centred already gains only from the run on G
-        routed = (_barely_resolved_at_centroid(factor, c, centroid) if centroid
-                  else not any(factor.nums[1 - eps::2]))
-        if routed:
-            shift = float(centroid)
-            g = factor.compose_affine(1, centroid)
-            cc = _monic_floats(g)
-            if not any(g.nums[1 - eps::2]):  # g(s) = s^eps G(s^2)
-                cg = _monic_floats(RatPoly.over(g.nums[eps::2], g.den))
-                u = _polygon_starts(cg)
-                status = _aberth(cg, u, _start_radius(cg))
-                halves = [cmath.sqrt(uk) for uk in u]
-                s = [0j] * eps + halves + [-r for r in halves]
-            else:
-                s = _polygon_starts(cc)
-                status = _aberth(cc, s, _start_radius(cc))
-            if status == "converged":
-                return [sj + shift for sj in s], _inclusion_radii(cc, s), "converged"
+        if (_barely_resolved_at_centroid(factor, c, centroid) if centroid
+                else not any(factor.nums[1 - n % 2::2])):
+            roots = _centred_roots(factor, centroid)
+            if roots[2] == "converged":
+                return roots
     except ArithmeticError:  # OverflowError, OutOfDoubleRange, two equal iterates
         pass
-    radius = _start_radius(c)
-    z = _start_circle(radius, n)
+    z = _start_circle(_start_radius(c), n, _INIT_ROTATION)
     try:
-        status = _aberth(c, z, radius)
+        status = _aberth(c, z)
         if status != "stalled":
             return z, _inclusion_radii(c, z), status
-        shift = float(centroid)
-        c = _monic_floats(factor.compose_affine(1, centroid))
-        s = [zj - shift for zj in z]
-        status = _aberth(c, s, _start_radius(c))
+        return _centred_roots(factor, centroid, z)
     except ZeroDivisionError as exc:
         raise NonConvergence("Aberth iterates collided: two became equal") from exc
-    return [sj + shift for sj in s], _inclusion_radii(c, s), status
 
 
 def find_roots(p: RatPoly) -> ComplexRootSet:
@@ -555,19 +554,18 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
 
     The exact square-free decomposition is taken first so the Aberth
     iteration only ever sees simple roots; multiple roots are then replicated.
-    Each factor is solved by `_factor_roots`, which centres it over Q at its
-    root centroid before the first iteration if its doubles resolve it
-    there to fewer than 8 bits (where the iteration as given stalls), and
-    otherwise once the iteration stalls; a factor centred first, or centred
-    already, that is s^eps G(s^2) is solved on G, of half the degree, each
-    centred first run starts from the circles of its Newton polygon, and
-    one that does not converge falls back to the latter route.  Every set
-    returned converged.  Raises NonConvergence if any
-    factor stalls again after centring or fails to settle within the
-    iteration budget, naming the stop it hit, or once two iterates become
-    equal, and OutOfDoubleRange if p or one of its factors does not fit in
-    doubles, or an iterate or a residual leaves them; the residuals are
-    checked first, so an input that fails both ways is out of range.
+    Each factor is solved by `_factor_roots`, which runs `_aberth` on it
+    centred exactly over Q at its root centroid (`_centred_roots`): first,
+    from its Newton polygon and on its even part where it has one, if its
+    doubles resolve it there to fewer than 8 bits (where the iteration as
+    given stalls), and otherwise, or if that run fails, once the iteration
+    as given stalls, from its iterates.  Every set returned converged.
+    Raises NonConvergence if any factor stalls again after centring or
+    fails to settle within the iteration budget, naming the stop it hit, or
+    once two iterates become equal, and OutOfDoubleRange if p or one of its
+    factors does not fit in doubles, or an iterate or a residual leaves
+    them; the residuals are checked first, so an input that fails both ways
+    is out of range.
     """
     if p.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from decimal import Decimal
 from fractions import Fraction
 
 from . import ehrhart, eulerian, linial, oracles, rootdata, verify
@@ -152,11 +151,14 @@ def check_table2():
     """Maximal real parts"""
     for name, printed in _TABLE2.items():
         F = linial.limit_poly(RootSystemId.parse(name))
-        low = Decimal(printed)
-        high = low + Decimal(1).scaleb(low.as_tuple().exponent)
+        places = len(printed.partition(".")[2])
+        unit = 10**places
+        low = Fraction(printed)
+        high = low + Fraction(1, unit)
         # low <= max Re t < high: Re t < low fails for some root, Re t < high holds for all
-        if [verify.halfplane_exact(F, 2 * Fraction(x)) for x in (low, high)] != [False, True]:
-            return False, f"{name}: max real part not in [{low}, {high})"
+        if [verify.halfplane_exact(F, 2 * x) for x in (low, high)] != [False, True]:
+            top = int(high * unit)  # high printed to the places of low
+            return False, f"{name}: max real part not in [{printed}, {top // unit}.{top % unit:0{places}d})"
     roots = verify.find_roots(linial.limit_poly(RootSystemId.parse("E6"))).roots
     dist = verify._match_distance(roots, _E6_PRINTED_ROOTS)
     if dist > 1e-4:

@@ -21,8 +21,9 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, zip_longest
-from operator import add
+from operator import add, mul
 
 
 def _exact(x: int | Fraction) -> int | Fraction:
@@ -220,6 +221,33 @@ class IntegerTable(namedtuple("IntegerTable", "den nums layers")):
         return cls(den, nums, _layers(nums))
 
 
+# Entries kept by the `_class_sums` cache.  The acceptance matrix makes 125
+# keys; one exceptional system has at most two operators times its period
+# (E8: 120), and a classical sweep two per system.
+_CLASS_SUMS_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
+def _class_sums(f: RatPoly, step: int, period: int, size: int, /) -> tuple:
+    """The terms of f grouped by class c = (-step*i) mod period, for a step
+    taken mod period: pairs (c, (sum_i f.nums[i] * i^j for j < size)) over
+    the i of class c, in the order of their first i.  The class of i, and so
+    each sum, depends on step mod period alone, so consecutive m share one
+    entry; `shift_constituents` turns entry j into the moment of (-step*i)^j
+    by one product with (-step)^j."""
+    sums: dict[int, list[int]] = {}
+    for i, x in enumerate(f.nums):
+        if x:
+            c = -step * i % period
+            acc = sums.get(c)
+            if acc is None:
+                acc = sums[c] = [0] * size
+            for j in range(size):
+                acc[j] += x
+                x *= i
+    return tuple((c, tuple(acc)) for c, acc in sums.items())
+
+
 def shift_constituents(
     f: RatPoly, step: int, constituents: IntegerTable, residues: Iterable[int]
 ) -> tuple[RatPoly, ...]:
@@ -229,37 +257,32 @@ def shift_constituents(
 
         sum_i f_i * g_{(d - step*i) mod period}(t - step*i).
 
-    The i are grouped once per call by class c = (-step*i) mod period, and
-    each class keeps the integer moments mu_j = sum_i f.nums[i] * (-step*i)^j,
-    so that [t^q] of the result is sum_c sum_k C(k, q) nums[(d + c) % period][k]
-    mu_c[k - q], over f.den * den.  The sum over k runs layer by layer
-    (`IntegerTable.layers`).  A layer of period p reads row (d + c) mod p,
-    so its classes are folded mod p and its share of the result depends on
-    d mod p alone: it is convolved once per d mod p, and every residue with
-    that d mod p reuses it.  The folds run down the layers: a layer whose
-    period divides the last one's folds that layer's classes (E8: 60, 12,
-    6, 2, 1), any other folds the classes mod the period again.  Each result
-    is the sum of its layers' shares, normalised once per distinct sum, so
-    equal results are one object.  Exact throughout; one result per entry
-    of `residues`, in order, residues taken mod period.
+    The i are grouped by class c = (-step*i) mod period, and each class
+    keeps the integer moments mu_j = sum_i f.nums[i] * (-step*i)^j, which
+    are (-step)^j times the sums of `_class_sums`, cached per operator and
+    step mod period.  So [t^q] of the result is sum_c sum_k C(k, q)
+    nums[(d + c) % period][k] mu_c[k - q], over f.den * den.  The sum over k
+    runs layer by layer (`IntegerTable.layers`).  A layer of period p reads
+    row (d + c) mod p, so its classes are folded mod p and its share of the
+    result depends on d mod p alone: it is convolved once per d mod p, and
+    every residue with that d mod p reuses it.  The folds run down the
+    layers: a layer whose period divides the last one's folds that layer's
+    classes (E8: 60, 12, 6, 2, 1), any other folds the classes mod the
+    period again.  Each result is the sum of its layers' shares, normalised
+    once per distinct sum, so equal results are one object.  Exact
+    throughout; one result per entry of `residues`, in order, residues taken
+    mod period.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     nums = constituents.nums
     period = len(nums)
     size = max(map(len, nums), default=0)
-    moments: dict[int, list[int]] = {}
-    if size:
-        for i, x in enumerate(f.nums):
-            if x:
-                shift = -step * i
-                mu = moments.get(shift % period)
-                if mu is None:
-                    mu = moments[shift % period] = [0] * size
-                mu[0] += x
-                for j in range(1, size):
-                    x *= shift
-                    mu[j] += x
+    powers = [1] * size  # (-step)^j
+    for j in range(1, size):
+        powers[j] = powers[j - 1] * -step
+    moments = {c: list(map(mul, sums, powers))
+               for c, sums in _class_sums(f, step % period, period, size)}
     plan = []  # per layer: its period and rows, its folded classes, its shares by d mod p
     last, source = period, moments  # the classes the next layer folds, and their period
     for p, _, rows in constituents.layers:

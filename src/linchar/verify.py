@@ -113,7 +113,8 @@ def _squarefree_mod_prime(a: Sequence[int]) -> bool:
     a and a' of positive degree can be taken primitive in Z[t], its leading
     coefficient divides lc(a), so it keeps its degree mod q and divides both
     images there.  False proves nothing.  ``a`` carries no trailing zeros
-    and has degree below q.
+    and has degree below q.  Euclid's steps leave their products unreduced,
+    and each remainder is reduced mod q once, when it becomes the divisor.
     """
     q = WITNESS_PRIME
     if a[-1] % q == 0:
@@ -122,14 +123,15 @@ def _squarefree_mod_prime(a: Sequence[int]) -> bool:
     v = [j * x % q for j, x in enumerate(a)][1:]  # lc is deg(a) * lc(a), nonzero mod q
     while len(v) > 1:
         inv = pow(v[-1], -1, q)
-        while len(u) >= len(v):
-            c = u[-1] * inv % q
-            k = len(u) - len(v)
-            for j, x in enumerate(v):
-                u[k + j] = (u[k + j] - c * x) % q
-            while u and not u[-1]:
+        lower = v[:-1]
+        while len(u) >= len(v):  # u[-1] is the leading term, nonzero mod q
+            c = u.pop() * inv % q
+            k = len(u) - len(lower)
+            for j, x in enumerate(lower):
+                u[k + j] -= c * x
+            while u and not u[-1] % q:
                 u.pop()
-        u, v = v, u
+        u, v = v, [x % q for x in u]
     return len(v) == 1
 
 
@@ -491,12 +493,17 @@ def _centred_roots(
         cg = _monic_floats(RatPoly.over(g.nums[eps::2], g.den))
         u = _polygon_starts(cg)
         status = _aberth(cg, u)
-        halves = [cmath.sqrt(uk) for uk in u]
-        s = [0j] * eps + halves + [-r for r in halves]
+        halves = [0j] * eps + [cmath.sqrt(uk) for uk in u]
+        # the terms of g have one parity, so Horner's rule at -r gives
+        # +-p(r) and -+p'(r), each of the same modulus to the bit: the radii
+        # at r serve -r
+        radii = _inclusion_radii(cc, halves)
+        s, radii = halves + [-r for r in halves[eps:]], radii + radii[eps:]
     else:
         s = _polygon_starts(cc) if starts is None else [zj - shift for zj in starts]
         status = _aberth(cc, s)
-    return [sj + shift for sj in s], _inclusion_radii(cc, s), status
+        radii = _inclusion_radii(cc, s)
+    return [sj + shift for sj in s], radii, status
 
 
 def _factor_roots(factor: RatPoly) -> tuple[list[complex], list[float], str]:
@@ -582,16 +589,18 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
                 roots.extend([zs[i]] * mult)
                 radii.extend([rads[i]] * mult)
         floats = [c / p.den for c in p.nums]
-        coeffs = _complex(floats)
+        rcoeffs = _complex(floats)[::-1]
         moduli = [abs(c) for c in floats]
         residuals = []
         for z in roots:
-            val = abs(_horner2(coeffs, z)[0])
+            val = 0j  # `_horner2`'s value, without its derivative
+            for c in rcoeffs:
+                val = val * z + c
             # fsum, not sum: Python 3.12 made float sum compensated, and the
             # last digit must not depend on the interpreter
             r = max(1.0, abs(z))
             denom = math.fsum(a * r**i for i, a in enumerate(moduli))
-            residuals.append(val / denom)
+            residuals.append(abs(val) / denom)
         if not all(map(math.isfinite, residuals)):
             raise OutOfDoubleRange(_OUT_OF_RANGE)
     except (OverflowError, ZeroDivisionError) as exc:  # p/den overflows or underflows to 0.0

@@ -71,12 +71,13 @@ def tables_with_repeated_rows(draw):
 
 
 @st.composite
-def layered_tables(draw):
+def layered_tables(draw, periods=st.integers(1, 12)):
     """Tables shaped like an Ehrhart quasi-polynomial: each column has its
-    own period, a divisor of the table period.  Some columns are zero, the
-    others have a zero entry at each clear bit of a drawn mask, and each row
-    drops its trailing zeros, so rows differ in length."""
-    period = draw(st.integers(1, 12))
+    own period, a divisor of the table period (drawn from `periods`).  Some
+    columns are zero, the others have a zero entry at each clear bit of a
+    drawn mask, and each row drops its trailing zeros, so rows differ in
+    length."""
+    period = draw(periods)
     den = draw(st.integers(1, MAX_DEN))
     divisors = [p for p in range(1, period + 1) if period % p == 0]
     columns = []
@@ -217,6 +218,97 @@ class TestKernelMatchesNaiveSum:
         constituents = polys_of(table)
         want = tuple(naive_constituent(f, step, constituents, d) for d in residues)
         assert shift_constituents(f, step, table, residues) == want
+
+
+def per_call_moments(f: RatPoly, step: int, period: int, size: int) -> dict[int, list[int]]:
+    """The moments sum_i f.nums[i] * (-step*i)^j of each class
+    (-step*i) mod period, j < size, rebuilt on every call as the kernel
+    once did."""
+    moments: dict[int, list[int]] = {}
+    if size:
+        for i, x in enumerate(f.nums):
+            if x:
+                shift = -step * i
+                mu = moments.get(shift % period)
+                if mu is None:
+                    mu = moments[shift % period] = [0] * size
+                mu[0] += x
+                for j in range(1, size):
+                    x *= shift
+                    mu[j] += x
+    return moments
+
+
+def moment_kernel(f: RatPoly, step: int, table: IntegerTable, d: int) -> RatPoly:
+    """Constituent d from `per_call_moments` and one flat convolution:
+    [t^q] = sum_c sum_k C(k, q) nums[(d + c) % period][k] mu_c[k - q]."""
+    period = len(table.nums)
+    size = max(map(len, table.nums))
+    out = [0] * size
+    for c, mu in per_call_moments(f, step, period, size).items():
+        row = table.nums[(d + c) % period]
+        for k, x in enumerate(row):
+            for q in range(k + 1):
+                out[q] += math.comb(k, q) * x * mu[k - q]
+    return RatPoly.over(out, f.den * table.den)
+
+
+@st.composite
+def kernel_steps(draw, period: int):
+    """Step 1, a multiple of the period, or a step above 10^4."""
+    return draw(st.one_of(
+        st.just(1),
+        st.integers(1, 200).map(lambda k: k * period),
+        st.integers(10**4 + 1, 10**9),
+    ))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(f, step, table): an operator, a table of period 1, 2, 6, 12 or 60,
+    and a step from `kernel_steps`."""
+    table = draw(layered_tables(st.sampled_from((1, 2, 6, 12, 60))))
+    return draw(operators()), draw(kernel_steps(len(table.nums))), table
+
+
+class TestClassSums:
+    """The per-class sums of `ratpoly._class_sums`, cached per operator and
+    step mod period, against the moment loop the kernel ran on every call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=kernel_cases())
+    @example(case=(SIX_CLASSES, 7, BROKEN_CHAIN))
+    @example(case=(HALF_TOP, 12 * 10**4 + 5, ZERO_COLUMN))
+    def test_kernel_matches_per_call_moments(self, case):
+        f, step, table = case
+        residues = range(len(table.nums))
+        want = tuple(moment_kernel(f, step, table, d) for d in residues)
+        assert shift_constituents(f, step, table, residues) == want
+
+    def test_exceptional_operators_on_their_alcove_tables(self):
+        """Every exceptional operator at steps 1 to period + 1 and past
+        10^4, each against the per-call moments."""
+        for ident in (i for i in ALL_TABLE_IDS if i.family in "EFG"):
+            table = ehrhart_table(ident)
+            period = len(table.nums)
+            for half in (False, True):
+                f = shift_operator(ident, half)
+                for step in (*range(1, period + 2), 10**4 + 7):
+                    residues = range(period)
+                    want = tuple(moment_kernel(f, step, table, d) for d in residues)
+                    assert shift_constituents(f, step, table, residues) == want, (ident, half, step)
+
+    def test_steps_alike_mod_the_period_share_one_entry(self):
+        """A sweep over consecutive m builds each class sum once: the steps
+        1..120 on E8's table, of period 60, make 60 entries, one per step
+        mod 60, and hit each once more."""
+        e8 = RootSystemId.parse("E8")
+        f, table = RatPoly((1, -2, Fraction(5, 3), 7, 0, 11)), ehrhart_table(e8)
+        ratpoly._class_sums.cache_clear()
+        for step in range(1, 121):
+            shift_constituents(f, step, table, (1,))
+        info = ratpoly._class_sums.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (60, 60, 60)
 
 
 class TestLayers:

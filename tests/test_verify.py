@@ -826,6 +826,118 @@ class TestAberthMatchesFloatReference:
         assert assert_matches_reference(c, [1 + 1j, 1 + 1j])[0] == "ZeroDivisionError"
 
 
+def reference_residual_bound(p, roots):
+    """`find_roots`' residual bound as it was computed, with `_horner2`
+    evaluating the derivative beside each value."""
+    floats = [c / p.den for c in p.nums]
+    coeffs = verify._complex(floats)
+    moduli = [abs(c) for c in floats]
+    residuals = []
+    for z in roots:
+        val = abs(verify._horner2(coeffs, z)[0])
+        r = max(1.0, abs(z))
+        denom = math.fsum(a * r**i for i, a in enumerate(moduli))
+        residuals.append(val / denom)
+    return max(residuals, default=0.0)
+
+
+def reference_centred_roots(factor, centroid):
+    """`verify._centred_roots` with no starts as it was, the inclusion radii
+    evaluated at every root of g, -r included."""
+    g = factor.compose_affine(1, centroid)
+    cc = verify._monic_floats(g)
+    shift = float(centroid)
+    eps = g.degree % 2
+    if not any(g.nums[1 - eps::2]):
+        cg = verify._monic_floats(RatPoly.over(g.nums[eps::2], g.den))
+        u = verify._polygon_starts(cg)
+        status = verify._aberth(cg, u)
+        halves = [cmath.sqrt(uk) for uk in u]
+        s = [0j] * eps + halves + [-r for r in halves]
+    else:
+        s = verify._polygon_starts(cc)
+        status = verify._aberth(cc, s)
+    return [sj + shift for sj in s], verify._inclusion_radii(cc, s), status
+
+
+def reference_squarefree_mod_prime(a):
+    """`verify._squarefree_mod_prime` reducing mod q after every product."""
+    q = verify.WITNESS_PRIME
+    if a[-1] % q == 0:
+        return False
+    u = [x % q for x in a]
+    v = [j * x % q for j, x in enumerate(a)][1:]
+    while len(v) > 1:
+        inv = pow(v[-1], -1, q)
+        while len(u) >= len(v):
+            c = u[-1] * inv % q
+            k = len(u) - len(v)
+            for j, x in enumerate(v):
+                u[k + j] = (u[k + j] - c * x) % q
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(v) == 1
+
+
+@functools.cache
+def root_finder_inputs():
+    """The 280 pooled classical-sweep inputs, then the limit polynomials and
+    limit combinations of A, B, C and D at ranks 2 to 41."""
+    inputs = [(f"{name} {m}", char_poly(rid(name), m)) for name, m in pooled_sweep_inputs()]
+    for family in "ABCD":
+        for rank in range(4 if family == "D" else 2, 42):
+            ident = RootSystemId(family, rank)
+            inputs += [(f"limit {ident}", limit_poly(ident)), (f"comb {ident}", limit_combination(ident))]
+    return inputs
+
+
+def radii_bits(radii):
+    return [r.hex() for r in radii]
+
+
+class TestRootFinderKeepsItsBits:
+    """Three shortcuts of the root finder against the forms they replace,
+    to the bit: the residual pass without the derivative, the radii of a
+    one-parity run mirrored from r to -r, and the witness reduced once per
+    remainder."""
+
+    def test_residual_bound(self):
+        for label, p in root_finder_inputs():
+            rs = find_roots(p)
+            assert rs.residual_bound.hex() == reference_residual_bound(p, rs.roots).hex(), label
+
+    def test_mirrored_radii(self):
+        """Every factor whose centred form has one parity, run as the route
+        runs it: the 280 pooled inputs, two limit polynomials and 79 limit
+        combinations at even degree, and 79 limit combinations at odd."""
+        parities = [0, 0]
+        for label, p in root_finder_inputs():
+            for factor, _ in verify._squarefree_factors(p):
+                n = factor.degree
+                centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
+                g = factor.compose_affine(1, centroid)
+                if n < 2 or any(g.nums[1 - n % 2::2]):
+                    continue
+                parities[n % 2] += 1
+                roots, radii, status = verify._centred_roots(factor, centroid)
+                want_roots, want_radii, want_status = reference_centred_roots(factor, centroid)
+                assert (bits(roots), radii_bits(radii), status) == (
+                    bits(want_roots), radii_bits(want_radii), want_status), label
+        assert parities == [361, 79]
+
+    def test_squarefree_witness(self):
+        """Every input but A2's limit polynomial, (t - 1)^2, is square-free,
+        and so the witness proves; a planted square it does not."""
+        repeated = mul(power(from_roots([2, Fraction(-3, 5)]), 2), from_roots([7]))
+        cases = [*root_finder_inputs(), ("repeated", repeated)]
+        answers = []
+        for label, p in cases:
+            answers.append(verify._squarefree_mod_prime(p.nums))
+            assert answers[-1] == reference_squarefree_mod_prime(p.nums), label
+        assert answers.count(False) == 2 and answers[-1] is False
+
+
 class TestLimitPoly:
     def test_g2(self):
         assert limit_poly(rid("G2")) == RatPoly((31, -26, 6))

@@ -4,13 +4,14 @@ polynomials and caches nothing; `linchar.linial` builds them.
 
 Exactness boundary: membership on the vertical line Re t = M/2 and strict
 half-plane bounds Re t < H/2 for rational H are decided over Q, each by one
-function that reads the primitive remainder sequence over Z (`_remainders`)
-at its two ends: `check_on_line_exact` the Sturm chain of the even part,
-its roots at 0 divided out, through its signs at -inf and at 0, and
-`halfplane_exact` the Routh rows through their leading coefficients.  Two
-half-plane bounds bracket a maximal real part.  Nothing above the numeric
-section uses floating point; below it, floats give root coordinates in
-reports and asymptotic distances.
+function that reads the primitive remainder sequence over Z (`_remainders`,
+whose elimination forms no quotient) at its two ends: `check_on_line_exact`
+the Sturm chain of the even part, its roots at 0 divided out, through its
+signs at -inf and at 0, and `halfplane_exact` the Routh rows through their
+leading coefficients.  Two half-plane bounds bracket a maximal real part.
+`_quotient` divides exactly in integers (Gauss's lemma).  Nothing above the
+numeric section uses floating point; below it, floats give root
+coordinates in reports and asymptotic distances.
 """
 
 from __future__ import annotations
@@ -45,33 +46,6 @@ class LineCheckReport(namedtuple("LineCheckReport", "on_line center method detai
         }
 
 
-def _pseudo_divrem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Pseudo-division over Z: (q, r, mult) with mult * a == q * b + r,
-    deg r < deg b and mult = |lc b|**k for the k elimination steps.  The
-    multiplier is positive whatever the sign of lc b, so r is a positive
-    multiple of the remainder over Q.  ``a`` and ``b`` carry no trailing
-    zeros, and ``b`` is nonzero; ``r`` comes back the same way."""
-    db = len(b) - 1
-    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    lower = b[:-1]
-    r = list(a)
-    q = [0] * max(0, len(r) - db)
-    mult = 1
-    while len(r) > db:
-        c = sign * r[-1]
-        r = [lead * x for x in r]
-        q = [lead * x for x in q]
-        mult *= lead
-        k = len(r) - 1 - db
-        q[k] += c
-        r.pop()
-        for j, x in enumerate(lower):
-            r[k + j] -= c * x
-        while r and not r[-1]:
-            r.pop()
-    return q, r, mult
-
-
 def _primitive(a: Sequence[int]) -> list[int]:
     """a divided by the (positive) gcd of its coefficients."""
     g = math.gcd(*a)
@@ -81,23 +55,46 @@ def _primitive(a: Sequence[int]) -> list[int]:
 def _remainders(a: Sequence[int], b: Sequence[int]) -> list[Sequence[int]]:
     """The primitive remainder sequence a, b, -pp(prem(a, b)), ... over Z,
     up to its last nonzero element, which is gcd(a, b) up to a factor in Q
-    (Brown, JACM 18, 1971).  ``a`` is nonzero; a zero ``b`` gives [a].  The
-    pseudo-division multiplier is positive, so each element is a positive
-    multiple of the matching element of a, b, -rem, ... over Q."""
+    (Brown, JACM 18, 1971).  ``a`` is nonzero; a zero ``b`` gives [a].  Each
+    elimination step scales the remainder by |lc b| and forms no quotient,
+    so each element is the primitive positive multiple of its match in a,
+    b, -rem, ... over Q."""
     seq = [a]
     while b:
         seq.append(b)
-        b = [-x for x in _primitive(_pseudo_divrem(seq[-2], b)[1])]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        lower = b[:-1]
+        r = list(seq[-2])
+        while len(r) > len(lower):
+            c = sign * r.pop()
+            k = len(r) - len(lower)
+            r = [lead * x for x in r]
+            for j, x in enumerate(lower):
+                r[k + j] -= c * x
+            while r and not r[-1]:
+                r.pop()
+        b = [-x for x in _primitive(r)]
     return seq
 
 
 def _quotient(a: Sequence[int], g: Sequence[int]) -> list[int]:
-    """pp(a / g) for a nonzero g that divides a over Q, else `InexactDivision`.
-    A positive multiple of a / g, because the pseudo-division multiplier is."""
-    q, r, _ = _pseudo_divrem(a, g)
-    if r:
+    """pp(a) / pp(g) = pp(a / g) for a nonzero g that divides a over Q, else
+    `InexactDivision`: by Gauss's lemma, long division of the primitive
+    parts in integers is then exact, so a rest at any step raises."""
+    r, b = _primitive(a), _primitive(g)
+    lower = b[:-1]
+    q = []
+    while len(r) > len(lower):
+        c, rest = divmod(r.pop(), b[-1])
+        if rest:
+            raise InexactDivision("division was not exact")
+        k = len(r) - len(lower)
+        for j, x in enumerate(lower):
+            r[k + j] -= c * x
+        q.append(c)
+    if any(r):
         raise InexactDivision("division was not exact")
-    return _primitive(q)
+    return q[::-1]
 
 
 #: The prime of the square-free witness, 2**30 - 35, the largest below

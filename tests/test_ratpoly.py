@@ -14,7 +14,6 @@ from linchar.ratpoly import RatPoly, apply_shift
 from linchar.verify import (
     WITNESS_PRIME,
     _primitive,
-    _pseudo_divrem,
     _quotient,
     _remainders,
     _squarefree_factors,
@@ -104,6 +103,24 @@ class TestRatPolyBasics:
         assert _quotient(p.nums, from_roots([2]).nums) == [3, -4, 1]
         with pytest.raises(InexactDivision):
             _quotient(p.nums, from_roots([4]).nums)
+
+    def test_quotient_checks_every_leading_division(self):
+        # 3 / 2 leaves a rest, though 1 - 1 * 1 leaves the final remainder 0
+        # once the leading term is popped
+        with pytest.raises(InexactDivision):
+            _quotient([1, 3], [1, 2])  # (3t + 1) / (2t + 1)
+
+    def test_quotient_keeps_the_sign_of_a_over_g(self):
+        # primitive divisors with a negative leading coefficient
+        assert _quotient([-1, 0, 1], [-1, -1]) == [1, -1]  # (t^2 - 1) / (-t - 1)
+        assert _quotient([2, -5, -3], [1, -3]) == [2, 1]  # (1 - 3t)(t + 2) / (1 - 3t)
+        assert _quotient([-2, 5, 3], [1, -3]) == [-2, -1]
+
+    def test_quotient_divides_the_primitive_parts(self):
+        # pp(a) / pp(g) whatever the contents of a and g
+        assert _quotient([2, 3, 1], [2, 2]) == [2, 1]  # (t + 1)(t + 2) / (2t + 2)
+        assert _quotient([12, 18, 6], [1, 1]) == [2, 1]
+        assert _quotient([12, 18, 6], [-4, -4]) == [-2, -1]
 
     def test_squarefree(self):
         p = from_roots([-1, -1, -3])
@@ -667,6 +684,11 @@ class TestIntegerPaths:
     # it ends in the nonconstant gcd (t - 1)(t + 2)
     @example(p=mul(from_roots([1, -2]), poly(1, 0, 3)), q=mul(from_roots([1, -2]), poly(4, 1)))
     @example(p=poly(3, -1, 2), q=ZERO)  # b = 0 gives [a]
+    # division by a negative leading coefficient: by q in the first and the
+    # third, by -2t in t^3 + t, t^2 - 1, -2t, 1
+    @example(p=from_roots([1, 2, 3], leading=2), q=from_roots([-1, 5], leading=-3))
+    @example(p=poly(0, 1, 0, 1), q=poly(-1, 0, 1))
+    @example(p=mul(from_roots([1, -2]), poly(1, 0, 3)), q=mul(from_roots([1, -2]), poly(4, -7)))
     @settings(max_examples=80, deadline=None)
     def test_remainders_match_fraction_euclid_element_by_element(self, p, q):
         """Each element of the integer sequence is a positive multiple of
@@ -679,25 +701,6 @@ class TestIntegerPaths:
         for got, want in zip(seq, euclid):
             ratio = got[-1] / want.coeffs[-1]
             assert ratio > 0 and RatPoly(got) == want.scale(ratio)
-
-    @given(
-        a=st.lists(st.integers(-30, 30), min_size=1, max_size=8),
-        lower=st.lists(st.integers(-30, 30), max_size=4),
-        lead=st.sampled_from([1, -1, 2, -3, 7]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_pseudo_division_multiplier_counts_the_elimination_steps(self, a, lower, lead):
-        """mult = |lc b|**k for the k steps of the Fraction long division, so
-        1 for a monic b, and q and r are mult times the Fraction quotient and
-        remainder."""
-        a, b = RatPoly(a).nums, (*lower, lead)
-        if not a:
-            return
-        quo, rem = fraction_divrem(RatPoly(a), RatPoly(b))
-        q, r, mult = _pseudo_divrem(a, b)
-        assert mult == abs(lead) ** sum(1 for c in quo.coeffs if c)
-        assert RatPoly(a).scale(mult) == mul(RatPoly(q), RatPoly(b)) + RatPoly(r)
-        assert (RatPoly(q), RatPoly(r)) == (quo.scale(mult), rem.scale(mult))
 
     @given(p=polys_with_repeats(), q=small_polys)
     @settings(max_examples=60, deadline=None)
@@ -744,19 +747,13 @@ class TestIntegerPaths:
         b=st.lists(st.integers(-30, 30), min_size=1, max_size=5),
     )
     @settings(max_examples=80, deadline=None)
-    def test_pseudo_division_multiplier_is_positive(self, a, b):
+    def test_sturm_verdict_through_negative_leading_coefficients(self, a, b):
+        """Sturm chains of these divide by elements with a negative leading
+        coefficient, and still decide like the Fraction chain."""
         a, b = RatPoly(a), RatPoly(b)
         if a.is_zero or b.is_zero:
             return
         b = neg(b) if b.nums[-1] > 0 else b  # negative leading coefficient
-        den = math.lcm(a.den, b.den)
-        na, nb = (tuple(x * (den // p.den) for x in p.nums) for p in (a, b))
-        q, r, mult = _pseudo_divrem(na, nb)
-        assert mult > 0
-        assert RatPoly(na).scale(mult) == mul(RatPoly(q), RatPoly(nb)) + RatPoly(r)
-        assert len(r) < len(nb)
-        # Sturm chains of these divide by elements with a negative leading
-        # coefficient, and still decide like the Fraction chain
         for p in (b, mul(a, a, b), mul(a, a, b, T, T)):
             assert all_roots_real_nonpositive(p) is fraction_all_roots_real_nonpositive(p)
 

@@ -1,14 +1,13 @@
-"""Root location: the two exact certificates first, then numeric root
-finding and asymptotic root tracking.  It builds none of the engine's
-polynomials and caches nothing; `linchar.linial` builds them.
+"""Root location: the two exact verdicts first, then numeric root finding
+and asymptotic root tracking.  It builds none of the engine's polynomials
+and caches nothing; `linchar.linial` builds them.
 
 Exactness boundary: membership on the vertical line Re t = M/2 and strict
-half-plane bounds Re t < H/2 for rational H are decided over Q, each by one
-function that reads the primitive remainder sequence over Z (`_remainders`,
-whose elimination forms no quotient) at its two ends: `check_on_line_exact`
-the Sturm chain of the even part, its roots at 0 divided out, through its
-signs at -inf and at 0, and `halfplane_exact` the Routh rows through their
-leading coefficients.  Two half-plane bounds bracket a maximal real part.
+half-plane bounds Re t < H/2 for rational H are decided over Q by one count
+of the roots left of, on and right of a vertical line (`_counts`), read off
+primitive remainder sequences over Z (`_remainders`, with no quotient):
+`check_on_line_exact` wants every root on the line, `halfplane_exact` every
+root left of it.  Two half-plane bounds bracket a maximal real part.
 `_quotient` divides exactly in integers (Gauss's lemma).  Nothing above the
 numeric section uses floating point; below it, floats give root
 coordinates in reports and asymptotic distances.
@@ -21,6 +20,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import ne
 
 from .errors import InexactDivision, NonConvergence, OutOfDoubleRange
 # char_quasi is unused here; perfbench's tracer tests look it up in this module.
@@ -33,7 +33,8 @@ from .rootdata import RootSystemId, lookup
 
 class LineCheckReport(namedtuple("LineCheckReport", "on_line center method details")):
     """Outcome of a vertical-line certification at Re t = center (a
-    `Fraction`); `method` is "exact-sturm" or "numeric"."""
+    `Fraction`); `method` is "exact-sturm" or "numeric".  Exact outputs print
+    that name, so it stays though `_counts` runs more than a Sturm chain."""
 
     __slots__ = ()
 
@@ -157,19 +158,48 @@ def _squarefree_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     return factors
 
 
+def _counts(q: Sequence[int]) -> tuple[int, int, int]:
+    """(left, on, right): the roots of a nonzero q over Z, with multiplicity,
+    in Re z < 0, on Re z = 0 and in Re z > 0 (Gantmacher, The Theory of
+    Matrices II, ch. XV).  q(iy) = U(y) + iV(y), with U the even and V the
+    odd terms of q, the k-th times (-1)^(k // 2).  The remainder sequence of
+    the one of degree n = deg q and the other has the Cauchy index of their
+    quotient as var(-inf) - var(+inf), where neighbours of odd degree gap
+    add 1 if their leading coefficients agree in sign and -1 if not; idx is
+    that, negated at even n.  Its last element g = gcd(U, V) holds the roots
+    on the line, with multiplicity, and pairs z, -z, which split evenly; q / g
+    has idx more roots left than right.  g = y^j G(y^2) with G(0) != 0, so
+    `on` is j plus twice the positive roots of G, gcd(G, G'), ..., each
+    counted by its Sturm chain at 0 and +inf.
+    """
+    n = len(q) - 1
+    hi = [x if k % 4 < 2 else -x for k, x in enumerate(q)]
+    lo = hi[:-1]
+    hi[1 - n % 2::2] = [0] * ((n + 1) // 2)  # U or V, whichever has degree n
+    lo[n % 2::2] = [0] * (n // 2)  # the other
+    while lo and not lo[-1]:
+        lo.pop()
+    seq = _remainders(hi, lo)
+    idx = sum(1 if (a[-1] > 0) == (b[-1] > 0) else -1 for a, b in zip(seq, seq[1:]) if (len(a) - len(b)) % 2)
+    idx = idx if n % 2 else -idx
+    g, on = seq[-1], 0
+    while not g[on]:  # g = y^j G(y^2): on starts at j
+        on += 1
+    G = _primitive(g[on::2])
+    while len(G) > 1:
+        chain = _remainders(G, _primitive([k * x for k, x in enumerate(G)][1:]))
+        at_0, at_inf = [f[0] > 0 for f in chain if f[0]], [f[-1] > 0 for f in chain]
+        on += 2 * (sum(map(ne, at_0, at_0[1:])) - sum(map(ne, at_inf, at_inf[1:])))
+        G = chain[-1]
+    return (n - on + idx) // 2, on, (n - on - idx) // 2
+
+
 def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     """Exact verdict: do all roots of p satisfy Re t = M/2 (M = center_times_2)?
 
-    Substitutes t = M/2 + s over Q.  All roots lie on the line iff the
-    substituted polynomial g has the parity g(s) = (-1)^deg g g(-s), so
-    that g(s) = s^eps G(s^2) with eps = deg g mod 2, and every root of its
-    even part G is real and <= 0 (with multiplicity).  The root u = 0 of any
-    multiplicity k passes, so the test is on G1 = G / u^k, with G1(0) != 0:
-    its distinct real roots in (-inf, 0) must number deg G1 - deg
-    gcd(G1, G1').  Neither end is a root of G1, so the Sturm chain G1, G1',
-    -rem, ... counts them as it is, multiple roots included, read at its two
-    ends: each element q with the sign of q[-1] * (-1)^deg q at -inf and the
-    sign of q[0] at 0.
+    Substitutes t = M/2 + s over Q.  All roots of g lie on Re s = 0 iff
+    g(s) = s^eps G(s^2) with eps = deg g mod 2 (the parity test) and
+    `_counts` finds all deg g there: every root of G real and <= 0.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -178,21 +208,10 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     eps = g.degree % 2
     if any(g.nums[1 - eps::2]):
         return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
-    ghat = RatPoly.over(g.nums[eps::2], g.den)
-    a = _primitive(ghat.nums)
-    while not a[0]:  # G = u^k G1 with G1(0) != 0, and u = 0 is a root <= 0
-        del a[0]
-    chain = _remainders(a, _primitive([j * x for j, x in enumerate(a)][1:]))
-    at_neg_inf = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
-    at_zero = [q[0] for q in chain]
-    variations = []
-    for values in (at_neg_inf, at_zero):  # sign changes, zeros skipped
-        signs = [v > 0 for v in values if v]
-        variations.append(sum(1 for x, y in zip(signs, signs[1:]) if x != y))
-    on_line = variations[0] - variations[1] == len(a) - len(chain[-1])
+    on_line = _counts(g.nums)[1] == g.degree
     details = {
         "parity_ok": True,
-        "even_part": ghat.to_json(),
+        "even_part": RatPoly.over(g.nums[eps::2], g.den).to_json(),
         "even_part_all_roots_real_nonpositive": on_line,
     }
     return LineCheckReport(on_line, center, "exact-sturm", details)
@@ -200,31 +219,12 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
 
 def halfplane_exact(p: RatPoly, bound_times_2: int | Fraction) -> bool:
     """Exact verdict that every root satisfies Re t < H/2 (H = bound_times_2,
-    any rational), decisive in every case.
-
-    Shifts to q(z) = p(z + H/2), so the claim becomes Hurwitz stability of
-    q, which Routh's test decides.  With q taken times the sign of its
-    leading coefficient, the rows are `_remainders` of its parity parts:
-    row 0 holds the terms of q with the parity of deg q, row 1 the others.
-    `_remainders` negates each remainder, so row k is a positive multiple of
-    row k of the Routh array times (-1)^(k // 2).  q is strictly Hurwitz iff
-    there are deg q + 1 rows (the degrees fall by exactly one from deg q to
-    0) and every Routh row has a positive leading coefficient (the first
-    column of the array), that is, the signs of the rows' leading
-    coefficients run + + - - + + ....  Fewer rows mean a zero pivot or a zero
-    row of the array: that proves a root with Re t >= H/2, so the verdict is
-    False.  A negative coefficient needs no test of its own: every
-    coefficient of a Hurwitz polynomial is positive (Stodola), so the column
-    fails on any other.
-    """
+    any rational): `_counts` of q(z) = p(z + H/2) finds all deg q of its
+    roots in Re z < 0, none on the line or right of it."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     q = p.compose_affine(1, Fraction(bound_times_2, 2))
-    sign = 1 if q.nums[-1] > 0 else -1
-    n = q.degree
-    parts = ([sign * x if (n - j) % 2 == k else 0 for j, x in enumerate(q.nums)] for k in (0, 1))
-    rows = _remainders(*(RatPoly.over(part).nums for part in parts))  # trailing zeros dropped
-    return len(rows) == n + 1 and all((row[-1] > 0) == (k % 4 < 2) for k, row in enumerate(rows))
+    return _counts(q.nums)[0] == q.degree
 
 
 # -- numeric root location ----------------------------------------------------
@@ -621,7 +621,7 @@ def check_on_line_numeric(p: RatPoly, center_times_2: int) -> LineCheckReport:
     against `_LINE_ULPS` units of the root's modulus where that is larger.
 
     The roots are found in the centred variable s = t - M/2, exactly as the
-    Sturm check substitutes, so the deviation is max |Re s| and is not lost
+    exact check substitutes, so the deviation is max |Re s| and is not lost
     to cancellation among the monomial coefficients about 0.
     """
     center = Fraction(center_times_2, 2)

@@ -34,8 +34,8 @@ def poly(*ascending):
 
 def all_roots_real_nonpositive(G):
     """Every root of G real and <= 0, with multiplicity, as the line
-    certificate decides it: G(s^2) has even parity, so `check_on_line_exact`
-    at Re s = 0 runs its Sturm count on G itself."""
+    verdict decides it: G(s^2) has even parity, and `check_on_line_exact` at
+    Re s = 0 asks `verify._counts` for all 2 deg G of its roots on the line."""
     return check_on_line_exact(RatPoly.over([x for c in G.nums for x in (c, 0)], G.den), 0).on_line
 
 
@@ -236,7 +236,8 @@ class TestReflect:
 
 
 class TestSturm:
-    """The Sturm count of `check_on_line_exact`: the chain read at -inf and at 0."""
+    """The on-line reading of `verify._counts`, through `check_on_line_exact`,
+    against planted roots and the Fraction Sturm chain."""
 
     def test_examples(self):
         assert not all_roots_real_nonpositive(from_roots([1, 2]))
@@ -330,13 +331,16 @@ class TestAllRootsRealNonpositive:
 
 
 class TestRouthHurwitz:
+    """The left reading of `verify._counts`, through `halfplane_exact`, on
+    examples of Routh's test and against numeric roots."""
+
     def test_examples(self):
         assert halfplane_exact(poly(1, 1), 0) is True
         assert halfplane_exact(poly(-1, 0, 1), 0) is False
         assert halfplane_exact(poly(1, 0, 1), 0) is False
 
     def test_roots_on_axis_not_conclusive_true(self):
-        # (t^2+1)(t+1): zero row in the array
+        # (t^2+1)(t+1): the roots +-i count on the line, not left of it
         p = mul(poly(1, 0, 1), poly(1, 1))
         assert halfplane_exact(p, 0) is not True
 
@@ -748,8 +752,8 @@ class TestIntegerPaths:
     )
     @settings(max_examples=80, deadline=None)
     def test_sturm_verdict_through_negative_leading_coefficients(self, a, b):
-        """Sturm chains of these divide by elements with a negative leading
-        coefficient, and still decide like the Fraction chain."""
+        """The count's remainder sequences divide by elements with a negative
+        leading coefficient, and still decide like the Fraction chain."""
         a, b = RatPoly(a), RatPoly(b)
         if a.is_zero or b.is_zero:
             return
@@ -804,6 +808,9 @@ def routh_inputs(draw):
 
 
 class TestRouthAgainstHurwitzMinors:
+    """The left reading of `verify._counts` against Hurwitz's criterion:
+    every leading principal minor of the Hurwitz matrix positive."""
+
     @given(routh_inputs())
     @example(poly(2, 0, 3, 0, 1))  # t^4 + 3t^2 + 2: the odd part vanishes
     @example(poly(0, 1, 0, 1))  # t^3 + t: the even part vanishes

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import importlib.util
 import itertools
@@ -27,6 +28,7 @@ from linchar.errors import (
     UnsupportedRank,
 )
 from linchar.linial import (
+    admissible_residues,
     char_constituent,
     char_poly,
     char_quasi,
@@ -45,6 +47,7 @@ from linchar.verify import (
     halfplane_exact,
 )
 from polys import ONE, ZERO, from_roots, monomial, mul, power, sub
+from strategies import rationals
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -1046,8 +1049,8 @@ class TestCheckOnLineExact:
 
     @pytest.mark.parametrize("c", [0, 3, Fraction(5, 2), -2])
     def test_multiple_root_at_the_sturm_endpoint(self, c):
-        # each even part has a multiple root at u = 0, where an undivided
-        # Sturm chain vanishes in every element
+        # each even part has a multiple root at u = 0, where a Sturm chain
+        # vanishes in every element unless the root is divided out first
         s, M = RatPoly((-c, 1)), int(2 * c)  # t - c and the line Re t = M/2
         assert check_on_line_exact(power(s, 5), M).on_line
         assert check_on_line_exact(mul(power(s, 4), mul(s, s) + ONE), M).on_line
@@ -1116,8 +1119,103 @@ class TestHalfplane:
         assert halfplane_exact(RatPoly((-4, 1)), 6) is False
 
     def test_boundary_inconclusive(self):
-        # root exactly on Re = 3: a zero Routh row proves the strict bound fails
+        # root exactly on Re = 3: counted on the line, so the strict bound fails
         assert halfplane_exact(RatPoly((-3, 1)), 6) is False
+
+
+def pair(re, im):
+    """(t - re)^2 + im^2, with the roots re +- i*im."""
+    return RatPoly((re * re + im * im, -2 * re, 1))
+
+
+#: Each kind of factor planted about a centre c, built from nonzero rationals
+#: x and y, with the (left, on, right) counts of its roots about Re t = c.
+PLANTED = {
+    "real root": lambda c, x, y: (from_roots([c + x]), (int(x < 0), 0, int(x > 0))),
+    "pair on the line": lambda c, x, y: (pair(c, y), (0, 2, 0)),
+    "pair off the line": lambda c, x, y: (pair(c + x, y), (2 * int(x < 0), 0, 2 * int(x > 0))),
+    "mirrored pair": lambda c, x, y: (from_roots([c - x, c + x]), (1, 0, 1)),
+    "quadruple": lambda c, x, y: (mul(pair(c - x, y), pair(c + x, y)), (2, 0, 2)),
+    "root at the centre": lambda c, x, y: (from_roots([c]), (0, 1, 0)),
+}
+nonzero_rationals = rationals(6, 4).filter(bool)
+
+
+@st.composite
+def planted_counts(draw):
+    """(p, c, counts): p = lead * prod f^k over one to three factors f of
+    `PLANTED` about a rational centre c, each with k in 1..3, and the
+    (left, on, right) counts of its roots about Re t = c."""
+    c = draw(rationals(6, 4))
+    p, counts = RatPoly((draw(nonzero_rationals),)), (0, 0, 0)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(PLANTED)))
+        f, adds = PLANTED[kind](c, draw(nonzero_rationals), draw(nonzero_rationals))
+        k = draw(st.integers(1, 3))
+        p = mul(p, power(f, k))
+        counts = tuple(n + k * a for n, a in zip(counts, adds))
+    return p, c, counts
+
+
+def counts_about(p, c):
+    """(left, on, right) for the roots of p about Re t = c."""
+    return verify._counts(p.compose_affine(1, c).nums)
+
+
+class TestCounts:
+    """`verify._counts` on planted roots: every kind it tells apart, with
+    multiplicity, about a rational centre."""
+
+    @given(planted_counts())
+    @example((RatPoly((-5,)), 3, (0, 0, 0)))  # no roots
+    @example((from_roots([1, 2]), 0, (0, 0, 2)))  # even degree, both roots right
+    @example((power(pair(Fraction(1, 2), 3), 2), Fraction(1, 2), (0, 4, 0)))  # a repeated root on the line
+    @example((from_roots([-2, -2, -2, 0, 0, 0]), -2, (0, 3, 3)))  # a triple root at the centre
+    @example((from_roots([Fraction(-1, 3), Fraction(7, 3)]), 1, (1, 0, 1)))  # a mirrored pair
+    @example((mul(pair(-1, 2), pair(3, 2)), 1, (2, 0, 2)))  # a quadruple
+    @settings(max_examples=200, deadline=None)
+    def test_planted_roots(self, case):
+        p, c, counts = case
+        assert counts_about(p, c) == counts
+        assert sum(counts) == p.degree
+
+    @given(planted_counts())
+    @example((from_roots([1, 2, 2]), 0, (0, 0, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_mirror_image_swaps_left_and_right(self, case):
+        p, c, (left, on, right) = case
+        assert counts_about(p.compose_affine(-1, 2 * c), c) == (right, on, left)
+
+    @given(planted_counts(), nonzero_rationals.map(lambda x: -abs(x)))
+    @settings(max_examples=100, deadline=None)
+    def test_negative_scale_changes_nothing(self, case, s):
+        p, c, counts = case
+        assert counts_about(p.scale(s), c) == counts
+
+
+class TestExceptionalCensus:
+    """Every constituent of G2, F4, E6, E7 and E8 at m = 1..24, counted about
+    its line Re t = m*h/2."""
+
+    def test_census(self):
+        off_line = collections.Counter()
+        for ident in EXCEPTIONAL_IDS:
+            data = lookup(ident)
+            admissible = admissible_residues(ident).residues
+            for m in range(1, 25):
+                for d in range(data.period):
+                    p = char_constituent(ident, m, d)
+                    counts = counts_about(p, Fraction(m * data.coxeter_number, 2))
+                    on_line = counts == (0, p.degree, 0)
+                    assert on_line is check_on_line_exact(p, m * data.coxeter_number).on_line
+                    if d in admissible:
+                        assert on_line, (str(ident), m, d, counts)
+                    else:  # off the line exactly when m = 3 mod 4
+                        assert on_line is (m % 4 != 3), (str(ident), m, d, counts)
+                    if not on_line:
+                        assert counts[1] == 0, (str(ident), m, d, counts)
+                        off_line[str(ident), counts] += 1
+        assert off_line == {("E7", (3, 0, 4)): 18, ("E7", (4, 0, 3)): 18, ("E8", (4, 0, 4)): 180}
 
 
 ORACLE_SYSTEMS = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"]  # every stored rank 1-3

@@ -8,9 +8,12 @@ of the roots left of, on and right of a vertical line (`_counts`), read off
 primitive remainder sequences over Z (`_remainders`, with no quotient):
 `check_on_line_exact` wants every root on the line, `halfplane_exact` every
 root left of it.  Two half-plane bounds bracket a maximal real part.
-`_quotient` divides exactly in integers (Gauss's lemma).  Nothing above the
-numeric section uses floating point; below it, floats give root
-coordinates in reports and asymptotic distances.
+`_quotient` divides exactly in integers (Gauss's lemma).  Floats may
+propose, never decide: from a degree on, the line verdict first lets a
+real Aberth run propose points between the roots of the even part and
+proves them with signs evaluated in integers (`_line_witness`, in the
+numeric section); what it cannot prove, `_counts` decides.  Otherwise
+floats give root coordinates in reports and asymptotic distances.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .rootdata import RootSystemId, lookup
 class LineCheckReport(namedtuple("LineCheckReport", "on_line center method details")):
     """Outcome of a vertical-line certification at Re t = center (a
     `Fraction`); `method` is "exact-sturm" or "numeric".  Exact outputs print
-    that name, so it stays though `_counts` runs more than a Sturm chain."""
+    that name, so it stays though `_counts` runs more than a Sturm chain and
+    `_line_witness` may answer first: either proof gives the same report,
+    which does not say which one answered."""
 
     __slots__ = ()
 
@@ -174,15 +179,17 @@ def _counts(q: Sequence[int]) -> tuple[int, int, int]:
     """
     n = len(q) - 1
     hi = [x if k % 4 < 2 else -x for k, x in enumerate(q)]
-    lo = hi[:-1]
-    hi[1 - n % 2::2] = [0] * ((n + 1) // 2)  # U or V, whichever has degree n
-    lo[n % 2::2] = [0] * (n // 2)  # the other
-    while lo and not lo[-1]:
-        lo.pop()
-    seq = _remainders(hi, lo)
-    idx = sum(1 if (a[-1] > 0) == (b[-1] > 0) else -1 for a, b in zip(seq, seq[1:]) if (len(a) - len(b)) % 2)
-    idx = idx if n % 2 else -idx
-    g, on = seq[-1], 0
+    g, idx = hi, 0  # where q has one parity: hi is U or V, and the other is 0
+    if any(q[1 - n % 2::2]):
+        lo = hi[:-1]
+        hi[1 - n % 2::2] = [0] * ((n + 1) // 2)  # U or V, whichever has degree n
+        lo[n % 2::2] = [0] * (n // 2)  # the other
+        while not lo[-1]:
+            lo.pop()
+        seq = _remainders(hi, lo)
+        idx = sum(1 if (a[-1] > 0) == (b[-1] > 0) else -1 for a, b in zip(seq, seq[1:]) if (len(a) - len(b)) % 2)
+        idx, g = idx if n % 2 else -idx, seq[-1]
+    on = 0
     while not g[on]:  # g = y^j G(y^2): on starts at j
         on += 1
     G = _primitive(g[on::2])
@@ -194,12 +201,26 @@ def _counts(q: Sequence[int]) -> tuple[int, int, int]:
     return (n - on + idx) // 2, on, (n - on - idx) // 2
 
 
+# The least deg G1 at which `check_on_line_exact` tries `_line_witness`
+# before `_counts`.  Both grow with the coefficients, the count faster: on
+# CPython 3.11.7 (2-vCPU x86-64) the witness took 1.7-2.2 times the count's
+# time at deg G1 2-7 for m <= 500, and broke even at deg 9 from m ~ 100-300
+# and at deg 10 from m ~ 10.  The 280 pooled classical-sweep inputs, at
+# deg G1 6-14, took 38.7 ms without the witness, 23.1 with this cut, 22.4
+# at 9 and 24.2 at 11; 10 keeps small m at deg 9 on the count.
+_WITNESS_MIN_DEGREE = 10
+
+
 def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     """Exact verdict: do all roots of p satisfy Re t = M/2 (M = center_times_2)?
 
     Substitutes t = M/2 + s over Q.  All roots of g lie on Re s = 0 iff
     g(s) = s^eps G(s^2) with eps = deg g mod 2 (the parity test) and
-    `_counts` finds all deg g there: every root of G real and <= 0.
+    `_counts` finds all deg g there: every root of G real and <= 0.  From
+    deg G1 = `_WITNESS_MIN_DEGREE` on, where G = u^j G1(u) with G1(0) != 0,
+    `_line_witness` may prove first that G1 has deg G1 distinct negative
+    roots, which is enough; it proves nothing else, so `_counts` decides
+    every other case.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -208,10 +229,13 @@ def check_on_line_exact(p: RatPoly, center_times_2: int) -> LineCheckReport:
     eps = g.degree % 2
     if any(g.nums[1 - eps::2]):
         return LineCheckReport(False, center, "exact-sturm", {"parity_ok": False})
-    on_line = _counts(g.nums)[1] == g.degree
+    G = g.nums[eps::2]
+    j = next(k for k, x in enumerate(G) if x)  # G = u^j G1(u)
+    on_line = ((len(G) - 1 - j >= _WITNESS_MIN_DEGREE and _line_witness(G[j:]))
+               or _counts(g.nums)[1] == g.degree)
     details = {
         "parity_ok": True,
-        "even_part": RatPoly.over(g.nums[eps::2], g.den).to_json(),
+        "even_part": RatPoly.over(G, g.den).to_json(),
         "even_part_all_roots_real_nonpositive": on_line,
     }
     return LineCheckReport(on_line, center, "exact-sturm", details)
@@ -301,9 +325,11 @@ def _start_radius(c: Sequence[float]) -> float:
     return max(min(cauchy, fujiwara), 1e-30)
 
 
-def _aberth(c: Sequence[float], z: list[complex]) -> str:
+def _aberth(c: Sequence[float], z: list[complex] | list[float]) -> str:
     """Ehrlich-Aberth iteration on a monic square-free polynomial (ascending
-    floats), updating the iterates z in place.
+    floats), updating the iterates z in place, in the arithmetic of the
+    starts: complex, or real for float starts on a polynomial whose roots
+    are expected real.
 
     Returns "converged" once the corrections fall below _CORRECTION_TOL or
     stop shrinking below _FLOOR_TOL (both relative to `_start_radius(c)`),
@@ -317,22 +343,27 @@ def _aberth(c: Sequence[float], z: list[complex]) -> str:
     Algorithms 13, 1996).
 
     Each iterate runs `_horner2`'s loop inline, on the coefficients reversed
-    once per call, and adds the reciprocals in a loop from 0j over z[:j]
+    once per call, and adds the reciprocals in a loop from zero over z[:j]
     (moved earlier in this sweep, Gauss-Seidel) and then z[j + 1:].  These
     are the operations and the order of `_horner2` and of `sum` over the
     same terms, which CPython 3.10-3.13 does not compensate for complex
     numbers, so every iterate keeps their bits with no call and no list per
-    iterate.
+    iterate.  No operation mixes a float into complex arithmetic (see
+    `_complex`).  A real run stays real unless a derivative vanishes at an
+    iterate, whose kick off the axis makes it complex.
     """
     radius = _start_radius(c)
-    rcoeffs = _complex(c)[::-1]
+    real = isinstance(z[0], float)
+    rcoeffs = (c if real else _complex(c))[::-1]
+    # (1 + 0j) is what 1.0 becomes in a complex division (see _complex)
+    zero, one = (0.0, 1.0) if real else (0j, 1 + 0j)
     prev_corr = math.inf
     for _ in range(_MAX_ITER):
         max_corr = 0.0
         start = z[:]
         values = []
         for j, zj in enumerate(start):
-            p = dp = 0j
+            p = dp = zero
             for ck in rcoeffs:
                 dp = dp * zj + p
                 p = p * zj + ck
@@ -344,13 +375,12 @@ def _aberth(c: Sequence[float], z: list[complex]) -> str:
                 max_corr = radius
                 continue
             newton = p / dp
-            # (1 + 0j) is what 1.0 becomes in a complex division (see _complex)
-            s = 0j
+            s = zero
             for zk in z[:j]:
-                s += (1 + 0j) / (zj - zk)
+                s += one / (zj - zk)
             for zk in z[j + 1:]:
-                s += (1 + 0j) / (zj - zk)
-            denom = (1 + 0j) - newton * s
+                s += one / (zj - zk)
+            denom = one - newton * s
             w = newton if denom == 0 else newton / denom
             z[j] -= w
             if not cmath.isfinite(z[j]):  # the comparison below would drop a NaN
@@ -438,20 +468,16 @@ def _start_circle(radius: float, n: int, turn: float) -> list[complex]:
     return [radius * cmath.exp(1j * (2 * math.pi * k / n + turn)) for k in range(n)]
 
 
-def _polygon_starts(c: Sequence[float]) -> list[complex]:
-    """n starts for monic c (ascending doubles, degree n), one circle about 0
-    per edge of the Newton polygon of |c| (Bini, Numer. Algorithms 13, 1996).
-
-    For each edge (i, j) of the upper convex hull of the points (k, log|c_k|)
-    with c_k != 0, j - i starts lie on the circle of radius
-    (|c_i| / |c_j|)^(1/(j - i)), rotated by 2*pi*i/n + _INIT_ROTATION.  Built
-    left to right, the hull keeps a vertex only where the radius, as a
-    double, grows past it, so no two edges share a circle.  The hull starts
-    at the lowest k with c_k != 0; below it c has a root at 0 of that
-    multiplicity, whose starts are at 0.  A square-free c has at most one
-    root there, so its starts are distinct.
+def _polygon_edges(c: Sequence[float]) -> list[tuple[int, int, float]]:
+    """(i, j, r) for each edge of the Newton polygon of |c| (ascending
+    doubles), left to right: the upper convex hull of the points
+    (k, log|c_k|) with c_k != 0, whose edge (i, j) has the j - i roots of
+    modulus about r = (|c_i| / |c_j|)^(1/(j - i)) (Bini, Numer. Algorithms
+    13, 1996).  Built left to right, the hull keeps a vertex only where the
+    radius, as a double, grows past it, so no two edges share a radius.  The
+    hull starts at the lowest k with c_k != 0; below it c has a root at 0 of
+    that multiplicity.
     """
-    n = len(c) - 1
 
     def radius(i: int, j: int) -> float:
         return (abs(c[i]) / abs(c[j])) ** (1 / (j - i))
@@ -463,10 +489,82 @@ def _polygon_starts(c: Sequence[float]) -> list[complex]:
         while len(hull) > 1 and radius(hull[-2], hull[-1]) >= radius(hull[-1], k):
             hull.pop()
         hull.append(k)
-    starts = [0j] * hull[0]
-    for i, j in zip(hull, hull[1:]):
-        starts += _start_circle(radius(i, j), j - i, 2 * math.pi * i / n + _INIT_ROTATION)
+    return [(i, j, radius(i, j)) for i, j in zip(hull, hull[1:])]
+
+
+def _polygon_starts(c: Sequence[float]) -> list[complex]:
+    """n starts for monic c (ascending doubles, degree n): for each edge
+    (i, j, r) of `_polygon_edges`, j - i starts on the circle of radius r
+    about 0, rotated by 2*pi*i/n + _INIT_ROTATION, and a start at 0 for each
+    root of c there.  A square-free c has at most one root at 0, so its
+    starts are distinct.
+    """
+    n = len(c) - 1
+    edges = _polygon_edges(c)
+    starts = [0j] * (edges[0][0] if edges else n)
+    for i, j, r in edges:
+        starts += _start_circle(r, j - i, 2 * math.pi * i / n + _INIT_ROTATION)
     return starts
+
+
+def _line_starts(c: Sequence[float]) -> list[float]:
+    """Negative real starts for monic c (ascending doubles) whose roots are
+    expected real and negative, one per root off 0: for each edge (i, j, r)
+    of `_polygon_edges`, with k = j - i, the k starts
+    -r * e^((t + 1/2)/k - 1/2) for t < k, spread within a factor e about
+    -r."""
+    return [-r * math.exp((t + 0.5) / (j - i) - 0.5) for i, j, r in _polygon_edges(c) for t in range(j - i)]
+
+
+def _line_witness(G: Sequence[int]) -> bool:
+    """True if G (integers, ascending, degree n >= 1, G_0 != 0) has n
+    distinct negative roots; False proves nothing.
+
+    Floats propose: `_aberth` runs in real arithmetic on the monic doubles
+    of G from `_line_starts`, and its iterates, sorted whatever status the
+    run ends on, x_1 <= ... <= x_n, give the n + 1 points 2*x_1, the
+    midpoints (x_k + x_(k+1))/2 and 0, exact dyadic rationals.  Integers
+    confirm: if the points increase strictly and G, evaluated at each
+    exactly, changes sign between every two neighbours, then each of the n
+    intervals between them holds a root of G, all left of 0.  Any other
+    end answers False: no alternation, points out of order (two equal
+    iterates, or a midpoint at or right of 0), fewer than n starts (low
+    coefficients of G that the doubles read as 0.0 leave their roots none),
+    an iterate that left the reals or the doubles, or coefficients outside
+    the doubles.
+    """
+    try:
+        c = _monic_floats(RatPoly.over(G))
+        x = _line_starts(c)
+        if len(x) < len(G) - 1:  # the doubles read low coefficients as 0.0
+            return False
+        _aberth(c, x)
+    except ArithmeticError:  # OutOfDoubleRange, OverflowError, two equal iterates
+        return False
+    if not all(isinstance(xk, float) for xk in x):  # a vanishing derivative kicked it off
+        return False
+    # each x_k = a_k / h over one power of two h, so each point is an
+    # integer over 2h and G at u / (2h) has the sign of
+    # sum G_k u^k (2h)^(n-k), one integer Horner pass over `scaled`
+    ratios = [xk.as_integer_ratio() for xk in x]
+    h = max(den for _, den in ratios)
+    a = sorted(num * (h // den) for num, den in ratios)
+    points = [4 * a[0]] + [u + v for u, v in zip(a, a[1:])] + [0]
+    if not all(u < v for u, v in zip(points, points[1:])):
+        return False
+    scaled, power = [], 1
+    for gk in reversed(G):
+        scaled.append(gk * power)
+        power *= 2 * h
+    positive = G[0] > 0
+    for u in reversed(points[:-1]):  # leftward from 0, where G is G_0
+        value = 0
+        for b in scaled:
+            value = value * u + b
+        if not value or (value > 0) == positive:
+            return False
+        positive = not positive
+    return True
 
 
 def _centred_roots(

@@ -167,13 +167,17 @@ AberthCall = namedtuple("AberthCall", "degree starts status")
 
 
 def record_calls(monkeypatch):
-    """The list every later `_aberth` call appends an `AberthCall` to: the
-    degree of its polynomial, the number of its starts, and the status it
-    returned or the name of the arithmetic error it raised."""
+    """The list every later `_aberth` call on complex starts, root finding's,
+    appends an `AberthCall` to: the degree of its polynomial, the number of
+    its starts, and the status it returned or the name of the arithmetic
+    error it raised.  The exact line check's runs on float starts
+    (`_line_witness`) are not recorded."""
     real_aberth = verify._aberth
     calls = []
 
     def recording(c, z):
+        if isinstance(z[0], float):
+            return real_aberth(c, z)
         degree, starts = len(c) - 1, len(z)
         try:
             status = real_aberth(c, z)
@@ -829,6 +833,52 @@ class TestAberthMatchesFloatReference:
         assert assert_matches_reference(c, [1 + 1j, 1 + 1j])[0] == "ZeroDivisionError"
 
 
+def refusing_floats(name):
+    """complex's operation `name`, raising TypeError on a float operand and
+    returning a ComplexOnly."""
+    method = getattr(complex, name)
+
+    def operation(self, other):
+        if isinstance(other, float):
+            raise TypeError(f"float operand in complex {name}")
+        return ComplexOnly(method(self, other))
+
+    return operation
+
+
+class ComplexOnly(complex):
+    """A complex number whose +, -, * and / refuse a float operand."""
+
+    __add__, __radd__, __sub__, __rsub__, __mul__, __rmul__, __truediv__, __rtruediv__ = map(
+        refusing_floats, ("__add__", "__radd__", "__sub__", "__rsub__",
+                          "__mul__", "__rmul__", "__truediv__", "__rtruediv__"))
+
+
+class TestAberthComplexArithmetic:
+    @pytest.mark.parametrize("name,m", STALLING[:3], ids=str)
+    def test_complex_runs_take_no_float_operand(self, name, m, monkeypatch):
+        """Each `_aberth` call on complex starts, over the runs of
+        find_roots, computes with complex operands only, and so to the
+        same bits: a float operand costs a conversion in CPython 3.10-3.13
+        and rounds by C99 Annex G rules from 3.14."""
+        p = char_poly(rid(name), m)
+        want = bits(find_roots(p).roots)
+        honest = verify._aberth
+        statuses = []
+
+        def strict(c, z):
+            strict_z = [ComplexOnly(zj) for zj in z]
+            try:
+                statuses.append(honest(c, strict_z))
+                return statuses[-1]
+            finally:
+                z[:] = map(complex, strict_z)
+
+        monkeypatch.setattr(verify, "_aberth", strict)
+        assert bits(find_roots(p).roots) == want
+        assert statuses == expected_statuses(name, m)
+
+
 def reference_residual_bound(p, roots):
     """`find_roots`' residual bound as it was computed, with `_horner2`
     evaluating the derivative beside each value."""
@@ -1062,6 +1112,156 @@ class TestCheckOnLineExact:
         assert p == monomial(6)
         rep = check_on_line_exact(p, 0)
         assert rep.on_line and rep.details["even_part"] == monomial(3).to_json()
+
+
+def with_even_part(G1, eps, j, M):
+    """p(t) = g(t - M/2) for g(s) = s^eps (s^2)^j G1(s^2): p has the parity
+    about Re t = M/2 that the exact line check tests, and its G1 is G1."""
+    nums = [0] * (eps + 2 * j) + [v for x in G1.nums for v in (x, 0)][:-1]
+    return RatPoly.over(nums, G1.den).compose_affine(1, Fraction(-M, 2))
+
+
+def counted_report(p, M):
+    """The exact line report with the witness out of reach: `_counts` alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_WITNESS_MIN_DEGREE", math.inf)
+        return check_on_line_exact(p, M)
+
+
+def record_witness(monkeypatch):
+    """The list every later `_line_witness` call appends (deg G1, answer) to."""
+    honest = verify._line_witness
+    calls = []
+
+    def recording(G1):
+        calls.append((len(G1) - 1, honest(G1)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "_line_witness", recording)
+    return calls
+
+
+def g1_degree(p, M):
+    """deg G1 of p about Re t = M/2, None without the parity."""
+    g = p.compose_affine(1, Fraction(M, 2))
+    eps = g.degree % 2
+    if any(g.nums[1 - eps::2]):
+        return None
+    G = g.nums[eps::2]
+    return len(G) - 1 - next(k for k, x in enumerate(G) if x)
+
+
+def planted(kind, a, x=0, e=0, eps=0, j=0, M=0):
+    """(kind, G1, negatives, p, M): G1 has the simple roots -a_k for the
+    positive rationals a and, by kind, no other root, the positive root x,
+    the pair -x +- i*e, or the double root -x; negatives lists the -a_k,
+    and p is planted about Re t = M/2 by `with_even_part`.  Only the first
+    and last kinds are on the line, and only the first has deg G1 distinct
+    negative roots."""
+    G1 = from_roots([-r for r in a])
+    if kind == "one positive":
+        G1 = mul(G1, from_roots([x]))
+    elif kind != "distinct negative":
+        G1 = mul(G1, RatPoly((x * x + e * e, 2 * x, 1)))
+    return kind, G1, sorted(-r for r in a), with_even_part(G1, eps, j, M), M
+
+
+#: The roots planted beyond the simple negative ones, by kind.
+LINE_KINDS = {"distinct negative": 0, "one positive": 1, "pair near the axis": 2, "double root": 2}
+
+
+@st.composite
+def planted_even_parts(draw):
+    """`planted` at deg G1 from the cut to 4 above it, with distinct a_k up to
+    300 over one denominator, a positive root nearer 0 than every -a_k, so
+    that no iterate need cross the others to reach it, and a pair within
+    2**-40 to 1 of the negative axis."""
+    kind = draw(st.sampled_from(sorted(LINE_KINDS)))
+    n = draw(st.integers(verify._WITNESS_MIN_DEGREE, verify._WITNESS_MIN_DEGREE + 4)) - LINE_KINDS[kind]
+    den = draw(st.integers(1, 4))
+    a = [Fraction(k, den) for k in draw(st.lists(st.integers(1, 300), min_size=n, max_size=n, unique=True))]
+    x = min(a) * Fraction(draw(st.integers(1, 7)), 8) if kind == "one positive" else Fraction(
+        draw(st.integers(1, 300)), den)
+    e = Fraction(1, 2 ** draw(st.integers(0, 40))) if kind == "pair near the axis" else 0
+    eps, j, M = draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(-40, 40))
+    return planted(kind, a, x, e, eps, j, M)
+
+
+class TestLineWitness:
+    """`_line_witness` ahead of `_counts` in `check_on_line_exact`: it
+    proves only what is true, whatever the floats propose, leaves every
+    report as the count makes it, and answers where it should."""
+
+    @given(planted_even_parts())
+    @example(planted("one positive", range(1, 10), Fraction(1, 8)))
+    @example(planted("pair near the axis", range(1, 9), 9, Fraction(1, 2**18)))
+    @example(planted("double root", range(1, 9), 9))
+    @settings(max_examples=120, deadline=None)
+    def test_planted_even_parts(self, case):
+        kind, G1, _, p, M = case
+        g = p.compose_affine(1, Fraction(M, 2))
+        on_line = kind in ("distinct negative", "double root")
+        assert (verify._counts(g.nums)[1] == g.degree) is on_line
+        rep = check_on_line_exact(p, M)
+        assert rep.on_line is on_line
+        assert rep == counted_report(p, M)
+        assert not verify._line_witness(G1.nums) or kind == "distinct negative"
+
+    @given(planted_even_parts(), st.lists(st.floats(-1, 1), min_size=2, max_size=2))
+    @example(planted("one positive", range(1, 10), Fraction(1, 8)), [-1.0, -1.0])
+    @settings(max_examples=120, deadline=None)
+    def test_any_proposal(self, case, extras):
+        """With `_aberth` replaced by one that leaves the planted negative
+        roots, as doubles, and for each other root of G1 a double within
+        4 * max |a_k| of 0, the witness proves exactly the G1 of distinct
+        negative roots: what floats propose does not decide."""
+        kind, G1, negatives, _, _ = case
+        spread = 4 * float(-negatives[0])
+        proposal = [float(r) for r in negatives] + [spread * f for f in extras[:LINE_KINDS[kind]]]
+
+        def propose(c, z):
+            z[:] = proposal
+            return "spent"
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_aberth", propose)
+            assert verify._line_witness(G1.nums) is (kind == "distinct negative")
+
+    def test_roots_lost_below_the_doubles(self, monkeypatch):
+        """G1 = (2**1200 u - 1) (u + 1) ... (u + 10): its doubles read the
+        constant term as 0.0, so `_line_starts` gives its root 2**-1200 no
+        start, and iterates on all ten negative roots prove nothing.  Nor
+        does 2**1200 u^10 + 1, whose doubles read u^10 and give no start.
+        Both verdicts are the count's: off the line."""
+        G1 = mul(RatPoly((-1, 2**1200)), from_roots(range(-1, -11, -1)))
+        assert len(verify._line_starts(verify._monic_floats(G1))) == G1.degree - 1
+        monkeypatch.setattr(verify, "_aberth", lambda c, z: z.__setitem__(slice(None), map(float, range(-10, 0))))
+        assert not verify._line_witness(G1.nums)
+        for G1 in (G1, RatPoly([1] + [0] * 9 + [2**1200])):
+            p = with_even_part(G1, 1, 0, 6)
+            assert check_on_line_exact(p, 6) == counted_report(p, 6)
+            assert not check_on_line_exact(p, 6).on_line
+
+    def test_traffic(self, monkeypatch):
+        """The witness answers every pooled classical-sweep input with
+        deg G1 at the cut or above (A20, A24, A28), is not called below it,
+        answers A60 m=3, C60 m=5 and D50 m=7, and falls back on A80 m=1,
+        where doubles do not separate the roots of G1."""
+        calls = record_witness(monkeypatch)
+        answered = 0
+        for name, m in pooled_sweep_inputs():
+            del calls[:]
+            p, M = char_poly(rid(name), m), m * lookup(rid(name)).coxeter_number
+            assert check_on_line_exact(p, M).on_line
+            n = g1_degree(p, M)
+            assert calls == ([(n, True)] if n >= verify._WITNESS_MIN_DEGREE else []), (name, m)
+            answered += bool(calls)
+        assert answered == 84
+        for name, m, want in [("A60", 3, True), ("C60", 5, True), ("D50", 7, True), ("A80", 1, False)]:
+            del calls[:]
+            p, M = char_constituent(rid(name), m, 1), m * lookup(rid(name)).coxeter_number
+            assert check_on_line_exact(p, M).on_line
+            assert calls == [(g1_degree(p, M), want)], (name, m)
 
 
 class TestCheckOnLineNumeric:

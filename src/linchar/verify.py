@@ -516,48 +516,74 @@ def _line_starts(c: Sequence[float]) -> list[float]:
     return [-r * math.exp((t + 0.5) / (j - i) - 0.5) for i, j, r in _polygon_edges(c) for t in range(j - i)]
 
 
+def _real_aberth(G: Sequence[int]) -> tuple[list[float], str] | None:
+    """`_aberth` in real doubles on G (integers, ascending, degree n >= 1)
+    where G may have n distinct negative roots: its n iterates, sorted,
+    each a negative double and no two equal, and the status the run ended
+    on.  None proves nothing.
+
+    Two exact tests go first, which every such G passes: all coefficients
+    nonzero of one sign (G = lc * prod (u + r_k), r_k > 0), and Newton's
+    inequalities held strictly, a_k^2 k(n-k) > a_(k-1) a_(k+1) (k+1)(n-k+1)
+    for 0 < k < n (Hardy, Littlewood and Polya, Inequalities, Theorem 51:
+    real roots, not all equal).  A G that fails either answers None with no
+    run, rather than after _MAX_ITER sweeps that cannot settle on the reals.
+    The run is on G's monic doubles from `_line_starts`; it also answers
+    None for fewer than n starts (low coefficients of G that the doubles
+    read as 0.0 leave their roots none), an iterate that left the reals
+    (a vanishing derivative kicks it off the axis) or the doubles, two
+    equal iterates, an iterate at or right of 0, or coefficients outside
+    the doubles.
+    """
+    n = len(G) - 1
+    if not (min(G) > 0 or max(G) < 0):
+        return None
+    if not all(a * a * k * (n - k) > b * d * (k + 1) * (n - k + 1)
+               for k, (b, a, d) in enumerate(zip(G, G[1:], G[2:]), 1)):
+        return None
+    try:
+        c = _monic_floats(RatPoly.over(G))
+        x = _line_starts(c)
+        if len(x) < n:  # the doubles read low coefficients as 0.0
+            return None
+        status = _aberth(c, x)
+    except ArithmeticError:  # OutOfDoubleRange, OverflowError, two equal iterates
+        return None
+    if not all(isinstance(xk, float) for xk in x):
+        return None
+    x.sort()
+    if not (x[-1] < 0 and all(u < v for u, v in zip(x, x[1:]))):
+        return None
+    return x, status
+
+
 def _line_witness(G: Sequence[int]) -> bool:
     """True if G (integers, ascending, degree n >= 1, G_0 != 0) has n
     distinct negative roots; False proves nothing.
 
-    Floats propose: `_aberth` runs in real arithmetic on the monic doubles
-    of G from `_line_starts`, and its iterates, sorted whatever status the
-    run ends on, x_1 <= ... <= x_n, give the n + 1 points 2*x_1, the
+    Floats propose: the iterates x_1 < ... < x_n of `_real_aberth`, whatever
+    status its run ended on, give the n + 1 increasing points 2*x_1, the
     midpoints (x_k + x_(k+1))/2 and 0, exact dyadic rationals.  Integers
-    confirm: if the points increase strictly and G, evaluated at each
-    exactly, changes sign between every two neighbours, then each of the n
-    intervals between them holds a root of G, all left of 0.  Any other
-    end answers False: no alternation, points out of order (two equal
-    iterates, or a midpoint at or right of 0), fewer than n starts (low
-    coefficients of G that the doubles read as 0.0 leave their roots none),
-    an iterate that left the reals or the doubles, or coefficients outside
-    the doubles.
+    confirm: if G, evaluated at each exactly, changes sign between every
+    two neighbours, then each of the n intervals between them holds a root
+    of G, all left of 0.  No alternation, or no iterates, answers False.
     """
-    try:
-        c = _monic_floats(RatPoly.over(G))
-        x = _line_starts(c)
-        if len(x) < len(G) - 1:  # the doubles read low coefficients as 0.0
-            return False
-        _aberth(c, x)
-    except ArithmeticError:  # OutOfDoubleRange, OverflowError, two equal iterates
-        return False
-    if not all(isinstance(xk, float) for xk in x):  # a vanishing derivative kicked it off
+    run = _real_aberth(G)
+    if run is None:
         return False
     # each x_k = a_k / h over one power of two h, so each point is an
     # integer over 2h and G at u / (2h) has the sign of
     # sum G_k u^k (2h)^(n-k), one integer Horner pass over `scaled`
-    ratios = [xk.as_integer_ratio() for xk in x]
+    ratios = [xk.as_integer_ratio() for xk in run[0]]
     h = max(den for _, den in ratios)
-    a = sorted(num * (h // den) for num, den in ratios)
-    points = [4 * a[0]] + [u + v for u, v in zip(a, a[1:])] + [0]
-    if not all(u < v for u, v in zip(points, points[1:])):
-        return False
+    a = [num * (h // den) for num, den in ratios]
+    points = [4 * a[0]] + [u + v for u, v in zip(a, a[1:])]
     scaled, power = [], 1
     for gk in reversed(G):
         scaled.append(gk * power)
         power *= 2 * h
     positive = G[0] > 0
-    for u in reversed(points[:-1]):  # leftward from 0, where G is G_0
+    for u in reversed(points):  # leftward from 0, where G is G_0
         value = 0
         for b in scaled:
             value = value * u + b
@@ -574,21 +600,31 @@ def _centred_roots(
     centroid c: the roots of factor, g's inclusion radii and the status.
 
     Given starts near the roots of factor, the run is on g from the starts
-    minus c.  Without, it starts from the circles of the Newton polygon
-    (`_polygon_starts`), as the roots of g spread over orders of magnitude,
-    and runs on G if g = s^eps G(s^2) with eps = deg g % 2; the roots of g
-    are then 0 for odd degree and r and -r for r = sqrt(u) at each root u
-    of G.
+    minus c.  Without, it runs on G if g = s^eps G(s^2) with eps = deg g % 2;
+    the roots of g are then 0 for odd degree and r and -r for r = sqrt(u)
+    at each root u of G.  On the line Re s = 0, which the paper puts every
+    root on, each u is real and negative: the run is first `_real_aberth`'s,
+    in real doubles, taken if it converged, and each r is then
+    complex(0.0, sqrt(-u)), so every root of factor has real part float(c)
+    exactly.  Otherwise, and on g without the parity, the run is complex,
+    from the circles of the Newton polygon (`_polygon_starts`), as the
+    roots spread over orders of magnitude.
     """
     g = factor.compose_affine(1, centroid)
     cc = _monic_floats(g)
     shift = float(centroid)
     eps = g.degree % 2
     if starts is None and not any(g.nums[1 - eps::2]):
-        cg = _monic_floats(RatPoly.over(g.nums[eps::2], g.den))
-        u = _polygon_starts(cg)
-        status = _aberth(cg, u)
-        halves = [0j] * eps + [cmath.sqrt(uk) for uk in u]
+        G = g.nums[eps::2]
+        run = _real_aberth(G)
+        if run and run[1] == "converged":
+            status = "converged"
+            halves = [0j] * eps + [complex(0.0, math.sqrt(-uk)) for uk in run[0]]
+        else:
+            cg = _monic_floats(RatPoly.over(G, g.den))
+            u = _polygon_starts(cg)
+            status = _aberth(cg, u)
+            halves = [0j] * eps + [cmath.sqrt(uk) for uk in u]
         # the terms of g have one parity, so Horner's rule at -r gives
         # +-p(r) and -+p'(r), each of the same modulus to the bit: the radii
         # at r serve -r
@@ -658,10 +694,13 @@ def find_roots(p: RatPoly) -> ComplexRootSet:
     iteration only ever sees simple roots; multiple roots are then replicated.
     Each factor is solved by `_factor_roots`, which runs `_aberth` on it
     centred exactly over Q at its root centroid (`_centred_roots`): first,
-    from its Newton polygon and on its even part where it has one, if its
-    doubles resolve it there to fewer than 8 bits (where the iteration as
-    given stalls), and otherwise, or if that run fails, once the iteration
-    as given stalls, from its iterates.  Every set returned converged.
+    on its even part where it has one, if its doubles resolve it there to
+    fewer than 8 bits (where the iteration as given stalls), and otherwise,
+    or if that run fails, once the iteration as given stalls, from its
+    iterates.  The run on the even part is in real doubles where that
+    converges, which puts each root at a real part of exactly float(c), in
+    conjugate pairs ordered by their imaginary parts, and complex from the
+    Newton polygon where not.  Every set returned converged.
     Raises NonConvergence if any factor stalls again after centring or
     fails to settle within the iteration budget, naming the stop it hit, or
     once two iterates become equal, and OutOfDoubleRange if p or one of its

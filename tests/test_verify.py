@@ -152,39 +152,50 @@ class TestFindRoots:
 # roots come from the factor centred at its root centroid.  Those of
 # CENTRED_FIRST cancel so far that their doubles resolve p at the centroid
 # to fewer than 8 bits, and start centred (B16 33, log10(bound / |p(c)|) =
-# -1.71, among them); A16 5 (-2.51) resolves it a little better, stalls in
-# stage 1 and finishes in stage 2.
+# -1.71, among them), where one real run on the even part finds them on the
+# line; A16 5 (-2.51) resolves it a little better, stalls in stage 1 and
+# finishes in stage 2, both complex.
 STALLING = [("A16", 5), ("A20", 9999), ("A24", 1084), ("A28", 1), ("B16", 33), ("C18", 1630)]
 CENTRED_FIRST = {("A20", 9999), ("A24", 1084), ("A28", 1), ("B16", 33), ("C18", 1630)}
 
 
+def expected_runs(name, m):
+    """(status, arithmetic) of each `_aberth` call on a STALLING input."""
+    if (name, m) in CENTRED_FIRST:
+        return [("converged", "real")]
+    return [("stalled", "complex"), ("converged", "complex")]
+
+
 def expected_statuses(name, m):
     """What each `_aberth` call on a STALLING input ends on."""
-    return ["converged"] if (name, m) in CENTRED_FIRST else ["stalled", "converged"]
+    return [status for status, _ in expected_runs(name, m)]
 
 
-AberthCall = namedtuple("AberthCall", "degree starts status")
+AberthCall = namedtuple("AberthCall", "degree starts status arithmetic")
 
 
 def record_calls(monkeypatch):
-    """The list every later `_aberth` call on complex starts, root finding's,
-    appends an `AberthCall` to: the degree of its polynomial, the number of
-    its starts, and the status it returned or the name of the arithmetic
-    error it raised.  The exact line check's runs on float starts
-    (`_line_witness`) are not recorded."""
+    """The list every later `_aberth` call of root finding appends an
+    `AberthCall` to: the degree of its polynomial, the number of its
+    starts, the status it returned or the name of the arithmetic error it
+    raised, and the arithmetic of its starts, "real" or "complex".  The
+    exact line check's runs (`_real_aberth` under `_line_witness`) are not
+    recorded."""
     real_aberth = verify._aberth
     calls = []
 
     def recording(c, z):
-        if isinstance(z[0], float):
+        # frames: this one, `_real_aberth` or a root finder, and its caller
+        if sys._getframe(2).f_code.co_name == "_line_witness":
             return real_aberth(c, z)
         degree, starts = len(c) - 1, len(z)
+        arithmetic = "real" if isinstance(z[0], float) else "complex"
         try:
             status = real_aberth(c, z)
         except ArithmeticError as exc:  # raised on to find_roots, as unpatched
-            calls.append(AberthCall(degree, starts, type(exc).__name__))
+            calls.append(AberthCall(degree, starts, type(exc).__name__, arithmetic))
             raise
-        calls.append(AberthCall(degree, starts, status))
+        calls.append(AberthCall(degree, starts, status, arithmetic))
         return status
 
     monkeypatch.setattr(verify, "_aberth", recording)
@@ -224,7 +235,7 @@ class TestFindRootsCentredStage:
     def test_stage_one_stops_at_the_rounding_floor(self, name, m, monkeypatch):
         calls = record_calls(monkeypatch)
         find_roots(char_poly(rid(name), m))
-        assert statuses(calls) == expected_statuses(name, m)
+        assert [(call.status, call.arithmetic) for call in calls] == expected_runs(name, m)
 
     def test_stage_one_roots_unchanged(self, monkeypatch):
         """Inputs that converge without centring keep the exact floats they had
@@ -254,31 +265,58 @@ class TestFindRootsCentredStage:
         assert ends == ["stalled", "converged"]
         assert str(excinfo.value) == "Aberth iteration did not converge within 200 iterations"
 
+    @staticmethod
+    def failing_first(end, runs):
+        """An `_aberth` that runs honestly, then makes its first `runs`
+        calls end on `end`: that status, or that error raised."""
+        real_aberth = verify._aberth
+        ends = []
+
+        def fails(c, z):
+            ends.append(real_aberth(c, z))
+            if len(ends) > runs:
+                return ends[-1]
+            if isinstance(end, str):
+                return end
+            raise end("made to fail")
+
+        return fails, ends
+
     @pytest.mark.parametrize("end", ["stalled", "spent", ZeroDivisionError, OutOfDoubleRange])
     def test_failed_centred_first_run_falls_back(self, end, monkeypatch):
-        """A centred first run that ends any way but "converged" leaves the
-        roots to the two stages, started afresh: the same floats, to the
-        bit, as when the route is never taken."""
+        """Centred first runs that end any way but "converged", the real one
+        on the even part and then the complex one, leave the roots to the
+        two stages, started afresh: the same floats, to the bit, as when the
+        route is never taken."""
         p = char_poly(rid("A20"), 9999)
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_barely_resolved_at_centroid", lambda *args: False)
             calls = record_calls(patch)
             want = find_roots(p)
         assert statuses(calls) == ["stalled", "converged"]
-        real_aberth = verify._aberth
-        ends = []
-
-        def first_run_fails(c, z):
-            ends.append(real_aberth(c, z))
-            if len(ends) > 1:
-                return ends[-1]
-            if isinstance(end, str):
-                return end
-            raise end("made to fail")
-
-        monkeypatch.setattr(verify, "_aberth", first_run_fails)
+        fails, ends = self.failing_first(end, 2)
+        monkeypatch.setattr(verify, "_aberth", fails)
         got = find_roots(p)
-        assert ends == ["converged", "stalled", "converged"]
+        assert ends == ["converged", "converged", "stalled", "converged"]
+        assert bits(got.roots) == bits(want.roots)
+        assert got.certified_radius == want.certified_radius
+        assert got.residual_bound == want.residual_bound
+
+    @pytest.mark.parametrize("end", ["stalled", "spent", ZeroDivisionError, OutOfDoubleRange])
+    def test_failed_real_run_falls_back_to_the_complex_run(self, end, monkeypatch):
+        """A real run on the even part that ends any way but "converged"
+        leaves the roots to the complex run from the Newton polygon: the
+        same floats, to the bit, as when no real run is tried."""
+        p = char_poly(rid("A20"), 9999)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_real_aberth", lambda G: None)
+            calls = record_calls(patch)
+            want = find_roots(p)
+        assert calls == [(10, 10, "converged", "complex")]
+        fails, ends = self.failing_first(end, 1)
+        monkeypatch.setattr(verify, "_aberth", fails)
+        got = find_roots(p)
+        assert ends == ["converged", "converged"]
         assert bits(got.roots) == bits(want.roots)
         assert got.certified_radius == want.certified_radius
         assert got.residual_bound == want.residual_bound
@@ -333,16 +371,67 @@ def pooled_sweep_inputs():
     return perfbench_module("workloads").all_sweep_ops()
 
 
+def off_line_parity_factor(kind, eps):
+    """s^eps G(s^2), a factor of one parity about its root centroid 0 whose
+    roots lie off the line Re s = 0, as G has non-real roots.  "gated": G =
+    prod (u^2 + 2ku + k^2 + 4) over k = 1..8, of the roots -k +- 2i, which
+    breaks Newton's inequalities, so `_real_aberth` runs nothing; "spent":
+    G = (u + 1) ... (u + 8) (u^2 + 18u + 81 + 1/4), of the roots -1, ...,
+    -8 and -9 +- i/2, which keeps them, so the real run spends its budget."""
+    if kind == "gated":
+        G = mul(*[RatPoly((k * k + 4, 2 * k, 1)) for k in range(1, 9)])
+    else:
+        G = mul(from_roots(range(-1, -9, -1)), RatPoly((Fraction(325, 4), 18, 1)))
+    return RatPoly.over([0] * eps + [v for x in G.nums for v in (x, 0)][:-1], G.den)
+
+
+OFF_LINE = [(kind, eps) for kind in ("gated", "spent") for eps in (0, 1)]
+
+
 class TestCentredFirstRun:
     @pytest.mark.parametrize("name,m", CENTRED_FIRST_POOLED, ids=str)
     def test_pooled_inputs_match_mpmath(self, name, m, monkeypatch):
         p = char_poly(rid(name), m)
         calls = record_calls(monkeypatch)
         got = find_roots(p).roots
-        assert statuses(calls) == ["converged"]
+        assert calls == [(p.degree // 2, p.degree // 2, "converged", "real")]
         want = mpmath_roots_on_the_line(p)
         scale = max(abs(w) for w in want)
         assert verify._match_distance(got, want) <= 1e-10 * scale
+
+    def test_real_runs_match_mpmath(self, monkeypatch):
+        """Of the 186 pooled inputs whose roots come from the real run on G,
+        every third in pool order (62; all 186 took 7.6 s on a 2-vCPU x86-64
+        VM), each root within 1e-10 of the largest modulus of mpmath's."""
+        calls = record_calls(monkeypatch)
+        real = 0
+        for name, m in pooled_sweep_inputs():
+            del calls[:]
+            p = char_poly(rid(name), m)
+            got = find_roots(p).roots
+            if calls[0].arithmetic == "real":
+                real += 1
+                if real % 3 == 1:
+                    want = mpmath_roots_on_the_line(p)
+                    assert verify._match_distance(got, want) <= 1e-10 * max(map(abs, want)), (name, m)
+        assert real == 186
+
+    @pytest.mark.parametrize("kind,eps", OFF_LINE, ids=str)
+    def test_off_line_parity_factors_keep_the_complex_run(self, kind, eps, monkeypatch):
+        """A factor of one parity about its root centroid whose G has
+        non-real roots gets the roots of the complex run from the Newton
+        polygon, to the bit, as before the real run: with no real run where
+        Newton's inequalities fail, and after one that spends its budget
+        where they hold."""
+        p = off_line_parity_factor(kind, eps)
+        n = p.degree // 2
+        calls = record_calls(monkeypatch)
+        got = find_roots(p)
+        real = [(n, n, "spent", "real")] if kind == "spent" else []
+        assert calls == real + [(n, n, "converged", "complex")]
+        want = reference_centred_roots(p, Fraction(0))[0]
+        assert bits(got.roots) == bits(sorted(want, key=lambda z: (z.real, z.imag)))
+        assert max(abs(z.real) for z in got.roots) > 0.01
 
     @pytest.mark.parametrize("name,m,routed", [
         ("A20", 9999, True), ("A28", 1, True), ("B16", 33, True), ("A16", 5, False),
@@ -383,14 +472,16 @@ class TestCentredFirstRun:
     @pytest.mark.parametrize("name,m", sorted(CENTRED_FIRST) + CENTRED_FIRST_POOLED, ids=str)
     def test_runs_on_the_half_degree_even_part(self, name, m, monkeypatch):
         """Centred at m*h/2, these are g(s) = G(s^2) exactly (even rank), and
-        the one run is on G."""
+        the one run is on G, in real doubles: every root has the real part
+        float(m*h/2), and they come in the order of their imaginary parts."""
         calls = record_calls(monkeypatch)
         p = char_poly(rid(name), m)
         rs = find_roots(p)
         n = p.degree
-        assert calls == [(n // 2, n // 2, "converged")]
+        assert calls == [(n // 2, n // 2, "converged", "real")]
         assert len(rs.roots) == n
         assert all(z.real == line_center(name, m) for z in rs.roots)
+        assert [z.imag for z in rs.roots] == sorted(z.imag for z in rs.roots)
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(2, 28), st.integers(1, 20), st.data())
@@ -412,7 +503,7 @@ class TestCentredFirstRun:
         with pytest.MonkeyPatch.context() as patch:
             calls = record_calls(patch)
             got = find_roots(p).roots
-        assert calls == [(n // 2, n // 2, "converged")]
+        assert calls == [(n // 2, n // 2, "converged", "real")]
         assert len(got) == n
         assert all(z.real == c for z in got)
         assert verify._match_distance(got, planted) <= 1e-10 * ys[-1]
@@ -433,53 +524,58 @@ class TestCentredFirstRun:
         want = sorted((z + float(centroid) for z in s), key=lambda z: (z.real, z.imag))
         calls = record_calls(monkeypatch)
         assert bits(find_roots(p).roots) == bits(want)
-        assert calls == [(n, n, "converged")]
+        assert calls == [(n, n, "converged", "complex")]
 
     def test_no_pooled_input_stalls(self, monkeypatch):
         """Each pooled classical-sweep input, run as the workload runs it
         (`workloads.sweep_op`), gives perfbench/golden.json's outputs and is
-        solved by one `_aberth` call: 94 by stage 1 at full degree, whose
-        roots golden.json pins, and 186 centred first on G at half the
-        degree, whose roots it does not pin; those must lie on the line the
-        exact check proves, float(m*h/2), with a residual bound under 1e-15.
-        With the margin at 1, 65 of them would stall in stage 1 first; at
-        2**-10, A16 4 and B16 4 would leave stage 1."""
+        solved by one `_aberth` call: 94 by stage 1 at full degree in
+        complex doubles, whose roots golden.json pins, and 186 centred first
+        on G at half the degree in real doubles, whose roots it does not
+        pin; those must lie on the line the exact check proves, each real
+        part float(m*h/2) to the bit, come in the order of their imaginary
+        parts and have a residual bound under 1e-15.  With the margin at 1,
+        65 of them would stall in stage 1 first; at 2**-10, A16 4 and B16 4
+        would leave stage 1."""
         workloads, golden = perfbench_module("workloads"), perfbench_module("golden")
         want = golden.load()
         calls = record_calls(monkeypatch)
         ops = workloads.all_sweep_ops()
-        full_degree = unpinned = 0
+        runs = collections.Counter()
         for name, m in ops:
             del calls[:]
             poly, line, roots = workloads.sweep_op(name, m)
             rec = golden.sweep_record(name, m, poly, line, roots)
             assert golden.sweep_problems(want, rec) == []
             assert rec["outcome"] == "ok", (name, m)
-            assert statuses(calls) == ["converged"], (name, m)
-            full_degree += calls[0].degree == poly.degree
-            if want["classical-sweep"][rec["key"]]["outcome"] != "ok":
-                unpinned += 1
+            (call,) = calls
+            assert call.status == "converged", (name, m)
+            pinned = want["classical-sweep"][rec["key"]]["outcome"] == "ok"
+            runs[call.arithmetic, call.degree == poly.degree, pinned] += 1
+            if not pinned:
                 assert all(z.real == line_center(name, m) for z in roots.roots), (name, m)
+                assert [z.imag for z in roots.roots] == sorted(z.imag for z in roots.roots), (name, m)
                 assert roots.residual_bound < 1e-15, (name, m)
-        assert (len(ops), full_degree, unpinned) == (280, 94, 186)
+        assert runs == {("complex", True, True): 94, ("real", False, False): 186}
 
-    def test_centred_inputs_converge_within_16_sweeps(self, monkeypatch):
-        """From the circles of `_polygon_starts` each of the 186 pooled
-        inputs that start centred converges in its one `_aberth` call
-        within 16 sweeps; from one circle of `_start_radius` they took up
-        to 34."""
-        monkeypatch.setattr(verify, "_MAX_ITER", 16)
+    def test_centred_inputs_converge_within_11_sweeps(self, monkeypatch):
+        """From `_line_starts` each of the 186 pooled inputs that start
+        centred converges in its one `_aberth` call, real, within 11 sweeps
+        (a median of 5); the complex run from the circles of
+        `_polygon_starts` took up to 14 (a median of 8), and from one circle
+        of `_start_radius` up to 34."""
+        monkeypatch.setattr(verify, "_MAX_ITER", 11)
         calls = record_calls(monkeypatch)
         centred = 0
         for name, m in pooled_sweep_inputs():
             del calls[:]
             try:
                 find_roots(char_poly(rid(name), m))
-            except NonConvergence:  # stage 1 may need more than 16
+            except NonConvergence:  # stage 1 may need more than 11
                 pass
             if calls[0].degree < rid(name).rank:
                 centred += 1
-                assert statuses(calls) == ["converged"], (name, m)
+                assert calls == [(calls[0].degree,) * 2 + ("converged", "real")], (name, m)
         assert centred == 186
 
     def test_a_root_at_the_centroid_keeps_its_start(self, monkeypatch):
@@ -490,19 +586,19 @@ class TestCentredFirstRun:
         p = from_roots([centre - 3, centre, centre + 1, centre + 2])
         calls = record_calls(monkeypatch)
         got = find_roots(p).roots
-        assert calls == [(4, 4, "converged")]
+        assert calls == [(4, 4, "converged", "complex")]
         assert len(got) == 4
         assert verify._match_distance(got, [centre - 3, centre, centre + 1, centre + 2]) <= 1e-9
 
     def test_a_factor_centred_at_zero_runs_on_its_even_part(self, monkeypatch):
         """prod (s^2 + y^2) over y = 21..30 has root centroid 0, and its
         doubles stall in both stages; its even part G, of degree 10,
-        converges, and the roots come back on Re s = 0."""
+        converges in real doubles, and the roots come back on Re s = 0."""
         p = mul(*[RatPoly((y * y, 0, 1)) for y in range(21, 31)])
         calls = record_calls(monkeypatch)
         got = find_roots(p).roots
-        assert calls == [(10, 10, "converged")]
-        assert all(abs(z.real) <= 1e-12 * abs(z) for z in got)
+        assert calls == [(10, 10, "converged", "real")]
+        assert all(z.real == 0 for z in got)
         planted = [complex(0, s * y) for y in range(21, 31) for s in (1, -1)]
         assert verify._match_distance(got, planted) <= 1e-6 * 30
 
@@ -521,14 +617,15 @@ class TestCentredFirstRun:
         with pytest.MonkeyPatch.context() as patch:
             calls = record_calls(patch)
             got = find_roots(p).roots
-        assert calls == [(n // 2, n // 2, "converged")]
+        assert calls == [(n // 2, n // 2, "converged", "real")]
+        assert all(z.real == 0 for z in got)
         assert verify._match_distance(got, planted) <= 1e-10 * ys[-1]
 
     def test_a_factor_centred_at_zero_without_parity_runs_stage_one(self, monkeypatch):
         # (t - 1)(t - 2)(t + 3) = t^3 - 7t + 6: centroid 0, terms of both parities
         calls = record_calls(monkeypatch)
         got = find_roots(RatPoly((6, -7, 0, 1))).roots
-        assert calls == [(3, 3, "converged")]
+        assert calls == [(3, 3, "converged", "complex")]
         assert verify._match_distance(got, [-3, 1, 2]) <= 1e-14
 
     def test_a_root_at_the_centroid_is_routed(self):
@@ -566,7 +663,7 @@ class TestCentredFirstRun:
         else:
             with pytest.raises(NonConvergence, match="after centring"):
                 find_roots(p)
-        assert calls == [(n, n, end) for end in ends]
+        assert calls == [(n, n, end, "complex") for end in ends]
 
 
 # Lower coefficients of monic doubles: zero or of modulus in [1e-20, 1e20].
@@ -855,18 +952,17 @@ class ComplexOnly(complex):
 
 
 class TestAberthComplexArithmetic:
-    @pytest.mark.parametrize("name,m", STALLING[:3], ids=str)
-    def test_complex_runs_take_no_float_operand(self, name, m, monkeypatch):
-        """Each `_aberth` call on complex starts, over the runs of
-        find_roots, computes with complex operands only, and so to the
-        same bits: a float operand costs a conversion in CPython 3.10-3.13
-        and rounds by C99 Annex G rules from 3.14."""
-        p = char_poly(rid(name), m)
-        want = bits(find_roots(p).roots)
+    @staticmethod
+    def strict_statuses(monkeypatch):
+        """The list every later `_aberth` call on complex starts appends its
+        status to, each run on starts that refuse a float operand; runs on
+        real starts go through untouched."""
         honest = verify._aberth
         statuses = []
 
         def strict(c, z):
+            if isinstance(z[0], float):
+                return honest(c, z)
             strict_z = [ComplexOnly(zj) for zj in z]
             try:
                 statuses.append(honest(c, strict_z))
@@ -875,8 +971,32 @@ class TestAberthComplexArithmetic:
                 z[:] = map(complex, strict_z)
 
         monkeypatch.setattr(verify, "_aberth", strict)
+        return statuses
+
+    @pytest.mark.parametrize("name,m", STALLING[:3], ids=str)
+    def test_complex_runs_take_no_float_operand(self, name, m, monkeypatch):
+        """Each `_aberth` call on complex starts, over the runs of
+        find_roots, computes with complex operands only, and so to the
+        same bits: a float operand costs a conversion in CPython 3.10-3.13
+        and rounds by C99 Annex G rules from 3.14.  A20 9999 and A24 1084
+        take the real run on G; with it refused, as on a G it cannot
+        solve, they take the complex run on G from the Newton polygon."""
+        monkeypatch.setattr(verify, "_real_aberth", lambda G: None)
+        p = char_poly(rid(name), m)
+        want = bits(find_roots(p).roots)
+        statuses = self.strict_statuses(monkeypatch)
         assert bits(find_roots(p).roots) == want
         assert statuses == expected_statuses(name, m)
+
+    @pytest.mark.parametrize("kind,eps", OFF_LINE, ids=str)
+    def test_complex_runs_off_the_line_take_no_float_operand(self, kind, eps, monkeypatch):
+        """The same on factors off the line, centred at 0 already, whose one
+        complex run on G is unforced."""
+        p = off_line_parity_factor(kind, eps)
+        want = bits(find_roots(p).roots)
+        statuses = self.strict_statuses(monkeypatch)
+        assert bits(find_roots(p).roots) == want
+        assert statuses == ["converged"]
 
 
 def reference_residual_bound(p, roots):
@@ -895,8 +1015,9 @@ def reference_residual_bound(p, roots):
 
 
 def reference_centred_roots(factor, centroid):
-    """`verify._centred_roots` with no starts as it was, the inclusion radii
-    evaluated at every root of g, -r included."""
+    """`verify._centred_roots` with no starts as it was before the real run
+    on the even part, the inclusion radii evaluated at every root of g, -r
+    included."""
     g = factor.compose_affine(1, centroid)
     cc = verify._monic_floats(g)
     shift = float(centroid)
@@ -911,6 +1032,31 @@ def reference_centred_roots(factor, centroid):
         s = verify._polygon_starts(cc)
         status = verify._aberth(cc, s)
     return [sj + shift for sj in s], verify._inclusion_radii(cc, s), status
+
+
+def reference_line_roots(factor, centroid):
+    """`verify._centred_roots` with no starts on a factor whose even part
+    G takes the real run: i*sqrt(-x) and its negative for each iterate x of
+    `_real_aberth`, and 0 at odd degree, shifted by c; the inclusion radii
+    evaluated at every root of g, -r included."""
+    g = factor.compose_affine(1, centroid)
+    cc = verify._monic_floats(g)
+    eps = g.degree % 2
+    x, status = verify._real_aberth(g.nums[eps::2])
+    halves = [complex(0.0, math.sqrt(-xk)) for xk in x]
+    s = [0j] * eps + halves + [-r for r in halves]
+    return [sj + float(centroid) for sj in s], verify._inclusion_radii(cc, s), status
+
+
+def one_parity_factors():
+    """(label, factor, centroid) for each factor of `root_finder_inputs`
+    that has one parity about its root centroid, as the route runs it."""
+    for label, p in root_finder_inputs():
+        for factor, _ in verify._squarefree_factors(p):
+            n = factor.degree
+            centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
+            if n > 1 and not any(factor.compose_affine(1, centroid).nums[1 - n % 2::2]):
+                yield label, factor, centroid
 
 
 def reference_squarefree_mod_prime(a):
@@ -963,21 +1109,31 @@ class TestRootFinderKeepsItsBits:
     def test_mirrored_radii(self):
         """Every factor whose centred form has one parity, run as the route
         runs it: the 280 pooled inputs, two limit polynomials and 79 limit
-        combinations at even degree, and 79 limit combinations at odd."""
+        combinations at even degree, and 79 limit combinations at odd.
+        Each takes the real run on its even part, and again, with that run
+        refused, the complex run as it was before; then planted factors off
+        the line take the complex run unforced."""
+
+        def run_bits(roots, radii, status):
+            return bits(roots), radii_bits(radii), status
+
         parities = [0, 0]
-        for label, p in root_finder_inputs():
-            for factor, _ in verify._squarefree_factors(p):
-                n = factor.degree
-                centroid = Fraction(-factor.nums[-2], n * factor.nums[-1])
-                g = factor.compose_affine(1, centroid)
-                if n < 2 or any(g.nums[1 - n % 2::2]):
-                    continue
-                parities[n % 2] += 1
-                roots, radii, status = verify._centred_roots(factor, centroid)
-                want_roots, want_radii, want_status = reference_centred_roots(factor, centroid)
-                assert (bits(roots), radii_bits(radii), status) == (
-                    bits(want_roots), radii_bits(want_radii), want_status), label
+        for label, factor, centroid in one_parity_factors():
+            parities[factor.degree % 2] += 1
+            want = reference_line_roots(factor, centroid)
+            assert want[2] == "converged", label
+            assert run_bits(*verify._centred_roots(factor, centroid)) == run_bits(*want), label
         assert parities == [361, 79]
+        planted = [(f"{kind} {eps}", off_line_parity_factor(kind, eps), Fraction(0)) for kind, eps in OFF_LINE]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_real_aberth", lambda G: None)
+            refused = [(label, factor, centroid, verify._centred_roots(factor, centroid))
+                       for label, factor, centroid in one_parity_factors()]
+        unforced = [(label, factor, centroid, verify._centred_roots(factor, centroid))
+                    for label, factor, centroid in planted]
+        for label, factor, centroid, got in refused + unforced:
+            assert run_bits(*got) == run_bits(*reference_centred_roots(factor, centroid)), label
+        assert len(refused) == 440 and len(unforced) == 4
 
     def test_squarefree_witness(self):
         """Every input but A2's limit polynomial, (t - 1)^2, is square-free,
@@ -1262,6 +1418,117 @@ class TestLineWitness:
             p, M = char_constituent(rid(name), m, 1), m * lookup(rid(name)).coxeter_number
             assert check_on_line_exact(p, M).on_line
             assert calls == [(g1_degree(p, M), want)], (name, m)
+
+
+def pairs_off_the_axis(K):
+    """prod (u^2 + 2ku + k^2 + 4) over k = 1..K: positive coefficients and
+    the roots -k +- 2i, none real."""
+    return mul(*[RatPoly((k * k + 4, 2 * k, 1)) for k in range(1, K + 1)])
+
+
+def refuse_to_run(c, z):
+    raise AssertionError("_aberth ran")
+
+
+def counting_runs(monkeypatch):
+    """The list every later `_aberth` call appends its degree to, each
+    ending "spent" with its starts untouched."""
+    runs = []
+
+    def count(c, z):
+        runs.append(len(c) - 1)
+        return "spent"
+
+    monkeypatch.setattr(verify, "_aberth", count)
+    return runs
+
+
+class TestRealAberth:
+    """`_real_aberth`'s two exact tests, one sign and Newton's inequalities
+    held strictly: every G with distinct negative roots passes both, and G
+    that fails either costs no run."""
+
+    @pytest.mark.parametrize("K", [5, 8, 12, 16])
+    def test_pairs_off_the_axis_run_nothing(self, K, monkeypatch):
+        """Off the line at deg G 10, 16, 24 and 32, which took all 200 real
+        sweeps before the count; the line verdict is the count's."""
+        G1 = pairs_off_the_axis(K)
+        monkeypatch.setattr(verify, "_aberth", refuse_to_run)
+        assert verify._real_aberth(G1.nums) is None
+        p = with_even_part(G1, 1, 0, 6)
+        assert check_on_line_exact(p, 6) == counted_report(p, 6)
+        assert not check_on_line_exact(p, 6).on_line
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 11])
+    def test_equal_roots_run_nothing(self, n, monkeypatch):
+        """(u + 3)^n meets Newton's inequalities with equality at every k,
+        so the strict test turns it away; on the line all the same."""
+        G1 = power(from_roots([-3]), n)
+        monkeypatch.setattr(verify, "_aberth", refuse_to_run)
+        assert verify._real_aberth(G1.nums) is None
+        p = with_even_part(G1, 0, 1, -4)
+        assert check_on_line_exact(p, -4) == counted_report(p, -4)
+        assert check_on_line_exact(p, -4).on_line
+
+    @pytest.mark.parametrize("G", [
+        [-6, 1, 1],  # (u + 3)(u - 2)
+        [1, 0, 1],  # u^2 + 1
+        [6, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1],  # a zero run in the middle
+        [2, 3, -1],
+    ], ids=str)
+    def test_mixed_signs_and_zeros_run_nothing(self, G, monkeypatch):
+        monkeypatch.setattr(verify, "_aberth", refuse_to_run)
+        assert verify._real_aberth(G) is None
+
+    @given(st.lists(rationals(30, 8).map(abs).filter(bool), min_size=1, max_size=20, unique=True),
+           st.sampled_from([1, -1]))
+    @example([Fraction(1), Fraction(1, 10**6), Fraction(10**6)], 1)  # roots 12 orders apart
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_negative_roots_run(self, a, sign):
+        G = from_roots([-r for r in a]).scale(sign)
+        with pytest.MonkeyPatch.context() as patch:
+            runs = counting_runs(patch)
+            verify._real_aberth(G.nums)
+        assert runs == [len(a)]
+
+    @pytest.mark.parametrize("proposal", [
+        [-3.0, -2.0, 0.5], [-3.0, -2.0, 0.0], [-3.0, -2.0, -2.0], [-3.0, -2.0, -1 + 1e-9j],
+    ], ids=str)
+    def test_converged_iterates_off_the_negative_axis_answer_none(self, proposal, monkeypatch):
+        """Iterates that are not negative, distinct doubles answer None
+        whatever the run's status, and the root finder takes the complex
+        run: a positive one would have no real square root."""
+        G = from_roots([-1, -2, -3])
+        p = with_even_part(G, 1, 0, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_real_aberth", lambda G: None)
+            want = find_roots(p)
+        honest = verify._aberth
+        proposed = []
+
+        def propose(c, z):
+            if not isinstance(z[0], float):
+                return honest(c, z)
+            z[:] = proposal
+            proposed.append(len(c) - 1)
+            return "converged"
+
+        monkeypatch.setattr(verify, "_aberth", propose)
+        assert verify._real_aberth(G.nums) is None
+        assert bits(find_roots(p).roots) == bits(want.roots)
+        assert proposed == [3, 3]
+
+    def test_every_pooled_even_part_runs(self, monkeypatch):
+        """The even part G of each of the 280 pooled classical-sweep inputs
+        about its line passes both tests; G(0) != 0, so G is G1, on which
+        the line check runs, and the G on which the root finder runs."""
+        runs = counting_runs(monkeypatch)
+        for name, m in pooled_sweep_inputs():
+            g = char_poly(rid(name), m).compose_affine(1, Fraction(m * lookup(rid(name)).coxeter_number, 2))
+            G = g.nums[g.degree % 2::2]
+            assert G[0]
+            verify._real_aberth(G)
+        assert len(runs) == 280
 
 
 class TestCheckOnLineNumeric:

@@ -604,11 +604,11 @@ def _centred_roots(
     the roots of g are then 0 for odd degree and r and -r for r = sqrt(u)
     at each root u of G.  On the line Re s = 0, which the paper puts every
     root on, each u is real and negative: the run is first `_real_aberth`'s,
-    in real doubles, taken if it converged, and each r is then
-    complex(0.0, sqrt(-u)), so every root of factor has real part float(c)
-    exactly.  Otherwise, and on g without the parity, the run is complex,
-    from the circles of the Newton polygon (`_polygon_starts`), as the
-    roots spread over orders of magnitude.
+    in real doubles, taken if it converged, and each r = sqrt(u) then has
+    real part 0.0, so every root of factor has real part float(c) exactly.
+    Otherwise, and on g without the parity, the run is complex, from the
+    circles of the Newton polygon (`_polygon_starts`), as the roots spread
+    over orders of magnitude.
     """
     g = factor.compose_affine(1, centroid)
     cc = _monic_floats(g)
@@ -618,13 +618,12 @@ def _centred_roots(
         G = g.nums[eps::2]
         run = _real_aberth(G)
         if run and run[1] == "converged":
-            status = "converged"
-            halves = [0j] * eps + [complex(0.0, math.sqrt(-uk)) for uk in run[0]]
+            u, status = run
         else:
             cg = _monic_floats(RatPoly.over(G, g.den))
             u = _polygon_starts(cg)
             status = _aberth(cg, u)
-            halves = [0j] * eps + [cmath.sqrt(uk) for uk in u]
+        halves = [0j] * eps + [cmath.sqrt(uk) for uk in u]
         # the terms of g have one parity, so Horner's rule at -r gives
         # +-p(r) and -+p'(r), each of the same modulus to the bit: the radii
         # at r serve -r

@@ -181,12 +181,18 @@ def record_calls(monkeypatch):
     raised, and the arithmetic of its starts, "real" or "complex".  The
     exact line check's runs (`_real_aberth` under `_line_witness`) are not
     recorded."""
-    real_aberth = verify._aberth
-    calls = []
+    real_aberth, line_witness = verify._aberth, verify._line_witness
+    calls, in_witness = [], []
+
+    def witness(G):
+        in_witness.append(True)
+        try:
+            return line_witness(G)
+        finally:
+            in_witness.pop()
 
     def recording(c, z):
-        # frames: this one, `_real_aberth` or a root finder, and its caller
-        if sys._getframe(2).f_code.co_name == "_line_witness":
+        if in_witness:
             return real_aberth(c, z)
         degree, starts = len(c) - 1, len(z)
         arithmetic = "real" if isinstance(z[0], float) else "complex"
@@ -199,6 +205,7 @@ def record_calls(monkeypatch):
         return status
 
     monkeypatch.setattr(verify, "_aberth", recording)
+    monkeypatch.setattr(verify, "_line_witness", witness)
     return calls
 
 
